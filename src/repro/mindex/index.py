@@ -30,13 +30,16 @@ single-query calls.
 
 Searches are read-only with respect to the cell tree and storage, so
 any number may run concurrently; only :meth:`MIndex.insert`,
-:meth:`MIndex.delete` and the bulk loaders mutate (the server serializes
-those behind a write lock).
+:meth:`MIndex.delete`, the bulk loaders and
+:meth:`MIndex.drop_top_pivots` mutate (the server serializes those
+behind a write lock), each as one ``storage.batch()`` — one storage
+commit per index operation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import wraps
 
 import numpy as np
 
@@ -55,6 +58,24 @@ __all__ = ["MIndex", "RangeSearchStats"]
 #: how many leading permutation positions participate in candidate
 #: pre-ranking (a full footrule would add cost without better ordering).
 _RANK_PREFIX = 8
+
+
+def _one_batch(method):
+    """Run a mutating :class:`MIndex` method as one storage batch.
+
+    Every data file the operation touches is written (and, on disk,
+    fsynced) as it goes, but the storage commit point — the manifest —
+    is reached once, when the outermost decorated call returns and
+    before the operation is acknowledged. Nested calls (``_split``
+    under ``bulk_insert``) join the open batch.
+    """
+
+    @wraps(method)
+    def batched(self, *args, **kwargs):
+        with self.storage.batch():
+            return method(self, *args, **kwargs)
+
+    return batched
 
 
 @dataclass
@@ -107,6 +128,7 @@ class MIndex:
     # insertion
     # ------------------------------------------------------------------
 
+    @_one_batch
     def insert(self, record: IndexedRecord) -> None:
         """Insert one record, splitting its leaf cell on overflow."""
         permutation = record.ensure_permutation()
@@ -122,6 +144,7 @@ class MIndex:
         if leaf.count > self.bucket_capacity and self.tree.can_split(leaf):
             self._split(leaf)
 
+    @_one_batch
     def bulk_insert(self, records: list[IndexedRecord]) -> int:
         """Insert many records group-wise; returns the number inserted.
 
@@ -132,8 +155,9 @@ class MIndex:
         permutation-prefix columns are lexsorted so every record bound
         for the same leaf is contiguous, each touched cell receives its
         group in one ``append_many`` storage write, and overflow splits
-        are resolved once per cell after its group lands. Works on empty
-        and already-populated indexes alike.
+        are resolved once per cell after its group lands. The whole
+        bulk, splits included, is one storage commit. Works on empty and
+        already-populated indexes alike.
         """
         records = list(records)
         if not records:
@@ -181,6 +205,7 @@ class MIndex:
             position = end
         return total
 
+    @_one_batch
     def bulk_load(self, records: list[IndexedRecord]) -> int:
         """Build the index from scratch in one top-down partitioning.
 
@@ -305,6 +330,7 @@ class MIndex:
     # deletion
     # ------------------------------------------------------------------
 
+    @_one_batch
     def delete(self, oid: int, permutation: np.ndarray) -> bool:
         """Remove the record with ``oid`` from its Voronoi cell.
 
@@ -333,7 +359,10 @@ class MIndex:
         self._n_records -= len(records) - len(remaining)
         return True
 
+    @_one_batch
     def _split(self, leaf: LeafCell) -> None:
+        # one batch: the parent leaves the catalog in the same commit
+        # that adds its children, and its file is unlinked only after
         records = self.storage.load(leaf.prefix)
         groups = self.tree.split_leaf(leaf, records)
         self.storage.delete(leaf.prefix)
@@ -1140,6 +1169,7 @@ class MIndex:
                 )
         return exported
 
+    @_one_batch
     def drop_top_pivots(self, pivots: set[int]) -> int:
         """Remove every record whose top-level permutation element is in
         ``pivots``; returns the number removed.

@@ -9,19 +9,32 @@ reconstructs the full catalog from the manifest — so
 cell, which is the durability story the paper's "CoPhIR on disk"
 configuration rests on.
 
-Write protocol (the manifest is the commit point):
+Write protocol (the manifest is the commit point, one per batch):
 
-* ``save``/``save_many`` build the whole replacement file in memory,
-  write it to a *new-generation* file name via tmp + fsync +
-  ``os.replace``, commit the manifest atomically, then unlink the old
-  generation. A crash at any instant leaves the directory describing
-  either the complete old cell or the complete new one.
-* ``append``/``append_many`` compress just the new tail chunk(s),
-  fsync the data file, then commit the manifest. A crash before the
-  commit leaves a torn tail *after* the manifest's valid byte length,
-  which reopening truncates away.
-* ``delete`` commits the manifest first, then unlinks; an orphaned
-  cell file is cleaned up on reopen.
+Every mutation runs inside a :meth:`DiskStorage.batch` scope — a bare
+``save``/``save_many``/``append_many``/``delete`` call is a batch of
+one, and the M-Index wraps each index operation (an insert with its
+splits, a whole bulk, a delete) in one. Inside the scope data files are
+written and fsynced immediately; what is *deferred* to scope exit is
+the manifest commit and every unlink of a file the operation made
+stale. Scope exit is: one atomic manifest write, then the unlinks.
+
+* ``save``/``save_many`` build the whole replacement file in memory
+  and write it to a *new-generation* file name via tmp + fsync +
+  ``os.replace``; the old generation joins the deferred unlinks.
+* ``append``/``append_many`` compress just the new tail chunk(s) and
+  fsync the data file in place, past the committed byte length.
+* ``delete`` drops the catalog entry; its file joins the deferred
+  unlinks, so the committed manifest never references a missing file.
+
+A crash before the commit reopens to exactly the pre-batch state: the
+old manifest still references every old-generation and deleted file
+(none was unlinked), torn append tails beyond each entry's committed
+length are truncated, and new-generation files no manifest mentions
+are swept as orphans. A crash after the commit reopens to the
+post-batch state; stale files whose unlink did not happen are swept
+the same way. There is no state in between, and the scope exits —
+commits — before the operation is acknowledged.
 
 Reads go through a byte-budgeted LRU :class:`BlockCache` of decoded
 chunks, with exact ``block_cache_hits`` / ``block_cache_misses`` /
@@ -41,7 +54,9 @@ runs one thread per query) observe exact accounting. Mutating
 operations additionally assume the *exclusive-writer* discipline the
 server enforces at its ``ReadWriteLock`` — inserts/deletes never run
 concurrently with each other or with reads (asserted in the storage
-contract tests).
+contract tests). A batch holds a re-entrant writer lock from entry to
+commit, which is what lets ``flush`` (called by a drain, outside the
+server's lock) wait for an operation in flight.
 """
 
 from __future__ import annotations
@@ -50,6 +65,7 @@ import json
 import os
 import re
 import threading
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Hashable, Iterator, Mapping
 
@@ -134,15 +150,40 @@ class DiskStorage:
         self.block_cache_misses = 0
         self.chunks_decompressed = 0
         self.manifest_writes = 0
+        # batch scope state, owned by whoever holds the writer lock
+        self._writer = threading.RLock()
+        self._batch_depth = 0
+        self._uncommitted = False
+        self._stale_files: list[str] = []
+        self._retired: dict[Hashable, int] = {}
         self._open_directory()
 
     # -- core interface (mirrors MemoryStorage) -------------------------
 
+    @contextmanager
+    def batch(self) -> Iterator[None]:
+        """Group the mutations of one operation into one commit.
+
+        Re-entrant; only the outermost exit commits. Data files are
+        written and fsynced as the body runs, the manifest commit and
+        the unlinks of stale files happen once on exit (see the module
+        docstring). The exit commits even when the body raised: the
+        in-memory catalog already describes the body's completed
+        writes and later operations build on it, so disk must not lag.
+        """
+        with self._writer:
+            self._batch_depth += 1
+            try:
+                yield
+            finally:
+                self._batch_depth -= 1
+                if self._batch_depth == 0 and self._uncommitted:
+                    self._commit()
+
     def save(self, cell_id: Hashable, records: list[IndexedRecord]) -> None:
         """Store (replace) the record list of a cell, atomically."""
-        stale = self._save_one(cell_id, list(records))
-        self._commit_manifest()
-        self._unlink_quietly(stale)
+        with self.batch():
+            self._save_one(cell_id, list(records))
 
     def save_many(
         self, cells: Mapping[Hashable, list[IndexedRecord]]
@@ -151,17 +192,12 @@ class DiskStorage:
 
         Each cell is still one file and charges one physical write —
         the same accounting as a loop of :meth:`save` calls — but the
-        whole batch commits through a *single* manifest write, so the
-        bulk loader's many-cell persist is one commit point, not one
-        per cell.
+        whole call is one :meth:`batch`, so the bulk loader's many-cell
+        persist is one commit point, not one per cell.
         """
-        stales = [
-            self._save_one(cell_id, list(records))
-            for cell_id, records in cells.items()
-        ]
-        self._commit_manifest()
-        for stale in stales:
-            self._unlink_quietly(stale)
+        with self.batch():
+            for cell_id, records in cells.items():
+                self._save_one(cell_id, list(records))
 
     def append(self, cell_id: Hashable, record: IndexedRecord) -> None:
         """Append one record to a cell, creating it if missing."""
@@ -182,13 +218,18 @@ class DiskStorage:
         """
         if not records:
             return
+        with self.batch():
+            self._append_group(cell_id, list(records))
+
+    def _append_group(
+        self, cell_id: Hashable, records: list[IndexedRecord]
+    ) -> None:
+        """:meth:`append_many`'s write, inside the open batch."""
         with self._lock:
             entry = self._catalog.get(cell_id)
         if entry is None:
             # a fresh cell: identical to a save of the group
-            stale = self._save_one(cell_id, list(records))
-            self._commit_manifest()
-            self._unlink_quietly(stale)
+            self._save_one(cell_id, records)
             return
         path = self._dir / entry.file_name
         if entry.fmt == FORMAT_LEGACY:
@@ -216,7 +257,7 @@ class DiskStorage:
             entry.chunks.extend(new_chunks)
             self.bytes_written += len(payload)
             self.writes += 1
-        self._commit_manifest()
+        self._uncommitted = True
 
     def load(self, cell_id: Hashable) -> list[IndexedRecord]:
         """Read back the records of a cell (empty list if absent).
@@ -454,20 +495,19 @@ class DiskStorage:
 
     def delete(self, cell_id: Hashable) -> None:
         """Remove a cell and its file; charged as one physical write."""
-        with self._lock:
-            entry = self._catalog.pop(cell_id, None)
-            if entry is None:
-                raise StorageError(f"cell {cell_id!r} does not exist")
-            self.block_cache.invalidate_file(entry.file_name)
-            self.writes += 1
-        # manifest first: a crash between commit and unlink leaves an
-        # orphaned file (cleaned on reopen), never a dangling reference
-        self._commit_manifest()
-        path = self._dir / entry.file_name
-        try:
-            path.unlink()
-        except FileNotFoundError as exc:
-            raise StorageError(f"cell file missing for {cell_id!r}") from exc
+        with self.batch():
+            with self._lock:
+                entry = self._catalog.pop(cell_id, None)
+                if entry is None:
+                    raise StorageError(f"cell {cell_id!r} does not exist")
+                self.block_cache.invalidate_file(entry.file_name)
+                self.writes += 1
+            # the file goes only after the manifest that forgets it: a
+            # crash in between leaves an orphan (cleaned on reopen),
+            # never a dangling reference
+            self._stale_files.append(entry.file_name)
+            self._retired[cell_id] = entry.generation
+            self._uncommitted = True
 
     def cell_size(self, cell_id: Hashable) -> int:
         """Number of records in a cell (from the catalog, no I/O)."""
@@ -491,8 +531,11 @@ class DiskStorage:
         Every write path already commits before acknowledging, so this
         exists for the graceful-drain protocol: after a drain the
         on-disk manifest provably reflects every acknowledged write.
+        Waits for a batch still open on another thread, so it never
+        commits an operation's half-way catalog.
         """
-        self._commit_manifest()
+        with self._writer:
+            self._commit()
 
     def reset_accounting(self) -> None:
         """Zero the I/O, cache and manifest counters."""
@@ -517,8 +560,9 @@ class DiskStorage:
         truncated away — the crashed-append case); an absent or
         corrupt manifest falls back to scavenging every ``cell_*``
         file, CoZip-style; finally, cell files the catalog does not
-        reference (crash orphans of replace/delete) are unlinked and a
-        fresh manifest is committed when anything changed.
+        reference (new generations of a crashed batch, stale files
+        whose unlink did not happen) are unlinked and a fresh manifest
+        is committed when anything changed or none existed.
         """
         for stray in self._dir.glob("*.tmp"):
             stray.unlink()
@@ -539,7 +583,10 @@ class DiskStorage:
             ]
             if cell_files:
                 self._scavenge(cell_files)
-                dirty = True
+            # a fresh directory gets its (empty) manifest before any
+            # batch runs: were the first batch to crash with none on
+            # disk, reopening would scavenge its uncommitted files
+            dirty = True
         referenced = {
             entry.file_name for entry in self._catalog.values()
         }
@@ -551,7 +598,7 @@ class DiskStorage:
                 path.unlink()
                 dirty = True
         if dirty:
-            self._commit_manifest()
+            self._commit()
 
     def _validate_entry(self, entry: CellEntry) -> None:
         """Check one manifest entry against the file system, repairing
@@ -647,12 +694,17 @@ class DiskStorage:
 
     def _save_one(
         self, cell_id: Hashable, records: list[IndexedRecord]
-    ) -> str | None:
-        """Write one cell's replacement file; returns the stale file
-        name to unlink *after* the manifest commit (or ``None``)."""
+    ) -> None:
+        """Write one cell's replacement file inside the open batch; the
+        file it supersedes is unlinked after the manifest commit."""
         with self._lock:
             old = self._catalog.get(cell_id)
-        generation = 0 if old is None else old.generation + 1
+        # A cell deleted earlier in this batch still has its file on
+        # disk and in the committed manifest: never reuse that name.
+        generation = 1 + max(
+            -1 if old is None else old.generation,
+            self._retired.get(cell_id, -1),
+        )
         id_json = json.dumps(
             encode_cell_id(cell_id), separators=(",", ":")
         ).encode("utf-8")
@@ -680,12 +732,13 @@ class DiskStorage:
                 self.block_cache.invalidate_file(old.file_name)
             self.bytes_written += len(file_bytes)
             self.writes += 1
-        if old is not None and old.file_name != file_name:
-            return old.file_name
-        return None
+        if old is not None:
+            self._stale_files.append(old.file_name)
+        self._uncommitted = True
 
-    def _commit_manifest(self) -> None:
-        """Atomically persist the catalog — the storage commit point."""
+    def _commit(self) -> None:
+        """The storage commit point: atomically persist the catalog,
+        then unlink the files it no longer references."""
         with self._lock:
             entries = sorted(
                 self._catalog.values(), key=lambda entry: entry.file_name
@@ -694,14 +747,14 @@ class DiskStorage:
         atomic_write_bytes(self._dir / MANIFEST_NAME, blob)
         with self._lock:
             self.manifest_writes += 1
-
-    def _unlink_quietly(self, file_name: str | None) -> None:
-        if file_name is None:
-            return
-        try:
-            (self._dir / file_name).unlink()
-        except FileNotFoundError:  # pragma: no cover - already gone
-            pass
+        stale, self._stale_files = self._stale_files, []
+        self._retired.clear()
+        self._uncommitted = False
+        if stale:
+            referenced = {entry.file_name for entry in entries}
+            for file_name in stale:
+                if file_name not in referenced:
+                    (self._dir / file_name).unlink(missing_ok=True)
 
     def _read_exact(
         self, path: Path, offset: int, length: int, cell_id: Hashable

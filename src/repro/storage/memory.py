@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import threading
+from contextlib import contextmanager
 from typing import Hashable, Iterator, Mapping
 
 from repro.core.records import IndexedRecord
@@ -28,6 +29,16 @@ class MemoryStorage:
         self.bytes_read = 0
         self.reads = 0
         self.writes = 0
+
+    @contextmanager
+    def batch(self) -> Iterator[None]:
+        """Write scope of one index operation — nothing to commit in RAM.
+
+        Part of the storage interface so the index can group the
+        mutations of one operation into one commit on any backend; the
+        disk backend defers its manifest commit to the scope's exit.
+        """
+        yield
 
     def save(self, cell_id: Hashable, records: list[IndexedRecord]) -> None:
         """Store (replace) the record list of a cell."""

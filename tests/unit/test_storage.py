@@ -1,6 +1,8 @@
 """Unit tests for repro.storage (bucket, memory and disk backends)."""
 
+import contextlib
 import json
+import shutil
 import threading
 
 import numpy as np
@@ -8,6 +10,7 @@ import pytest
 
 from repro.core.records import IndexedRecord
 from repro.exceptions import BucketCapacityError, StorageError
+from repro.mindex.index import MIndex
 from repro.storage.bucket import Bucket
 from repro.storage.chunks import (
     BlockCache,
@@ -143,6 +146,20 @@ class _StorageContract:
         assert storage.writes == 0
         assert storage.load(("c",)) == []
 
+    def test_batch_scope_groups_mutations(self, tmp_path):
+        storage = self.make(tmp_path)
+        storage.save(("a",), [_record(1)])
+        with storage.batch():
+            storage.append_many(("a",), [_record(2)])
+            with storage.batch():  # re-entrant
+                storage.save(("b",), [_record(3)])
+            storage.delete(("a",))
+            # the scope's own writes are visible inside it
+            assert storage.load(("a",)) == []
+            assert [r.oid for r in storage.load(("b",))] == [3]
+        assert sorted(storage.cells()) == [("b",)]
+        assert len(storage) == 1
+
     def test_payloads_survive_roundtrip(self, tmp_path):
         storage = self.make(tmp_path)
         record = IndexedRecord(
@@ -207,6 +224,94 @@ class TestDiskStorage(_StorageContract):
         assert len(files) == 1
         assert files[0].name.endswith(".g1.chk")
 
+    def test_batch_defers_commit_and_unlinks_to_scope_exit(self, tmp_path):
+        storage = self.make(tmp_path)
+        storage.save((1,), [_record(1)])
+        storage.save((2,), [_record(2)])
+        manifest = tmp_path / "cells" / "manifest.json"
+        committed = manifest.read_bytes()
+        commits = storage.manifest_writes
+        with storage.batch():
+            storage.save((1,), [_record(3)])  # g0 -> g1
+            with storage.batch():
+                storage.delete((2,))
+                storage.append_many((3,), [_record(4)])
+            # nothing committed, nothing unlinked — inner exit included
+            assert storage.manifest_writes == commits
+            assert manifest.read_bytes() == committed
+            assert len(self._cell_files(tmp_path)) == 4
+        assert storage.manifest_writes == commits + 1
+        assert sorted(p.name[-6:] for p in self._cell_files(tmp_path)) == [
+            "g0.chk", "g1.chk"
+        ]
+        reopened = DiskStorage(tmp_path / "cells")
+        assert sorted(reopened.cells()) == [(1,), (3,)]
+        assert [r.oid for r in reopened.load((1,))] == [3]
+
+    def test_delete_then_recreate_in_one_batch(self, tmp_path):
+        """A cell deleted and re-created inside one batch must not
+        overwrite the file the committed manifest still references."""
+        storage = self.make(tmp_path)
+        storage.save((1,), [_record(1), _record(2)])
+        (old_file,) = self._cell_files(tmp_path)
+        old_bytes = old_file.read_bytes()
+        with storage.batch():
+            storage.delete((1,))
+            storage.save((1,), [_record(3)])
+            assert old_file.read_bytes() == old_bytes
+            # what a crash here would leave behind reopens to the
+            # pre-batch cell, whole
+            shutil.copytree(tmp_path / "cells", tmp_path / "crashed")
+        crashed = DiskStorage(tmp_path / "crashed")
+        assert [r.oid for r in crashed.load((1,))] == [1, 2]
+        assert [p.name for p in (tmp_path / "crashed").iterdir()
+                if p.name.startswith("cell_")] == [old_file.name]
+        (new_file,) = self._cell_files(tmp_path)
+        assert new_file.name.endswith(".g1.chk")
+        reopened = DiskStorage(tmp_path / "cells")
+        assert [r.oid for r in reopened.load((1,))] == [3]
+
+    def test_failed_batch_body_still_commits_the_catalog(self, tmp_path):
+        storage = self.make(tmp_path)
+        with pytest.raises(RuntimeError):
+            with storage.batch():
+                storage.save((1,), [_record(1)])
+                raise RuntimeError("operation failed half way")
+        # memory and disk agree on what the body completed
+        assert [r.oid for r in storage.load((1,))] == [1]
+        reopened = DiskStorage(tmp_path / "cells")
+        assert [r.oid for r in reopened.load((1,))] == [1]
+
+    def test_flush_waits_for_an_open_batch(self, tmp_path):
+        """A drain's flush runs outside the server's write lock; it must
+        not commit the half-way catalog of an operation in flight."""
+        storage = self.make(tmp_path)
+        storage.save((1,), [_record(1)])
+        inside, release = threading.Event(), threading.Event()
+
+        def operation():
+            with storage.batch():
+                storage.delete((1,))
+                inside.set()
+                release.wait(5)
+                storage.save((2,), [_record(1)])
+
+        worker = threading.Thread(target=operation)
+        worker.start()
+        assert inside.wait(5)
+        commits = storage.manifest_writes
+        flusher = threading.Thread(target=storage.flush)
+        flusher.start()
+        flusher.join(0.2)
+        assert flusher.is_alive()
+        assert storage.manifest_writes == commits
+        release.set()
+        worker.join(5)
+        flusher.join(5)
+        assert not worker.is_alive() and not flusher.is_alive()
+        assert storage.manifest_writes == commits + 2
+        assert sorted(DiskStorage(tmp_path / "cells").cells()) == [(2,)]
+
     def test_no_tmp_files_left_behind(self, tmp_path):
         storage = self.make(tmp_path)
         storage.save_many({(i,): [_record(i)] for i in range(4)})
@@ -254,6 +359,29 @@ class TestAccountingParity:
 
         memory, disk = self._pair(tmp_path)
         assert drive(memory) == drive(disk)
+
+    def test_batch_scope_leaves_accounting_unchanged(self, tmp_path):
+        """``batch()`` changes when the commit happens, never what is
+        charged: same reads / writes / bytes_written with and without
+        the scope, on both backends."""
+
+        def drive(storage, batched):
+            with storage.batch() if batched else contextlib.nullcontext():
+                storage.save_many(
+                    {("a",): [_record(1), _record(2)], ("b",): [_record(3)]}
+                )
+                storage.append_many(("a",), [_record(4)])
+                storage.load(("a",))
+                storage.delete(("b",))
+                storage.save(("b",), [_record(5)])
+                storage.append(("c",), _record(6))
+            return (storage.reads, storage.writes, storage.bytes_written)
+
+        bare_memory = drive(MemoryStorage(), batched=False)
+        assert drive(MemoryStorage(), batched=True) == bare_memory
+        bare_disk = drive(DiskStorage(tmp_path / "bare"), batched=False)
+        assert drive(DiskStorage(tmp_path / "batched"), True) == bare_disk
+        assert bare_memory[:2] == bare_disk[:2]
 
 
 class TestChunkFormat:
@@ -408,6 +536,30 @@ class TestManifest:
         assert storage.manifest_writes == 1  # one commit for the batch
         storage.save((9,), [_record(9)])
         assert storage.manifest_writes == 2
+        # every bare call is a batch of one
+        storage.append_many((9,), [_record(10)])
+        storage.append((11,), _record(11))
+        storage.delete((0,))
+        assert storage.manifest_writes == 5
+
+    def test_bulk_insert_is_one_manifest_write(self, tmp_path):
+        """An index operation is one commit point, however many cells
+        it touches and however often it splits (``_split`` nests its
+        batch inside ``bulk_insert``'s)."""
+        storage = DiskStorage(tmp_path / "cells")
+        index = MIndex(6, 20, storage)
+        index.bulk_insert([_record(oid, 6) for oid in range(200)])
+        leaves_before = index.n_cells
+        storage.reset_accounting()
+        index.bulk_insert([_record(oid, 6) for oid in range(200, 1200)])
+        assert index.n_cells > leaves_before  # it did split
+        assert storage.writes > 50  # and touched many cells
+        assert storage.manifest_writes == 1
+        storage.reset_accounting()
+        index.insert(_record(5000, 6))
+        assert storage.manifest_writes == 1
+        reopened = MIndex(6, 20, DiskStorage(tmp_path / "cells"))
+        assert reopened.rebuild_from_storage() == 1201
 
 
 class TestDiskConcurrentReaders:
