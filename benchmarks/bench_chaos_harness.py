@@ -1,7 +1,7 @@
 """Faulted load harness — the multi-client workload under scripted chaos.
 
-The companion of ``bench_load_harness.py``: the same mixed k-NN / range
-workload, but every client dials the pipelined async server through a
+Several clients run a mixed k-NN / range workload, and every one of
+them dials the server through a
 :class:`~repro.net.faults.FaultProxy` that injects a deterministic
 fault schedule (connection resets, dropped requests, frames truncated
 mid-wire, lost acknowledgements, delays) — and every client's RPC

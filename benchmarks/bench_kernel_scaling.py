@@ -12,8 +12,7 @@ per-cell storage bytes (nonces are injected deterministically so
 payload bytes are comparable), and bit-identical knn and range
 results. The speedup assertion (>= 1.3x construction throughput at 4
 workers) only applies on hosts with >= 4 cores — a 1-core CI box runs
-the full equivalence sweep but cannot be expected to scale, the same
-gating the load harness uses.
+the full equivalence sweep but cannot be expected to scale.
 
 Knobs: ``REPRO_KERNEL_N`` (records, default 4000),
 ``REPRO_KERNEL_QUERIES`` (default 64).

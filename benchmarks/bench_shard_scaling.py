@@ -16,9 +16,8 @@ shard comfortably exceed the bucket capacity, so every shard root
 splits and the prefix-partitioned union is exactly the one tree). The
 speedup assertion (>= 1.5x batch-query throughput at 4 shards vs 1)
 only applies on hosts with >= 4 cores, with a two-standard-error noise
-allowance over the per-round throughput samples — the same gating the
-load harness uses; a 1-core CI box runs the full equivalence sweep but
-serializes all shard processes onto one core and cannot be expected to
+allowance over the per-round throughput samples; a 1-core CI box runs
+the full equivalence sweep but serializes all shard processes onto one core and cannot be expected to
 scale.
 
 Knobs: ``REPRO_SHARD_N`` (records, default 4000),

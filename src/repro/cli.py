@@ -6,8 +6,7 @@ Four commands for kicking the tires without writing code:
 * ``demo`` — build an encrypted deployment over a named dataset, run a
   query sweep and print the paper-style cost table,
 * ``serve`` — stand up a similarity-cloud server over a named dataset
-  on a real TCP port (legacy threaded transport or the pipelined
-  asyncio transport),
+  on a real TCP port,
 * ``attack`` — play the compromised server against a fresh deployment
   and report what leaks under the chosen strategy.
 """
@@ -124,7 +123,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     strategy = _parse_strategy(args.strategy)
     print(f"building encrypted deployment over {dataset.name} "
           f"({dataset.n_records} x {dataset.dimension}, "
-          f"strategy={strategy.value}, transport={args.transport}"
+          f"strategy={strategy.value}"
           + (f", shards={args.shards}" if args.shards > 1 else "")
           + ") ...")
     cloud = SimilarityCloud.build(
@@ -134,7 +133,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         bucket_capacity=dataset.bucket_capacity,
         strategy=strategy,
         seed=args.seed,
-        transport=args.transport,
+        transport="tcp-async",
         shards=args.shards,
     )
     cloud.owner.outsource(range(dataset.n_records), dataset.vectors)
@@ -248,10 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument("--dataset", default="yeast", choices=DATASET_NAMES)
     serve.add_argument("--strategy", default="precise")
-    serve.add_argument(
-        "--transport", default="tcp-async", choices=["tcp", "tcp-async"],
-        help="legacy threaded transport or the pipelined asyncio stack",
-    )
     serve.add_argument("--records", type=int, default=3000,
                        help="collection size (cophir only)")
     serve.add_argument("--shards", type=int, default=1,

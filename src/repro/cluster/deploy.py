@@ -39,8 +39,7 @@ class LocalShardCluster:
     storage backend (fresh :class:`MemoryStorage` unless
     ``storage_factory`` supplies one per shard index). ``transport``
     mirrors :meth:`SimilarityCloud.build`: ``"inprocess"`` (simulated
-    latency/bandwidth), ``"tcp"`` (threaded loopback) or ``"tcp-async"``
-    (pipelined asyncio loopback).
+    latency/bandwidth) or ``"tcp-async"`` (pipelined asyncio loopback).
     """
 
     def __init__(
@@ -56,6 +55,7 @@ class LocalShardCluster:
         storage_factory: Callable[[int], object] | None = None,
         shard_map: ShardMap | None = None,
     ) -> None:
+        from repro.core.cloud import TRANSPORTS
         from repro.core.server import SimilarityCloudServer
 
         if shard_map is None:
@@ -65,10 +65,10 @@ class LocalShardCluster:
                 f"shard map covers {shard_map.n_shards} shards, cluster "
                 f"has {n_shards}"
             )
-        if transport not in ("inprocess", "tcp", "tcp-async"):
+        if transport not in TRANSPORTS:
             raise ChannelError(
                 f"unknown transport {transport!r}; choose from "
-                "inprocess, tcp, tcp-async"
+                f"{', '.join(TRANSPORTS)}"
             )
         self.shard_map = shard_map
         self._latency = latency
@@ -87,11 +87,7 @@ class LocalShardCluster:
             for shard in range(n_shards)
         ]
         self._transports = []
-        if transport == "tcp":
-            self._transports = [
-                server.serve_tcp() for server in self.servers
-            ]
-        elif transport == "tcp-async":
+        if transport == "tcp-async":
             self._transports = [
                 server.serve_async() for server in self.servers
             ]

@@ -27,7 +27,7 @@ from repro.exceptions import ChannelError
 from repro.metric.distances import Distance
 from repro.metric.space import MetricSpace
 from repro.net.aio import AsyncTcpServer
-from repro.net.channel import Channel, InProcessChannel, TcpServer
+from repro.net.channel import Channel, InProcessChannel
 from repro.net.resilience import (
     CircuitBreaker,
     ResilientRpcClient,
@@ -38,7 +38,7 @@ from repro.net.rpc import RpcClient
 __all__ = ["SimilarityCloud"]
 
 #: transport names accepted by :meth:`SimilarityCloud.build`
-TRANSPORTS = ("inprocess", "tcp", "tcp-async")
+TRANSPORTS = ("inprocess", "tcp-async")
 
 
 class SimilarityCloud:
@@ -53,7 +53,7 @@ class SimilarityCloud:
         dimension: int,
         latency: float,
         bandwidth: float | None,
-        tcp_server: TcpServer | AsyncTcpServer | None = None,
+        tcp_server: AsyncTcpServer | None = None,
         cluster=None,
     ) -> None:
         self.server = server
@@ -79,8 +79,7 @@ class SimilarityCloud:
         seed: int | None = 0,
         latency: float = 50e-6,
         bandwidth: float | None = 1.25e9,
-        use_tcp: bool = False,
-        transport: str | None = None,
+        transport: str = "inprocess",
         pivot_strategy: str = "random",
         shards: int = 1,
     ) -> "SimilarityCloud":
@@ -89,11 +88,10 @@ class SimilarityCloud:
         ``seed`` drives pivot selection and the cipher key; with the
         default in-process channel the communication-time model uses
         ``latency`` (seconds, one way) and ``bandwidth`` (bytes/s).
-        ``transport`` selects the wire: ``"inprocess"`` (default),
-        ``"tcp"`` (legacy threaded loopback server, equivalent to the
-        older ``use_tcp=True``), or ``"tcp-async"`` (the pipelined
-        asyncio server; every client channel multiplexes requests with
-        correlation ids over one socket).
+        ``transport`` selects the wire: ``"inprocess"`` (default) or
+        ``"tcp-async"`` (a loopback pipelined asyncio server; every
+        client channel multiplexes requests with correlation ids over
+        one socket).
 
         ``shards`` > 1 stands up a :class:`~repro.cluster.deploy.\
 LocalShardCluster` instead of one server: the cell tree partitions by
@@ -101,8 +99,6 @@ LocalShardCluster` instead of one server: the cell tree partitions by
         :class:`~repro.cluster.router.ShardRouter`, and results stay
         bit-identical to the single-server deployment.
         """
-        if transport is None:
-            transport = "tcp" if use_tcp else "inprocess"
         if transport not in TRANSPORTS:
             raise ChannelError(
                 f"unknown transport {transport!r}; choose from "
@@ -114,14 +110,12 @@ LocalShardCluster` instead of one server: the cell tree partitions by
         dimension = data.shape[1]
         server: SimilarityCloudServer | None = None
         cluster = None
-        tcp_server: TcpServer | AsyncTcpServer | None = None
+        tcp_server: AsyncTcpServer | None = None
         if shards == 1:
             server = SimilarityCloudServer(
                 n_pivots, bucket_capacity, storage=storage, max_level=max_level
             )
-            if transport == "tcp":
-                tcp_server = server.serve_tcp()
-            elif transport == "tcp-async":
+            if transport == "tcp-async":
                 tcp_server = server.serve_async()
         else:
             if storage is not None:

@@ -63,7 +63,7 @@ The server exposes these RPC methods:
 
 Concurrency: searches are read-only, so all search handlers take the
 shared side of a :class:`~repro.core.locks.ReadWriteLock` and may run
-concurrently (thread-per-connection TCP clients, thread-pool batch
+concurrently (the socket transport's handler pool, thread-pool batch
 fan-out); ``insert``/``delete`` serialize exclusively so no reader can
 observe a half-split cell tree.
 """
@@ -74,6 +74,7 @@ from repro.core.locks import ReadWriteLock
 from repro.core.records import IndexedRecord, RecordBatch
 from repro.exceptions import QueryError
 from repro.mindex.index import MIndex
+from repro.net.aio import AsyncTcpServer
 from repro.net.clock import Clock
 from repro.net.rpc import RpcDispatcher
 from repro.parallel.scheduler import GLOBAL_STATS
@@ -157,9 +158,10 @@ class SimilarityCloudServer:
         # mutating RPCs carry idempotency keys (see
         # repro.net.resilience); dedup makes their retries exactly-once
         self.dispatcher.enable_idempotency()
-        #: the transport serving this endpoint (set by serve_tcp /
-        #: serve_async); healthz and stats read drain/shed state off it
-        self.transport = None
+        #: the socket transport serving this endpoint (set by
+        #: serve_async; None in process); healthz and stats read
+        #: drain/shed state off it
+        self.transport: AsyncTcpServer | None = None
 
     # -- channel plumbing -------------------------------------------------
 
@@ -173,31 +175,16 @@ class SimilarityCloudServer:
         """
         return self.dispatcher.handle(request)
 
-    def serve_tcp(self, *, host: str = "127.0.0.1", port: int = 0, **kwargs):
-        """Expose this server over the legacy threaded TCP transport.
-
-        Returns a started :class:`~repro.net.channel.TcpServer`; extra
-        keyword arguments pass through (e.g. ``idle_timeout``).
-        """
-        from repro.net.channel import TcpServer
-
-        self.transport = TcpServer(self.handle, host=host, port=port, **kwargs)
-        return self.transport
-
     def serve_async(self, *, host: str = "127.0.0.1", port: int = 0, **kwargs):
         """Expose this server over the pipelined asyncio transport.
 
         Returns a started :class:`~repro.net.aio.AsyncTcpServer`; extra
         keyword arguments pass through (``max_workers``,
         ``max_inflight_per_connection``, ``max_pending``,
-        ``chunk_size``). Handlers run on the async server's executor, so
-        the read–write lock semantics and cost accounting are exactly
-        those of the threaded transport; legacy
-        :class:`~repro.net.channel.TcpChannel` clients are served
-        unmodified on the same port.
+        ``chunk_size``). Handlers run on the transport's executor
+        threads, under the same read–write lock and cost accounting as
+        in-process calls.
         """
-        from repro.net.aio import AsyncTcpServer
-
         self.transport = AsyncTcpServer(
             self.handle, host=host, port=port, **kwargs
         )
@@ -224,16 +211,15 @@ class SimilarityCloudServer:
     def drain(self, timeout: float = 30.0) -> bool:
         """Graceful drain: finish in-flight requests, then flush storage.
 
-        Delegates to the transport's drain when it has one (the
-        pipelined server refuses new requests with a retryable error
-        while existing ones complete), then flushes the storage backend
-        so no acknowledged write is lost on the shutdown that follows.
-        Returns whether the transport drained within ``timeout``.
+        Drains the socket transport when one is attached (it refuses
+        new requests with a retryable error while existing ones
+        complete), then flushes the storage backend so no acknowledged
+        write is lost on the shutdown that follows. Returns whether the
+        transport drained within ``timeout``.
         """
         drained = True
-        transport_drain = getattr(self.transport, "drain", None)
-        if transport_drain is not None:
-            drained = transport_drain(timeout)
+        if self.transport is not None:
+            drained = self.transport.drain(timeout)
         self.flush_storage()
         return drained
 
@@ -429,13 +415,11 @@ class SimilarityCloudServer:
                     stats[f"storage_{counter}"] = value
             # fault-tolerance counters: what the transport refused or
             # shed, and what the idempotency cache answered for free
-            for counter, source in (
-                ("requests_shed", "shed_requests"),
-                ("deadline_expirations", "deadline_expirations"),
-            ):
-                value = getattr(self.transport, source, None)
-                if value is not None:
-                    stats[counter] = value
+            if self.transport is not None:
+                stats["requests_shed"] = self.transport.shed_requests
+                stats["deadline_expirations"] = (
+                    self.transport.deadline_expirations
+                )
             stats["idempotent_dedup_hits"] = self.dispatcher.dedup_hits
             # kernel scheduler counters (process-global: one scheduler
             # serves every kernel in this process)
@@ -449,7 +433,7 @@ class SimilarityCloudServer:
 
     def _handle_healthz(self, body: Reader) -> Writer:
         body.expect_end()
-        draining = bool(getattr(self.transport, "draining", False))
+        draining = self.transport is not None and self.transport.draining
         writer = Writer()
         writer.string("draining" if draining else "ok")
         with self._lock.read():

@@ -6,33 +6,23 @@ per-component times. We reproduce the setting twice:
 * :class:`InProcessChannel` — deterministic simulation. The request and
   response travel through a latency + bandwidth cost model, so the
   "communication time" rows of the tables are reproducible bit-for-bit.
-* :class:`TcpChannel` / :class:`TcpServer` — real sockets over loopback,
-  for honest wall-clock runs (used by the TCP integration tests and an
-  example).
-* :class:`AsyncTcpServer` / :class:`AsyncTcpChannel` /
-  :class:`PipelinedTcpChannel` — the asyncio stack (framing v2):
-  correlation-id pipelining, chunked streaming responses, bounded
-  in-flight windows and load shedding, with legacy clients served
-  unmodified on the same port (see :mod:`repro.net.aio`).
+* :class:`AsyncTcpServer` / :class:`PipelinedTcpChannel` — real sockets
+  over loopback, for honest wall-clock runs and every multi-process
+  deployment: correlation-id pipelining (framing v2), chunked streaming
+  responses, bounded in-flight windows, load shedding and deadlines
+  (see :mod:`repro.net.aio`).
 
 Both channels account bytes exactly; the RPC envelope carries the
 server-side processing time so the client can split "round trip" into
 server time and communication time, as the paper's tables do.
 """
 
-from repro.net.aio import (
-    AsyncRpcClient,
-    AsyncTcpChannel,
-    AsyncTcpServer,
-    PipelinedTcpChannel,
-)
-from repro.net.channel import Channel, InProcessChannel, TcpChannel, TcpServer
+from repro.net.aio import AsyncTcpServer, PipelinedTcpChannel
+from repro.net.channel import Channel, InProcessChannel
 from repro.net.clock import Clock, SimulatedClock, WallClock
 from repro.net.rpc import RpcClient, RpcDispatcher
 
 __all__ = [
-    "AsyncRpcClient",
-    "AsyncTcpChannel",
     "AsyncTcpServer",
     "Channel",
     "Clock",
@@ -41,7 +31,5 @@ __all__ = [
     "RpcClient",
     "RpcDispatcher",
     "SimulatedClock",
-    "TcpChannel",
-    "TcpServer",
     "WallClock",
 ]

@@ -1,18 +1,17 @@
-"""Asyncio network stack: pipelined server and channels (framing v2).
+"""The socket transport: pipelined asyncio server and its client.
 
-The legacy transport (:class:`~repro.net.channel.TcpServer`) dedicates
-one thread per connection and serves one request at a time per
-connection. This module replaces both limits while leaving the RPC
-layer and the server's locking semantics untouched:
+One stack serves every real-socket deployment (the in-process
+alternative is :class:`~repro.net.channel.InProcessChannel`); the RPC
+layer and the server's locking semantics sit on top unchanged.
 
 * :class:`AsyncTcpServer` — a single event loop multiplexes every
   connection; each request frame carries a correlation id
   (:mod:`repro.wire.frames`), so one connection can have many requests
   in flight and receive the responses out of order. Handlers run on a
-  thread-pool executor, exactly like the legacy thread-per-connection
-  dispatch, so the :class:`~repro.core.locks.ReadWriteLock` and cost
-  accounting in :class:`~repro.core.server.SimilarityCloudServer` work
-  unchanged.
+  thread-pool executor, so the
+  :class:`~repro.core.locks.ReadWriteLock` and cost accounting in
+  :class:`~repro.core.server.SimilarityCloudServer` see ordinary
+  concurrent threads.
 * **Backpressure** — each connection has a bounded in-flight window
   (the server stops reading a connection that exceeds it, letting TCP
   flow control slow the client), every write awaits ``drain()``, and a
@@ -24,20 +23,18 @@ layer and the server's locking semantics untouched:
   as several chunk frames; the client reassembles them
   (:class:`~repro.wire.frames.FrameAssembler`). Large candidate sets
   therefore never monopolize a connection's write path.
-* **Compatibility** — the first four bytes of a connection distinguish
-  the v2 magic from a legacy length prefix, so unmodified legacy
-  :class:`~repro.net.channel.TcpChannel` clients are served on the same
-  port (sequentially, as before).
+* **Bounded input** — a connection speaks framing v2 from its first
+  byte: anything else is a protocol violation and a dropped connection
+  once the 18 header bytes are in, and a request header announcing more
+  than :data:`~repro.wire.frames.MAX_REQUEST_PAYLOAD` is refused before
+  a payload byte is buffered.
 
-Client side, :class:`AsyncTcpChannel` is the asyncio-native channel
-(used from coroutines; concurrent ``request()`` calls pipeline on one
-socket), :class:`AsyncRpcClient` speaks the RPC envelope over it, and
-:class:`PipelinedTcpChannel` is a synchronous, thread-safe facade: many
-threads can share one pipelined connection, each blocking only on its
-own response — this is what lets a pool of
-:class:`~repro.core.client.EncryptedClient` workers multiplex one
-socket, and it is the client shape the sharded scatter-gather cluster
-(ROADMAP item 1) needs.
+:class:`PipelinedTcpChannel` is the client: a synchronous, thread-safe
+channel over one connection. Many threads can share it, each blocking
+only on its own response — this is what lets a pool of
+:class:`~repro.core.client.EncryptedClient` workers, or a
+:class:`~repro.cluster.router.ShardRouter`'s scatter threads, multiplex
+one socket per server.
 """
 
 from __future__ import annotations
@@ -47,7 +44,6 @@ import collections
 import concurrent.futures
 import itertools
 import socket
-import struct
 import threading
 import time
 from typing import Callable
@@ -59,16 +55,12 @@ from repro.exceptions import (
     ServerBusyError,
 )
 from repro.net.channel import Channel
-from repro.net.rpc import RpcServerError, decode_response, encode_request
-from repro.wire.encoding import Reader, Writer
 from repro.wire.frames import (
-    FLAG_LAST,
-    FRAME_MAGIC,
     HEADER_SIZE,
     KIND_ERROR,
     KIND_REQUEST,
     KIND_RESPONSE,
-    MAX_PAYLOAD,
+    MAX_REQUEST_PAYLOAD,
     FrameAssembler,
     FrameHeader,
     encode_frame,
@@ -77,14 +69,7 @@ from repro.wire.frames import (
     split_deadline,
 )
 
-__all__ = [
-    "AsyncTcpServer",
-    "AsyncTcpChannel",
-    "AsyncRpcClient",
-    "PipelinedTcpChannel",
-]
-
-_LEGACY_FRAME = struct.Struct("<I")
+__all__ = ["AsyncTcpServer", "PipelinedTcpChannel"]
 
 #: error-frame payload codes (first payload byte)
 _ERROR_OVERLOADED = 0
@@ -200,9 +185,8 @@ class AsyncTcpServer:
     """Pipelined asyncio TCP server wrapping a ``bytes -> bytes`` handler.
 
     The event loop runs on a dedicated daemon thread, so the server is
-    drop-in usable from synchronous code — construct, read
-    :attr:`port`, and call :meth:`shutdown` (or use as a context
-    manager), just like :class:`~repro.net.channel.TcpServer`.
+    usable from synchronous code — construct, read :attr:`port`, and
+    call :meth:`shutdown` (or use as a context manager).
 
     Parameters
     ----------
@@ -258,7 +242,7 @@ class AsyncTcpServer:
         self._conns: set[_PipelinedConnection] = set()
         self._draining = False
         self._sockname: tuple[str, int] | None = None
-        #: requests answered (both framings, including failures)
+        #: requests answered (including failures)
         self.requests_served = 0
         #: requests refused because ``max_pending`` was reached or the
         #: server was draining
@@ -313,21 +297,14 @@ class AsyncTcpServer:
         if sock is not None:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._writers.add(writer)
+        conn = _PipelinedConnection(self, writer)
+        self._conns.add(conn)
         try:
-            first = await reader.readexactly(_LEGACY_FRAME.size)
-            (word,) = _LEGACY_FRAME.unpack(first)
-            if word == FRAME_MAGIC:
-                await self._serve_pipelined(reader, writer, first)
-            else:
-                await self._serve_legacy(reader, writer, word)
-        except (
-            asyncio.IncompleteReadError,
-            ConnectionError,
-            OSError,
-            ProtocolError,
-        ):
+            await self._pipelined_loop(conn, reader)
+        except (ConnectionError, OSError, ProtocolError):
             pass  # disconnect or garbage framing: drop the connection
         finally:
+            self._conns.discard(conn)
             self._writers.discard(writer)
             writer.close()
             try:
@@ -335,49 +312,10 @@ class AsyncTcpServer:
             except (ConnectionError, OSError):
                 pass
 
-    async def _serve_legacy(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        length: int,
-    ) -> None:
-        """Serve an unmodified legacy client: sequential, in-order."""
-        while True:
-            if length > MAX_PAYLOAD:
-                return
-            if self._draining:
-                # the legacy framing has no error channel between
-                # messages; dropping the connection is the only signal
-                return
-            payload = await reader.readexactly(length)
-            response = await self._run_handler(payload)
-            writer.write(_LEGACY_FRAME.pack(len(response)) + response)
-            await writer.drain()
-            self.requests_served += 1
-            (length,) = _LEGACY_FRAME.unpack(
-                await reader.readexactly(_LEGACY_FRAME.size)
-            )
-
-    async def _serve_pipelined(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        first: bytes,
-    ) -> None:
-        conn = _PipelinedConnection(self, writer)
-        self._conns.add(conn)
-        try:
-            await self._pipelined_loop(conn, reader, first)
-        finally:
-            self._conns.discard(conn)
-
     async def _pipelined_loop(
-        self,
-        conn: "_PipelinedConnection",
-        reader: asyncio.StreamReader,
-        first: bytes,
+        self, conn: "_PipelinedConnection", reader: asyncio.StreamReader
     ) -> None:
-        buffer = bytearray(first)
+        buffer = bytearray()
         while True:
             # greedy framing: one loop resume ingests every complete
             # frame already buffered (with 16 clients pipelining on one
@@ -388,6 +326,26 @@ class AsyncTcpServer:
                     return
                 buffer += chunk
             header = FrameHeader.decode(bytes(buffer[:HEADER_SIZE]))
+            if header.kind != KIND_REQUEST:
+                raise ProtocolError(
+                    f"client sent frame kind {header.kind}, "
+                    f"expected a request"
+                )
+            if header.length > MAX_REQUEST_PAYLOAD:
+                # refused on the header alone: the announced payload is
+                # never buffered, and the connection goes with it
+                message = (
+                    f"request of {header.length} bytes exceeds the "
+                    f"{MAX_REQUEST_PAYLOAD}-byte request limit"
+                )
+                conn.send(
+                    encode_frame(
+                        KIND_ERROR,
+                        header.correlation_id,
+                        _encode_error(_ERROR_FAILED, message),
+                    )
+                )
+                raise ProtocolError(message)
             while len(buffer) < HEADER_SIZE + header.length:
                 chunk = await reader.read(65536)
                 if not chunk:
@@ -397,11 +355,6 @@ class AsyncTcpServer:
                 buffer[HEADER_SIZE : HEADER_SIZE + header.length]
             )
             del buffer[: HEADER_SIZE + header.length]
-            if header.kind != KIND_REQUEST:
-                raise ProtocolError(
-                    f"client sent frame kind {header.kind}, "
-                    f"expected a request"
-                )
             budget, payload = split_deadline(header, payload)
             if self._draining:
                 # graceful drain: in-flight work finishes, new work is
@@ -513,11 +466,6 @@ class AsyncTcpServer:
             self.requests_served += 1
             self._pending -= 1
 
-    async def _run_handler(self, payload: bytes) -> bytes:
-        return await self._loop.run_in_executor(
-            self._executor, self._handler, payload
-        )
-
     # -- lifecycle ---------------------------------------------------------
 
     @property
@@ -597,194 +545,8 @@ class AsyncTcpServer:
         self.shutdown()
 
 
-class AsyncTcpChannel:
-    """Asyncio-native pipelined channel (framing v2).
-
-    Create with :meth:`open` from inside a running event loop.
-    Concurrent :meth:`request` calls from different tasks interleave on
-    the single connection; a background reader task routes response
-    frames back by correlation id and reassembles chunked responses.
-    Counts bytes including frame headers, like the legacy channel.
-    """
-
-    def __init__(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self.bytes_sent = 0
-        self.bytes_received = 0
-        self.requests = 0
-        self._reader = reader
-        self._writer = writer
-        self._cids = itertools.count(1)
-        self._pending: dict[int, asyncio.Future] = {}
-        self._received: dict[int, int] = {}
-        self._assembler = FrameAssembler()
-        self._closed = False
-        self._reader_task = asyncio.get_running_loop().create_task(
-            self._read_loop()
-        )
-
-    @classmethod
-    async def open(
-        cls, host: str, port: int, *, timeout: float = 30.0
-    ) -> "AsyncTcpChannel":
-        """Connect to an :class:`AsyncTcpServer` at ``host:port``."""
-        try:
-            reader, writer = await asyncio.wait_for(
-                asyncio.open_connection(host, port), timeout
-            )
-        except (OSError, asyncio.TimeoutError) as exc:
-            raise ChannelError(
-                f"cannot connect to {host}:{port}: {exc}"
-            ) from exc
-        sock = writer.get_extra_info("socket")
-        if sock is not None:
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        return cls(reader, writer)
-
-    async def request(
-        self, data: bytes, *, deadline: float | None = None
-    ) -> bytes:
-        """Send one request, await its (possibly out-of-order) response.
-
-        ``deadline`` seconds of budget travel with the frame (the
-        server sheds the request unexecuted once it expires) and bound
-        the local wait: :class:`DeadlineExceededError` either way.
-        """
-        payload, _ = await self._request(data, deadline=deadline)
-        return payload
-
-    async def _request(
-        self, data: bytes, deadline: float | None = None
-    ) -> tuple[bytes, int]:
-        """Like :meth:`request`, also returning the response wire bytes."""
-        if self._closed:
-            raise ChannelError("channel is closed")
-        if len(data) > MAX_PAYLOAD:
-            raise ChannelError(
-                f"request of {len(data)} bytes exceeds the "
-                f"{MAX_PAYLOAD}-byte frame limit"
-            )
-        correlation_id = next(self._cids)
-        future = asyncio.get_running_loop().create_future()
-        self._pending[correlation_id] = future
-        self._received[correlation_id] = 0
-        frame = encode_request_frame(correlation_id, data, deadline=deadline)
-        try:
-            self._writer.write(frame)
-            self.bytes_sent += len(frame)
-            self.requests += 1
-            await self._writer.drain()  # client-side backpressure
-            if deadline is None:
-                return await future
-            try:
-                return await asyncio.wait_for(future, deadline)
-            except asyncio.TimeoutError as exc:
-                raise DeadlineExceededError(
-                    f"no response within the {deadline}s deadline"
-                ) from exc
-        except (ConnectionError, OSError) as exc:
-            raise ChannelError(f"pipelined send failed: {exc}") from exc
-        finally:
-            self._pending.pop(correlation_id, None)
-            self._received.pop(correlation_id, None)
-
-    async def _read_loop(self) -> None:
-        try:
-            while True:
-                header = FrameHeader.decode(
-                    await self._reader.readexactly(HEADER_SIZE)
-                )
-                payload = await self._reader.readexactly(header.length)
-                self.bytes_received += HEADER_SIZE + header.length
-                correlation_id = header.correlation_id
-                if correlation_id in self._received:
-                    self._received[correlation_id] += (
-                        HEADER_SIZE + header.length
-                    )
-                future = self._pending.get(correlation_id)
-                if header.kind == KIND_ERROR:
-                    if future is not None and not future.done():
-                        future.set_exception(_decode_error(payload))
-                elif header.kind == KIND_RESPONSE:
-                    complete = self._assembler.add(header, payload)
-                    if (
-                        complete is not None
-                        and future is not None
-                        and not future.done()
-                    ):
-                        future.set_result(
-                            (complete, self._received[correlation_id])
-                        )
-                else:
-                    raise ProtocolError(
-                        f"server sent frame kind {header.kind}"
-                    )
-        except (asyncio.IncompleteReadError, ConnectionError, OSError) as exc:
-            self._fail_all(ChannelError(f"connection lost: {exc}"))
-        except ProtocolError as exc:
-            self._fail_all(ChannelError(f"protocol violation: {exc}"))
-        except asyncio.CancelledError:
-            self._fail_all(ChannelError("channel closed"))
-            raise
-        except Exception as exc:  # reader must never die silently
-            self._fail_all(
-                ChannelError(
-                    f"reader task died: {type(exc).__name__}: {exc}"
-                )
-            )
-
-    def _fail_all(self, error: ChannelError) -> None:
-        self._closed = True
-        for future in self._pending.values():
-            if not future.done():
-                future.set_exception(error)
-        self._pending.clear()
-
-    async def close(self) -> None:
-        """Close the connection; outstanding requests fail cleanly."""
-        self._closed = True
-        self._reader_task.cancel()
-        try:
-            await self._reader_task
-        except asyncio.CancelledError:
-            pass
-        self._writer.close()
-        try:
-            await self._writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass
-
-
-class AsyncRpcClient:
-    """RPC envelope codec over an :class:`AsyncTcpChannel`.
-
-    The coroutine counterpart of :class:`~repro.net.rpc.RpcClient`:
-    many tasks may :meth:`call` concurrently and their requests pipeline
-    on the shared connection.
-    """
-
-    def __init__(self, channel: AsyncTcpChannel) -> None:
-        self.channel = channel
-        self.server_time = 0.0
-        self.calls = 0
-
-    async def call(self, method: str, body: Writer | bytes = b"") -> Reader:
-        """Invoke ``method``; returns a Reader on the response body."""
-        raw = await self.channel.request(encode_request(method, body))
-        try:
-            server_time, reader = decode_response(raw)
-        except RpcServerError as exc:
-            self.server_time += exc.server_time
-            self.calls += 1
-            raise
-        self.server_time += server_time
-        self.calls += 1
-        return reader
-
-
 class PipelinedTcpChannel(Channel):
-    """Synchronous, thread-safe facade over one pipelined connection.
+    """Synchronous, thread-safe client of one pipelined connection.
 
     :meth:`request` may be called from any number of threads
     concurrently — their requests interleave on the single socket and
@@ -796,14 +558,15 @@ class PipelinedTcpChannel(Channel):
     There is deliberately no event loop in this hot path: the calling
     thread writes its frame straight to the socket (under a send lock)
     and a dedicated reader thread routes response frames back to
-    blocked callers by correlation id, so a request costs the same two
-    thread wake-ups as the legacy :class:`~repro.net.channel.TcpChannel`
-    despite the multiplexing.
+    blocked callers by correlation id, so a request costs two thread
+    wake-ups despite the multiplexing.
 
-    ``communication_time`` accumulates full round-trip wall time: with
-    several requests in flight the server-processing share of one
-    request overlaps another's transfer, so the legacy split into
-    server/transfer components is not defined here.
+    ``communication_time`` charges each request its own round-trip wall
+    time minus its own server-reported processing time (never below
+    zero): :meth:`request` charges the round trip, and the RPC layer's
+    :meth:`note_server_time` call on the same thread takes the server's
+    share back out. Used without an RPC layer, the full round trip
+    stays charged. Counts bytes including the 18-byte frame headers.
     """
 
     def __init__(
@@ -831,16 +594,20 @@ class PipelinedTcpChannel(Channel):
         self._assembler = FrameAssembler()
         self._closed = False
         self._death: ChannelError | None = None
+        # request() blocks its caller, so "the round trip this thread
+        # just completed" is per-thread state; concurrent callers never
+        # see each other's
+        self._own = threading.local()
         self._reader = threading.Thread(
             target=self._read_loop, name="pipelined-reader", daemon=True
         )
         self._reader.start()
 
     def request(self, data: bytes, *, deadline: float | None = None) -> bytes:
-        if len(data) > MAX_PAYLOAD:
+        if len(data) > MAX_REQUEST_PAYLOAD:
             raise ChannelError(
                 f"request of {len(data)} bytes exceeds the "
-                f"{MAX_PAYLOAD}-byte frame limit"
+                f"{MAX_REQUEST_PAYLOAD}-byte request limit"
             )
         start = time.perf_counter()
         future: concurrent.futures.Future = concurrent.futures.Future()
@@ -882,12 +649,19 @@ class PipelinedTcpChannel(Channel):
                 self._pending.pop(correlation_id, None)
                 self._received.pop(correlation_id, None)
         elapsed = time.perf_counter() - start
+        self._own.round_trip = elapsed
         with self._lock:
             self.bytes_sent += len(frame)
             self.bytes_received += received
             self.communication_time += elapsed
             self.requests += 1
         return payload
+
+    def note_server_time(self, server_seconds: float) -> None:
+        round_trip = getattr(self._own, "round_trip", 0.0)
+        self._own.round_trip = 0.0
+        with self._lock:
+            self.communication_time -= min(server_seconds, round_trip)
 
     def _read_loop(self) -> None:
         buffer = bytearray()
@@ -905,8 +679,13 @@ class PipelinedTcpChannel(Channel):
                     self._dispatch(header, payload)
                 chunk = self._sock.recv(1 << 16)
                 if not chunk:
+                    expected = HEADER_SIZE
+                    if len(buffer) >= HEADER_SIZE:
+                        # the loop above broke on this incomplete frame
+                        expected += header.length
                     raise ChannelError(
-                        "peer closed connection reading frames"
+                        f"peer closed connection reading a frame: "
+                        f"expected {expected} bytes, got {len(buffer)}"
                     )
                 buffer += chunk
         except (ChannelError, OSError) as exc:

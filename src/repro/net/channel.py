@@ -8,27 +8,20 @@ returns opaque response bytes, while accounting
 
 :class:`InProcessChannel` runs the handler in the same process and
 charges a deterministic latency + bandwidth cost model against a
-(usually simulated) clock. :class:`TcpChannel` speaks a 4-byte
-length-prefixed framing over a real socket to a :class:`TcpServer`;
-there the communication time is measured as round-trip wall time minus
-the server-reported processing time embedded in the RPC envelope.
+(usually simulated) clock. The socket transport,
+:class:`~repro.net.aio.PipelinedTcpChannel`, measures it instead: each
+request's round-trip wall time minus the server-reported processing
+time the RPC layer hands back through :meth:`Channel.note_server_time`.
 """
 
 from __future__ import annotations
 
-import socket
-import socketserver
-import struct
-import threading
 from typing import Callable
 
-from repro.exceptions import ChannelError, DeadlineExceededError
-from repro.net.clock import Clock, SimulatedClock, WallClock
+from repro.exceptions import ChannelError
+from repro.net.clock import Clock, SimulatedClock
 
-__all__ = ["Channel", "InProcessChannel", "TcpChannel", "TcpServer"]
-
-_FRAME = struct.Struct("<I")
-_MAX_FRAME = 1 << 30  # 1 GiB sanity bound
+__all__ = ["Channel", "InProcessChannel"]
 
 
 class Channel:
@@ -46,11 +39,19 @@ class Channel:
         ``deadline`` is an optional per-request time budget in seconds.
         Transports that support it raise
         :class:`~repro.exceptions.DeadlineExceededError` once the
-        budget expires (and, on the pipelined framing, ship the budget
-        to the server so expired work is shed before it runs); the
-        in-process channel executes synchronously and ignores it.
+        budget expires (and ship the budget to the server so expired
+        work is shed before it runs); the in-process channel executes
+        synchronously and ignores it.
         """
         raise NotImplementedError
+
+    def note_server_time(self, server_seconds: float) -> None:
+        """Tell the channel how much of the request the calling thread
+        just completed was server processing (the RPC layer reads it
+        off the response envelope). A channel that *measures* round
+        trips takes that share back out of ``communication_time``; a
+        model-based channel never charged it, so the default is a
+        no-op."""
 
     def reset_accounting(self) -> None:
         """Zero all counters (between experiment phases)."""
@@ -122,198 +123,3 @@ class InProcessChannel(Channel):
         advance = getattr(self.clock, "advance", None)
         if advance is not None:
             advance(seconds)
-
-
-class TcpChannel(Channel):
-    """Client side of the framed TCP transport (real sockets).
-
-    Communication time is measured as wall round-trip minus the
-    server-reported processing time, which the caller supplies through
-    :meth:`note_server_time` after decoding the RPC envelope.
-    """
-
-    def __init__(
-        self, host: str, port: int, *, timeout: float = 30.0
-    ) -> None:
-        super().__init__()
-        self._clock = WallClock()
-        self._timeout = timeout
-        try:
-            self._sock = socket.create_connection((host, port), timeout=timeout)
-            self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        except OSError as exc:
-            raise ChannelError(f"cannot connect to {host}:{port}: {exc}") from exc
-        self._last_round_trip = 0.0
-
-    def request(self, data: bytes, *, deadline: float | None = None) -> bytes:
-        start = self._clock.now()
-        # the legacy framing has no header to carry the budget to the
-        # server, so a deadline is enforced client-side only: the
-        # socket timeout shrinks to the budget for this one request
-        if deadline is not None:
-            self._sock.settimeout(min(self._timeout, deadline))
-        try:
-            self._sock.sendall(_FRAME.pack(len(data)) + data)
-            response = _recv_frame(self._sock)
-        except OSError as exc:
-            raise ChannelError(f"TCP transfer failed: {exc}") from exc
-        except ChannelError as exc:
-            if deadline is not None and isinstance(
-                exc.__cause__, TimeoutError
-            ):
-                raise DeadlineExceededError(
-                    f"no response within the {deadline}s deadline"
-                ) from exc
-            raise
-        finally:
-            if deadline is not None:
-                self._sock.settimeout(self._timeout)
-        elapsed = self._clock.now() - start
-        self._last_round_trip = elapsed
-        self.bytes_sent += len(data) + _FRAME.size
-        self.bytes_received += len(response) + _FRAME.size
-        # Provisionally charge the full round trip; note_server_time()
-        # subtracts the server's processing share once the envelope is
-        # decoded by the RPC layer.
-        self.communication_time += elapsed
-        self.requests += 1
-        return response
-
-    def note_server_time(self, server_seconds: float) -> None:
-        """Remove server processing time from the last request's cost."""
-        adjustment = min(server_seconds, self._last_round_trip)
-        self.communication_time -= adjustment
-        self._last_round_trip = 0.0
-
-    def close(self) -> None:
-        """Close the underlying socket."""
-        try:
-            self._sock.close()
-        except OSError:  # pragma: no cover - close is best effort
-            pass
-
-    def __enter__(self) -> "TcpChannel":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-
-def _recv_frame(sock: socket.socket) -> bytes:
-    header = _recv_exact(sock, _FRAME.size, what="frame header")
-    (length,) = _FRAME.unpack(header)
-    if length > _MAX_FRAME:
-        raise ChannelError(
-            f"frame of {length} bytes exceeds the {_MAX_FRAME}-byte limit"
-        )
-    return _recv_exact(sock, length, what="frame body")
-
-
-def _recv_exact(sock: socket.socket, count: int, *, what: str = "frame") -> bytes:
-    """Read exactly ``count`` bytes or raise a typed :class:`ChannelError`.
-
-    Every failure mode — clean close, reset, timeout — reports how many
-    of the expected bytes actually arrived, so a peer that disappears
-    mid-frame surfaces as a diagnosable error instead of a bare
-    ``OSError`` or a silent short read.
-    """
-    chunks: list[bytes] = []
-    received = 0
-    while received < count:
-        try:
-            chunk = sock.recv(count - received)
-        except TimeoutError as exc:
-            raise ChannelError(
-                f"timed out reading {what}: expected {count} bytes, "
-                f"got {received}"
-            ) from exc
-        except OSError as exc:
-            raise ChannelError(
-                f"socket error reading {what}: expected {count} bytes, "
-                f"got {received}: {exc}"
-            ) from exc
-        if not chunk:
-            raise ChannelError(
-                f"peer closed connection reading {what}: expected "
-                f"{count} bytes, got {received}"
-            )
-        chunks.append(chunk)
-        received += len(chunk)
-    return b"".join(chunks)
-
-
-class TcpServer:
-    """Threaded TCP server wrapping a ``bytes -> bytes`` handler.
-
-    Binds to ``host:port`` (port 0 picks a free port; read it back from
-    :attr:`port`). Use as a context manager or call :meth:`shutdown`.
-    ``idle_timeout`` (seconds) closes a connection whose next request
-    does not arrive in time; the default ``None`` keeps connections
-    open indefinitely.
-    """
-
-    def __init__(
-        self,
-        handler: Callable[[bytes], bytes],
-        *,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        idle_timeout: float | None = None,
-    ) -> None:
-        outer = self
-
-        class _Handler(socketserver.BaseRequestHandler):
-            def handle(self) -> None:
-                self.request.setsockopt(
-                    socket.IPPROTO_TCP, socket.TCP_NODELAY, 1
-                )
-                if idle_timeout is not None:
-                    self.request.settimeout(idle_timeout)
-                while True:
-                    try:
-                        request = _recv_frame(self.request)
-                    except ChannelError:
-                        return  # client disconnected (or idled out)
-                    response = outer._handler(request)
-                    try:
-                        self.request.sendall(
-                            _FRAME.pack(len(response)) + response
-                        )
-                    except OSError:
-                        return  # client disconnected mid-response
-
-        class _Server(socketserver.ThreadingTCPServer):
-            allow_reuse_address = True
-            daemon_threads = True
-
-        self._handler = handler
-        self._server = _Server((host, port), _Handler)
-        self._thread = threading.Thread(
-            target=self._server.serve_forever, daemon=True
-        )
-        self._thread.start()
-
-    @property
-    def host(self) -> str:
-        """Bound host address."""
-        return self._server.server_address[0]
-
-    @property
-    def port(self) -> int:
-        """Bound port (useful when constructed with port 0)."""
-        return self._server.server_address[1]
-
-    def connect(self) -> TcpChannel:
-        """Open a client channel to this server."""
-        return TcpChannel(self.host, self.port)
-
-    def shutdown(self) -> None:
-        """Stop serving and release the socket."""
-        self._server.shutdown()
-        self._server.server_close()
-
-    def __enter__(self) -> "TcpServer":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.shutdown()

@@ -36,9 +36,6 @@ Scripted actions:
     Deliver the response only after ``seconds`` — a slow read that a
     patient client rides out.
 
-Connections whose first bytes are not the v2 magic (legacy framing)
-are pumped verbatim without fault injection.
-
 :meth:`FaultProxy.retarget` repoints *future* upstream connections at
 a new server address, which is how the chaos suite models a server
 restart: kill the server, start a new one on a fresh port, retarget —
@@ -55,12 +52,7 @@ import time
 from dataclasses import dataclass
 
 from repro.exceptions import ChannelError, ProtocolError
-from repro.wire.frames import (
-    FRAME_MAGIC,
-    HEADER_SIZE,
-    KIND_REQUEST,
-    FrameHeader,
-)
+from repro.wire.frames import HEADER_SIZE, KIND_REQUEST, FrameHeader
 
 __all__ = ["Fault", "FaultSchedule", "FaultProxy"]
 
@@ -301,11 +293,13 @@ class FaultProxy:
             with self._lock:
                 self._pipes.add(pipe)
             threading.Thread(
-                target=self._pump_requests, args=(pipe,),
+                target=self._pump,
+                args=(pipe, pipe.client, self._forward_request),
                 name="fault-proxy-c2s", daemon=True,
             ).start()
             threading.Thread(
-                target=self._pump_responses, args=(pipe,),
+                target=self._pump,
+                args=(pipe, pipe.upstream, self._forward_response),
                 name="fault-proxy-s2c", daemon=True,
             ).start()
 
@@ -318,35 +312,23 @@ class FaultProxy:
         with self._lock:
             self.faults_injected[action] += 1
 
-    def _pump_requests(self, pipe: _Pipe) -> None:
-        """client -> server: parse request frames, apply faults."""
+    def _pump(self, pipe: _Pipe, source: socket.socket, forward) -> None:
+        """One direction of a pipe: cut ``source``'s byte stream into
+        frames and hand each to ``forward(pipe, header, frame)`` (which
+        applies the scripted faults) until it returns False."""
         try:
             buffer = bytearray()
-            framed: bool | None = None  # unknown until 4 bytes arrive
             while True:
-                if framed is None and len(buffer) >= 4:
-                    word = int.from_bytes(buffer[:4], "little")
-                    framed = word == FRAME_MAGIC
-                    if not framed:
-                        # legacy framing: blind pass-through from here on
-                        pipe.upstream.sendall(bytes(buffer))
-                        buffer.clear()
-                if framed is False:
-                    chunk = pipe.client.recv(1 << 16)
-                    if not chunk:
-                        return
-                    pipe.upstream.sendall(chunk)
-                    continue
-                if framed and len(buffer) >= HEADER_SIZE:
+                if len(buffer) >= HEADER_SIZE:
                     header = FrameHeader.decode(bytes(buffer[:HEADER_SIZE]))
                     total = HEADER_SIZE + header.length
                     if len(buffer) >= total:
                         frame = bytes(buffer[:total])
                         del buffer[:total]
-                        if not self._forward_request(pipe, header, frame):
+                        if not forward(pipe, header, frame):
                             return
                         continue
-                chunk = pipe.client.recv(1 << 16)
+                chunk = source.recv(1 << 16)
                 if not chunk:
                     return
                 buffer += chunk
@@ -358,7 +340,7 @@ class FaultProxy:
     def _forward_request(
         self, pipe: _Pipe, header: FrameHeader, frame: bytes
     ) -> bool:
-        """Apply the scripted fault to one request frame.
+        """client -> server: apply the scripted fault to one request frame.
 
         Returns False when the pump must stop (connection killed).
         """
@@ -393,46 +375,11 @@ class FaultProxy:
         pipe.upstream.sendall(frame)
         return True
 
-    def _pump_responses(self, pipe: _Pipe) -> None:
-        """server -> client: parse response frames, apply marked faults."""
-        try:
-            buffer = bytearray()
-            framed: bool | None = None
-            while True:
-                if framed is None and len(buffer) >= 4:
-                    word = int.from_bytes(buffer[:4], "little")
-                    framed = word == FRAME_MAGIC
-                    if not framed:
-                        pipe.client.sendall(bytes(buffer))
-                        buffer.clear()
-                if framed is False:
-                    chunk = pipe.upstream.recv(1 << 16)
-                    if not chunk:
-                        return
-                    pipe.client.sendall(chunk)
-                    continue
-                if framed and len(buffer) >= HEADER_SIZE:
-                    header = FrameHeader.decode(bytes(buffer[:HEADER_SIZE]))
-                    total = HEADER_SIZE + header.length
-                    if len(buffer) >= total:
-                        frame = bytes(buffer[:total])
-                        del buffer[:total]
-                        if not self._forward_response(pipe, header, frame):
-                            return
-                        continue
-                chunk = pipe.upstream.recv(1 << 16)
-                if not chunk:
-                    return
-                buffer += chunk
-        except (OSError, ProtocolError):
-            pass
-        finally:
-            self._finish(pipe)
-
     def _forward_response(
         self, pipe: _Pipe, header: FrameHeader, frame: bytes
     ) -> bool:
-        """Deliver one response frame, honouring response-side faults."""
+        """server -> client: deliver one response frame, honouring
+        response-side faults."""
         fault = pipe.response_faults.pop(header.correlation_id, None)
         if fault is None:
             pipe.client.sendall(frame)

@@ -37,7 +37,7 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Callable
 
 from repro.exceptions import ProtocolError, ReproError
-from repro.net.channel import Channel, TcpChannel
+from repro.net.channel import Channel
 from repro.net.clock import Clock, WallClock
 from repro.wire.encoding import Reader, Writer
 
@@ -62,7 +62,7 @@ def encode_request(
     *,
     idempotency_key: int | None = None,
 ) -> bytes:
-    """Encode one request envelope (shared by the sync and async clients).
+    """Encode one request envelope.
 
     Without ``idempotency_key`` the encoding is bit-identical to the
     pre-resilience envelope, so unmodified peers interoperate.
@@ -142,8 +142,8 @@ class RpcDispatcher:
     from :class:`ReproError` travel back to the client as error
     responses; anything else is a bug and propagates.
 
-    Time/call accounting is mutex-guarded: the TCP transport dispatches
-    one thread per client connection, so ``handle`` may run concurrently.
+    Time/call accounting is mutex-guarded: the socket transport runs
+    handlers on a thread pool, so ``handle`` may run concurrently.
     """
 
     def __init__(self, *, clock: Clock | None = None) -> None:
@@ -392,8 +392,7 @@ class RpcClient:
     def _note(self, server_time: float) -> None:
         self.server_time += server_time
         self.calls += 1
-        if isinstance(self.channel, TcpChannel):
-            self.channel.note_server_time(server_time)
+        self.channel.note_server_time(server_time)
 
     def call_batch(
         self,

@@ -1,9 +1,7 @@
-"""Pipelined frame codec (framing v2) for the async network stack.
+"""Frame codec (framing v2) of the socket transport.
 
-The legacy transport (:mod:`repro.net.channel`) frames every message as
-a bare 4-byte little-endian payload length — one request in flight per
-connection, responses strictly in order. The pipelined framing used by
-:mod:`repro.net.aio` prepends a fixed 18-byte header instead::
+Every message on a :mod:`repro.net.aio` connection, in either
+direction, is one or more frames with a fixed 18-byte header::
 
     u32 magic            0xA110C0DE
     u8  kind             REQUEST / RESPONSE / ERROR
@@ -17,9 +15,9 @@ what lets a large response stream back as several chunk frames that the
 client reassembles (:class:`FrameAssembler`). Requests always travel as
 a single frame.
 
-The magic number is deliberately larger than the legacy 1 GiB frame
-bound, so a server peeking at the first 4 bytes of a connection can
-tell the two framings apart and serve legacy clients unmodified.
+The magic number opens every frame, so a peer speaking anything else
+(or a stream that lost sync) is detected at the next header instead of
+having four arbitrary bytes trusted as a length.
 
 Every decode error raises :class:`~repro.exceptions.ProtocolError`
 immediately — garbage on the wire must fail fast, never hang a reader.
@@ -37,6 +35,7 @@ __all__ = [
     "FRAME_MAGIC",
     "HEADER_SIZE",
     "MAX_PAYLOAD",
+    "MAX_REQUEST_PAYLOAD",
     "KIND_REQUEST",
     "KIND_RESPONSE",
     "KIND_ERROR",
@@ -52,15 +51,20 @@ __all__ = [
 
 _HEADER = struct.Struct("<IBBQI")
 
-#: first four bytes of every v2 frame; above the legacy frame-size
-#: bound, so it can never be mistaken for a legacy length prefix
+#: first four bytes of every frame
 FRAME_MAGIC = 0xA110C0DE
 
 #: encoded size of a frame header
 HEADER_SIZE = _HEADER.size
 
-#: largest payload a single frame may carry (matches the legacy bound)
+#: largest payload a single frame may carry, and the bound on a
+#: reassembled response
 MAX_PAYLOAD = 1 << 30
+
+#: largest payload a *request* frame may announce: the server refuses
+#: anything larger on the header alone, before buffering a byte of it
+#: (the largest request any workload sends is a ~430 KB bulk insert)
+MAX_REQUEST_PAYLOAD = 64 << 20
 
 KIND_REQUEST = 0
 KIND_RESPONSE = 1

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import socket
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,13 @@ from repro.core.client import Strategy
 from repro.core.cloud import SimilarityCloud
 from repro.metric.distances import L1Distance, L2Distance
 from repro.metric.space import MetricSpace
+from repro.wire.frames import (
+    HEADER_SIZE,
+    KIND_REQUEST,
+    FrameAssembler,
+    FrameHeader,
+    encode_frame,
+)
 
 
 @pytest.fixture
@@ -74,3 +84,44 @@ def brute_force_knn(data: np.ndarray, query: np.ndarray, k: int) -> list[int]:
     dists = np.abs(data - query).sum(axis=1)
     order = np.lexsort((np.arange(len(data)), dists))
     return [int(i) for i in order[:k]]
+
+
+def request_concurrently(channel, payloads, **kwargs) -> list:
+    """One thread per payload, all on ONE shared channel, all in flight
+    together. Returns each request's response bytes — or the exception
+    it raised — in payload order."""
+
+    def one(payload):
+        try:
+            return channel.request(payload, **kwargs)
+        except Exception as exc:
+            return exc
+
+    with ThreadPoolExecutor(max_workers=len(payloads)) as pool:
+        return list(pool.map(one, payloads))
+
+
+def burst_frames(
+    host: str, port: int, payloads, *, timeout: float = 10.0
+) -> list[tuple[int, bytes]]:
+    """Raw-socket pipelining: every payload leaves as a v2 request
+    frame (correlation ids 1..n) in a single write, so the server finds
+    them all buffered at once. Returns the ``(frame kind, reassembled
+    message)`` answering each payload, in payload order."""
+    answers: dict[int, tuple[int, bytes]] = {}
+    assembler = FrameAssembler()
+    with socket.create_connection((host, port), timeout=timeout) as sock:
+        sock.sendall(
+            b"".join(
+                encode_frame(KIND_REQUEST, cid, payload)
+                for cid, payload in enumerate(payloads, 1)
+            )
+        )
+        with sock.makefile("rb") as stream:
+            while len(answers) < len(payloads):
+                # a short read (server closed mid-burst) fails the decode
+                header = FrameHeader.decode(stream.read(HEADER_SIZE))
+                message = assembler.add(header, stream.read(header.length))
+                if message is not None:
+                    answers[header.correlation_id] = (header.kind, message)
+    return [answers[cid] for cid in range(1, len(payloads) + 1)]

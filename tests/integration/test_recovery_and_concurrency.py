@@ -125,7 +125,7 @@ class TestConcurrentTcpClients:
             bucket_capacity=30,
             strategy=Strategy.APPROXIMATE,
             seed=5,
-            use_tcp=True,
+            transport="tcp-async",
         )
         try:
             cloud.owner.outsource(range(300), data[:300])

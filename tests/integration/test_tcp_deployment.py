@@ -2,14 +2,12 @@
 ("both encryption client and M-Index server were running on the same
 machine communicating via loopback interface").
 
-Covers both transports: the legacy threaded server and the pipelined
-asyncio server (interleaved in-flight requests on one connection,
-concurrent insert+search over many connections, mid-request client
-disconnects, and server-full load shedding) — always asserting that
-whatever arrives over real sockets is bit-identical to in-process
-execution of the very same server."""
+Covers the socket transport end to end (interleaved in-flight requests
+on one connection, concurrent insert+search over many connections,
+mid-request client disconnects, and server-full load shedding) — always
+asserting that whatever arrives over real sockets is bit-identical to
+in-process execution of the very same server."""
 
-import asyncio
 import socket
 import threading
 import time
@@ -19,16 +17,23 @@ import pytest
 
 from repro.core.client import EncryptedClient, Strategy
 from repro.core.cloud import SimilarityCloud
-from repro.exceptions import ServerBusyError
 from repro.metric.distances import L1Distance
 from repro.metric.permutations import pivot_permutation
 from repro.metric.space import MetricSpace
-from repro.net.aio import AsyncTcpChannel
 from repro.net.rpc import RpcClient, encode_request
 from repro.wire.encoding import Reader, Writer
-from repro.wire.frames import KIND_REQUEST, encode_frame
+from repro.wire.frames import (
+    KIND_ERROR,
+    KIND_REQUEST,
+    KIND_RESPONSE,
+    encode_frame,
+)
 
-from tests.conftest import brute_force_knn
+from tests.conftest import (
+    brute_force_knn,
+    burst_frames,
+    request_concurrently,
+)
 
 #: RPC response envelope prefix (u8 status + f64 server_time); the body
 #: after it must be bit-identical however the request travelled
@@ -64,7 +69,7 @@ def tcp_cloud():
         bucket_capacity=40,
         strategy=Strategy.PRECISE,
         seed=13,
-        use_tcp=True,
+        transport="tcp-async",
     )
     cloud.owner.outsource(range(500), data)
     yield cloud, data
@@ -106,24 +111,6 @@ class TestTcpDeployment:
         assert [h.oid for h in hits_a] == [h.oid for h in hits_b]
 
 
-@pytest.fixture(scope="module")
-def async_cloud():
-    rng = np.random.default_rng(77)
-    data = rng.normal(size=(500, 10)) * 2
-    cloud = SimilarityCloud.build(
-        data,
-        distance=L1Distance(),
-        n_pivots=8,
-        bucket_capacity=40,
-        strategy=Strategy.PRECISE,
-        seed=13,
-        transport="tcp-async",
-    )
-    cloud.owner.outsource(range(500), data)
-    yield cloud, data
-    cloud.close()
-
-
 def _hit_tuples(hits):
     return [(h.oid, h.distance) for h in hits]
 
@@ -143,12 +130,12 @@ def _in_process_client(cloud):
 class TestAsyncTcpDeployment:
     """The pipelined asyncio transport serving the encrypted index."""
 
-    def test_construction_over_async_tcp(self, async_cloud):
-        cloud, data = async_cloud
+    def test_construction_over_async_tcp(self, tcp_cloud):
+        cloud, data = tcp_cloud
         assert len(cloud.server.index) == 500
 
-    def test_search_bit_identical_to_in_process(self, async_cloud):
-        cloud, data = async_cloud
+    def test_search_bit_identical_to_in_process(self, tcp_cloud):
+        cloud, data = tcp_cloud
         client = cloud.new_client()
         in_process = _in_process_client(cloud)
         q = np.random.default_rng(5).normal(size=10) * 2
@@ -159,27 +146,11 @@ class TestAsyncTcpDeployment:
             _hit_tuples(in_process.range_search(q, 4.0))
         )
 
-    def test_legacy_channel_against_async_server(self, async_cloud):
-        cloud, data = async_cloud
-        from repro.net.channel import TcpChannel
-
-        server = cloud._tcp_server
-        with TcpChannel(server.host, server.port) as channel:
-            client = EncryptedClient(
-                cloud.owner.authorize(),
-                MetricSpace(L1Distance(), 10),
-                RpcClient(channel),
-                strategy=Strategy.PRECISE,
-            )
-            q = np.random.default_rng(5).normal(size=10) * 2
-            hits = client.knn_precise(q, 10)
-            assert [h.oid for h in hits] == brute_force_knn(data, q, 10)
-
-    def test_dozens_of_interleaved_pipelined_requests(self, async_cloud):
+    def test_dozens_of_interleaved_pipelined_requests(self, tcp_cloud):
         """36 in-flight requests on ONE connection; every response body
         is bit-identical to handing the same bytes to the dispatcher
         in process."""
-        cloud, data = async_cloud
+        cloud, data = tcp_cloud
         key = cloud.owner.authorize()
         space = MetricSpace(L1Distance(), 10)
         rng = np.random.default_rng(21)
@@ -202,26 +173,17 @@ class TestAsyncTcpDeployment:
             cloud.server.handle(request)[ENVELOPE_PREFIX:]
             for request in requests
         ]
-        server = cloud._tcp_server
-
-        async def pipeline_all():
-            channel = await AsyncTcpChannel.open(server.host, server.port)
-            raws = await asyncio.gather(
-                *[channel.request(r) for r in requests]
-            )
-            await channel.close()
-            return raws
-
-        raws = asyncio.run(pipeline_all())
+        with cloud._tcp_server.connect() as channel:
+            raws = request_concurrently(channel, requests)
         assert [raw[ENVELOPE_PREFIX:] for raw in raws] == expected
         assert all(raw[0] == 0 for raw in raws)  # status OK
 
-    def test_concurrent_insert_and_search_many_connections(self, async_cloud):
+    def test_concurrent_insert_and_search_many_connections(self, tcp_cloud):
         """Writers and readers on separate real connections exercise the
         ReadWriteLock: searches during churn obey monotone invariants,
         and the post-churn index answers exactly like a sequentially
         built one."""
-        cloud, data = async_cloud
+        cloud, data = tcp_cloud
         key = cloud.owner.authorize()
         space = MetricSpace(L1Distance(), 10)
         rng = np.random.default_rng(3)
@@ -299,10 +261,10 @@ class TestAsyncTcpDeployment:
             }
             assert set(h.oid for h in hits) == truth
 
-    def test_mid_request_disconnect_keeps_serving(self, async_cloud):
+    def test_mid_request_disconnect_keeps_serving(self, tcp_cloud):
         """A client that sends a request and vanishes must not disturb
         anyone else — the in-flight response is simply dropped."""
-        cloud, data = async_cloud
+        cloud, data = tcp_cloud
         server = cloud._tcp_server
         request = encode_request("stats")
         # full frame, then vanish before the response can be written
@@ -321,44 +283,31 @@ class TestAsyncTcpDeployment:
             _in_process_client(cloud).knn_precise(q, 5)
         )
 
-    def test_server_full_load_shedding(self, async_cloud):
+    def test_server_full_load_shedding(self, tcp_cloud):
         """A second async endpoint over the same index with a tiny
-        pending budget sheds excess requests with ServerBusyError while
-        served ones stay bit-identical."""
-        cloud, data = async_cloud
+        pending budget sheds excess requests with an error frame (the
+        client's ServerBusyError: tests/unit/test_aio.py) while served
+        ones stay bit-identical."""
+        cloud, data = tcp_cloud
         endpoint = cloud.server.serve_async(max_workers=1, max_pending=2)
         try:
             request = encode_request("stats")
             expected = _stats_dict(cloud.server.handle(request))
 
-            async def flood():
-                channel = await AsyncTcpChannel.open(
-                    endpoint.host, endpoint.port
-                )
-                results = await asyncio.gather(
-                    *[channel.request(request) for _ in range(40)],
-                    return_exceptions=True,
-                )
-                await channel.close()
-                return results
-
-            results = asyncio.run(flood())
-            shed = [r for r in results if isinstance(r, ServerBusyError)]
-            served = [r for r in results if isinstance(r, bytes)]
+            # 40 frames in one write: the endpoint finds them buffered
+            # together, far past its two-request budget
+            answers = burst_frames(
+                endpoint.host, endpoint.port, [request] * 40
+            )
+            shed = [raw for kind, raw in answers if kind == KIND_ERROR]
+            served = [raw for kind, raw in answers if kind == KIND_RESPONSE]
             assert len(shed) >= 1
             assert len(shed) + len(served) == 40
             assert endpoint.shed_requests == len(shed)
             for raw in served:
                 assert _stats_dict(raw) == expected
             # after the burst the endpoint serves normally again
-            async def after():
-                channel = await AsyncTcpChannel.open(
-                    endpoint.host, endpoint.port
-                )
-                raw = await channel.request(request)
-                await channel.close()
-                return raw
-
-            assert _stats_dict(asyncio.run(after())) == expected
+            with endpoint.connect() as channel:
+                assert _stats_dict(channel.request(request)) == expected
         finally:
             endpoint.shutdown()

@@ -1,10 +1,10 @@
-"""Unit tests for the asyncio network stack (repro.net.aio)."""
+"""Unit tests for the socket transport (repro.net.aio)."""
 
-import asyncio
 import socket
 import struct
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -14,25 +14,22 @@ from repro.exceptions import (
     ProtocolError,
     ServerBusyError,
 )
-from repro.net.aio import (
-    AsyncRpcClient,
-    AsyncTcpChannel,
-    AsyncTcpServer,
-    PipelinedTcpChannel,
-)
-from repro.net.channel import TcpChannel
-from repro.net.rpc import RpcDispatcher
+from repro.net.aio import AsyncTcpServer, PipelinedTcpChannel
+from repro.net.rpc import RpcClient, RpcDispatcher
 from repro.wire.encoding import Writer
 from repro.wire.frames import (
     FRAME_MAGIC,
+    HEADER_SIZE,
+    KIND_ERROR,
     KIND_REQUEST,
+    KIND_RESPONSE,
+    MAX_REQUEST_PAYLOAD,
+    FrameHeader,
     encode_frame,
     encode_request_frame,
 )
 
-
-def run(coroutine):
-    return asyncio.run(coroutine)
+from tests.conftest import burst_frames, request_concurrently
 
 
 class TestAsyncServerBasics:
@@ -58,12 +55,6 @@ class TestAsyncServerBasics:
         with AsyncTcpServer(lambda data: data, chunk_size=4096) as server:
             with server.connect() as channel:
                 assert channel.request(blob) == blob
-
-    def test_legacy_client_served_on_same_port(self):
-        with AsyncTcpServer(lambda data: data + b"!") as server:
-            with TcpChannel(server.host, server.port) as legacy:
-                assert legacy.request(b"old") == b"old!"
-                assert legacy.request(b"style") == b"style!"
 
     def test_invalid_parameters_rejected(self):
         for kwargs in (
@@ -109,38 +100,29 @@ class TestPipelining:
             return data + b"-done"
 
         with AsyncTcpServer(handler, max_workers=4) as server:
-
-            async def scenario():
-                channel = await AsyncTcpChannel.open(server.host, server.port)
-                slow = asyncio.create_task(channel.request(b"slow"))
-                await asyncio.sleep(0.05)  # slow is dispatched first
+            with server.connect() as channel:
+                slow_result = []
+                slow = threading.Thread(
+                    target=lambda: slow_result.append(channel.request(b"slow"))
+                )
+                slow.start()
+                time.sleep(0.05)  # slow is dispatched first
                 start = time.perf_counter()
-                fast = await channel.request(b"fast")
+                fast = channel.request(b"fast")
                 fast_elapsed = time.perf_counter() - start
-                slow_result = await slow
-                await channel.close()
-                return fast, slow_result, fast_elapsed
-
-            fast, slow_result, fast_elapsed = run(scenario())
+                slow.join(5)
         assert fast == b"fast-done"
-        assert slow_result == b"slow-done"
+        assert slow_result == [b"slow-done"]
         # the fast response overtook the slow one on the same connection
         assert fast_elapsed < 0.25
 
     def test_interleaved_burst_on_one_connection(self):
+        # 48 frames in one write: more than the 32-slot window, so the
+        # server also has to stall and resume reading mid-burst
+        words = [b"m%d" % i for i in range(48)]
         with AsyncTcpServer(lambda data: data * 2, max_workers=4) as server:
-
-            async def scenario():
-                channel = await AsyncTcpChannel.open(server.host, server.port)
-                words = [b"m%d" % i for i in range(48)]
-                results = await asyncio.gather(
-                    *[channel.request(w) for w in words]
-                )
-                await channel.close()
-                return words, results
-
-            words, results = run(scenario())
-        assert results == [w * 2 for w in words]
+            answers = burst_frames(server.host, server.port, words)
+        assert answers == [(KIND_RESPONSE, w * 2) for w in words]
 
     def test_threads_share_one_pipelined_channel(self):
         def handler(data: bytes) -> bytes:
@@ -178,17 +160,10 @@ class TestBackpressure:
         with AsyncTcpServer(
             handler, max_workers=2, max_pending=2
         ) as server:
-
-            async def flood():
-                channel = await AsyncTcpChannel.open(server.host, server.port)
-                results = await asyncio.gather(
-                    *[channel.request(b"r%d" % i) for i in range(12)],
-                    return_exceptions=True,
+            with server.connect() as channel:
+                results = request_concurrently(
+                    channel, [b"r%d" % i for i in range(12)]
                 )
-                await channel.close()
-                return results
-
-            results = run(flood())
             shed = [r for r in results if isinstance(r, ServerBusyError)]
             served = [r for r in results if isinstance(r, bytes)]
             assert len(shed) >= 1
@@ -217,15 +192,8 @@ class TestBackpressure:
             max_inflight_per_connection=3,
             max_pending=1000,
         ) as server:
-
-            async def burst():
-                channel = await AsyncTcpChannel.open(server.host, server.port)
-                await asyncio.gather(
-                    *[channel.request(b"x") for _ in range(20)]
-                )
-                await channel.close()
-
-            run(burst())
+            answers = burst_frames(server.host, server.port, [b"x"] * 20)
+        assert answers == [(KIND_RESPONSE, b"x")] * 20
         assert inflight["max"] <= 3
 
     def test_pending_counter_returns_to_zero(self):
@@ -273,6 +241,51 @@ class TestDisconnects:
             with server.connect() as channel:
                 assert channel.request(b"ok") == b"ok"
 
+    @pytest.mark.parametrize(
+        "opening, error_frame",
+        [
+            # a 4-byte length prefix announcing ~1 GiB, then body bytes
+            (struct.pack("<I", 0x3FFFFFFF) + b"x" * 64, False),
+            # a well-formed request header announcing 65 MiB
+            (
+                FrameHeader(
+                    KIND_REQUEST, 1, 9, MAX_REQUEST_PAYLOAD + (1 << 20)
+                ).encode(),
+                True,
+            ),
+        ],
+        ids=["length-prefix", "oversized-request"],
+    )
+    def test_hostile_opening_refused_on_the_header(self, opening, error_frame):
+        """What a header may make the server buffer is bounded: neither
+        opening gets a payload byte read, the handler never runs, and
+        the peer sees the close within a second."""
+        ran = []
+        with AsyncTcpServer(lambda data: (ran.append(data), data)[1]) as server:
+            sock = socket.create_connection((server.host, server.port))
+            sock.settimeout(1.0)  # recv raises if the close takes longer
+            sock.sendall(opening)
+            received = b""
+            while chunk := sock.recv(4096):
+                received += chunk
+            sock.close()
+            if error_frame:
+                header = FrameHeader.decode(received[:HEADER_SIZE])
+                assert (header.kind, header.correlation_id) == (KIND_ERROR, 9)
+                assert b"exceeds" in received[HEADER_SIZE:]
+            else:
+                assert received == b""
+            with server.connect() as channel:
+                assert channel.request(b"ok") == b"ok"
+        assert ran == [b"ok"]
+
+    def test_oversized_request_fails_before_it_is_sent(self):
+        with AsyncTcpServer(lambda data: data) as server:
+            with server.connect() as channel:
+                with pytest.raises(ChannelError, match="request limit"):
+                    channel.request(bytes(MAX_REQUEST_PAYLOAD + 1))
+                assert channel.request(b"ok") == b"ok"
+
     def test_server_shutdown_fails_pending_requests(self):
         def handler(data: bytes) -> bytes:
             time.sleep(5.0)
@@ -299,42 +312,67 @@ class TestDisconnects:
         assert len(errors) == 1
 
 
-class TestAsyncRpcClient:
+class TestRpcOverPipelinedChannel:
     def test_rpc_over_pipelined_channel(self):
         dispatcher = RpcDispatcher()
         dispatcher.register(
             "double", lambda body: Writer().u32(body.u32() * 2)
         )
         with AsyncTcpServer(dispatcher.handle) as server:
+            with server.connect() as channel:
+                rpcs = [RpcClient(channel) for _ in range(10)]
 
-            async def scenario():
-                channel = await AsyncTcpChannel.open(server.host, server.port)
-                rpc = AsyncRpcClient(channel)
-                readers = await asyncio.gather(
-                    *[rpc.call("double", Writer().u32(i)) for i in range(10)]
-                )
-                values = [r.u32() for r in readers]
-                calls, server_time = rpc.calls, rpc.server_time
-                await channel.close()
-                return values, calls, server_time
+                def double(i: int) -> int:
+                    return rpcs[i].call("double", Writer().u32(i)).u32()
 
-            values, calls, server_time = run(scenario())
+                with ThreadPoolExecutor(max_workers=10) as pool:
+                    values = list(pool.map(double, range(10)))
+                assert channel.requests == 10
         assert values == [2 * i for i in range(10)]
-        assert calls == 10
-        assert server_time >= 0.0
+        assert [rpc.calls for rpc in rpcs] == [1] * 10
+        assert all(rpc.server_time >= 0.0 for rpc in rpcs)
 
     def test_rpc_error_propagates_with_message(self):
         dispatcher = RpcDispatcher()
         with AsyncTcpServer(dispatcher.handle) as server:
-
-            async def scenario():
-                channel = await AsyncTcpChannel.open(server.host, server.port)
-                rpc = AsyncRpcClient(channel)
+            with server.connect() as channel:
                 with pytest.raises(ProtocolError, match="unknown method"):
-                    await rpc.call("nope")
-                await channel.close()
+                    RpcClient(channel).call("nope")
 
-            run(scenario())
+    def test_communication_time_excludes_each_requests_server_time(self):
+        """The Channel contract: communication_time is transport time
+        *excluding* server processing — per request, also when many
+        threads share the channel."""
+        dispatcher = RpcDispatcher()
+
+        def nap(body):
+            time.sleep(0.05)
+            return Writer()
+
+        dispatcher.register("nap", nap)
+        with AsyncTcpServer(dispatcher.handle, max_workers=8) as server:
+            with server.connect() as channel:
+                rpcs = [RpcClient(channel) for _ in range(8)]
+
+                def four_calls(rpc: RpcClient) -> None:
+                    for _ in range(4):
+                        rpc.call("nap")
+
+                with ThreadPoolExecutor(max_workers=8) as pool:
+                    list(pool.map(four_calls, rpcs))
+                server_time = sum(rpc.server_time for rpc in rpcs)
+                assert channel.requests == 32
+                assert server_time >= 32 * 0.05
+                assert 0.0 <= channel.communication_time < 0.5 * server_time
+            # one thread: server + communication add up to the wall time
+            with server.connect() as channel:
+                rpc = RpcClient(channel)
+                start = time.perf_counter()
+                for _ in range(4):
+                    rpc.call("nap")
+                wall = time.perf_counter() - start
+                overall = rpc.server_time + channel.communication_time
+                assert overall == pytest.approx(wall, rel=0.2)
 
 
 class TestDeadlines:
@@ -371,6 +409,11 @@ class TestDeadlines:
                 gate.set()
                 thread.join(5)
                 assert results == [b"slow"]
+            # the shed happens when the worker frees up, just after the
+            # slow response went out
+            limit = time.time() + 2.0
+            while not server.deadline_expirations and time.time() < limit:
+                time.sleep(0.01)
             assert server.deadline_expirations == 1
         assert b"fast" not in ran
 
@@ -383,21 +426,6 @@ class TestDeadlines:
                     channel.request(b"x", deadline=0.2)
                 assert time.perf_counter() - start < 2.0
                 gate.set()
-
-    def test_async_channel_deadline(self):
-        gate = threading.Event()
-        with AsyncTcpServer(lambda data: (gate.wait(5), data)[1]) as server:
-
-            async def scenario():
-                channel = await AsyncTcpChannel.open(server.host, server.port)
-                try:
-                    with pytest.raises(DeadlineExceededError):
-                        await channel.request(b"x", deadline=0.2)
-                finally:
-                    await channel.close()
-
-            run(scenario())
-            gate.set()
 
     def test_deadline_frame_is_backward_compatible(self):
         # a deadline-free request must be bit-identical to the

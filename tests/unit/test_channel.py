@@ -1,14 +1,23 @@
-"""Unit tests for repro.net.channel and repro.net.clock."""
+"""Unit tests for repro.net.channel and repro.net.clock, and for the
+Channel contract as the socket client (repro.net.aio) keeps it."""
 
 import socket
-import struct
 import threading
 
 import pytest
 
 from repro.exceptions import ChannelError
-from repro.net.channel import InProcessChannel, TcpChannel, TcpServer
+from repro.net.aio import AsyncTcpServer, PipelinedTcpChannel
+from repro.net.channel import InProcessChannel
 from repro.net.clock import SimulatedClock, WallClock
+from repro.wire.frames import (
+    FLAG_LAST,
+    HEADER_SIZE,
+    KIND_RESPONSE,
+    MAX_PAYLOAD,
+    FrameHeader,
+    encode_frame,
+)
 
 
 class _ScriptedServer:
@@ -109,52 +118,64 @@ class TestInProcessChannel:
 
 class TestTcp:
     def test_roundtrip_over_loopback(self):
-        with TcpServer(lambda data: b"echo:" + data) as server:
+        with AsyncTcpServer(lambda data: b"echo:" + data) as server:
             with server.connect() as channel:
                 assert channel.request(b"hello") == b"echo:hello"
 
     def test_multiple_requests_one_connection(self):
-        with TcpServer(lambda data: data.upper()) as server:
+        with AsyncTcpServer(lambda data: data.upper()) as server:
             with server.connect() as channel:
                 for word in (b"one", b"two", b"three"):
                     assert channel.request(word) == word.upper()
                 assert channel.requests == 3
 
     def test_byte_accounting_includes_framing(self):
-        with TcpServer(lambda data: b"pong") as server:
+        with AsyncTcpServer(lambda data: b"pong") as server:
             with server.connect() as channel:
                 channel.request(b"ping")
-                assert channel.bytes_sent == 4 + 4  # frame header + body
-                assert channel.bytes_received == 4 + 4
+                assert channel.bytes_sent == HEADER_SIZE + 4
+                assert channel.bytes_received == HEADER_SIZE + 4
 
     def test_large_payload(self):
         blob = bytes(range(256)) * 4096  # 1 MiB
-        with TcpServer(lambda data: data) as server:
+        with AsyncTcpServer(lambda data: data) as server:
             with server.connect() as channel:
                 assert channel.request(blob) == blob
 
     def test_two_clients_in_parallel(self):
-        with TcpServer(lambda data: data + b"!") as server:
+        with AsyncTcpServer(lambda data: data + b"!") as server:
             with server.connect() as a, server.connect() as b:
                 assert a.request(b"a") == b"a!"
                 assert b.request(b"b") == b"b!"
 
     def test_connect_to_closed_server_fails(self):
-        server = TcpServer(lambda data: data)
+        server = AsyncTcpServer(lambda data: data)
         port = server.port
         server.shutdown()
         with pytest.raises(ChannelError):
-            from repro.net.channel import TcpChannel
-
-            TcpChannel("127.0.0.1", port, timeout=0.5)
+            PipelinedTcpChannel("127.0.0.1", port, timeout=0.5)
 
     def test_note_server_time_reduces_comm_time(self):
-        with TcpServer(lambda data: data) as server:
+        with AsyncTcpServer(lambda data: data) as server:
             with server.connect() as channel:
                 channel.request(b"x")
                 before = channel.communication_time
                 channel.note_server_time(before / 2)
                 assert channel.communication_time == pytest.approx(before / 2)
+                # the round trip is spent: a second report, or one from
+                # a thread that made no request, takes nothing more out
+                channel.note_server_time(before)
+                other = threading.Thread(
+                    target=channel.note_server_time, args=(before,)
+                )
+                other.start()
+                other.join(5)
+                assert channel.communication_time == pytest.approx(before / 2)
+                # and never more than the round trip itself
+                channel.reset_accounting()
+                channel.request(b"y")
+                channel.note_server_time(3600.0)
+                assert channel.communication_time == pytest.approx(0.0)
 
 
 class TestFrameEdgeHandling:
@@ -163,52 +184,59 @@ class TestFrameEdgeHandling:
     bare OSError and never a hang."""
 
     def test_close_mid_header_reports_expected_and_got(self):
-        scripted = _ScriptedServer(b"\x10")  # 1 of 4 header bytes
-        with TcpChannel("127.0.0.1", scripted.port, timeout=2.0) as channel:
+        scripted = _ScriptedServer(b"\xde")  # 1 of 18 header bytes
+        with PipelinedTcpChannel(
+            "127.0.0.1", scripted.port, timeout=2.0
+        ) as channel:
             with pytest.raises(ChannelError) as err:
                 channel.request(b"ping")
         message = str(err.value)
-        assert "expected 4 bytes" in message
+        assert f"expected {HEADER_SIZE} bytes" in message
         assert "got 1" in message
 
     def test_close_mid_body_reports_expected_and_got(self):
         # header promises 100 bytes, only 7 arrive before the close
-        scripted = _ScriptedServer(struct.pack("<I", 100) + b"partial")
-        with TcpChannel("127.0.0.1", scripted.port, timeout=2.0) as channel:
+        scripted = _ScriptedServer(
+            encode_frame(KIND_RESPONSE, 1, bytes(100))[: HEADER_SIZE + 7]
+        )
+        with PipelinedTcpChannel(
+            "127.0.0.1", scripted.port, timeout=2.0
+        ) as channel:
             with pytest.raises(ChannelError) as err:
                 channel.request(b"ping")
         message = str(err.value)
-        assert "frame body" in message
-        assert "expected 100 bytes" in message
-        assert "got 7" in message
+        assert f"expected {HEADER_SIZE + 100} bytes" in message
+        assert f"got {HEADER_SIZE + 7}" in message
 
     def test_clean_close_before_any_response(self):
         scripted = _ScriptedServer(b"")
-        with TcpChannel("127.0.0.1", scripted.port, timeout=2.0) as channel:
+        with PipelinedTcpChannel(
+            "127.0.0.1", scripted.port, timeout=2.0
+        ) as channel:
             with pytest.raises(ChannelError, match="got 0"):
                 channel.request(b"ping")
 
     def test_stalled_peer_times_out_with_context(self):
         scripted = _ScriptedServer(
-            struct.pack("<I", 50) + b"stuck", close_after=False
+            encode_frame(KIND_RESPONSE, 1, bytes(50))[: HEADER_SIZE + 5],
+            close_after=False,
         )
-        with TcpChannel("127.0.0.1", scripted.port, timeout=0.3) as channel:
-            with pytest.raises(ChannelError, match="timed out"):
+        with PipelinedTcpChannel(
+            "127.0.0.1", scripted.port, timeout=0.3
+        ) as channel:
+            with pytest.raises(ChannelError, match="timed out after 0.3s"):
                 channel.request(b"ping")
         scripted.release.set()
 
     def test_oversized_frame_rejected(self):
-        scripted = _ScriptedServer(struct.pack("<I", (1 << 30) + 1))
-        with TcpChannel("127.0.0.1", scripted.port, timeout=2.0) as channel:
+        # the bound is checked while *decoding*, so build the header by hand
+        oversized = bytearray(
+            FrameHeader(KIND_RESPONSE, FLAG_LAST, 1, 0).encode()
+        )
+        oversized[-4:] = (MAX_PAYLOAD + 1).to_bytes(4, "little")
+        scripted = _ScriptedServer(bytes(oversized))
+        with PipelinedTcpChannel(
+            "127.0.0.1", scripted.port, timeout=2.0
+        ) as channel:
             with pytest.raises(ChannelError, match="exceeds"):
                 channel.request(b"ping")
-
-    def test_server_idle_timeout_closes_connection(self):
-        with TcpServer(lambda data: data, idle_timeout=0.2) as server:
-            with server.connect() as channel:
-                assert channel.request(b"quick") == b"quick"
-                import time
-
-                time.sleep(0.5)  # exceed the server's idle window
-                with pytest.raises(ChannelError):
-                    channel.request(b"too-late")

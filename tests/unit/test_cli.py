@@ -68,21 +68,19 @@ class TestCommands:
     def test_serve_defaults(self):
         args = build_parser().parse_args(["serve"])
         assert args.dataset == "yeast"
-        assert args.transport == "tcp-async"
         assert args.duration is None
 
     def test_serve_rejects_unknown_transport(self):
+        # there is one socket transport and no flag to pick another
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["serve", "--transport", "carrier-pigeon"])
+            build_parser().parse_args(["serve", "--transport", "tcp-async"])
 
-    @pytest.mark.parametrize("transport", ["tcp", "tcp-async"])
-    def test_serve_starts_and_stops(self, capsys, transport):
+    def test_serve_starts_and_stops(self, capsys):
         code = main(
             [
                 "serve",
                 "--dataset", "cophir",
                 "--records", "200",
-                "--transport", transport,
                 "--duration", "0",
             ]
         )

@@ -222,7 +222,7 @@ class TestCloudTcp:
             n_pivots=6,
             bucket_capacity=40,
             seed=3,
-            use_tcp=True,
+            transport="tcp-async",
         ) as cloud:
             cloud.owner.outsource(range(200), small_data[:200])
             client = cloud.new_client()

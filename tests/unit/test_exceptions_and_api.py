@@ -88,6 +88,25 @@ class TestPublicApi:
             "transformed",
         }
 
+    def test_one_socket_transport(self):
+        """One in-process channel, one socket stack, two transport
+        names: a second stack or a third name must change this test."""
+        import repro.net
+        from repro.core.cloud import TRANSPORTS
+
+        assert sorted(repro.net.__all__) == [
+            "AsyncTcpServer",
+            "Channel",
+            "Clock",
+            "InProcessChannel",
+            "PipelinedTcpChannel",
+            "RpcClient",
+            "RpcDispatcher",
+            "SimulatedClock",
+            "WallClock",
+        ]
+        assert TRANSPORTS == ("inprocess", "tcp-async")
+
     def test_docstrings_on_public_classes(self):
         """Every top-level public item carries documentation."""
         for name in repro.__all__:
