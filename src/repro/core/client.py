@@ -59,10 +59,9 @@ from repro.core.costs import (
     CostReport,
 )
 from repro.core.records import (
-    CandidateEntry,
     IndexedRecord,
     RecordBatch,
-    payload_to_vector,
+    payloads_to_matrix,
     vector_to_payload,
 )
 from repro.crypto.keys import SecretKey
@@ -73,6 +72,7 @@ from repro.metric.space import MetricSpace
 from repro.net.rpc import RpcClient
 from repro.parallel.scheduler import GLOBAL_STATS
 from repro.wire.encoding import Reader, Writer
+from repro.wire.scatter import read_candidate_table
 
 __all__ = ["Strategy", "SearchHit", "EncryptedClient", "DataOwner"]
 
@@ -368,9 +368,7 @@ class EncryptedClient:
                 method = "range"
                 writer = Writer().f64_array(q_dists).f64(radius)
         reader = self._call(method, writer)
-        hits = self._refine(query, reader, radius=radius)
-        hits.sort(key=lambda hit: (hit.distance, hit.oid))
-        return hits
+        return self._refine(query, reader, radius=radius)
 
     def knn_search(
         self,
@@ -404,9 +402,7 @@ class EncryptedClient:
             writer.u32(cand_size)
             writer.u32(max_cells if max_cells is not None else 0)
         reader = self._call("approx_knn", writer)
-        hits = self._refine(query, reader, refine_limit=refine_limit)
-        hits.sort(key=lambda hit: (hit.distance, hit.oid))
-        return hits[:k]
+        return self._refine(query, reader, k=k, refine_limit=refine_limit)
 
     def knn_precise(
         self, query: np.ndarray, k: int, *, cand_size: int | None = None
@@ -479,12 +475,9 @@ class EncryptedClient:
             writer.u32(cand_size)
             writer.u32(max_cells if max_cells is not None else 0)
         reader = self._call("knn_batch", writer)
-        results = self._refine_batch(
-            query_matrix, reader, refine_limit=refine_limit
+        return self._refine_batch(
+            query_matrix, reader, k=k, refine_limit=refine_limit
         )
-        for hits in results:
-            hits.sort(key=lambda hit: (hit.distance, hit.oid))
-        return [hits[:k] for hits in results]
 
     def range_batch(
         self, queries: np.ndarray, radius: float
@@ -532,10 +525,7 @@ class EncryptedClient:
                 method = "range_batch"
                 writer = Writer().f64_matrix(distance_matrix).f64(radius)
         reader = self._call(method, writer)
-        results = self._refine_batch(query_matrix, reader, radius=radius)
-        for hits in results:
-            hits.sort(key=lambda hit: (hit.distance, hit.oid))
-        return results
+        return self._refine_batch(query_matrix, reader, radius=radius)
 
     @staticmethod
     def _as_query_matrix(queries: np.ndarray) -> np.ndarray:
@@ -553,39 +543,71 @@ class EncryptedClient:
     # ------------------------------------------------------------------
 
     def _decrypt_candidates(
-        self, pairs: list[tuple[int, bytes]]
+        self, oids: list[int], payloads: list[bytes]
     ) -> np.ndarray:
-        """Plaintext vectors for (oid, payload) pairs, via the LRU cache.
+        """The ``(n, dim)`` plaintext matrix of ``n >= 1`` candidates.
 
-        Only cache misses are decrypted (in one vectorized AES call) and
-        charged to decryption time; hit/miss counters record exactly how
-        many candidates skipped decryption.
+        The tokens are decrypted in one vectorized AES call and decoded
+        as one matrix. With the LRU cache on, only its misses are
+        decrypted (and charged to decryption time) and its hits are
+        scattered into the same matrix; hit/miss counters record exactly
+        how many candidates skipped decryption.
         """
-        vectors: list[np.ndarray | None] = [None] * len(pairs)
+        cached: dict[int, np.ndarray] = {}
         if self.cache is not None:
-            misses = []
-            for position, (oid, payload) in enumerate(pairs):
-                cached = self.cache.get(oid, payload)
-                if cached is None:
-                    misses.append(position)
-                else:
-                    vectors[position] = cached
-            self.costs.add_count(CACHE_HITS, len(pairs) - len(misses))
-            self.costs.add_count(CACHE_MISSES, len(misses))
-        else:
-            misses = list(range(len(pairs)))
+            for position, (oid, payload) in enumerate(zip(oids, payloads)):
+                vector = self.cache.get(oid, payload)
+                if vector is not None:
+                    cached[position] = vector
+            self.costs.add_count(CACHE_HITS, len(cached))
+            self.costs.add_count(CACHE_MISSES, len(payloads) - len(cached))
+        misses = [p for p in range(len(payloads)) if p not in cached]
         if misses:
             with self.costs.time(DECRYPTION):
                 plaintexts = self.secret_key.cipher.decrypt_many(
-                    [pairs[position][1] for position in misses]
+                    [payloads[position] for position in misses]
                 )
-            for position, plaintext in zip(misses, plaintexts):
-                vector = payload_to_vector(plaintext)
-                vectors[position] = vector
-                if self.cache is not None:
-                    oid, payload = pairs[position]
-                    self.cache.put(oid, payload, vector)
-        return np.stack(vectors)
+            matrix = payloads_to_matrix(plaintexts)
+        if cached:
+            hit = next(iter(cached.values()))
+            merged = np.empty((len(payloads), hit.shape[0]))
+            for position, vector in cached.items():
+                merged[position] = vector
+            if misses:
+                merged[misses] = matrix
+            matrix = merged
+        if self.cache is not None:
+            for position in misses:
+                self.cache.put(
+                    oids[position], payloads[position], matrix[position].copy()
+                )
+        return matrix
+
+    def _select(
+        self,
+        query: np.ndarray,
+        oids: np.ndarray,
+        vectors: np.ndarray,
+        radius: float | None,
+        k: int | None,
+    ) -> list[SearchHit]:
+        """Algorithm 2 lines 11-16 for one query: true distances to its
+        candidates, ascending ``(distance, oid)`` order, the radius
+        filter, the first ``k``. Hits are built for the survivors only,
+        over a copy of their rows, so an answer does not keep its whole
+        candidate matrix alive."""
+        with self.costs.time(DISTANCE):
+            distances = self.space.d_batch(query, vectors)
+        order = np.lexsort((oids, distances))
+        if radius is not None:
+            order = order[distances[order] <= radius]
+        order = order[:k]
+        return [
+            SearchHit(oid, vector, distance)
+            for oid, vector, distance in zip(
+                oids[order].tolist(), vectors[order], distances[order].tolist()
+            )
+        ]
 
     def _refine(
         self,
@@ -593,28 +615,26 @@ class EncryptedClient:
         reader: Reader,
         *,
         radius: float | None = None,
+        k: int | None = None,
         refine_limit: int | None = None,
     ) -> list[SearchHit]:
-        count = reader.u32()
-        hits: list[SearchHit] = []
-        limit = count if refine_limit is None else min(refine_limit, count)
         with self.costs.time(CLIENT):
-            entries = [CandidateEntry.read_from(reader) for _ in range(count)]
+            oids, payloads = read_candidate_table(reader)
             reader.expect_end()
-            head = entries[:limit]
-            if head:
-                candidates = self._decrypt_candidates(
-                    [(entry.oid, entry.payload) for entry in head]
+            count = len(oids)
+            limit = count if refine_limit is None else min(refine_limit, count)
+            hits: list[SearchHit] = []
+            if limit:
+                vectors = self._decrypt_candidates(
+                    oids[:limit], payloads[:limit]
                 )
-                with self.costs.time(DISTANCE):
-                    distances = self.space.d_batch(query, candidates)
-                for entry, vector, distance in zip(
-                    head, candidates, distances
-                ):
-                    if radius is None or distance <= radius:
-                        hits.append(
-                            SearchHit(entry.oid, vector, float(distance))
-                        )
+                hits = self._select(
+                    query,
+                    np.array(oids[:limit], dtype=np.uint64),
+                    vectors,
+                    radius,
+                    k,
+                )
             self.costs.add_count("candidates_received", count)
             self.costs.add_count("candidates_refined", limit)
         return hits
@@ -625,6 +645,7 @@ class EncryptedClient:
         reader: Reader,
         *,
         radius: float | None = None,
+        k: int | None = None,
         refine_limit: int | None = None,
     ) -> list[list[SearchHit]]:
         """Bulk refinement of a deduplicated batch response.
@@ -632,13 +653,10 @@ class EncryptedClient:
         The wire format is a table of unique (oid, payload) candidates
         followed by one index list per query (rank order). The union of
         all refined heads is decrypted in a single pass; each query then
-        computes true distances against its own candidate rows.
+        selects its hits from its own candidate rows.
         """
         with self.costs.time(CLIENT):
-            n_unique = reader.u32()
-            unique = [
-                (reader.u64(), reader.blob()) for _ in range(n_unique)
-            ]
+            oids, payloads = read_candidate_table(reader)
             n_queries = reader.u32()
             if n_queries != queries.shape[0]:
                 raise QueryError(
@@ -647,53 +665,40 @@ class EncryptedClient:
                 )
             index_lists = [reader.i32_array() for _ in range(n_queries)]
             reader.expect_end()
-            heads = []
-            needed: list[int] = []
-            needed_position: dict[int, int] = {}
             for indices in index_lists:
                 if len(indices) and (
-                    indices.min() < 0 or indices.max() >= n_unique
+                    indices.min() < 0 or indices.max() >= len(oids)
                 ):
                     raise QueryError(
                         "batch response references candidates outside "
                         "the unique table"
                     )
-                limit = (
-                    len(indices)
-                    if refine_limit is None
-                    else min(refine_limit, len(indices))
+            heads = [indices[:refine_limit] for indices in index_lists]
+            # the candidates any head refers to, in first-use order, and
+            # each one's row in the decrypted matrix
+            used = np.concatenate(heads)
+            _, first_use = np.unique(used, return_index=True)
+            needed = used[np.sort(first_use)]
+            row_of = np.empty(len(oids), dtype=np.intp)
+            row_of[needed] = np.arange(len(needed))
+            if len(needed):
+                vectors = self._decrypt_candidates(
+                    [oids[i] for i in needed.tolist()],
+                    [payloads[i] for i in needed.tolist()],
                 )
-                head = [int(index) for index in indices[:limit]]
-                heads.append(head)
-                for index in head:
-                    if index not in needed_position:
-                        needed_position[index] = len(needed)
-                        needed.append(index)
-            vectors = (
-                self._decrypt_candidates([unique[i] for i in needed])
-                if needed
-                else None
-            )
+            oid_column = np.array(oids, dtype=np.uint64)
             results: list[list[SearchHit]] = []
             for query, indices, head in zip(queries, index_lists, heads):
-                hits: list[SearchHit] = []
-                if head:
-                    assert vectors is not None
-                    rows = vectors[[needed_position[i] for i in head]]
-                    with self.costs.time(DISTANCE):
-                        distances = self.space.d_batch(query, rows)
-                    for index, vector, distance in zip(
-                        head, rows, distances
-                    ):
-                        if radius is None or distance <= radius:
-                            hits.append(
-                                SearchHit(
-                                    unique[index][0], vector, float(distance)
-                                )
-                            )
+                results.append(
+                    self._select(
+                        query, oid_column[head], vectors[row_of[head]],
+                        radius, k,
+                    )
+                    if len(head)
+                    else []
+                )
                 self.costs.add_count("candidates_received", len(indices))
                 self.costs.add_count("candidates_refined", len(head))
-                results.append(hits)
         return results
 
     # ------------------------------------------------------------------

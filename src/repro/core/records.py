@@ -36,6 +36,7 @@ __all__ = [
     "CandidateEntry",
     "vector_to_payload",
     "payload_to_vector",
+    "payloads_to_matrix",
 ]
 
 
@@ -361,10 +362,28 @@ def vector_to_payload(vector: np.ndarray) -> bytes:
     return np.ascontiguousarray(vector, dtype="<f8").tobytes()
 
 
+def _check_vector_bytes(length: int) -> None:
+    if length % 8 != 0 or length == 0:
+        raise ProtocolError(
+            f"plain payload of {length} bytes is not a float64 vector"
+        )
+
+
 def payload_to_vector(payload: bytes) -> np.ndarray:
     """Decode a plaintext-vector payload."""
-    if len(payload) % 8 != 0 or len(payload) == 0:
-        raise ProtocolError(
-            f"plain payload of {len(payload)} bytes is not a float64 vector"
-        )
+    _check_vector_bytes(len(payload))
     return np.frombuffer(payload, dtype="<f8").astype(np.float64)
+
+
+def payloads_to_matrix(payloads: list[bytes]) -> np.ndarray:
+    """Decode equal-length plaintext-vector payloads as one ``(n, dim)``
+    matrix (on little-endian hosts a read-only view of their bytes)."""
+    lengths = {len(payload) for payload in payloads}
+    for length in lengths:
+        _check_vector_bytes(length)
+    if len(lengths) != 1:
+        raise ProtocolError(
+            f"plain payloads of {sorted(lengths)} bytes do not form a matrix"
+        )
+    flat = np.frombuffer(b"".join(payloads), dtype="<f8")
+    return flat.reshape(len(payloads), -1).astype(np.float64, copy=False)

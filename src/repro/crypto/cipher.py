@@ -3,9 +3,10 @@
 :class:`AesCipher` is an encrypt-then-MAC construction:
 
 * payloads are encrypted with **AES-CTR** under an encryption subkey,
-* a 16-byte truncated **HMAC-SHA256** tag (stdlib ``hmac``/``hashlib``;
-  the AES core itself is ours) under an independent MAC subkey
-  authenticates ``nonce || ciphertext``.
+* a 16-byte truncated **HMAC-SHA256** tag (stdlib ``hashlib``; the AES
+  core itself is ours) under an independent MAC subkey authenticates
+  ``nonce || ciphertext``. The MAC is keyed once per cipher: the two
+  SHA-256 states that have absorbed the key pads are copied per token.
 
 Both subkeys are derived from the user key with a domain-separated
 SHA-256 expansion, so a single 128-bit key (the paper's "AES key, 128
@@ -24,8 +25,8 @@ import hmac
 import os
 from typing import Callable
 
-from repro.crypto.aes import BLOCK_SIZE, AesKey
-from repro.crypto.modes import ctr_transform, ctr_transform_many
+from repro.crypto.aes import AesKey
+from repro.crypto.modes import ctr_transform_many
 from repro.exceptions import AuthenticationError, CryptoError, KeyError_
 
 __all__ = ["AesCipher"]
@@ -62,7 +63,12 @@ class AesCipher:
             )
         self._master_key = key
         enc_key = hashlib.sha256(b"repro.enc\x00" + key).digest()[: len(key)]
-        self._mac_key = hashlib.sha256(b"repro.mac\x00" + key).digest()
+        # HMAC (RFC 2104) keyed once: H(key ^ opad || H(key ^ ipad || m))
+        # with both pad blocks already absorbed.
+        mac_key = hashlib.sha256(b"repro.mac\x00" + key).digest()
+        mac_key = mac_key.ljust(hashlib.sha256().block_size, b"\0")
+        self._mac_inner = hashlib.sha256(bytes(b ^ 0x36 for b in mac_key))
+        self._mac_outer = hashlib.sha256(bytes(b ^ 0x5C for b in mac_key))
         self._aes = AesKey(enc_key)
         self._nonce_factory = nonce_factory or (lambda: os.urandom(_NONCE_SIZE))
 
@@ -74,30 +80,22 @@ class AesCipher:
         return _NONCE_SIZE + _TAG_SIZE
 
     def encrypt(self, plaintext: bytes) -> bytes:
-        """Encrypt and authenticate ``plaintext``; returns a token."""
-        if not isinstance(plaintext, (bytes, bytearray)):
-            raise CryptoError("plaintext must be bytes")
-        nonce = self._nonce_factory()
-        if len(nonce) != _NONCE_SIZE:
-            raise CryptoError(
-                f"nonce factory must return {_NONCE_SIZE} bytes, "
-                f"got {len(nonce)}"
-            )
-        ciphertext = ctr_transform(self._aes, nonce, bytes(plaintext))
-        tag = self._tag(nonce + ciphertext)
-        return nonce + ciphertext + tag
+        """Encrypt and authenticate ``plaintext``; returns a token (a
+        batch of one)."""
+        return self.encrypt_many([plaintext])[0]
 
     def encrypt_many(self, plaintexts: list[bytes]) -> list[bytes]:
         """Encrypt many messages with one vectorized AES pass.
 
-        Semantically identical to ``[self.encrypt(p) for p in
-        plaintexts]`` but amortizes the per-message AES overhead — this
-        is what bulk insert and candidate-set decryption hinge on. The
-        whole batch is one packed buffer end to end: every message's
-        counter blocks go through a single :func:`encrypt_blocks` call
-        (block-range sliced across the kernel scheduler when enabled)
-        and the keystream is applied by one packed XOR, not a Python
-        loop of per-plaintext passes.
+        Nonces are drawn one per message, in order, so the tokens are
+        those of ``[self.encrypt(p) for p in plaintexts]`` — but the
+        per-message AES overhead is amortized, which is what bulk insert
+        and candidate-set decryption hinge on. The whole batch is one
+        packed buffer end to end: every message's counter blocks go
+        through a single :func:`encrypt_blocks` call (block-range
+        sliced across the kernel scheduler when enabled) and the
+        keystream is applied by one XOR, not a Python loop of
+        per-plaintext passes.
         """
         nonces = []
         for plaintext in plaintexts:
@@ -113,15 +111,16 @@ class AesCipher:
         ciphertexts = ctr_transform_many(
             self._aes, nonces, [bytes(p) for p in plaintexts]
         )
-        return [
-            nonce + ct + self._tag(nonce + ct)
-            for nonce, ct in zip(nonces, ciphertexts)
-        ]
+        tokens = []
+        for nonce, ciphertext in zip(nonces, ciphertexts):
+            body = nonce + ciphertext
+            tokens.append(body + self._tag(body))
+        return tokens
 
     def decrypt_many(self, tokens: list[bytes]) -> list[bytes]:
         """Verify and decrypt many tokens with one vectorized AES pass.
 
-        All tags are checked *before* any plaintext is produced; a
+        Every tag is checked *before* any keystream is produced; a
         single bad token fails the whole batch with
         :class:`AuthenticationError`.
         """
@@ -133,33 +132,21 @@ class AesCipher:
             token = bytes(token)
             if len(token) < _NONCE_SIZE + _TAG_SIZE:
                 raise AuthenticationError("token too short to be valid")
-            nonce = token[:_NONCE_SIZE]
-            ciphertext = token[_NONCE_SIZE:-_TAG_SIZE]
-            tag = token[-_TAG_SIZE:]
-            if not hmac.compare_digest(tag, self._tag(nonce + ciphertext)):
+            if not hmac.compare_digest(
+                token[-_TAG_SIZE:], self._tag(token[:-_TAG_SIZE])
+            ):
                 raise AuthenticationError("ciphertext failed integrity check")
-            nonces.append(nonce)
-            ciphertexts.append(ciphertext)
+            nonces.append(token[:_NONCE_SIZE])
+            ciphertexts.append(token[_NONCE_SIZE:-_TAG_SIZE])
         return ctr_transform_many(self._aes, nonces, ciphertexts)
 
     def decrypt(self, token: bytes) -> bytes:
         """Verify and decrypt a token produced by :meth:`encrypt`.
 
         Raises :class:`AuthenticationError` on any tampering or on
-        decryption with the wrong key.
+        decryption with the wrong key. A batch of one.
         """
-        if not isinstance(token, (bytes, bytearray)):
-            raise CryptoError("token must be bytes")
-        token = bytes(token)
-        if len(token) < _NONCE_SIZE + _TAG_SIZE:
-            raise AuthenticationError("token too short to be valid")
-        nonce = token[:_NONCE_SIZE]
-        ciphertext = token[_NONCE_SIZE:-_TAG_SIZE]
-        tag = token[-_TAG_SIZE:]
-        expected = self._tag(nonce + ciphertext)
-        if not hmac.compare_digest(tag, expected):
-            raise AuthenticationError("ciphertext failed integrity check")
-        return ctr_transform(self._aes, nonce, ciphertext)
+        return self.decrypt_many([token])[0]
 
     def token_size(self, plaintext_size: int) -> int:
         """Size in bytes of the token for a plaintext of the given size."""
@@ -170,7 +157,11 @@ class AesCipher:
     # -- internals ---------------------------------------------------------
 
     def _tag(self, data: bytes) -> bytes:
-        return hmac.new(self._mac_key, data, hashlib.sha256).digest()[:_TAG_SIZE]
+        inner = self._mac_inner.copy()
+        inner.update(data)
+        outer = self._mac_outer.copy()
+        outer.update(inner.digest())
+        return outer.digest()[:_TAG_SIZE]
 
     def __repr__(self) -> str:  # pragma: no cover - never leak key material
         return f"AesCipher(<{len(self._master_key) * 8}-bit key>)"
@@ -183,6 +174,3 @@ class AesCipher:
     def __hash__(self) -> int:
         return hash(hashlib.sha256(b"repro.id\x00" + self._master_key).digest())
 
-
-# Keep BLOCK_SIZE importable from here for convenience of the tests.
-AES_BLOCK_SIZE = BLOCK_SIZE

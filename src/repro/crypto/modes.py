@@ -4,7 +4,9 @@ ECB and CBC operate on PKCS#7-padded input; CTR is a stream mode
 (ciphertext length == plaintext length) and is the mode the Encrypted
 M-Index uses for object payloads. The CTR keystream is produced through
 the vectorized block-encryption path, so encrypting a large payload costs
-one numpy pass instead of a Python loop per block.
+one numpy pass instead of a Python loop per block; there is one CTR
+implementation, :func:`ctr_transform_many`, and the single-message
+functions are its one-message view.
 
 ECB is provided for completeness and test vectors only — it leaks equal
 blocks and must not be used for object payloads.
@@ -75,64 +77,61 @@ def cbc_decrypt(key: AesKey, ciphertext: bytes, iv: bytes) -> bytes:
     return (decrypted ^ previous).tobytes()
 
 
+def _counter_blocks_many(
+    nonces: list[bytes], blocks_per: np.ndarray
+) -> np.ndarray:
+    """Counter blocks of many messages, one message after another.
+
+    Message ``i`` contributes the big-endian 128-bit counters
+    ``nonces[i], nonces[i] + 1, ...`` (``blocks_per[i]`` of them, NIST
+    SP 800-38A style). The counters are built as two big-endian 64-bit
+    columns whose bytes *are* the blocks; a message whose low half
+    could wrap (astronomically rare under random nonces) sends the call
+    to exact big-integer arithmetic instead.
+    """
+    halves = np.frombuffer(b"".join(nonces), dtype=">u8").reshape(-1, 2)
+    longest = int(blocks_per.max(initial=0))
+    if np.any(halves[:, 1] > np.uint64(0xFFFFFFFFFFFFFFFF - longest)):
+        mask = (1 << 128) - 1
+        exact = b"".join(
+            ((int.from_bytes(nonce, "big") + i) & mask).to_bytes(16, "big")
+            for nonce, n_blocks in zip(nonces, blocks_per)
+            for i in range(n_blocks)
+        )
+        return np.frombuffer(exact, dtype=np.uint8).reshape(-1, BLOCK_SIZE)
+    # Each message's start repeated for its block count, plus the
+    # within-message block offsets added to the low half.
+    counters = np.repeat(halves, blocks_per, axis=0)
+    first = np.cumsum(blocks_per) - blocks_per
+    offsets = np.arange(counters.shape[0]) - np.repeat(first, blocks_per)
+    counters[:, 1] += offsets.astype(np.uint64)
+    return counters.view(np.uint8)
+
+
+def counter_blocks(start: int, n_blocks: int) -> np.ndarray:
+    """Big-endian 16-byte counter blocks ``start .. start + n_blocks - 1``
+    (modulo 2^128)."""
+    nonce = (start & ((1 << 128) - 1)).to_bytes(BLOCK_SIZE, "big")
+    return _counter_blocks_many([nonce], np.array([n_blocks]))
+
+
 def ctr_keystream(key: AesKey, nonce: bytes, length: int) -> np.ndarray:
     """CTR keystream bytes for a 16-byte initial counter block ``nonce``.
 
     The counter occupies the full 16-byte block interpreted as a
     big-endian integer (NIST SP 800-38A style), incremented per block.
+    The keystream is what CTR makes of ``length`` zero bytes.
     """
-    if len(nonce) != BLOCK_SIZE:
-        raise CryptoError(f"nonce must be {BLOCK_SIZE} bytes, got {len(nonce)}")
     if length < 0:
         raise CryptoError(f"keystream length must be >= 0, got {length}")
-    if length == 0:
-        return np.empty(0, dtype=np.uint8)
-    n_blocks = (length + BLOCK_SIZE - 1) // BLOCK_SIZE
-    start = int.from_bytes(nonce, "big")
-    counters = counter_blocks(start, n_blocks)
-    stream = encrypt_blocks(key, counters).reshape(-1)
-    return stream[:length]
-
-
-_BYTE_SHIFTS = np.array([56, 48, 40, 32, 24, 16, 8, 0], dtype=np.uint64)
-
-
-def counter_blocks(start: int, n_blocks: int) -> np.ndarray:
-    """Big-endian 16-byte counter blocks ``start .. start + n_blocks - 1``.
-
-    Vectorized for the common case where the low 64-bit half does not
-    wrap; the (astronomically rare under random nonces) wrap falls back
-    to exact big-integer arithmetic.
-    """
-    low = start & 0xFFFFFFFFFFFFFFFF
-    high = (start >> 64) & 0xFFFFFFFFFFFFFFFF
-    counters = np.empty((n_blocks, BLOCK_SIZE), dtype=np.uint8)
-    if low + n_blocks - 1 <= 0xFFFFFFFFFFFFFFFF:
-        offsets = np.arange(n_blocks, dtype=np.uint64)
-        low_vals = np.uint64(low) + offsets
-        counters[:, 8:] = (
-            (low_vals[:, None] >> _BYTE_SHIFTS) & np.uint64(0xFF)
-        ).astype(np.uint8)
-        high_bytes = np.frombuffer(
-            high.to_bytes(8, "big"), dtype=np.uint8
-        )
-        counters[:, :8] = high_bytes
-        return counters
-    mask = (1 << 128) - 1
-    for i in range(n_blocks):
-        value = (start + i) & mask
-        counters[i] = np.frombuffer(value.to_bytes(16, "big"), dtype=np.uint8)
-    return counters
+    stream = ctr_transform(key, nonce, bytes(length))
+    return np.frombuffer(stream, dtype=np.uint8)
 
 
 def ctr_transform(key: AesKey, nonce: bytes, data: bytes) -> bytes:
     """Encrypt or decrypt ``data`` in CTR mode (the operation is its own
-    inverse)."""
-    stream = ctr_keystream(key, nonce, len(data))
-    if len(data) == 0:
-        return b""
-    arr = np.frombuffer(data, dtype=np.uint8)
-    return (arr ^ stream).tobytes()
+    inverse): :func:`ctr_transform_many` for one message."""
+    return ctr_transform_many(key, [nonce], [data])[0]
 
 
 def ctr_transform_many(
@@ -140,81 +139,37 @@ def ctr_transform_many(
 ) -> list[bytes]:
     """CTR-transform many messages in one vectorized AES pass.
 
-    This is the bulk fast path behind
-    :meth:`repro.crypto.cipher.AesCipher.encrypt_many` /
-    ``decrypt_many``: the counter blocks of *all* messages are built and
-    encrypted as one matrix, amortizing the per-call numpy overhead that
-    dominates small-message CTR. Semantically identical to calling
-    :func:`ctr_transform` per message.
+    This is the path behind :class:`repro.crypto.cipher.AesCipher`: the
+    counter blocks of *all* messages are built and encrypted as one
+    matrix, amortizing the per-call numpy overhead that dominates
+    small-message CTR, and the keystream is applied by one XOR over the
+    messages laid out block-aligned (each padded to whole blocks, so
+    message and keystream offsets coincide); the results are slices of
+    that one buffer.
     """
     if len(nonces) != len(datas):
         raise CryptoError(
             f"got {len(nonces)} nonces for {len(datas)} messages"
         )
-    if not datas:
-        return []
     for nonce in nonces:
         if len(nonce) != BLOCK_SIZE:
             raise CryptoError(
                 f"nonce must be {BLOCK_SIZE} bytes, got {len(nonce)}"
             )
-    blocks_per = np.array(
-        [(len(d) + BLOCK_SIZE - 1) // BLOCK_SIZE for d in datas],
-        dtype=np.int64,
+    sizes = [-(-len(data) // BLOCK_SIZE) * BLOCK_SIZE for data in datas]
+    counters = _counter_blocks_many(
+        nonces, np.array(sizes, dtype=np.int64) // BLOCK_SIZE
     )
-    total_blocks = int(blocks_per.sum())
-    if total_blocks == 0:
+    if counters.shape[0] == 0:
         return [b"" for _ in datas]
-    nonce_arr = np.frombuffer(b"".join(nonces), dtype=np.uint8).reshape(
-        len(nonces), BLOCK_SIZE
-    )
-    high = np.ascontiguousarray(nonce_arr[:, :8]).view(">u8").ravel()
-    low = np.ascontiguousarray(nonce_arr[:, 8:]).view(">u8").ravel()
-    max_blocks = int(blocks_per.max())
-    counters = np.empty((total_blocks, BLOCK_SIZE), dtype=np.uint8)
-    wrap_risk = low.astype(np.uint64) > np.uint64(
-        0xFFFFFFFFFFFFFFFF - max_blocks
-    )
-    if not np.any(wrap_risk):
-        # One flat ramp per message: repeat each message's low counter
-        # for its block count, add the within-message block offsets.
-        starts = np.repeat(low.astype(np.uint64), blocks_per)
-        boundaries = np.concatenate([[0], np.cumsum(blocks_per)[:-1]])
-        offsets = np.arange(total_blocks, dtype=np.uint64) - np.repeat(
-            boundaries.astype(np.uint64), blocks_per
-        )
-        low_vals = starts + offsets
-        counters[:, 8:] = (
-            (low_vals[:, None] >> _BYTE_SHIFTS) & np.uint64(0xFF)
-        ).astype(np.uint8)
-        high_rows = np.repeat(high.astype(np.uint64), blocks_per)
-        counters[:, :8] = (
-            (high_rows[:, None] >> _BYTE_SHIFTS) & np.uint64(0xFF)
-        ).astype(np.uint8)
-    else:
-        offset = 0
-        for i, n_blocks in enumerate(blocks_per):
-            start = (int(high[i]) << 64) | int(low[i])
-            counters[offset : offset + n_blocks] = counter_blocks(
-                start, int(n_blocks)
-            )
-            offset += int(n_blocks)
     stream = encrypt_blocks(key, counters).reshape(-1)
-    # Packed XOR: instead of one numpy XOR per message, gather each
-    # data byte's keystream byte (the keystream has per-message padding
-    # to whole blocks, so the two packings differ by a per-message
-    # shift) and XOR everything in one pass; messages are then cheap
-    # slices of the flat result.
-    lengths = np.array([len(d) for d in datas], dtype=np.int64)
-    data_flat = np.frombuffer(b"".join(datas), dtype=np.uint8)
-    data_starts = np.concatenate([[0], np.cumsum(lengths)[:-1]])
-    stream_starts = (
-        np.concatenate([[0], np.cumsum(blocks_per)[:-1]]) * BLOCK_SIZE
+    aligned = b"".join(
+        [data.ljust(size, b"\0") for data, size in zip(datas, sizes)]
     )
-    shift = np.repeat(stream_starts - data_starts, lengths)
-    xored = data_flat ^ stream[np.arange(data_flat.shape[0]) + shift]
-    xored_bytes = xored.tobytes()
-    return [
-        xored_bytes[start : start + length]
-        for start, length in zip(data_starts, lengths)
-    ]
+    xored = (np.frombuffer(aligned, dtype=np.uint8) ^ stream).tobytes()
+    messages = []
+    start = 0
+    for data, size in zip(datas, sizes):
+        messages.append(xored[start : start + len(data)])
+        start += size
+    return messages

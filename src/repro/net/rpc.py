@@ -31,7 +31,9 @@ server's read–write lock themselves (see
 
 from __future__ import annotations
 
+import inspect
 import threading
+import weakref
 from collections import OrderedDict
 from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Callable
@@ -147,7 +149,7 @@ class RpcDispatcher:
     """
 
     def __init__(self, *, clock: Clock | None = None) -> None:
-        self._handlers: dict[str, Handler] = {}
+        self._handlers: dict[str, Handler | weakref.WeakMethod] = {}
         self._clock: Clock = clock or WallClock()
         self._accounting = threading.Lock()
         self._pool: ThreadPoolExecutor | None = None
@@ -161,10 +163,26 @@ class RpcDispatcher:
         self.calls = 0
 
     def register(self, method: str, handler: Handler) -> None:
-        """Expose ``handler`` under ``method``."""
+        """Expose ``handler`` under ``method``.
+
+        A bound method is held through a :class:`weakref.WeakMethod`:
+        an endpoint owns its dispatcher and registers its own methods,
+        and a strong reference back would make the endpoint (index,
+        storage and every record with it) cyclic garbage that lives
+        until the collector's oldest generation happens to run. Once
+        its object is gone the method is unknown.
+        """
         if method in self._handlers:
             raise ProtocolError(f"method {method!r} already registered")
+        if inspect.ismethod(handler):
+            handler = weakref.WeakMethod(handler)
         self._handlers[method] = handler
+
+    def _handler(self, method: str) -> Handler | None:
+        handler = self._handlers.get(method)
+        if isinstance(handler, weakref.WeakMethod):
+            handler = handler()
+        return handler
 
     def enable_batch(self, *, max_workers: int = 8) -> None:
         """Expose the generic ``search_batch`` method.
@@ -214,7 +232,7 @@ class RpcDispatcher:
         inner_method = body.string()
         if inner_method == BATCH_METHOD:
             raise ProtocolError("search_batch cannot nest")
-        handler = self._handlers.get(inner_method)
+        handler = self._handler(inner_method)
         if handler is None:
             raise ProtocolError(f"unknown inner method {inner_method!r}")
         count = body.u32()
@@ -301,7 +319,7 @@ class RpcDispatcher:
 
     def _execute(self, method: str, body: Reader) -> bytes:
         """Dispatch one decoded request to its handler."""
-        handler = self._handlers.get(method)
+        handler = self._handler(method)
         response = Writer()
         if handler is None:
             response.u8(_STATUS_ERROR).f64(0.0).string(

@@ -33,6 +33,7 @@ from repro.wire.encoding import Reader, Writer
 __all__ = [
     "KnnScatterGroup",
     "RangeScatterGroup",
+    "read_candidate_table",
     "read_cell_dump",
     "read_knn_scatter_response",
     "read_range_scatter_response",
@@ -92,6 +93,18 @@ def write_candidates(candidates: list[IndexedRecord]) -> Writer:
     return writer
 
 
+def read_candidate_table(reader: Reader) -> tuple[list[int], list[bytes]]:
+    """Decode a counted (oid, payload) table — a whole
+    :func:`write_candidates` response, or the unique table that opens a
+    batch or scatter response — as two columns in wire order."""
+    oids: list[int] = []
+    payloads: list[bytes] = []
+    for _ in range(reader.u32()):
+        oids.append(reader.u64())
+        payloads.append(reader.blob())
+    return oids, payloads
+
+
 def write_candidate_lists(
     candidate_lists: list[list[IndexedRecord]],
 ) -> Writer:
@@ -148,9 +161,9 @@ def _write_unique_table(writer, group_lists, records_of):
 
 
 def _read_unique_table(reader: Reader) -> list[CandidateEntry]:
-    count = reader.u32()
     return [
-        CandidateEntry(reader.u64(), reader.blob()) for _ in range(count)
+        CandidateEntry(oid, payload)
+        for oid, payload in zip(*read_candidate_table(reader))
     ]
 
 

@@ -1,5 +1,8 @@
 """Property-based tests for the crypto substrate."""
 
+import hashlib
+import hmac
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -116,3 +119,18 @@ def test_any_bitflip_detected(key, message, flip_byte):
     token[position] ^= 0x01
     with pytest.raises(AuthenticationError):
         cipher.decrypt(bytes(token))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    key=keys | st.binary(min_size=24, max_size=24),
+    data=st.binary(min_size=0, max_size=400),
+)
+def test_prekeyed_tag_is_truncated_hmac_sha256(key, data):
+    """The MAC keyed once per cipher (copied SHA-256 pad states) is the
+    stdlib HMAC, for any message length around the 64-byte block."""
+    mac_key = hashlib.sha256(b"repro.mac\x00" + key).digest()
+    expected = hmac.digest(mac_key, data, "sha256")[:16]
+    cipher = AesCipher(key)
+    assert cipher._tag(data) == expected
+    assert cipher._tag(data) == expected  # the keyed states are not consumed

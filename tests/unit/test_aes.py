@@ -5,9 +5,12 @@ import numpy as np
 import pytest
 
 from repro.crypto.aes import (
+    _MUL,
+    _SLAB,
     SBOX,
     INV_SBOX,
     AesKey,
+    _encrypt_blocks_core,
     decrypt_block,
     decrypt_blocks,
     encrypt_block,
@@ -137,3 +140,82 @@ class TestVectorizedBlocks:
         block = np.zeros(16, dtype=np.uint8)
         out = encrypt_blocks(key, block)
         assert out.shape == (16,)
+
+
+# -- the pair-table kernel against the textbook round functions -------------
+#
+# Reference implementation of the cipher exactly as FIPS-197 §5.1 states
+# it — SubBytes, ShiftRows, MixColumns, AddRoundKey as separate passes
+# over an (n, 16) byte state — kept here so the fused kernel is compared
+# with something that shares none of its tables or layout.
+
+
+def _reference_encrypt_blocks(key: AesKey, blocks: np.ndarray) -> np.ndarray:
+    # flat[4 * c + r] is state row r, column c; ShiftRows rotates row r
+    # left by r columns
+    shift_rows = [4 * ((c + r) % 4) + r for c in range(4) for r in range(4)]
+    m2, m3 = _MUL[2], _MUL[3]
+
+    def mix_columns(state):
+        s = state.reshape(-1, 4, 4)
+        a0, a1, a2, a3 = s[:, :, 0], s[:, :, 1], s[:, :, 2], s[:, :, 3]
+        out = np.empty_like(s)
+        out[:, :, 0] = m2[a0] ^ m3[a1] ^ a2 ^ a3
+        out[:, :, 1] = a0 ^ m2[a1] ^ m3[a2] ^ a3
+        out[:, :, 2] = a0 ^ a1 ^ m2[a2] ^ m3[a3]
+        out[:, :, 3] = m3[a0] ^ a1 ^ a2 ^ m2[a3]
+        return out.reshape(-1, 16)
+
+    round_keys = key.round_keys
+    state = blocks ^ round_keys[0]
+    for round_index in range(1, key.rounds):
+        state = mix_columns(SBOX[state][:, shift_rows])
+        state = state ^ round_keys[round_index]
+    return SBOX[state][:, shift_rows] ^ round_keys[key.rounds]
+
+
+class TestPairTableKernel:
+    _SIZES = [1, 2, 15, _SLAB - 1, _SLAB, _SLAB + 1, 3 * _SLAB + 7]
+
+    def test_reference_matches_fips_vectors(self):
+        block = np.frombuffer(_PLAINTEXT, dtype=np.uint8).reshape(1, 16)
+        for key, expected in _VECTORS:
+            out = _reference_encrypt_blocks(AesKey(key), block)
+            assert out.tobytes().hex() == expected
+
+    @pytest.mark.parametrize("key_bytes", [16, 24, 32])
+    @pytest.mark.parametrize("n", _SIZES)
+    def test_matches_textbook_rounds(self, key_bytes, n):
+        rng = np.random.default_rng(1000 * key_bytes + n)
+        key = AesKey(rng.integers(0, 256, key_bytes, dtype=np.uint8).tobytes())
+        blocks = rng.integers(0, 256, size=(n, 16), dtype=np.uint8)
+        np.testing.assert_array_equal(
+            _encrypt_blocks_core(key, blocks),
+            _reference_encrypt_blocks(key, blocks),
+        )
+
+    def test_read_only_input_is_not_written(self, rng):
+        key = AesKey(bytes(range(16)))
+        data = rng.integers(0, 256, size=(_SLAB + 3) * 16, dtype=np.uint8)
+        raw = data.tobytes()
+        blocks = np.frombuffer(raw, dtype=np.uint8).reshape(-1, 16)
+        assert not blocks.flags.writeable
+        out = encrypt_blocks(key, blocks)
+        np.testing.assert_array_equal(
+            out, _reference_encrypt_blocks(key, blocks)
+        )
+        assert raw == data.tobytes()
+
+    def test_no_blocks(self):
+        key = AesKey(bytes(16))
+        out = encrypt_blocks(key, np.empty((0, 16), dtype=np.uint8))
+        assert out.shape == (0, 16)
+
+    def test_strided_input(self, rng):
+        key = AesKey(bytes(range(24)))
+        wide = rng.integers(0, 256, size=(50, 32), dtype=np.uint8)
+        blocks = wide[::2, 8:24]  # neither contiguous nor aligned rows
+        np.testing.assert_array_equal(
+            encrypt_blocks(key, blocks),
+            _reference_encrypt_blocks(key, np.ascontiguousarray(blocks)),
+        )

@@ -347,6 +347,39 @@ class TestConcurrentSearch:
         assert len(client.knn_search(queries[0], 5, cand_size=60)) == 5
         assert client.knn_batch(queries[:2], 5, cand_size=60)
 
+    def test_closed_deployment_is_not_cyclic_garbage(self, small_data):
+        """Dropping a closed deployment frees it by reference counting:
+        the collector finds no record left behind in a cycle (the
+        dispatcher used to hold the server's bound methods strongly)."""
+        import gc
+
+        from repro.core.records import IndexedRecord
+
+        gc.collect()
+        gc.disable()
+        try:
+            cloud = SimilarityCloud.build(
+                small_data,
+                distance=L1Distance(),
+                n_pivots=8,
+                bucket_capacity=40,
+                strategy=Strategy.APPROXIMATE,
+                seed=7,
+            )
+            cloud.owner.outsource(range(len(small_data)), small_data)
+            client = cloud.new_client()
+            assert len(client.knn_search(small_data[0], 5, cand_size=60)) == 5
+            cloud.close()
+            del cloud, client
+            gc.set_debug(gc.DEBUG_SAVEALL)  # keep what collect() finds
+            gc.collect()
+            found = [o for o in gc.garbage if isinstance(o, IndexedRecord)]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+        assert found == []
+
     def test_concurrent_searches_during_inserts_stay_consistent(
         self, approx_cloud, small_data, queries, rng
     ):

@@ -124,6 +124,45 @@ class TestSearchPath:
         assert client.costs.count("candidates_received") == 200
         assert client.costs.count("candidates_refined") == 50
 
+    def test_refinement_orders_by_distance_then_oid(self, rng):
+        """The array selection step equals the per-hit reference: true
+        distances, a Python sort on ``(distance, oid)``, the first k —
+        ties between equal vectors included."""
+        base = rng.normal(0.0, 3.0, size=(40, 6))
+        data = np.concatenate([base, base, base])  # every vector 3 times
+        oids = [int(o) for o in rng.permutation(1000)[: len(data)]]
+        cloud = SimilarityCloud.build(
+            data, distance=L1Distance(), n_pivots=6, bucket_capacity=30,
+            strategy=Strategy.PRECISE, seed=3,
+        )
+        cloud.owner.outsource(oids, data)
+        client = cloud.new_client()
+        for query in base[:5] + 0.01:
+            distances = np.abs(data - query).sum(axis=1)
+            reference = sorted(zip(distances.tolist(), oids))
+            hits = client.knn_search(query, 7, cand_size=len(data))
+            assert [(h.distance, h.oid) for h in hits] == reference[:7]
+            radius = reference[10][0]
+            in_range = client.range_search(query, radius)
+            assert [(h.distance, h.oid) for h in in_range] == [
+                pair for pair in reference if pair[0] <= radius
+            ]
+            batched = client.knn_batch(query[None, :], 7, cand_size=len(data))
+            assert [(h.distance, h.oid) for h in batched[0]] == reference[:7]
+
+    def test_answer_does_not_pin_its_candidate_matrix(
+        self, approx_cloud, small_data, queries
+    ):
+        client = approx_cloud.new_client()
+        hits = client.knn_search(queries[0], 5, cand_size=200)
+        assert len(hits) == 5
+        for hit in hits:
+            assert type(hit.oid) is int and type(hit.distance) is float
+            np.testing.assert_array_equal(hit.vector, small_data[hit.oid])
+            hit.vector[0] += 1.0  # a private, writable copy
+            owner = hit.vector if hit.vector.base is None else hit.vector.base
+            assert owner.size <= 5 * small_data.shape[1]
+
     def test_invalid_parameters(self, approx_cloud, queries):
         client = approx_cloud.new_client()
         with pytest.raises(QueryError):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.crypto.aes import AesKey
+from repro.crypto.aes import AesKey, encrypt_block
 from repro.crypto.modes import (
     cbc_decrypt,
     cbc_encrypt,
@@ -130,33 +130,80 @@ class TestCounterBlocks:
             )
 
 
+def _reference_ctr(key: AesKey, nonce: bytes, data: bytes) -> bytes:
+    """SP 800-38A CTR one block at a time: the counter is a 128-bit
+    big-endian integer, incremented modulo 2^128 in exact arithmetic."""
+    start = int.from_bytes(nonce, "big")
+    out = bytearray()
+    for index in range(0, len(data), 16):
+        counter = (start + index // 16) % (1 << 128)
+        pad = encrypt_block(key, counter.to_bytes(16, "big"))
+        out += bytes(a ^ b for a, b in zip(data[index : index + 16], pad))
+    return bytes(out)
+
+
+def _random_bytes(rng, n: int) -> bytes:
+    return rng.integers(0, 256, n, dtype=np.uint8).tobytes()
+
+
 class TestCtrMany:
-    def test_matches_per_message_transform(self, rng):
-        nonces = [
-            rng.integers(0, 256, 16, dtype=np.uint8).tobytes()
-            for _ in range(10)
-        ]
-        datas = [
-            rng.integers(0, 256, int(n), dtype=np.uint8).tobytes()
-            for n in rng.integers(0, 100, size=10)
-        ]
+    """One CTR implementation serves every shape of batch; each shape is
+    compared with the block-at-a-time reference and with the
+    one-message view."""
+
+    def _check(self, nonces, datas):
         bulk = ctr_transform_many(_KEY, nonces, datas)
-        singles = [
+        assert bulk == [
+            _reference_ctr(_KEY, nonce, data)
+            for nonce, data in zip(nonces, datas)
+        ]
+        assert bulk == [
             ctr_transform(_KEY, nonce, data)
             for nonce, data in zip(nonces, datas)
         ]
-        assert bulk == singles
+
+    def test_reference_matches_sp800_38a(self):
+        nonce = bytes.fromhex("f0f1f2f3f4f5f6f7f8f9fafbfcfdfeff")
+        assert _reference_ctr(_KEY, nonce, _PT) == ctr_transform(
+            _KEY, nonce, _PT
+        )
+
+    @pytest.mark.parametrize("length", [16, 136, 256, 250])
+    def test_uniform_lengths(self, rng, length):
+        # the shape an index of fixed-dimension vectors produces
+        self._check(
+            [_random_bytes(rng, 16) for _ in range(40)],
+            [_random_bytes(rng, length) for _ in range(40)],
+        )
+
+    def test_matches_per_message_transform(self, rng):
+        lengths = [0, 1, 15, 16, 17, 99, 0, 32, 300, 5]
+        self._check(
+            [_random_bytes(rng, 16) for _ in lengths],
+            [_random_bytes(rng, n) for n in lengths],
+        )
+
+    def test_only_empty_messages(self, rng):
+        nonces = [_random_bytes(rng, 16) for _ in range(3)]
+        assert ctr_transform_many(_KEY, nonces, [b"", b"", b""]) == [b""] * 3
 
     def test_wrapping_nonce_in_batch(self):
         wrap_nonce = ((1 << 64) - 1).to_bytes(16, "big")  # low half = max
-        normal_nonce = bytes(16)
-        datas = [bytes(40), bytes(40)]
-        bulk = ctr_transform_many(_KEY, [wrap_nonce, normal_nonce], datas)
-        singles = [
-            ctr_transform(_KEY, wrap_nonce, datas[0]),
-            ctr_transform(_KEY, normal_nonce, datas[1]),
-        ]
-        assert bulk == singles
+        self._check([wrap_nonce, bytes(16)], [bytes(40), bytes(40)])
+
+    @pytest.mark.parametrize(
+        "start",
+        [
+            (1 << 64) - 3,  # wraps in the middle of the message
+            (5 << 64) | ((1 << 64) - 2),  # carries into a non-zero high half
+            (1 << 128) - 2,  # the whole counter wraps to zero
+        ],
+    )
+    def test_low_half_wrap_falls_back_to_exact_counters(self, rng, start):
+        self._check(
+            [start.to_bytes(16, "big"), bytes(16), _random_bytes(rng, 16)],
+            [_random_bytes(rng, 70), bytes(40), _random_bytes(rng, 33)],
+        )
 
     def test_empty_batch(self):
         assert ctr_transform_many(_KEY, [], []) == []

@@ -193,6 +193,25 @@ class TestKernelEquivalence:
             parallel = encrypt_blocks(key, blocks)
         assert serial.tobytes() == parallel.tobytes()
 
+    def test_aes_slices_across_kernel_slabs(self, rng, monkeypatch):
+        """Worker slices that start and end inside the kernel's fixed
+        slabs are byte-identical to one serial pass, on both backends
+        (the ``aes_blocks`` process kernel runs the same core)."""
+        from repro.crypto.aes import _SLAB
+
+        key = AesKey(b"0123456789abcdef")
+        blocks = rng.integers(
+            0, 256, size=(3 * _SLAB + 7, 16), dtype=np.uint8
+        )
+        serial = encrypt_blocks(key, blocks)
+        for name in ("thread", "process"):
+            monkeypatch.setenv(backend.BACKEND_ENV, name)
+            GLOBAL_STATS.reset()
+            with backend.workers_override(2):
+                parallel = encrypt_blocks(key, blocks)
+            assert serial.tobytes() == parallel.tobytes()
+            assert GLOBAL_STATS.snapshot()["kernel_parallel_batches"] == 1
+
     @pytest.mark.parametrize("workers", [2, 4])
     def test_pivot_permutations(self, rng, workers):
         matrix = rng.uniform(0, 10, size=(400, 8))

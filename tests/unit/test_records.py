@@ -8,6 +8,7 @@ from repro.core.records import (
     IndexedRecord,
     RecordBatch,
     payload_to_vector,
+    payloads_to_matrix,
     vector_to_payload,
 )
 from repro.metric.permutations import pivot_permutation
@@ -140,6 +141,26 @@ class TestVectorPayloads:
     def test_empty_rejected(self):
         with pytest.raises(ProtocolError):
             payload_to_vector(b"")
+
+    def test_matrix_rows_are_the_per_payload_vectors(self, rng):
+        vectors = rng.normal(size=(9, 17))
+        payloads = [vector_to_payload(row) for row in vectors]
+        matrix = payloads_to_matrix(payloads)
+        assert matrix.shape == (9, 17) and matrix.dtype == np.float64
+        for row, payload in zip(matrix, payloads):
+            np.testing.assert_array_equal(row, payload_to_vector(payload))
+
+    @pytest.mark.parametrize(
+        "payloads",
+        [
+            [bytes(16), b"12345"],  # one length is not a float64 vector
+            [b"", b""],
+            [bytes(16), bytes(24)],  # two valid lengths, no matrix
+        ],
+    )
+    def test_matrix_keeps_the_length_checks(self, payloads):
+        with pytest.raises(ProtocolError):
+            payloads_to_matrix(payloads)
 
 
 class TestRecordBatch:
