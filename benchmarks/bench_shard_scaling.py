@@ -36,6 +36,7 @@ from repro.cluster import ProcessShardCluster
 from repro.core.records import RecordBatch
 from repro.metric.permutations import pivot_permutations
 from repro.wire.encoding import Writer
+from repro.wire.scatter import candidate_tokens, read_candidate_lists
 
 N_RECORDS = int(os.environ.get("REPRO_SHARD_N", "4000"))
 N_QUERIES = int(os.environ.get("REPRO_SHARD_QUERIES", "64"))
@@ -82,16 +83,13 @@ def workload():
 
 
 def _read_lists(reader):
-    """Decode a batched candidate-list response (dedup-table format)."""
-    uniques = [
-        (reader.u64(), reader.blob()) for _ in range(reader.u32())
+    """A batched candidate-list response as one [(oid, payload)] list
+    per query."""
+    table, rows_per_query = read_candidate_lists(reader)
+    return [
+        list(zip(table[0][rows].tolist(), candidate_tokens(table, rows)))
+        for rows in rows_per_query
     ]
-    lists = [
-        [uniques[int(i)] for i in reader.i32_array()]
-        for _ in range(reader.u32())
-    ]
-    reader.expect_end()
-    return lists
 
 
 def _cell_fingerprint(cells):

@@ -14,7 +14,7 @@ ever seeing a single character.
 
 import numpy as np
 
-from repro.core.records import CandidateEntry, IndexedRecord
+from repro.core.records import IndexedRecord
 from repro.core.server import SimilarityCloudServer
 from repro.crypto.cipher import AesCipher
 from repro.metric.permutations import pivot_permutation
@@ -22,6 +22,7 @@ from repro.metric.strings import GenericMetricSpace, levenshtein
 from repro.net.channel import InProcessChannel
 from repro.net.rpc import RpcClient
 from repro.wire.encoding import Writer
+from repro.wire.scatter import candidate_tokens, read_candidate_table
 
 rng = np.random.default_rng(5)
 
@@ -79,12 +80,10 @@ def fuzzy_lookup(query: str, k: int = 5, cand_size: int = 60):
     request.i32_array(permutation)
     request.u32(cand_size)
     request.u32(0)
-    reader = rpc.call("approx_knn", request)
-    count = reader.u32()
-    entries = [CandidateEntry.read_from(reader) for _ in range(count)]
+    candidates = read_candidate_table(rpc.call("approx_knn", request))
     words = [
         token.decode("utf-8")
-        for token in cipher.decrypt_many([e.payload for e in entries])
+        for token in cipher.decrypt_many(candidate_tokens(candidates))
     ]
     ranked = sorted(
         zip(words, space.d_batch(query, words)), key=lambda wd: (wd[1], wd[0])

@@ -27,7 +27,7 @@ Public API highlights
 from repro.core.client import DataOwner, EncryptedClient, SearchHit, Strategy
 from repro.core.cloud import SimilarityCloud
 from repro.core.costs import CostReport
-from repro.core.records import CandidateEntry, IndexedRecord
+from repro.core.records import IndexedRecord
 from repro.core.server import SimilarityCloudServer
 from repro.crypto.cipher import AesCipher
 from repro.crypto.keys import SecretKey
@@ -45,7 +45,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "AesCipher",
-    "CandidateEntry",
     "CostReport",
     "DataOwner",
     "Distance",

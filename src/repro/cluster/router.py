@@ -18,9 +18,13 @@ replaying the stopping rule over that stream consumes exactly the
 leaves the single server would have accessed (each shard over-visits
 under its *local* stopping rule, never under-visits). For range scans,
 sorting groups by top pivot reassembles the global lexicographic leaf
-order. The merged candidate streams are then encoded through the same
-writers the single server uses, so response bytes — not just result
-sets — are identical (hard-asserted in ``bench_shard_scaling.py``).
+order. Nothing is decoded per record on the way: the shard answers are
+read as columns, the merges (:func:`merge_knn_candidates`,
+:func:`merge_range_candidates`) are array code over all queries of a
+batch at once, and the merged answer is spliced out of the shards'
+payload bytes by the same writers the single server uses, so response
+bytes — not just result sets — are identical (hard-asserted in
+``tests/unit/test_shard_router.py`` and ``bench_shard_scaling.py``).
 
 **Resilience.** Each shard gets its own
 :class:`~repro.net.resilience.ResilientRpcClient` with its *own*
@@ -51,7 +55,7 @@ from typing import Callable
 import numpy as np
 
 from repro.cluster.shard_map import ShardMap
-from repro.core.records import CandidateEntry, IndexedRecord, RecordBatch
+from repro.core.records import IndexedRecord, RecordBatch
 from repro.exceptions import (
     ChannelError,
     DeadlineExceededError,
@@ -69,6 +73,7 @@ from repro.wire.scatter import (
     read_knn_scatter_response,
     read_range_scatter_response,
     read_stats_map,
+    per_query,
     write_candidate_lists,
     write_candidates,
     write_stats_map,
@@ -87,88 +92,205 @@ _MAX_COUNTERS = frozenset(
 )
 
 
+def _joined(arrays: list) -> np.ndarray:
+    """One column out of one per shard (none, when no shard answered)."""
+    return np.concatenate([np.empty(0, dtype=np.int64), *arrays])
+
+
+def _stacked(
+    shard_payloads: list[tuple], n_queries: int, n_keys: int
+) -> tuple:
+    """The common first half of both merges: every shard's answer in
+    one set of columns.
+
+    Returns ``(table, query, shard, sizes, rows, keys)``: the shard
+    tables end to end as one candidate table; per group, in the order
+    the shards emitted them, its query, its shard and its size; the
+    groups' table rows renumbered into the one table; and the
+    ``n_keys`` columns that follow in a scatter response, each
+    concatenated across shards.
+    """
+    for _shard, _table, columns in shard_payloads:
+        if columns[0].shape[0] != n_queries:
+            raise ProtocolError(
+                f"scatter response answers {columns[0].shape[0]} queries, "
+                f"{n_queries} were asked"
+            )
+    tables = [table for _shard, table, _columns in shard_payloads]
+    first_row = np.cumsum([0] + [len(oids) for oids, _o, _r in tables])
+    first_byte = np.cumsum([0] + [len(region) for _i, _o, region in tables])
+    table = (
+        np.concatenate(
+            [np.empty(0, dtype=np.uint64), *(oids for oids, _o, _r in tables)]
+        ),
+        np.concatenate(
+            [
+                np.zeros(1, dtype=np.int64),
+                *(
+                    offsets[1:] + base
+                    for (_i, offsets, _r), base in zip(tables, first_byte)
+                ),
+            ]
+        ),
+        b"".join(region for _i, _o, region in tables),
+    )
+    columns = [columns for _shard, _table, columns in shard_payloads]
+    queries = np.arange(n_queries)
+    return (
+        table,
+        _joined([np.repeat(queries, c[0]) for c in columns]),
+        _joined(
+            [
+                np.full(c[1].shape[0], shard)
+                for (shard, _t, _c), c in zip(shard_payloads, columns)
+            ]
+        ),
+        _joined([c[1] for c in columns]),
+        _joined([c[2] + base for c, base in zip(columns, first_row)]),
+        [_joined([c[3 + key] for c in columns]) for key in range(n_keys)],
+    )
+
+
+def _stream(
+    table: tuple,
+    query: np.ndarray,
+    sizes: np.ndarray,
+    rows: np.ndarray,
+    order: np.ndarray,
+) -> tuple:
+    """Lay the candidates out in merged visit order and mark the ones a
+    sequential reader would keep.
+
+    ``order`` sorts the groups into visit order, query-major; ``query``
+    is already in that order, ``sizes`` and ``rows`` are as emitted.
+    Returns ``(group, at, row, first, canonical)``. Per candidate of
+    the stream: the position of its group in ``order``; where it sits
+    in the emitted per-candidate columns; its table row; and whether no
+    earlier candidate *of the same query* carries its oid (repeats
+    exist only mid-rebalance, while source and target both hold a pivot
+    range). Per table row: the first row holding the same oid, so that
+    the copies of a record are one candidate across queries too.
+    """
+    emitted = (np.cumsum(sizes) - sizes)[order]
+    sizes = sizes[order]
+    group = np.repeat(np.arange(len(order)), sizes)
+    at = np.arange(len(rows)) + np.repeat(
+        emitted - (np.cumsum(sizes) - sizes), sizes
+    )
+    row = rows[at]
+    oids = table[0]
+    _, canonical, inverse, copies = np.unique(
+        oids, return_index=True, return_inverse=True, return_counts=True
+    )
+    canonical = canonical[inverse]
+    # only rows whose oid occurs more than once can be repeats: order
+    # those by (query, oid) and keep the first of each in the stream
+    suspects = np.flatnonzero((copies > 1)[inverse][row])
+    first = np.ones(len(row), dtype=bool)
+    first[suspects] = False
+    key = query[group[suspects]] * len(oids) + canonical[row[suspects]]
+    first[suspects[np.unique(key, return_index=True)[1]]] = True
+    return group, at, row, first, canonical
+
+
 def merge_knn_candidates(
     shard_payloads: list[tuple],
     n_queries: int,
     cand_size: int,
     max_cells: int | None,
-) -> list[list[CandidateEntry]]:
+) -> tuple[tuple, list[np.ndarray]]:
     """Merge per-shard kNN scatter payloads into final candidate sets.
 
-    ``shard_payloads`` holds ``(shard_index, uniques, per_query_groups)``
-    triples. Per query, the groups of every shard are interleaved by the
-    single-server visit key ``(promise, prefix)`` and the global
-    stopping rule is replayed over the merged stream; the collected
-    records then get the single-server final sort
-    ``(promise, score, oid)`` and trim. Duplicate oids across shards
-    (possible only mid-rebalance, when source and target briefly both
-    hold a range) are suppressed on first appearance.
+    ``shard_payloads`` holds ``(shard_index, table, columns)`` triples
+    (:func:`~repro.wire.scatter.read_knn_scatter_response`). Returns
+    one table over all shards and, per query, its candidates as rows of
+    that table in rank order — what
+    :func:`~repro.wire.scatter.write_candidate_lists` takes.
+
+    All queries are merged at once, as columns. The groups of every
+    shard are ordered by ``(query, promise, prefix, shard)`` — per
+    query the single-server visit order — and the global stopping rule
+    is replayed exactly from running counts: with ``d(g)`` the number
+    of distinct oids in the groups of its query before group ``g``, and
+    ``g`` counted from 0 within its query, the sequential loop consumes
+    ``g`` iff ``d(g) < cand_size`` and ``g < max_cells`` (both
+    conditions only ever switch off, so the consumed groups are a
+    prefix, as in the loop). The candidates of consumed groups, less
+    repeated oids, then get the single-server final sort ``(promise,
+    score, oid)`` and trim.
     """
-    results: list[list[CandidateEntry]] = []
-    for qi in range(n_queries):
-        tagged = []
-        for shard_index, uniques, queries in shard_payloads:
-            for group in queries[qi]:
-                tagged.append((group, shard_index, uniques))
-        tagged.sort(
-            key=lambda item: (item[0].promise, item[0].prefix, item[1])
+    table, query, shard, sizes, rows, keys = _stacked(
+        shard_payloads, n_queries, 4
+    )
+    promises, prefix_sizes, prefixes, scores = keys
+    # prefixes compare as tuples; rank the distinct ones (a few per
+    # leaf, nothing per record)
+    bounds = np.cumsum(prefix_sizes).tolist()
+    flat = prefixes.tolist()
+    prefix = [tuple(flat[a:b]) for a, b in zip([0] + bounds, bounds)]
+    rank_of = {key: rank for rank, key in enumerate(sorted(set(prefix)))}
+    order = np.lexsort(
+        (
+            shard,
+            np.array([rank_of[key] for key in prefix], dtype=np.int64),
+            promises,
+            query,
         )
-        collected: list[tuple[float, float, int, bytes]] = []
-        seen: set[int] = set()
-        cells_accessed = 0
-        for group, _shard_index, uniques in tagged:
-            if len(collected) >= cand_size:
-                break
-            if max_cells is not None and cells_accessed >= max_cells:
-                break
-            cells_accessed += 1
-            for position, score in zip(group.indices, group.scores):
-                entry = uniques[int(position)]
-                if entry.oid in seen:
-                    continue
-                seen.add(entry.oid)
-                collected.append(
-                    (group.promise, float(score), entry.oid, entry.payload)
-                )
-        collected.sort(key=lambda item: (item[0], item[1], item[2]))
-        results.append(
-            [
-                CandidateEntry(oid, payload)
-                for _promise, _score, oid, payload in collected[:cand_size]
-            ]
-        )
-    return results
+    )
+    # groups are in visit order from here on, query by query
+    query, promises = query[order], promises[order]
+    group, at, row, first, canonical = _stream(
+        table, query, sizes, rows, order
+    )
+    sizes = sizes[order]
+    groups_in = np.bincount(query, minlength=n_queries)
+    opening = (np.cumsum(groups_in) - groups_in)[query]
+    seen = np.concatenate(([0], np.cumsum(first)))[np.cumsum(sizes) - sizes]
+    consumed = seen - seen[opening] < cand_size
+    if max_cells is not None:
+        consumed &= np.arange(len(order)) - opening < max_cells
+
+    kept = np.flatnonzero(first & consumed[group])
+    group, at, row = group[kept], at[kept], row[kept]
+    # (query, promise) is the leading sort key and the groups already
+    # ascend in it: number its runs instead of sorting by both columns
+    run = np.cumsum(
+        (query[1:] != query[:-1]) | (promises[1:] != promises[:-1])
+    )
+    run = np.concatenate(([0], run))[group]
+    final = np.lexsort((table[0][row], scores[at], run))
+    query = query[group[final]]
+    found = np.bincount(query, minlength=n_queries)
+    rank = np.arange(len(final)) - (np.cumsum(found) - found)[query]
+    return table, per_query(
+        canonical[row[final[rank < cand_size]]], np.minimum(found, cand_size)
+    )
 
 
 def merge_range_candidates(
     shard_payloads: list[tuple], n_queries: int
-) -> list[list[CandidateEntry]]:
-    """Merge per-shard range scatter payloads into candidate sets.
+) -> tuple[tuple, list[np.ndarray]]:
+    """Merge per-shard range scatter payloads into candidate sets, in
+    the form :func:`merge_knn_candidates` returns.
 
-    Groups sort by ``(top_pivot, shard_index)`` — the single-server
-    candidate order is lexicographic leaf order, each top pivot's
-    leaves live on exactly one shard (ties only mid-rebalance), and
-    each shard emits its groups in its own leaf order — then
-    concatenate, suppressing duplicate oids.
+    Groups sort (stably) by ``(query, top_pivot, shard)`` — the
+    single-server candidate order is lexicographic leaf order, each top
+    pivot's leaves live on exactly one shard (ties only mid-rebalance),
+    and each shard emits its groups in its own leaf order — then
+    concatenate, less repeated oids.
     """
-    results: list[list[CandidateEntry]] = []
-    for qi in range(n_queries):
-        tagged = []
-        for shard_index, uniques, queries in shard_payloads:
-            for group in queries[qi]:
-                tagged.append((group.top_pivot, shard_index, group, uniques))
-        tagged.sort(key=lambda item: (item[0], item[1]))
-        seen: set[int] = set()
-        candidates: list[CandidateEntry] = []
-        for _top_pivot, _shard_index, group, uniques in tagged:
-            for position in group.indices:
-                entry = uniques[int(position)]
-                if entry.oid in seen:
-                    continue
-                seen.add(entry.oid)
-                candidates.append(entry)
-        results.append(candidates)
-    return results
+    table, query, shard, sizes, rows, (top_pivots,) = _stacked(
+        shard_payloads, n_queries, 1
+    )
+    order = np.lexsort((shard, top_pivots, query))
+    query = query[order]
+    group, _at, row, first, canonical = _stream(
+        table, query, sizes, rows, order
+    )
+    return table, per_query(
+        canonical[row[first]],
+        np.bincount(query[group[first]], minlength=n_queries),
+    )
 
 
 def merge_stats(shard_stats: list[dict]) -> dict:
@@ -194,22 +316,23 @@ def merge_stats(shard_stats: list[dict]) -> dict:
 
 
 class _ClusterChannel:
-    """Channel-shaped accounting view summing every shard's channel."""
+    """Channel-shaped accounting view summing every shard's channel.
 
-    def __init__(self, router: "ShardRouter") -> None:
-        self._router = router
+    Holds the router's shard clients, not the router: a view pointing
+    back at its owner would be a reference cycle keeping a closed
+    cluster alive until the cyclic collector runs.
+    """
+
+    def __init__(self, shard_clients: list) -> None:
+        self._shard_clients = shard_clients
 
     @property
     def bytes_sent(self) -> int:
-        return sum(
-            rpc.channel.bytes_sent for rpc in self._router.shard_clients
-        )
+        return sum(rpc.channel.bytes_sent for rpc in self._shard_clients)
 
     @property
     def bytes_received(self) -> int:
-        return sum(
-            rpc.channel.bytes_received for rpc in self._router.shard_clients
-        )
+        return sum(rpc.channel.bytes_received for rpc in self._shard_clients)
 
     @property
     def bytes_total(self) -> int:
@@ -218,18 +341,15 @@ class _ClusterChannel:
     @property
     def communication_time(self) -> float:
         return sum(
-            rpc.channel.communication_time
-            for rpc in self._router.shard_clients
+            rpc.channel.communication_time for rpc in self._shard_clients
         )
 
     @property
     def requests(self) -> int:
-        return sum(
-            rpc.channel.requests for rpc in self._router.shard_clients
-        )
+        return sum(rpc.channel.requests for rpc in self._shard_clients)
 
     def reset_accounting(self) -> None:
-        for rpc in self._router.shard_clients:
+        for rpc in self._shard_clients:
             rpc.channel.reset_accounting()
 
 
@@ -314,21 +434,7 @@ class ShardRouter:
             max_workers=max(1, len(self.shard_clients)),
             thread_name_prefix="shard-router",
         )
-        self._view = _ClusterChannel(self)
-        self._methods = {
-            "insert": self._call_insert,
-            "insert_bulk": self._call_insert_bulk,
-            "delete": self._call_delete,
-            "approx_knn": self._call_approx_knn,
-            "knn_batch": self._call_knn_batch,
-            "range": self._call_range,
-            "range_batch": self._call_range_batch,
-            "range_transformed": self._call_range_transformed,
-            "range_transformed_batch": self._call_range_transformed_batch,
-            "stats": self._call_stats,
-            "ping": self._call_ping,
-            "healthz": self._call_healthz,
-        }
+        self._view = _ClusterChannel(self.shard_clients)
 
     # -- RpcClient surface -------------------------------------------------
 
@@ -406,7 +512,9 @@ class ShardRouter:
         their dedup caches are independent, but the *sub-requests*
         differ per shard).
         """
-        handler = self._methods.get(method)
+        # looked up per call: a table of bound methods on the instance
+        # would be a reference cycle through the router
+        handler = getattr(self, f"_call_{method}", None)
         if handler is None:
             raise ProtocolError(
                 f"method {method!r} is not routable across shards"
@@ -552,7 +660,7 @@ class ShardRouter:
         cand_size: int,
         max_cells: int | None,
         deadline: float | None,
-    ) -> list[list[CandidateEntry]]:
+    ) -> tuple[tuple, list[np.ndarray]]:
         responses = self._scatter(
             "knn_scatter", scatter_body, deadline, strict=False
         )
@@ -579,7 +687,7 @@ class ShardRouter:
             max_cells if max_cells > 0 else None,
             deadline,
         )
-        return Reader(write_candidate_lists(merged).getvalue())
+        return Reader(write_candidate_lists(*merged).getvalue())
 
     def _call_approx_knn(
         self, data: bytes, deadline: float | None
@@ -596,14 +704,14 @@ class ShardRouter:
             .u32(max_cells)
             .getvalue()
         )
-        merged = self._knn_gather(
+        table, rows = self._knn_gather(
             scatter_body,
             1,
             cand_size,
             max_cells if max_cells > 0 else None,
             deadline,
         )
-        return Reader(write_candidates(merged[0]).getvalue())
+        return Reader(write_candidates(table, rows[0]).getvalue())
 
     def _range_gather(
         self,
@@ -611,7 +719,7 @@ class ShardRouter:
         scatter_body: bytes,
         n_queries: int,
         deadline: float | None,
-    ) -> list[list[CandidateEntry]]:
+    ) -> tuple[tuple, list[np.ndarray]]:
         responses = self._scatter(
             method, scatter_body, deadline, strict=False
         )
@@ -631,7 +739,7 @@ class ShardRouter:
         merged = self._range_gather(
             "range_scatter", data, distances.shape[0], deadline
         )
-        return Reader(write_candidate_lists(merged).getvalue())
+        return Reader(write_candidate_lists(*merged).getvalue())
 
     def _call_range(self, data: bytes, deadline: float | None) -> Reader:
         reader = Reader(data)
@@ -644,10 +752,10 @@ class ShardRouter:
             .f64(radius)
             .getvalue()
         )
-        merged = self._range_gather(
+        table, rows = self._range_gather(
             "range_scatter", scatter_body, 1, deadline
         )
-        return Reader(write_candidates(merged[0]).getvalue())
+        return Reader(write_candidates(table, rows[0]).getvalue())
 
     def _call_range_transformed_batch(
         self, data: bytes, deadline: float | None
@@ -659,7 +767,7 @@ class ShardRouter:
         merged = self._range_gather(
             "range_transformed_scatter", data, lows.shape[0], deadline
         )
-        return Reader(write_candidate_lists(merged).getvalue())
+        return Reader(write_candidate_lists(*merged).getvalue())
 
     def _call_range_transformed(
         self, data: bytes, deadline: float | None
@@ -674,10 +782,10 @@ class ShardRouter:
             .f64_matrix(highs[np.newaxis, :])
             .getvalue()
         )
-        merged = self._range_gather(
+        table, rows = self._range_gather(
             "range_transformed_scatter", scatter_body, 1, deadline
         )
-        return Reader(write_candidates(merged[0]).getvalue())
+        return Reader(write_candidates(table, rows[0]).getvalue())
 
     # -- diagnostics ---------------------------------------------------------
 

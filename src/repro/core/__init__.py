@@ -16,11 +16,10 @@
 from repro.core.client import DataOwner, EncryptedClient, Strategy
 from repro.core.cloud import SimilarityCloud
 from repro.core.costs import CostReport, CostTimer
-from repro.core.records import CandidateEntry, IndexedRecord
+from repro.core.records import IndexedRecord
 from repro.core.server import SimilarityCloudServer
 
 __all__ = [
-    "CandidateEntry",
     "CostReport",
     "CostTimer",
     "DataOwner",

@@ -72,7 +72,11 @@ from repro.metric.space import MetricSpace
 from repro.net.rpc import RpcClient
 from repro.parallel.scheduler import GLOBAL_STATS
 from repro.wire.encoding import Reader, Writer
-from repro.wire.scatter import read_candidate_table
+from repro.wire.scatter import (
+    candidate_tokens,
+    read_candidate_lists,
+    read_candidate_table,
+)
 
 __all__ = ["Strategy", "SearchHit", "EncryptedClient", "DataOwner"]
 
@@ -543,7 +547,7 @@ class EncryptedClient:
     # ------------------------------------------------------------------
 
     def _decrypt_candidates(
-        self, oids: list[int], payloads: list[bytes]
+        self, oids: np.ndarray, payloads: list[bytes]
     ) -> np.ndarray:
         """The ``(n, dim)`` plaintext matrix of ``n >= 1`` candidates.
 
@@ -553,14 +557,18 @@ class EncryptedClient:
         scattered into the same matrix; hit/miss counters record exactly
         how many candidates skipped decryption.
         """
+        if self.cache is None:
+            with self.costs.time(DECRYPTION):
+                plaintexts = self.secret_key.cipher.decrypt_many(payloads)
+            return payloads_to_matrix(plaintexts)
+        oids = oids.tolist()
         cached: dict[int, np.ndarray] = {}
-        if self.cache is not None:
-            for position, (oid, payload) in enumerate(zip(oids, payloads)):
-                vector = self.cache.get(oid, payload)
-                if vector is not None:
-                    cached[position] = vector
-            self.costs.add_count(CACHE_HITS, len(cached))
-            self.costs.add_count(CACHE_MISSES, len(payloads) - len(cached))
+        for position, (oid, payload) in enumerate(zip(oids, payloads)):
+            vector = self.cache.get(oid, payload)
+            if vector is not None:
+                cached[position] = vector
+        self.costs.add_count(CACHE_HITS, len(cached))
+        self.costs.add_count(CACHE_MISSES, len(payloads) - len(cached))
         misses = [p for p in range(len(payloads)) if p not in cached]
         if misses:
             with self.costs.time(DECRYPTION):
@@ -576,11 +584,10 @@ class EncryptedClient:
             if misses:
                 merged[misses] = matrix
             matrix = merged
-        if self.cache is not None:
-            for position in misses:
-                self.cache.put(
-                    oids[position], payloads[position], matrix[position].copy()
-                )
+        for position in misses:
+            self.cache.put(
+                oids[position], payloads[position], matrix[position].copy()
+            )
         return matrix
 
     def _select(
@@ -619,24 +626,18 @@ class EncryptedClient:
         refine_limit: int | None = None,
     ) -> list[SearchHit]:
         with self.costs.time(CLIENT):
-            oids, payloads = read_candidate_table(reader)
+            table = read_candidate_table(reader)
             reader.expect_end()
-            count = len(oids)
-            limit = count if refine_limit is None else min(refine_limit, count)
+            head = slice(None, refine_limit)
+            oids = table[0][head]
             hits: list[SearchHit] = []
-            if limit:
+            if len(oids):
                 vectors = self._decrypt_candidates(
-                    oids[:limit], payloads[:limit]
+                    oids, candidate_tokens(table, head)
                 )
-                hits = self._select(
-                    query,
-                    np.array(oids[:limit], dtype=np.uint64),
-                    vectors,
-                    radius,
-                    k,
-                )
-            self.costs.add_count("candidates_received", count)
-            self.costs.add_count("candidates_refined", limit)
+                hits = self._select(query, oids, vectors, radius, k)
+            self.costs.add_count("candidates_received", len(table[0]))
+            self.costs.add_count("candidates_refined", len(oids))
         return hits
 
     def _refine_batch(
@@ -650,29 +651,20 @@ class EncryptedClient:
     ) -> list[list[SearchHit]]:
         """Bulk refinement of a deduplicated batch response.
 
-        The wire format is a table of unique (oid, payload) candidates
-        followed by one index list per query (rank order). The union of
-        all refined heads is decrypted in a single pass; each query then
-        selects its hits from its own candidate rows.
+        The response is a table of unique candidates — an oid column
+        and one region of payload bytes — followed by one list of table
+        rows per query (rank order). The union of all refined heads is
+        cut out of the region and decrypted in a single pass; each
+        query then selects its hits from its own candidate rows.
         """
         with self.costs.time(CLIENT):
-            oids, payloads = read_candidate_table(reader)
-            n_queries = reader.u32()
-            if n_queries != queries.shape[0]:
+            table, index_lists = read_candidate_lists(reader)
+            if len(index_lists) != queries.shape[0]:
                 raise QueryError(
-                    f"batch response carries {n_queries} result lists "
-                    f"for {queries.shape[0]} queries"
+                    f"batch response carries {len(index_lists)} result "
+                    f"lists for {queries.shape[0]} queries"
                 )
-            index_lists = [reader.i32_array() for _ in range(n_queries)]
-            reader.expect_end()
-            for indices in index_lists:
-                if len(indices) and (
-                    indices.min() < 0 or indices.max() >= len(oids)
-                ):
-                    raise QueryError(
-                        "batch response references candidates outside "
-                        "the unique table"
-                    )
+            oids = table[0]
             heads = [indices[:refine_limit] for indices in index_lists]
             # the candidates any head refers to, in first-use order, and
             # each one's row in the decrypted matrix
@@ -683,16 +675,13 @@ class EncryptedClient:
             row_of[needed] = np.arange(len(needed))
             if len(needed):
                 vectors = self._decrypt_candidates(
-                    [oids[i] for i in needed.tolist()],
-                    [payloads[i] for i in needed.tolist()],
+                    oids[needed], candidate_tokens(table, needed)
                 )
-            oid_column = np.array(oids, dtype=np.uint64)
             results: list[list[SearchHit]] = []
             for query, indices, head in zip(queries, index_lists, heads):
                 results.append(
                     self._select(
-                        query, oid_column[head], vectors[row_of[head]],
-                        radius, k,
+                        query, oids[head], vectors[row_of[head]], radius, k
                     )
                     if len(head)
                     else []

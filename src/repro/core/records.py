@@ -33,7 +33,6 @@ from repro.wire.encoding import Reader, Writer
 __all__ = [
     "IndexedRecord",
     "RecordBatch",
-    "CandidateEntry",
     "vector_to_payload",
     "payload_to_vector",
     "payloads_to_matrix",
@@ -323,38 +322,6 @@ class RecordBatch:
                 zip(self.oids, self.payloads)
             )
         ]
-
-
-@dataclass
-class CandidateEntry:
-    """One pre-ranked candidate returned by the server to the client.
-
-    Only the object id and the opaque payload travel back — the
-    permutations/distances stay on the server, and the rank is implied
-    by list order (the paper's "pre-ranked candidate set").
-    """
-
-    oid: int
-    payload: bytes
-
-    def __post_init__(self) -> None:
-        self.payload = bytes(self.payload)
-
-    def write_to(self, writer: Writer) -> Writer:
-        """Append the entry's wire encoding to ``writer``."""
-        writer.u64(self.oid)
-        writer.blob(self.payload)
-        return writer
-
-    @classmethod
-    def read_from(cls, reader: Reader) -> "CandidateEntry":
-        """Decode one entry from ``reader``."""
-        return cls(reader.u64(), reader.blob())
-
-    @property
-    def wire_size(self) -> int:
-        """Exact encoded size in bytes."""
-        return 8 + 4 + len(self.payload)
 
 
 def vector_to_payload(vector: np.ndarray) -> bytes:

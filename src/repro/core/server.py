@@ -32,14 +32,17 @@ The server exposes these RPC methods:
     whole query batch (permutation/distance *matrices*), the index
     answers all queries with shared bucket loads and one vectorized
     promise kernel, and the response deduplicates candidates that occur
-    in several queries' sets — each unique (oid, payload) travels once,
-    followed by per-query index lists in rank order.
+    in several queries' sets — each unique candidate travels once, in
+    one candidate table (an oid column and one region of payload
+    bytes, :mod:`repro.wire.scatter`), followed by each query's list of
+    table rows in rank order.
 ``knn_scatter`` / ``range_scatter`` / ``range_transformed_scatter``
     Shard-local forms of the batched searches for the scatter–gather
     cluster (request bodies identical to their ``*_batch``
     counterparts): instead of final candidate sets they return the
     visited per-leaf candidate groups tagged with the global ordering
-    keys, so the client-side
+    keys — a candidate table that is the visited leaves end to end,
+    plus flat group columns — so the client-side
     :class:`~repro.cluster.router.ShardRouter` can interleave the
     groups of every shard, replay the stopping rule, and reproduce the
     single-server answer bit for bit.
@@ -300,30 +303,30 @@ class SimilarityCloudServer:
         if cand_size == 0:
             raise QueryError("cand_size must be positive")
         with self._lock.read():
-            candidate_lists = self.index.approx_knn_candidates_batch(
+            records, rows = self.index.approx_knn_candidates_batch(
                 permutations,
                 cand_size,
                 max_cells=max_cells if max_cells > 0 else None,
             )
-        return _write_candidate_lists(candidate_lists)
+        return _write_candidate_lists(records, rows)
 
     def _handle_range_batch(self, body: Reader) -> Writer:
         distances = body.f64_matrix()
         radius = body.f64()
         body.expect_end()
         with self._lock.read():
-            candidate_lists = self.index.range_search_batch(distances, radius)
-        return _write_candidate_lists(candidate_lists)
+            records, rows = self.index.range_search_batch(distances, radius)
+        return _write_candidate_lists(records, rows)
 
     def _handle_range_transformed_batch(self, body: Reader) -> Writer:
         lows = body.f64_matrix()
         highs = body.f64_matrix()
         body.expect_end()
         with self._lock.read():
-            candidate_lists = self.index.range_search_transformed_batch(
+            records, rows = self.index.range_search_transformed_batch(
                 lows, highs
             )
-        return _write_candidate_lists(candidate_lists)
+        return _write_candidate_lists(records, rows)
 
     def _handle_knn_scatter(self, body: Reader) -> Writer:
         permutations = body.i32_matrix()
@@ -333,30 +336,32 @@ class SimilarityCloudServer:
         if cand_size == 0:
             raise QueryError("cand_size must be positive")
         with self._lock.read():
-            query_groups = self.index.approx_knn_scatter_batch(
+            records, query_groups = self.index.approx_knn_scatter_batch(
                 permutations,
                 cand_size,
                 max_cells=max_cells if max_cells > 0 else None,
             )
-        return write_knn_scatter_response(query_groups)
+        return write_knn_scatter_response(records, query_groups)
 
     def _handle_range_scatter(self, body: Reader) -> Writer:
         distances = body.f64_matrix()
         radius = body.f64()
         body.expect_end()
         with self._lock.read():
-            query_groups = self.index.range_scatter_batch(distances, radius)
-        return write_range_scatter_response(query_groups)
+            records, query_groups = self.index.range_scatter_batch(
+                distances, radius
+            )
+        return write_range_scatter_response(records, query_groups)
 
     def _handle_range_transformed_scatter(self, body: Reader) -> Writer:
         lows = body.f64_matrix()
         highs = body.f64_matrix()
         body.expect_end()
         with self._lock.read():
-            query_groups = self.index.range_transformed_scatter_batch(
-                lows, highs
+            records, query_groups = (
+                self.index.range_transformed_scatter_batch(lows, highs)
             )
-        return write_range_scatter_response(query_groups)
+        return write_range_scatter_response(records, query_groups)
 
     def _handle_export_cells(self, body: Reader) -> Writer:
         pivots = body.i32_array()

@@ -22,11 +22,15 @@ Search algorithms implemented (paper §4.1 / §4.2):
 Each search has a batched variant (:meth:`MIndex.range_search_batch`,
 :meth:`MIndex.approx_knn_candidates_batch`, ...) that answers many
 queries in one call. Batched searches return exactly the same per-query
-results as the looped single-query forms; they amortize work across the
-batch — cell promises for all queries are computed in one vectorized
-kernel, and bucket loads and per-bucket matrices are shared — which is
-what makes the server's ``*_batch`` RPC methods faster than fanning out
-single-query calls.
+results as the looped single-query forms, as columns: the records of
+every visited cell, each cell once, plus per query the *rows* of that
+list that are its candidates — no object is built per candidate, which
+is what lets the server encode a response (and a shard its scatter
+groups, the ``*_scatter_batch`` forms) with array operations. They
+amortize work across the batch — cell promises for all queries are
+computed in one vectorized kernel, and bucket loads and per-bucket
+matrices are shared — which is what makes the server's ``*_batch`` RPC
+methods faster than fanning out single-query calls.
 
 Searches are read-only with respect to the cell tree and storage, so
 any number may run concurrently; only :meth:`MIndex.insert`,
@@ -402,8 +406,10 @@ class MIndex:
         if radius < 0:
             raise QueryError(f"radius must be >= 0, got {radius}")
         stats = stats if stats is not None else RangeSearchStats()
-        groups = self._range_groups_batch(q[np.newaxis, :], radius, [stats])[0]
-        return [record for _prefix, kept in groups for record in kept]
+        records, groups = self._range_groups_batch(
+            q[np.newaxis, :], radius, [stats]
+        )
+        return self._records_at(records, groups[0])
 
     def _double_pivot_bound(
         self, q: np.ndarray, order: np.ndarray, prefix: tuple[int, ...]
@@ -446,28 +452,6 @@ class MIndex:
                 bound = level_bound
         return bound
 
-    @staticmethod
-    def _pivot_filter(
-        q: np.ndarray,
-        radius: float,
-        records: list[IndexedRecord],
-        stats: RangeSearchStats,
-    ) -> list[IndexedRecord]:
-        """Per-object pivot filtering (Algorithm 3 lines 5–7)."""
-        with_distances = [r for r in records if r.distances is not None]
-        if len(with_distances) != len(records):
-            raise QueryError(
-                "range search requires records stored with pivot "
-                "distances (the precise strategy)"
-            )
-        if not records:
-            return []
-        matrix = np.stack([r.distances for r in records])
-        lower_bounds = np.abs(matrix - q).max(axis=1)
-        keep = lower_bounds <= radius
-        stats.records_filtered += int((~keep).sum())
-        return [record for record, flag in zip(records, keep) if flag]
-
     # ------------------------------------------------------------------
     # transformed precise range search (paper §6 future work)
     # ------------------------------------------------------------------
@@ -506,10 +490,10 @@ class MIndex:
         if np.any(lows > highs):
             raise QueryError("interval lows must not exceed highs")
         stats = stats if stats is not None else RangeSearchStats()
-        groups = self._range_transformed_groups_batch(
+        records, groups = self._range_transformed_groups_batch(
             lows[np.newaxis, :], highs[np.newaxis, :], [stats]
-        )[0]
-        return [record for _prefix, kept in groups for record in kept]
+        )
+        return self._records_at(records, groups[0])
 
     @staticmethod
     def _interval_prunes_leaf(
@@ -524,25 +508,6 @@ class MIndex:
             if high < lows[pivot] or low > highs[pivot]:
                 return True
         return False
-
-    @staticmethod
-    def _interval_filter(
-        lows: np.ndarray,
-        highs: np.ndarray,
-        records: list[IndexedRecord],
-        stats: RangeSearchStats,
-    ) -> list[IndexedRecord]:
-        if not records:
-            return []
-        if any(r.distances is None for r in records):
-            raise QueryError(
-                "transformed range search requires records stored with "
-                "(transformed) pivot distances"
-            )
-        matrix = np.stack([r.distances for r in records])
-        keep = np.all((matrix >= lows) & (matrix <= highs), axis=1)
-        stats.records_filtered += int((~keep).sum())
-        return [record for record, flag in zip(records, keep) if flag]
 
     # ------------------------------------------------------------------
     # approximate k-NN (Algorithm 4)
@@ -634,32 +599,39 @@ class MIndex:
         cand_size: int,
         *,
         max_cells: int | None = None,
-    ) -> list[list[IndexedRecord]]:
+    ) -> tuple[list[IndexedRecord], list[np.ndarray]]:
         """Pre-ranked candidate sets for a whole batch of k-NN queries.
 
-        Returns exactly ``approx_knn_candidates(perm, ...)`` for each row
-        of ``query_permutations``, but amortizes the work: the cell
+        Returns ``(records, rows)``: the records of every visited cell,
+        each cell once, and per query the positions in ``records`` of
+        its candidates, best first — ``[records[i] for i in rows[q]]``
+        is exactly ``approx_knn_candidates(perm, ...)`` for row ``q`` of
+        ``query_permutations``. The work is amortized: the cell
         promises of every (query, cell) pair come out of one vectorized
         kernel — the promise weights and integer rank displacements are
         exactly representable, so the result is bit-identical to the
-        per-leaf loop — and bucket loads plus the per-bucket permutation
-        matrices are shared across the batch.
+        per-leaf loop — bucket loads plus the per-bucket permutation
+        matrices are shared across the batch, and the final
+        ``(promise, score, oid)`` order is one ``lexsort`` per query
+        over columns, with no object built per candidate.
         """
-        groups_per_query = self._knn_groups_batch(
+        records, groups_per_query = self._knn_groups_batch(
             query_permutations, cand_size, max_cells
         )
-        results: list[list[IndexedRecord]] = []
+        oids = np.fromiter(
+            (record.oid for record in records), np.uint64, len(records)
+        )
+        rows_per_query: list[np.ndarray] = []
         for groups in groups_per_query:
-            collected = [
-                (promise, score, record)
-                for promise, _prefix, records, scores in groups
-                for score, record in zip(scores, records)
-            ]
-            collected.sort(key=lambda item: (item[0], item[1], item[2].oid))
-            results.append(
-                [record for _p, _s, record in collected[:cand_size]]
-            )
-        return results
+            if not groups:
+                rows_per_query.append(np.empty(0, dtype=np.int64))
+                continue
+            promises, _prefixes, rows, scores = zip(*groups)
+            promises = np.repeat(promises, [len(run) for run in rows])
+            rows, scores = np.concatenate(rows), np.concatenate(scores)
+            order = np.lexsort((oids[rows], scores, promises))
+            rows_per_query.append(rows[order[:cand_size]])
+        return records, rows_per_query
 
     def approx_knn_scatter_batch(
         self,
@@ -667,11 +639,14 @@ class MIndex:
         cand_size: int,
         *,
         max_cells: int | None = None,
-    ) -> list[list[tuple]]:
+    ) -> tuple[list[IndexedRecord], list[list[tuple]]]:
         """Per-query visited leaf groups for scatter–gather kNN.
 
-        Each group is ``(promise, prefix, records, scores)`` in this
-        index's visit order, produced under the *local* stopping rule
+        Returns ``(records, groups)``: the records of every visited
+        cell, each cell once, and per query its
+        ``(promise, prefix, rows, scores)`` groups in this index's
+        visit order — ``rows`` are the cell's positions in ``records``,
+        a contiguous run — produced under the *local* stopping rule
         (stop once this index alone collected ``cand_size`` records or
         accessed ``max_cells`` cells). For any shard of a prefix-
         partitioned cluster, the shard-local visit order is the global
@@ -690,9 +665,10 @@ class MIndex:
         query_permutations: np.ndarray,
         cand_size: int,
         max_cells: int | None,
-    ) -> list[list[tuple]]:
-        """The shared batch kNN traversal: per query, the visited
-        ``(promise, prefix, records, scores)`` leaf groups in promise
+    ) -> tuple[list[IndexedRecord], list[list[tuple]]]:
+        """The shared batch kNN traversal: the visited cells' records
+        end to end and, per query, the visited
+        ``(promise, prefix, rows, scores)`` leaf groups in promise
         order, with vectorized promises and shared bucket loads."""
         perms = np.asarray(query_permutations, dtype=np.int64)
         if perms.ndim != 2 or perms.shape[1] != self.n_pivots:
@@ -705,8 +681,9 @@ class MIndex:
         if max_cells is not None and max_cells <= 0:
             raise QueryError(f"max_cells must be positive, got {max_cells}")
         n_queries = perms.shape[0]
+        visited: list[IndexedRecord] = []
         if n_queries == 0:
-            return []
+            return visited, []
         # each row must be a permutation of 0..n_pivots-1 — matching the
         # single-query path's validation — or put_along_axis below would
         # leave uninitialized rank slots
@@ -728,15 +705,16 @@ class MIndex:
         )
         leaves = [leaf for leaf in self.tree.leaves() if leaf.count > 0]
         if not leaves:
-            return [[] for _ in range(n_queries)]
+            return visited, [[] for _ in range(n_queries)]
         promises = self._promise_matrix(ranks, leaves)
         # ordinal encoding of the prefix tie-breaker used by the
         # single-query sort key (promise, prefix)
         prefix_rank = np.empty(len(leaves), dtype=np.int64)
         by_prefix = sorted(range(len(leaves)), key=lambda i: leaves[i].prefix)
         prefix_rank[by_prefix] = np.arange(len(leaves), dtype=np.int64)
-        bucket_cache: dict[tuple[int, ...], list[IndexedRecord]] = {}
-        prefix_stack_cache: dict[tuple[int, ...], np.ndarray] = {}
+        # per loaded cell: its rows in ``visited`` and its stacked
+        # permutation prefixes (None for a cell that loaded empty)
+        loaded: dict[tuple[int, ...], tuple | None] = {}
         depth = min(_RANK_PREFIX, self.n_pivots)
         positions = np.arange(depth, dtype=np.int64)
         groups_per_query: list[list[tuple]] = []
@@ -751,27 +729,36 @@ class MIndex:
                 if max_cells is not None and cells_accessed >= max_cells:
                     break
                 leaf = leaves[li]
-                records = bucket_cache.get(leaf.prefix)
-                if records is None:
+                if leaf.prefix not in loaded:
                     records = self.storage.load(leaf.prefix)
-                    bucket_cache[leaf.prefix] = records
+                    loaded[leaf.prefix] = (
+                        self._append_cell(visited, records),
+                        np.stack([r.permutation[:depth] for r in records]),
+                    ) if records else None
                 cells_accessed += 1
-                if not records:
+                if loaded[leaf.prefix] is None:
                     continue
-                stack = prefix_stack_cache.get(leaf.prefix)
-                if stack is None:
-                    stack = np.stack([r.permutation[:depth] for r in records])
-                    prefix_stack_cache[leaf.prefix] = stack
+                rows, stack = loaded[leaf.prefix]
                 scores = (
                     np.abs(ranks[qi][stack] - positions)
                     .sum(axis=1)
                     .astype(np.float64)
                 )
                 promise = float(promises[qi, li])
-                groups.append((promise, leaf.prefix, records, scores))
-                n_collected += len(records)
+                groups.append((promise, leaf.prefix, rows, scores))
+                n_collected += len(rows)
             groups_per_query.append(groups)
-        return groups_per_query
+        return visited, groups_per_query
+
+    @staticmethod
+    def _append_cell(
+        visited: list[IndexedRecord], records: list[IndexedRecord]
+    ) -> np.ndarray:
+        """Put a loaded cell's records at the end of ``visited``; their
+        rows there."""
+        rows = np.arange(len(visited), len(visited) + len(records))
+        visited.extend(records)
+        return rows
 
     @staticmethod
     def _promise_matrix(
@@ -836,12 +823,39 @@ class MIndex:
         radius: float,
         *,
         stats: list[RangeSearchStats] | None = None,
-    ) -> list[list[IndexedRecord]]:
+    ) -> tuple[list[IndexedRecord], list[np.ndarray]]:
         """Candidate sets for a batch of range queries (one shared radius).
 
-        Per-query results are identical to looped :meth:`range_search`
-        calls; bucket loads and the per-bucket distance matrices used by
-        pivot filtering are computed once and shared across the batch.
+        Returns ``(records, rows)`` like
+        :meth:`approx_knn_candidates_batch`: ``[records[i] for i in
+        rows[q]]`` is identical to ``range_search`` for query ``q``;
+        bucket loads and the per-bucket distance matrices used by pivot
+        filtering are computed once and shared across the batch.
+        """
+        records, groups_per_query = self.range_scatter_batch(
+            query_distances, radius, stats=stats
+        )
+        return records, [self._rows_of(groups) for groups in groups_per_query]
+
+    def range_scatter_batch(
+        self,
+        query_distances: np.ndarray,
+        radius: float,
+        *,
+        stats: list[RangeSearchStats] | None = None,
+    ) -> tuple[list[IndexedRecord], list[list[tuple]]]:
+        """Per-query range candidates as per-leaf groups, for
+        scatter–gather merging and as the core of
+        :meth:`range_search_batch`.
+
+        Returns ``(records, groups)``: the records of every scanned
+        cell, each cell once, and per query its ``(prefix, rows)``
+        groups in leaf order, ``rows`` being the positions in
+        ``records`` that passed the pivot filter. Because leaves are
+        visited in lexicographic prefix order and a prefix-partitioned
+        shard holds whole top-pivot subtrees, a router that orders the
+        groups of all shards by ``prefix[0]`` (stably) and concatenates
+        reproduces the single-server candidate order.
         """
         q_matrix = np.asarray(query_distances, dtype=np.float64)
         if q_matrix.ndim != 2 or q_matrix.shape[1] != self.n_pivots:
@@ -851,32 +865,45 @@ class MIndex:
             )
         if radius < 0:
             raise QueryError(f"radius must be >= 0, got {radius}")
-        if stats is not None and len(stats) != q_matrix.shape[0]:
+        return self._range_groups_batch(
+            q_matrix, radius, self._stats_for(stats, q_matrix.shape[0])
+        )
+
+    @staticmethod
+    def _stats_for(
+        stats: list[RangeSearchStats] | None, n_queries: int
+    ) -> list[RangeSearchStats]:
+        if stats is None:
+            return [RangeSearchStats() for _ in range(n_queries)]
+        if len(stats) != n_queries:
             raise QueryError(
                 f"stats list of {len(stats)} does not match batch of "
-                f"{q_matrix.shape[0]}"
+                f"{n_queries}"
             )
-        stats_list = (
-            stats
-            if stats is not None
-            else [RangeSearchStats() for _ in range(q_matrix.shape[0])]
-        )
-        groups_per_query = self._range_groups_batch(
-            q_matrix, radius, stats_list
-        )
-        return [
-            [record for _prefix, kept in groups for record in kept]
-            for groups in groups_per_query
-        ]
+        return stats
+
+    @staticmethod
+    def _rows_of(groups: list[tuple]) -> np.ndarray:
+        """One query's candidate rows, its groups end to end."""
+        if not groups:
+            return np.empty(0, dtype=np.int64)
+        return np.concatenate([rows for _prefix, rows in groups])
+
+    @classmethod
+    def _records_at(
+        cls, records: list[IndexedRecord], groups: list[tuple]
+    ) -> list[IndexedRecord]:
+        """The record-list view of one query's groups."""
+        return [records[row] for row in cls._rows_of(groups).tolist()]
 
     def _range_groups_batch(
         self,
         q_matrix: np.ndarray,
         radius: float,
         stats_list: list[RangeSearchStats],
-    ) -> list[list[tuple[tuple[int, ...], list[IndexedRecord]]]]:
-        """Range candidates per query as ``(leaf_prefix, records)``
-        groups in leaf order.
+    ) -> tuple[list[IndexedRecord], list[list[tuple]]]:
+        """Range candidates per query as ``(leaf_prefix, rows)`` groups
+        in leaf order, over the scanned cells' records end to end.
 
         Visits are restructured prune-first: every query's surviving
         leaves are determined before any bucket is touched, then the
@@ -903,6 +930,27 @@ class MIndex:
                     continue
                 surviving.append(position)
             survivors.append(surviving)
+        return self._filter_survivors(
+            leaves,
+            survivors,
+            stats_list,
+            lambda qi, matrix: (
+                np.abs(matrix - q_matrix[qi]).max(axis=1) <= radius
+            ),
+        )
+
+    def _filter_survivors(
+        self,
+        leaves: list[LeafCell],
+        survivors: list[list[int]],
+        stats_list: list[RangeSearchStats],
+        passes,
+    ) -> tuple[list[IndexedRecord], list[list[tuple]]]:
+        """Second half of both range traversals: fetch the union of
+        the surviving cells in one :meth:`_bulk_load_leaves` call, then
+        per query apply the per-object filter — ``passes(query index,
+        distance matrix)`` is the mask of a cell's records to keep — to
+        each of its surviving cells."""
         bucket_cache = self._bulk_load_leaves(
             [
                 leaves[position].prefix
@@ -911,38 +959,36 @@ class MIndex:
                 )
             ]
         )
-        matrix_cache: dict[tuple[int, ...], np.ndarray] = {}
-        groups_per_query: list[
-            list[tuple[tuple[int, ...], list[IndexedRecord]]]
-        ] = []
-        for q, surviving, query_stats in zip(
-            q_matrix, survivors, stats_list
+        scanned: list[IndexedRecord] = []
+        # per scanned cell: its rows in ``scanned``, its distance matrix
+        cells: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
+        groups_per_query: list[list[tuple]] = []
+        for qi, (surviving, query_stats) in enumerate(
+            zip(survivors, stats_list)
         ):
-            groups: list[tuple[tuple[int, ...], list[IndexedRecord]]] = []
+            groups: list[tuple] = []
             n_candidates = 0
             for position in surviving:
-                leaf = leaves[position]
-                records = bucket_cache[leaf.prefix]
+                prefix = leaves[position].prefix
+                records = bucket_cache[prefix]
                 query_stats.cells_accessed += 1
                 query_stats.records_scanned += len(records)
                 if not records:
                     continue
-                matrix = matrix_cache.get(leaf.prefix)
-                if matrix is None:
-                    matrix = self._distance_matrix(records)
-                    matrix_cache[leaf.prefix] = matrix
-                lower_bounds = np.abs(matrix - q).max(axis=1)
-                keep = lower_bounds <= radius
-                query_stats.records_filtered += int((~keep).sum())
-                kept = [
-                    record for record, flag in zip(records, keep) if flag
-                ]
+                if prefix not in cells:
+                    cells[prefix] = (
+                        self._append_cell(scanned, records),
+                        self._distance_matrix(records),
+                    )
+                rows, matrix = cells[prefix]
+                kept = rows[passes(qi, matrix)]
+                query_stats.records_filtered += len(rows) - len(kept)
                 n_candidates += len(kept)
-                if kept:
-                    groups.append((leaf.prefix, kept))
+                if len(kept):
+                    groups.append((prefix, kept))
             query_stats.candidates = n_candidates
             groups_per_query.append(groups)
-        return groups_per_query
+        return scanned, groups_per_query
 
     def range_search_transformed_batch(
         self,
@@ -950,10 +996,24 @@ class MIndex:
         highs: np.ndarray,
         *,
         stats: list[RangeSearchStats] | None = None,
-    ) -> list[list[IndexedRecord]]:
+    ) -> tuple[list[IndexedRecord], list[np.ndarray]]:
         """Batched :meth:`range_search_transformed` with shared bucket
-        loads and per-bucket matrices; per-query results are identical
+        loads and per-bucket matrices, as ``(records, rows)`` (see
+        :meth:`range_search_batch`); per-query results are identical
         to the looped single-query calls."""
+        records, groups_per_query = self.range_transformed_scatter_batch(
+            lows, highs, stats=stats
+        )
+        return records, [self._rows_of(groups) for groups in groups_per_query]
+
+    def range_transformed_scatter_batch(
+        self,
+        lows: np.ndarray,
+        highs: np.ndarray,
+        *,
+        stats: list[RangeSearchStats] | None = None,
+    ) -> tuple[list[IndexedRecord], list[list[tuple]]]:
+        """Transformed-interval analog of :meth:`range_scatter_batch`."""
         low_matrix = np.asarray(lows, dtype=np.float64)
         high_matrix = np.asarray(highs, dtype=np.float64)
         if (
@@ -968,33 +1028,21 @@ class MIndex:
             )
         if np.any(low_matrix > high_matrix):
             raise QueryError("interval lows must not exceed highs")
-        if stats is not None and len(stats) != low_matrix.shape[0]:
-            raise QueryError(
-                f"stats list of {len(stats)} does not match batch of "
-                f"{low_matrix.shape[0]}"
-            )
-        stats_list = (
-            stats
-            if stats is not None
-            else [RangeSearchStats() for _ in range(low_matrix.shape[0])]
+        return self._range_transformed_groups_batch(
+            low_matrix,
+            high_matrix,
+            self._stats_for(stats, low_matrix.shape[0]),
         )
-        groups_per_query = self._range_transformed_groups_batch(
-            low_matrix, high_matrix, stats_list
-        )
-        return [
-            [record for _prefix, kept in groups for record in kept]
-            for groups in groups_per_query
-        ]
 
     def _range_transformed_groups_batch(
         self,
         low_matrix: np.ndarray,
         high_matrix: np.ndarray,
         stats_list: list[RangeSearchStats],
-    ) -> list[list[tuple[tuple[int, ...], list[IndexedRecord]]]]:
+    ) -> tuple[list[IndexedRecord], list[list[tuple]]]:
         """Transformed-interval analog of :meth:`_range_groups_batch`:
-        prune every query first, prefetch the union of surviving cells
-        in one :meth:`_bulk_load_leaves` call, then filter."""
+        prune every query first, then fetch and filter through
+        :meth:`_filter_survivors`."""
         leaves = self.tree.leaves()
         survivors: list[list[int]] = []
         for low, high, query_stats in zip(
@@ -1008,45 +1056,15 @@ class MIndex:
                     continue
                 surviving.append(position)
             survivors.append(surviving)
-        bucket_cache = self._bulk_load_leaves(
-            [
-                leaves[position].prefix
-                for position in sorted(
-                    {p for surviving in survivors for p in surviving}
-                )
-            ]
+        return self._filter_survivors(
+            leaves,
+            survivors,
+            stats_list,
+            lambda qi, matrix: np.all(
+                (matrix >= low_matrix[qi]) & (matrix <= high_matrix[qi]),
+                axis=1,
+            ),
         )
-        matrix_cache: dict[tuple[int, ...], np.ndarray] = {}
-        groups_per_query: list[
-            list[tuple[tuple[int, ...], list[IndexedRecord]]]
-        ] = []
-        for low, high, surviving, query_stats in zip(
-            low_matrix, high_matrix, survivors, stats_list
-        ):
-            groups: list[tuple[tuple[int, ...], list[IndexedRecord]]] = []
-            n_candidates = 0
-            for position in surviving:
-                leaf = leaves[position]
-                records = bucket_cache[leaf.prefix]
-                query_stats.cells_accessed += 1
-                query_stats.records_scanned += len(records)
-                if not records:
-                    continue
-                matrix = matrix_cache.get(leaf.prefix)
-                if matrix is None:
-                    matrix = self._distance_matrix(records)
-                    matrix_cache[leaf.prefix] = matrix
-                keep = np.all((matrix >= low) & (matrix <= high), axis=1)
-                query_stats.records_filtered += int((~keep).sum())
-                kept = [
-                    record for record, flag in zip(records, keep) if flag
-                ]
-                n_candidates += len(kept)
-                if kept:
-                    groups.append((leaf.prefix, kept))
-            query_stats.candidates = n_candidates
-            groups_per_query.append(groups)
-        return groups_per_query
 
     def _bulk_load_leaves(
         self, prefixes: list[tuple[int, ...]]
@@ -1071,79 +1089,8 @@ class MIndex:
         return np.stack([r.distances for r in records])
 
     # ------------------------------------------------------------------
-    # scatter–gather sharding surface
+    # rebalance surface
     # ------------------------------------------------------------------
-
-    def range_scatter_batch(
-        self, query_distances: np.ndarray, radius: float
-    ) -> list[list[tuple]]:
-        """Per-query range candidates as ``(top_pivot, records)`` groups
-        for scatter–gather merging.
-
-        Validation and per-leaf work are exactly those of
-        :meth:`range_search_batch`; the filtered records are regrouped
-        by top-level pivot (``-1`` while this index's root has not
-        split), in leaf order within each group. Because leaves are
-        visited in lexicographic prefix order and a prefix-partitioned
-        shard holds *contiguous* top-pivot runs, a router can sort the
-        groups of all shards by top pivot and concatenate to reproduce
-        the single-server candidate order.
-        """
-        q_matrix = np.asarray(query_distances, dtype=np.float64)
-        if q_matrix.ndim != 2 or q_matrix.shape[1] != self.n_pivots:
-            raise QueryError(
-                f"query distances must have shape (batch, {self.n_pivots}), "
-                f"got {q_matrix.shape}"
-            )
-        if radius < 0:
-            raise QueryError(f"radius must be >= 0, got {radius}")
-        stats_list = [RangeSearchStats() for _ in range(q_matrix.shape[0])]
-        groups_per_query = self._range_groups_batch(
-            q_matrix, radius, stats_list
-        )
-        return [self._top_pivot_groups(groups) for groups in groups_per_query]
-
-    def range_transformed_scatter_batch(
-        self, lows: np.ndarray, highs: np.ndarray
-    ) -> list[list[tuple]]:
-        """Transformed-interval analog of :meth:`range_scatter_batch`."""
-        low_matrix = np.asarray(lows, dtype=np.float64)
-        high_matrix = np.asarray(highs, dtype=np.float64)
-        if (
-            low_matrix.ndim != 2
-            or low_matrix.shape[1] != self.n_pivots
-            or high_matrix.shape != low_matrix.shape
-        ):
-            raise QueryError(
-                f"interval matrices must have shape (batch, "
-                f"{self.n_pivots}), got {low_matrix.shape} and "
-                f"{high_matrix.shape}"
-            )
-        if np.any(low_matrix > high_matrix):
-            raise QueryError("interval lows must not exceed highs")
-        stats_list = [
-            RangeSearchStats() for _ in range(low_matrix.shape[0])
-        ]
-        groups_per_query = self._range_transformed_groups_batch(
-            low_matrix, high_matrix, stats_list
-        )
-        return [self._top_pivot_groups(groups) for groups in groups_per_query]
-
-    @staticmethod
-    def _top_pivot_groups(
-        groups: list[tuple[tuple[int, ...], list[IndexedRecord]]],
-    ) -> list[tuple]:
-        """Merge leaf-order ``(prefix, records)`` groups into top-pivot
-        runs; leaves of one top pivot are consecutive in the sorted
-        leaf order, so one linear pass suffices."""
-        merged: list[tuple[int, list[IndexedRecord]]] = []
-        for prefix, kept in groups:
-            top_pivot = prefix[0] if prefix else -1
-            if merged and merged[-1][0] == top_pivot:
-                merged[-1][1].extend(kept)
-            else:
-                merged.append((top_pivot, list(kept)))
-        return merged
 
     def export_top_pivots(self, pivots: set[int]) -> list[IndexedRecord]:
         """All records whose top-level permutation element is in

@@ -181,6 +181,11 @@ class _PipelinedConnection:
             self._flushed.set()
 
 
+def _refuse(payload: bytes) -> bytes:
+    """The handler of a transport that has been shut down."""
+    raise ChannelError("the transport is shut down")
+
+
 class AsyncTcpServer:
     """Pipelined asyncio TCP server wrapping a ``bytes -> bytes`` handler.
 
@@ -523,6 +528,10 @@ class AsyncTcpServer:
         ).result(30)
         self._stop_loop()
         self._executor.shutdown(wait=False)
+        # the endpoint usually holds this transport, so a stopped
+        # transport that kept the endpoint's handler would be a cycle
+        # pinning the endpoint, its index and every record
+        self._handler = _refuse
 
     async def _shutdown(self) -> None:
         self._server.close()

@@ -17,13 +17,17 @@ class MemoryStorage:
 
     Keys are Voronoi-cell identifiers (permutation-prefix tuples). Byte
     accounting reflects the records' wire sizes so memory and disk
-    backends report comparable numbers. Counter updates are guarded by a
-    mutex so concurrent search handlers (the batched query engine runs
-    one reader thread per query) keep the accounting exact.
+    backends report comparable numbers; each cell's total is kept as
+    the cell is written, so a read charges it without walking the
+    records. Counter updates are guarded by a mutex so concurrent search
+    handlers (the batched query engine runs one reader thread per query)
+    keep the accounting exact.
     """
 
     def __init__(self) -> None:
         self._cells: dict[Hashable, list[IndexedRecord]] = {}
+        #: wire bytes of each cell's records, as of when they were written
+        self._cell_bytes: dict[Hashable, int] = {}
         self._accounting = threading.Lock()
         self.bytes_written = 0
         self.bytes_read = 0
@@ -42,9 +46,11 @@ class MemoryStorage:
 
     def save(self, cell_id: Hashable, records: list[IndexedRecord]) -> None:
         """Store (replace) the record list of a cell."""
-        self._cells[cell_id] = list(records)
+        size = sum(r.wire_size for r in records)
         with self._accounting:
-            self.bytes_written += sum(r.wire_size for r in records)
+            self._cells[cell_id] = list(records)
+            self._cell_bytes[cell_id] = size
+            self.bytes_written += size
             self.writes += 1
 
     def save_many(
@@ -62,10 +68,7 @@ class MemoryStorage:
 
     def append(self, cell_id: Hashable, record: IndexedRecord) -> None:
         """Append one record to a cell, creating it if missing."""
-        self._cells.setdefault(cell_id, []).append(record)
-        with self._accounting:
-            self.bytes_written += record.wire_size
-            self.writes += 1
+        self._extend(cell_id, [record])
 
     def append_many(
         self, cell_id: Hashable, records: list[IndexedRecord]
@@ -77,11 +80,15 @@ class MemoryStorage:
         this is what makes the group-wise bulk-insert path cheaper than
         per-record :meth:`append` calls.
         """
-        if not records:
-            return
-        self._cells.setdefault(cell_id, []).extend(records)
+        if records:
+            self._extend(cell_id, records)
+
+    def _extend(self, cell_id: Hashable, records: list[IndexedRecord]) -> None:
+        size = sum(r.wire_size for r in records)
         with self._accounting:
-            self.bytes_written += sum(r.wire_size for r in records)
+            self._cells.setdefault(cell_id, []).extend(records)
+            self._cell_bytes[cell_id] = self._cell_bytes.get(cell_id, 0) + size
+            self.bytes_written += size
             self.writes += 1
 
     def load(self, cell_id: Hashable) -> list[IndexedRecord]:
@@ -91,13 +98,13 @@ class MemoryStorage:
         answers it from its catalog without touching a file, and the
         backends must account identically (storage-contract parity).
         """
-        records = self._cells.get(cell_id)
-        if records is None:
-            return []
         with self._accounting:
-            self.bytes_read += sum(r.wire_size for r in records)
+            records = self._cells.get(cell_id)
+            if records is None:
+                return []
+            self.bytes_read += self._cell_bytes[cell_id]
             self.reads += 1
-        return list(records)
+            return list(records)
 
     def load_many(self, cell_ids) -> dict:
         """Return ``{cell_id: records}`` for many cells in one call.
@@ -114,10 +121,11 @@ class MemoryStorage:
 
     def delete(self, cell_id: Hashable) -> None:
         """Remove a cell entirely; charged as one physical write."""
-        if cell_id not in self._cells:
-            raise StorageError(f"cell {cell_id!r} does not exist")
-        del self._cells[cell_id]
         with self._accounting:
+            if cell_id not in self._cells:
+                raise StorageError(f"cell {cell_id!r} does not exist")
+            del self._cells[cell_id]
+            del self._cell_bytes[cell_id]
             self.writes += 1
 
     def cell_size(self, cell_id: Hashable) -> int:

@@ -122,12 +122,33 @@ class Writer:
         (no copies on the construction path).
         """
         self.u32(len(blobs))
-        lengths = np.empty(len(blobs), dtype="<u4")
-        for position, blob in enumerate(blobs):
-            lengths[position] = len(blob)
+        lengths = np.fromiter(map(len, blobs), dtype="<u4", count=len(blobs))
         self._parts.append(lengths.tobytes())
         for blob in blobs:
             self._parts.append(blob if type(blob) is bytes else bytes(blob))
+        return self
+
+    def blob_columns(self, lengths: np.ndarray, region) -> "Writer":
+        """Append a blob region given as columns — same layout as
+        :meth:`blob_region`, from the u32 length column and the payload
+        bytes already laid end to end.
+
+        ``region`` is any C-contiguous bytes-like object and is appended
+        without a copy, so the caller must leave it alone until
+        :meth:`getvalue`.
+        """
+        a = np.ascontiguousarray(lengths, dtype="<u4")
+        if a.ndim != 1:
+            raise ProtocolError(f"blob lengths must be 1-D, got {a.shape}")
+        view = region if type(region) is bytes else memoryview(region).cast("B")
+        if int(a.sum(dtype=np.uint64)) != len(view):
+            raise ProtocolError(
+                f"blob lengths sum to {int(a.sum(dtype=np.uint64))}, "
+                f"region holds {len(view)} bytes"
+            )
+        self.u32(a.shape[0])
+        self._parts.append(a.tobytes())
+        self._parts.append(view)
         return self
 
     def f64_matrix(self, arr: np.ndarray) -> "Writer":
@@ -233,20 +254,37 @@ class Reader:
             np.uint64
         )
 
-    def blob_region(self) -> list[bytes]:
-        """Read a columnar blob region written by
-        :meth:`Writer.blob_region`."""
+    def blob_columns(self) -> tuple[np.ndarray, memoryview]:
+        """Read a blob region as columns: ``count + 1`` int64 offsets
+        and a view of the payload bytes they delimit (blob ``i`` is
+        ``region[offsets[i]:offsets[i + 1]]``).
+
+        Nothing is built per blob and the region is not copied. The
+        count and the lengths come from outside, so both are checked
+        against the bytes actually present before anything is
+        allocated from them.
+        """
         count = self.u32()
         lengths = np.frombuffer(self._take(count * 4), dtype="<u4")
-        total = int(lengths.sum())
-        data = self._take(total)
-        blobs: list[bytes] = []
-        offset = 0
-        for length in lengths:
-            stop = offset + int(length)
-            blobs.append(data[offset:stop])
-            offset = stop
-        return blobs
+        total = int(lengths.sum(dtype=np.uint64))
+        if total > self.remaining():
+            raise ProtocolError(
+                f"blob region announces {total} payload bytes, "
+                f"{self.remaining()} remain"
+            )
+        offsets = np.zeros(count + 1, dtype=np.int64)
+        np.cumsum(lengths, out=offsets[1:])
+        region = memoryview(self._data)[self._pos : self._pos + total]
+        self._pos += total
+        return offsets, region
+
+    def blob_region(self) -> list[bytes]:
+        """Read a columnar blob region written by
+        :meth:`Writer.blob_region` as one ``bytes`` per blob."""
+        offsets, region = self.blob_columns()
+        data = bytes(region)
+        bounds = offsets.tolist()
+        return [data[a:b] for a, b in zip(bounds, bounds[1:])]
 
     def f64_matrix(self) -> np.ndarray:
         """Read a shape-prefixed float64 matrix."""

@@ -1,38 +1,64 @@
-"""Wire codecs for the sharded cluster's scatter–gather protocol.
+"""Wire codecs for candidate sets: the six search responses and the
+sharded cluster's scatter–gather protocol.
 
-A shard cannot apply the global kNN stopping rule (it only sees its own
-prefix range), so scatter responses carry *per-leaf candidate groups*
-tagged with the ordering keys the single-server search loop uses —
-``(promise, prefix)`` for kNN, the top-level pivot for range scans. The
-client-side router interleaves the groups of every shard into the exact
-single-server visit order, replays the stopping rule, and reproduces the
-single-server candidate stream bit for bit (asserted in
-``tests/unit/test_shard_router.py`` and ``bench_shard_scaling.py``).
+**The candidate table.** Candidates travel one way only — as a table of
+two columns, the ``u64`` oids and one blob region holding the opaque
+payloads (the layout :class:`~repro.core.records.RecordBatch` uses for
+inserts)::
 
-Like the batched search responses, each scatter response deduplicates
-payloads: every unique ``(oid, payload)`` travels once in a table and
-groups reference it by index, so a record surfacing in several queries'
-groups costs its bytes once.
+    u64_array   oids         u32 n | n x u64
+    blob_region payloads     u32 n | n x u32 length | payload bytes
 
-Also here: the shard-map codec (``u32 n_shards`` + the
-pivot→shard assignment column), the cell-dump codec used by equivalence
-benchmarks to fingerprint a remote index's cell tree, and the candidate
-writers shared by the single-server handlers and the router (moved from
-``core/server.py`` so both sides emit byte-identical responses through
-one implementation).
+:func:`read_candidate_table` hands it back as ``(oids, offsets,
+region)`` — payload ``i`` is ``region[offsets[i]:offsets[i + 1]]`` —
+without building anything per record; only the client cuts ``bytes``
+tokens out of the region (:func:`candidate_tokens`), and only for the
+candidates it decrypts. A *ragged column* (one variable-length list of
+integers per query or per group) is a column of sizes plus the values
+end to end. On top of these:
+
+* a single-query response (``approx_knn``, ``range``,
+  ``range_transformed``) is one table, in rank order;
+* a batch response (``*_batch``) is the table of every candidate any
+  query refers to, each once, in order of first use, plus a ragged
+  column of table rows per query, in rank order — candidate sets of a
+  batch overlap heavily, so a shared candidate costs its bytes once and
+  the client decrypts it once;
+* a scatter response (``*_scatter``) is a table plus flat columns
+  describing *per-leaf candidate groups*. A shard cannot apply the
+  global kNN stopping rule (it only sees its own prefix range), so it
+  answers with the leaves it visited, tagged with the ordering keys the
+  single-server search loop uses — ``(promise, prefix)`` for kNN, the
+  top-level pivot for range scans. The client-side router interleaves
+  the groups of every shard into the exact single-server visit order,
+  replays the stopping rule, and reproduces the single-server candidate
+  stream bit for bit (asserted in ``tests/unit/test_shard_router.py``
+  and ``bench_shard_scaling.py``).
+
+The writers take their candidates either as stored records (a server
+answering from its index) or as a table read off the wire (the router
+splicing shard answers), and emit the same bytes for the same
+candidates. Every count, length and row number a reader takes from the
+wire is checked against what is actually there before it is used.
+
+Also here: the shard-map codec (``u32 n_shards`` + the pivot→shard
+assignment column), the cell-dump codec used by equivalence benchmarks
+to fingerprint a remote index's cell tree, and the stats-map codec.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from repro.core.records import CandidateEntry, IndexedRecord
 from repro.exceptions import ProtocolError
 from repro.wire.encoding import Reader, Writer
 
 __all__ = [
-    "KnnScatterGroup",
-    "RangeScatterGroup",
+    "CandidateTable",
+    "candidate_tokens",
+    "per_query",
+    "read_candidate_lists",
     "read_candidate_table",
     "read_cell_dump",
     "read_knn_scatter_response",
@@ -48,217 +74,296 @@ __all__ = [
     "write_stats_map",
 ]
 
+#: a candidate table off the wire: the ``u64`` oid column, ``n + 1``
+#: int64 offsets, and the payload bytes they delimit (payload ``i`` is
+#: ``region[offsets[i]:offsets[i + 1]]``)
+CandidateTable = tuple[np.ndarray, np.ndarray, "memoryview | bytes"]
 
-class KnnScatterGroup:
-    """One visited leaf of a shard-local kNN search: the global ordering
-    key ``(promise, prefix)`` plus this leaf's scored candidates as
-    indices into the response's unique table."""
-
-    __slots__ = ("promise", "prefix", "indices", "scores")
-
-    def __init__(
-        self,
-        promise: float,
-        prefix: tuple[int, ...],
-        indices: np.ndarray,
-        scores: np.ndarray,
-    ) -> None:
-        self.promise = promise
-        self.prefix = prefix
-        self.indices = indices
-        self.scores = scores
+#: leads every concatenation of a list of columns that may be empty
+_NO_ROWS = np.empty(0, dtype=np.int64)
 
 
-class RangeScatterGroup:
-    """One top-level-pivot run of a shard-local range scan: the top
-    pivot (``-1`` while the shard's root has not split) plus filtered
-    candidates, in leaf order, as indices into the unique table."""
-
-    __slots__ = ("top_pivot", "indices")
-
-    def __init__(self, top_pivot: int, indices: np.ndarray) -> None:
-        self.top_pivot = top_pivot
-        self.indices = indices
+# -- the candidate table ----------------------------------------------------
 
 
-# -- candidate writers (shared single-server / router) --------------------
+def read_candidate_table(reader: Reader) -> CandidateTable:
+    """Decode a candidate table as ``(oids, offsets, region)``, the
+    region a view of the message, not a copy."""
+    oids = reader.u64_array()
+    offsets, region = reader.blob_columns()
+    if offsets.shape[0] - 1 != oids.shape[0]:
+        raise ProtocolError(
+            f"candidate table carries {oids.shape[0]} oids and "
+            f"{offsets.shape[0] - 1} payloads"
+        )
+    return oids, offsets, region
 
 
-def write_candidates(candidates: list[IndexedRecord]) -> Writer:
-    """Encode a candidate set: only oid + opaque payload go back."""
-    writer = Writer()
-    writer.u32(len(candidates))
-    for record in candidates:
-        CandidateEntry(record.oid, record.payload).write_to(writer)
-    return writer
-
-
-def read_candidate_table(reader: Reader) -> tuple[list[int], list[bytes]]:
-    """Decode a counted (oid, payload) table — a whole
-    :func:`write_candidates` response, or the unique table that opens a
-    batch or scatter response — as two columns in wire order."""
-    oids: list[int] = []
-    payloads: list[bytes] = []
-    for _ in range(reader.u32()):
-        oids.append(reader.u64())
-        payloads.append(reader.blob())
-    return oids, payloads
-
-
-def write_candidate_lists(
-    candidate_lists: list[list[IndexedRecord]],
-) -> Writer:
-    """Encode a batch of candidate sets with cross-query deduplication.
-
-    Candidate sets of a batch overlap heavily (nearby queries visit the
-    same cells), so each unique (oid, payload) travels once; every query
-    then gets a list of indices into that table, in its rank order. The
-    client decrypts the unique table once instead of once per query.
-    """
-    writer = Writer()
-    order: dict[int, int] = {}
-    uniques: list[IndexedRecord] = []
-    index_lists: list[list[int]] = []
-    for records in candidate_lists:
-        indices: list[int] = []
-        for record in records:
-            position = order.get(record.oid)
-            if position is None:
-                position = len(uniques)
-                order[record.oid] = position
-                uniques.append(record)
-            indices.append(position)
-        index_lists.append(indices)
-    writer.u32(len(uniques))
-    for record in uniques:
-        writer.u64(record.oid)
-        writer.blob(record.payload)
-    writer.u32(len(index_lists))
-    for indices in index_lists:
-        writer.i32_array(indices)
-    return writer
-
-
-# -- scatter responses ----------------------------------------------------
-
-
-def _write_unique_table(writer, group_lists, records_of):
-    """Dedup every record reachable through ``group_lists`` into a
-    (oid, payload) table, returning oid→index for group encoding."""
-    order: dict[int, int] = {}
-    uniques: list = []
-    for groups in group_lists:
-        for group in groups:
-            for record in records_of(group):
-                if record.oid not in order:
-                    order[record.oid] = len(uniques)
-                    uniques.append(record)
-    writer.u32(len(uniques))
-    for record in uniques:
-        writer.u64(record.oid)
-        writer.blob(record.payload)
-    return order
-
-
-def _read_unique_table(reader: Reader) -> list[CandidateEntry]:
+def candidate_tokens(
+    table: CandidateTable, rows=slice(None)
+) -> list[bytes]:
+    """The payloads of ``rows`` of a candidate table (an index array or
+    a slice; all of it by default) cut out of the region as ``bytes``,
+    in that order."""
+    _oids, offsets, region = table
     return [
-        CandidateEntry(oid, payload)
-        for oid, payload in zip(*read_candidate_table(reader))
+        bytes(region[start:stop])
+        for start, stop in zip(
+            offsets[:-1][rows].tolist(), offsets[1:][rows].tolist()
+        )
     ]
 
 
-def write_knn_scatter_response(
-    query_groups: list[list[tuple]],
-) -> Writer:
-    """Encode per-query kNN leaf groups.
+def _write_table(writer: Writer, source, rows: np.ndarray | None) -> None:
+    """Append the candidate table of ``rows`` of ``source`` (all of it
+    when None), in that order.
 
-    ``query_groups[q]`` is a list of ``(promise, prefix, records,
-    scores)`` tuples in this shard's visit order, as produced by
-    :meth:`MIndex.approx_knn_scatter_batch`.
+    ``source`` is a list of stored records, whose payloads go into the
+    message by identity, or an ``(oids, offsets, region)`` table off the
+    wire, whose payloads are gathered out of the region length by
+    length (one strided copy per distinct payload length, which for
+    cipher tokens of equal-sized objects is one copy).
+    """
+    if not isinstance(source, tuple):
+        chosen = (
+            source if rows is None else [source[row] for row in rows.tolist()]
+        )
+        writer.u64_array(
+            np.fromiter(
+                (record.oid for record in chosen), np.uint64, len(chosen)
+            )
+        )
+        writer.blob_region([record.payload for record in chosen])
+        return
+    oids, offsets, region = source
+    if rows is None:
+        writer.u64_array(oids)
+        writer.blob_columns(np.diff(offsets), region)
+        return
+    starts = offsets[rows]
+    lengths = offsets[rows + 1] - starts
+    targets = np.cumsum(lengths) - lengths
+    payloads = np.empty(int(lengths.sum()), dtype=np.uint8)
+    region = np.frombuffer(region, dtype=np.uint8)
+    for length in np.unique(lengths[lengths > 0]).tolist():
+        chosen = lengths == length
+        sliding_window_view(payloads, length, writeable=True)[
+            targets[chosen]
+        ] = sliding_window_view(region, length)[starts[chosen]]
+    writer.u64_array(oids[rows])
+    writer.blob_columns(lengths, payloads)
+
+
+def _write_ragged(writer: Writer, sizes, values) -> None:
+    """Append a ragged column: the lists' sizes, then their values end
+    to end."""
+    writer.i32_array(sizes)
+    writer.i32_array(values)
+
+
+def _read_ragged(reader: Reader, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """Decode a ragged column as ``(sizes, values)``, the sizes checked
+    to be non-negative and to add up to the values present."""
+    sizes = reader.i32_array()
+    values = reader.i32_array()
+    _check_sizes(sizes, values.shape[0], what)
+    return sizes, values
+
+
+def _check_sizes(sizes: np.ndarray, total: int, what: str) -> None:
+    if sizes.shape[0] and sizes.min() < 0:
+        raise ProtocolError(f"negative {what} size")
+    if int(sizes.sum(dtype=np.int64)) != total:
+        raise ProtocolError(
+            f"{what} sizes add up to {int(sizes.sum(dtype=np.int64))}, "
+            f"{total} follow"
+        )
+
+
+def _check_rows(rows: np.ndarray, table: CandidateTable) -> None:
+    """Row numbers off the wire must address the table they came with."""
+    if rows.shape[0] and (rows.min() < 0 or rows.max() >= table[0].shape[0]):
+        raise ProtocolError(
+            "response references candidates outside its table of "
+            f"{table[0].shape[0]}"
+        )
+
+
+# -- search responses -------------------------------------------------------
+
+
+def write_candidates(source, rows: np.ndarray | None = None) -> Writer:
+    """Encode a single-query candidate set — ``rows`` of ``source`` (see
+    :func:`_write_table`; all of it when None) in rank order. Only oid
+    + opaque payload go back."""
+    writer = Writer()
+    _write_table(writer, source, rows)
+    return writer
+
+
+def write_candidate_lists(source, rows_per_query: list) -> Writer:
+    """Encode a batch of candidate sets with cross-query deduplication.
+
+    ``rows_per_query[q]`` are the rows of ``source`` (see
+    :func:`_write_table`) that are query ``q``'s candidates, in rank
+    order. Every row any query uses travels once, in order of first
+    use, and each query gets its list as rows of that table — so two
+    sources holding the same candidates in the same per-query order
+    encode to the same bytes, whatever else they hold and however it is
+    laid out.
+    """
+    rows = np.concatenate([_NO_ROWS, *rows_per_query])
+    # first[r]: where row r is first used, len(rows) when it never is
+    first = np.full(int(rows.max()) + 1 if len(rows) else 0, len(rows))
+    np.minimum.at(first, rows, np.arange(len(rows)))
+    used = np.flatnonzero(first < len(rows))
+    used = used[np.argsort(first[used])]
+    first[used] = np.arange(len(used))
+    writer = Writer()
+    _write_table(writer, source, used)
+    _write_ragged(writer, [len(rows) for rows in rows_per_query], first[rows])
+    return writer
+
+
+def read_candidate_lists(
+    reader: Reader,
+) -> tuple[CandidateTable, list[np.ndarray]]:
+    """Decode a batch response as ``(table, rows_per_query)``, every
+    row checked to lie inside the table."""
+    table = read_candidate_table(reader)
+    sizes, rows = _read_ragged(reader, "candidate list")
+    reader.expect_end()
+    _check_rows(rows, table)
+    return table, per_query(rows, sizes)
+
+
+def per_query(rows: np.ndarray, sizes: np.ndarray) -> list[np.ndarray]:
+    """Cut a flat row column into one array per query of a batch."""
+    return np.split(rows, np.cumsum(sizes)[:-1]) if len(sizes) else []
+
+
+# -- scatter responses ------------------------------------------------------
+
+
+def _write_groups(
+    writer: Writer, records: list, query_groups: list, at: int
+) -> list:
+    """Open a scatter response — the table, the groups-per-query column
+    and the ragged column of each group's table rows — and return the
+    groups end to end.
+
+    ``group[at]`` holds a group's rows in ``records``. Every visited
+    cell sits in ``records`` once, so a row identifies a record: the
+    table is ``records`` less the rows no group refers to, and nothing
+    is looked up per record.
+    """
+    groups = [group for groups in query_groups for group in groups]
+    rows = np.concatenate([_NO_ROWS, *(group[at] for group in groups)])
+    used = np.zeros(len(records), dtype=bool)
+    used[rows] = True
+    _write_table(
+        writer, records, None if used.all() else np.flatnonzero(used)
+    )
+    writer.i32_array([len(groups) for groups in query_groups])
+    _write_ragged(
+        writer,
+        [len(group[at]) for group in groups],
+        (np.cumsum(used) - 1)[rows],
+    )
+    return groups
+
+
+def _read_groups(reader: Reader) -> tuple:
+    """Decode what :func:`_write_groups` wrote as ``(table,
+    groups_per_query, group_sizes, rows)``, checked for consistency."""
+    table = read_candidate_table(reader)
+    groups_per_query = reader.i32_array()
+    group_sizes, rows = _read_ragged(reader, "scatter group")
+    _check_sizes(groups_per_query, group_sizes.shape[0], "groups-per-query")
+    _check_rows(rows, table)
+    return table, groups_per_query, group_sizes, rows
+
+
+def _check_column(column: np.ndarray, count: int, what: str) -> None:
+    if column.shape[0] != count:
+        raise ProtocolError(
+            f"scatter response carries {column.shape[0]} {what} "
+            f"for {count}"
+        )
+
+
+def write_knn_scatter_response(records: list, query_groups: list) -> Writer:
+    """Encode per-query kNN leaf groups — ``records`` and
+    ``query_groups`` as :meth:`MIndex.approx_knn_scatter_batch` returns
+    them, ``query_groups[q]`` listing ``(promise, prefix, rows,
+    scores)`` tuples in this shard's visit order.
+
+    After the shared opening (:func:`_write_groups`) come the groups'
+    promises, their ragged prefixes and one score per group row.
     """
     writer = Writer()
-    order = _write_unique_table(
-        writer, query_groups, lambda group: group[2]
+    groups = _write_groups(writer, records, query_groups, 2)
+    promises, prefixes, _rows, scores = zip(*groups) if groups else [()] * 4
+    writer.f64_array(promises)
+    _write_ragged(
+        writer,
+        [len(prefix) for prefix in prefixes],
+        [pivot for prefix in prefixes for pivot in prefix],
     )
-    writer.u32(len(query_groups))
-    for groups in query_groups:
-        writer.u32(len(groups))
-        for promise, prefix, records, scores in groups:
-            writer.f64(promise)
-            writer.i32_array(np.asarray(prefix, dtype=np.int32))
-            writer.i32_array(
-                np.asarray([order[r.oid] for r in records], dtype=np.int32)
-            )
-            writer.f64_array(np.asarray(scores, dtype=np.float64))
+    writer.f64_array(np.concatenate([_NO_ROWS, *scores]))
     return writer
 
 
 def read_knn_scatter_response(
     reader: Reader,
-) -> tuple[list[CandidateEntry], list[list[KnnScatterGroup]]]:
-    """Decode a kNN scatter response into its unique table and the
-    per-query ordered leaf groups."""
-    uniques = _read_unique_table(reader)
-    queries = []
-    for _ in range(reader.u32()):
-        groups = []
-        for _ in range(reader.u32()):
-            promise = reader.f64()
-            prefix = tuple(int(p) for p in reader.i32_array())
-            indices = reader.i32_array()
-            scores = reader.f64_array()
-            if indices.shape[0] != scores.shape[0]:
-                raise ProtocolError(
-                    "scatter group indices and scores disagree: "
-                    f"{indices.shape[0]} != {scores.shape[0]}"
-                )
-            groups.append(KnnScatterGroup(promise, prefix, indices, scores))
-        queries.append(groups)
+) -> tuple[CandidateTable, tuple]:
+    """Decode a kNN scatter response as ``(table, columns)`` with
+    ``columns = (groups_per_query, group_sizes, rows, promises,
+    prefix_sizes, prefixes, scores)`` — one entry per query, per group,
+    per group row, per group, per group, per prefix element and per
+    group row respectively."""
+    table, groups_per_query, group_sizes, rows = _read_groups(reader)
+    promises = reader.f64_array()
+    prefix_sizes, prefixes = _read_ragged(reader, "group prefix")
+    scores = reader.f64_array()
     reader.expect_end()
-    return uniques, queries
+    _check_column(promises, group_sizes.shape[0], "promises")
+    _check_column(prefix_sizes, group_sizes.shape[0], "prefixes")
+    _check_column(scores, rows.shape[0], "scores")
+    return table, (
+        groups_per_query, group_sizes, rows,
+        promises, prefix_sizes, prefixes, scores,
+    )
 
 
-def write_range_scatter_response(
-    query_groups: list[list[tuple]],
-) -> Writer:
-    """Encode per-query range-scan groups.
+def write_range_scatter_response(records: list, query_groups: list) -> Writer:
+    """Encode per-query range-scan groups — ``records`` and
+    ``query_groups`` as :meth:`MIndex.range_scatter_batch` returns
+    them, ``query_groups[q]`` listing ``(prefix, rows)`` tuples in this
+    shard's leaf order.
 
-    ``query_groups[q]`` is a list of ``(top_pivot, records)`` tuples in
-    this shard's leaf order; ``top_pivot`` is ``-1`` for records still
-    sitting in an unsplit root (encoded with a +1 offset so the column
-    stays unsigned).
+    After the shared opening (:func:`_write_groups`) comes each group's
+    top-level pivot, ``-1`` for records still sitting in an unsplit
+    root.
     """
     writer = Writer()
-    order = _write_unique_table(
-        writer, query_groups, lambda group: group[1]
+    groups = _write_groups(writer, records, query_groups, 1)
+    writer.i32_array(
+        [prefix[0] if prefix else -1 for prefix, _rows in groups]
     )
-    writer.u32(len(query_groups))
-    for groups in query_groups:
-        writer.u32(len(groups))
-        for top_pivot, records in groups:
-            writer.u32(top_pivot + 1)
-            writer.i32_array(
-                np.asarray([order[r.oid] for r in records], dtype=np.int32)
-            )
     return writer
 
 
 def read_range_scatter_response(
     reader: Reader,
-) -> tuple[list[CandidateEntry], list[list[RangeScatterGroup]]]:
-    """Decode a range scatter response into its unique table and the
-    per-query ordered pivot groups."""
-    uniques = _read_unique_table(reader)
-    queries = []
-    for _ in range(reader.u32()):
-        groups = []
-        for _ in range(reader.u32()):
-            top_pivot = reader.u32() - 1
-            indices = reader.i32_array()
-            groups.append(RangeScatterGroup(top_pivot, indices))
-        queries.append(groups)
+) -> tuple[CandidateTable, tuple]:
+    """Decode a range scatter response as ``(table, columns)`` with
+    ``columns = (groups_per_query, group_sizes, rows, top_pivots)``."""
+    table, groups_per_query, group_sizes, rows = _read_groups(reader)
+    top_pivots = reader.i32_array()
     reader.expect_end()
-    return uniques, queries
+    _check_column(top_pivots, group_sizes.shape[0], "top pivots")
+    return table, (groups_per_query, group_sizes, rows, top_pivots)
 
 
 # -- shard map ------------------------------------------------------------

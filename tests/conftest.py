@@ -19,6 +19,7 @@ from repro.wire.frames import (
     FrameHeader,
     encode_frame,
 )
+from repro.wire.scatter import candidate_tokens, read_candidate_lists
 
 
 @pytest.fixture
@@ -77,6 +78,16 @@ def precise_cloud(small_data) -> SimilarityCloud:
     )
     cloud.owner.outsource(range(len(small_data)), small_data)
     return cloud
+
+
+def candidate_lists(reader) -> list[list[tuple[int, bytes]]]:
+    """A batch search response as one [(oid, payload)] list per query,
+    through the one reader of that layout."""
+    table, rows_per_query = read_candidate_lists(reader)
+    return [
+        list(zip(table[0][rows].tolist(), candidate_tokens(table, rows)))
+        for rows in rows_per_query
+    ]
 
 
 def brute_force_knn(data: np.ndarray, query: np.ndarray, k: int) -> list[int]:

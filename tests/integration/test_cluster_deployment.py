@@ -18,6 +18,7 @@ from repro.metric.distances import L2Distance
 from repro.metric.permutations import pivot_permutations
 from repro.net.resilience import RetryPolicy
 from repro.wire.encoding import Writer
+from tests.conftest import candidate_lists
 
 N = 500
 DIM = 10
@@ -49,10 +50,20 @@ def _run_deployment(data, queries, *, shards, strategy, resilient=False):
             if resilient
             else cloud.new_client()
         )
+        # in full, and refining only the head of the pre-ranked set
+        # (batched, then one query at a time)
         knn = [
-            [(hit.oid, hit.distance) for hit in hits]
-            for hits in client.knn_batch(queries, k=5, cand_size=60)
+            [[(hit.oid, hit.distance) for hit in hits] for hits in answers]
+            for answers in (
+                client.knn_batch(queries, k=5, cand_size=60),
+                client.knn_batch(queries, k=5, cand_size=60, refine_limit=15),
+                [
+                    client.knn_search(q, 5, cand_size=60, refine_limit=15)
+                    for q in queries
+                ],
+            )
         ]
+        assert knn[1] == knn[2] != knn[0]
         ranges = None
         if strategy is not Strategy.APPROXIMATE:
             ranges = [
@@ -172,16 +183,6 @@ def _knn_body(perms, cand_size):
     )
 
 
-def _read_lists(reader):
-    uniques = [
-        (reader.u64(), reader.blob()) for _ in range(reader.u32())
-    ]
-    return [
-        [uniques[int(i)] for i in reader.i32_array()]
-        for _ in range(reader.u32())
-    ]
-
-
 @pytest.mark.slow
 def test_process_cluster_serves_and_degrades_on_shard_loss():
     rng = np.random.default_rng(123)
@@ -206,14 +207,14 @@ def test_process_cluster_serves_and_degrades_on_shard_loss():
         try:
             total = strict.call("insert_bulk", insert_body).u64()
             assert total == 400
-            healthy = _read_lists(strict.call("knn_batch", query))
+            healthy = candidate_lists(strict.call("knn_batch", query))
             assert any(healthy)
             # chaos: shard 1 dies without draining
             cluster.kill_shard(1)
             with pytest.raises(ShardUnavailableError) as excinfo:
                 strict.call("knn_batch", query)
             assert excinfo.value.shard == 1
-            degraded = _read_lists(partial.call("knn_batch", query))
+            degraded = candidate_lists(partial.call("knn_batch", query))
             assert partial.shards_skipped >= 1
             # the surviving shard still answers with its own prefix
             # range: every degraded hit lives on shard 0
@@ -240,12 +241,12 @@ def test_process_cluster_matches_local_cluster():
     ) as local:
         local_router = local.router(resilient=False)
         local_router.call("insert_bulk", insert_body)
-        expected = _read_lists(local_router.call("knn_batch", query))
+        expected = candidate_lists(local_router.call("knn_batch", query))
         local_router.close()
     with ProcessShardCluster(N_PIVOTS, 16, n_shards=2) as cluster:
         router = cluster.router(resilient=False)
         try:
             router.call("insert_bulk", insert_body)
-            assert _read_lists(router.call("knn_batch", query)) == expected
+            assert candidate_lists(router.call("knn_batch", query)) == expected
         finally:
             router.close()

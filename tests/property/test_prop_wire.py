@@ -1,14 +1,30 @@
 """Property-based tests for the wire format and records."""
 
+import struct
+import tracemalloc
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.core.records import CandidateEntry, IndexedRecord
-from repro.exceptions import ProtocolError
+from repro.cluster.router import merge_knn_candidates, merge_range_candidates
+from repro.core.records import IndexedRecord
+from repro.exceptions import ProtocolError, QueryError, ReproError
 from repro.wire.encoding import Reader, Writer
+from repro.wire.scatter import (
+    candidate_tokens,
+    read_candidate_lists,
+    read_candidate_table,
+    read_knn_scatter_response,
+    read_range_scatter_response,
+    write_candidate_lists,
+    write_candidates,
+    write_knn_scatter_response,
+    write_range_scatter_response,
+)
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False)
 
@@ -114,14 +130,262 @@ def test_record_roundtrip(oid, n_pivots, has_perm, has_dists, payload, seed):
     assert sorted(derived.tolist()) == list(range(n_pivots))
 
 
+
+
+# ---------------------------------------------------------------------------
+# the candidate-table codec: round trips, then hostile input
+
+
+class _Stored(NamedTuple):
+    oid: int
+    payload: bytes
+
+
+stored_records = st.lists(
+    st.builds(
+        _Stored,
+        st.integers(min_value=0, max_value=2**64 - 1),
+        st.binary(max_size=40),
+    ),
+    max_size=12,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(records=stored_records, data=st.data())
+def test_candidate_table_roundtrip(records, data):
+    """Every (oid, payload) survives, whichever source the writer is
+    given and whichever rows of it are asked for."""
+    encoded = write_candidates(records).getvalue()
+    reader = Reader(encoded)
+    table = read_candidate_table(reader)
+    reader.expect_end()
+    assert table[0].tolist() == [record.oid for record in records]
+    assert candidate_tokens(table) == [record.payload for record in records]
+    rows = np.asarray(
+        data.draw(
+            st.lists(st.integers(0, max(0, len(records) - 1)), max_size=20)
+            if records
+            else st.just([])
+        ),
+        dtype=np.int64,
+    )
+    picked = write_candidates(table, rows).getvalue()
+    assert picked == write_candidates(records, rows).getvalue()
+    assert candidate_tokens(read_candidate_table(Reader(picked))) == [
+        records[row].payload for row in rows
+    ]
+
+
+def _responses(rng, n_queries):
+    """One valid response of each kind over the same made-up records:
+    (kind, message, decode) with ``decode`` the whole consumer — reader
+    plus, for scatter answers, the router's merge and re-encoding."""
+    records = [
+        _Stored(int(oid), rng.bytes(int(rng.integers(0, 9))))
+        for oid in rng.integers(0, 2**63, size=rng.integers(1, 9))
+    ]
+    rows = [
+        rng.integers(0, len(records), size=rng.integers(0, 5))
+        for _ in range(n_queries)
+    ]
+    prefixes = [tuple(rng.integers(0, 4, size=rng.integers(0, 3)).tolist())
+                for _ in range(3)]
+    knn_groups = [
+        [
+            (float(rng.integers(0, 3)), prefixes[g], chosen,
+             rng.integers(0, 4, size=len(chosen)).astype(np.float64))
+            for g, chosen in enumerate(np.array_split(query_rows, 3))
+            if len(chosen)
+        ]
+        for query_rows in rows
+    ]
+    range_groups = [
+        [(prefix, chosen) for _promise, prefix, chosen, _s in groups]
+        for groups in knn_groups
+    ]
+
+    def merged_knn(message):
+        answer = read_knn_scatter_response(Reader(message))
+        merged = merge_knn_candidates([(0, *answer)], n_queries, 4, None)
+        return write_candidate_lists(*merged).getvalue()
+
+    def merged_range(message):
+        answer = read_range_scatter_response(Reader(message))
+        merged = merge_range_candidates([(0, *answer)], n_queries)
+        return write_candidate_lists(*merged).getvalue()
+
+    def single(message):
+        reader = Reader(message)
+        table = read_candidate_table(reader)
+        reader.expect_end()
+        return candidate_tokens(table)
+
+    return [
+        ("single", write_candidates(records).getvalue(), single),
+        (
+            "batch",
+            write_candidate_lists(records, rows).getvalue(),
+            lambda message: read_candidate_lists(Reader(message)),
+        ),
+        (
+            "knn_scatter",
+            write_knn_scatter_response(records, knn_groups).getvalue(),
+            merged_knn,
+        ),
+        (
+            "range_scatter",
+            write_range_scatter_response(records, range_groups).getvalue(),
+            merged_range,
+        ),
+        (
+            "blob_region",
+            Writer().blob_region([r.payload for r in records]).getvalue(),
+            lambda message: Reader(message).blob_region(),
+        ),
+    ]
+
+
+#: what a forged count or length is overwritten with
+HOSTILE_U32 = [0xFFFFFFFF, 0x80000000, 0x7FFFFFFF, 0x40000000, 1 << 20]
+
+
+def _peak_allocation(message, decode):
+    tracemalloc.start()
+    try:
+        decode(message)
+    except ReproError:
+        pass
+    finally:
+        _current, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+    return peak
+
+
+def _decode_within_bounds(message, decode):
+    """Run a consumer on bytes it did not write: it returns or raises a
+    typed error — anything else propagates and fails the test — and
+    what it allocates on the way is bounded by the bytes present (a
+    small multiple of the message plus the fixed cost of a few dozen
+    array objects), never by a number read out of it: the smallest
+    hostile count, 2**20 four-byte entries, would already be 4 MiB."""
+    bound = 16 * len(message) + 64 * 1024
+    peak = _peak_allocation(message, decode)
+    if peak > bound:
+        # every few thousand calls the interpreter regrows a table of
+        # its own (about 2 MB) inside the traced window, whatever the
+        # input; a decoder's appetite, unlike that, repeats
+        peak = _peak_allocation(message, decode)
+    assert peak <= bound
+
+
 @settings(max_examples=60, deadline=None)
 @given(
-    oid=st.integers(min_value=0, max_value=2**64 - 1),
-    payload=st.binary(max_size=200),
+    seed=st.integers(0, 2**32 - 1),
+    n_queries=st.integers(0, 4),
+    damage=st.data(),
 )
-def test_candidate_entry_roundtrip(oid, payload):
-    writer = Writer()
-    CandidateEntry(oid, payload).write_to(writer)
-    restored = CandidateEntry.read_from(Reader(writer.getvalue()))
-    assert restored.oid == oid
-    assert restored.payload == payload
+def test_damaged_responses_fail_typed_and_bounded(seed, n_queries, damage):
+    """Truncate, flip a bit of, or forge a 32-bit field of every kind of
+    search response (and of a bare blob region): the consumer yields a
+    ``ReproError`` or a result — never ``IndexError``, ``ValueError``
+    or ``MemoryError`` — in memory bounded by the message."""
+    for _kind, message, decode in _responses(
+        np.random.default_rng(seed), n_queries
+    ):
+        decode(message)  # the undamaged message decodes
+        _decode_within_bounds(
+            message[: damage.draw(st.integers(0, len(message) - 1))], decode
+        )
+        flipped = bytearray(message)
+        position = damage.draw(st.integers(0, len(message) - 1))
+        flipped[position] ^= 1 << damage.draw(st.integers(0, 7))
+        _decode_within_bounds(bytes(flipped), decode)
+        forged = bytearray(message)
+        position = damage.draw(st.integers(0, len(message) - 4))
+        struct.pack_into(
+            "<I", forged, position, damage.draw(st.integers(0, 2**32 - 1))
+        )
+        _decode_within_bounds(bytes(forged), decode)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_every_forged_field_fails_typed_and_bounded(seed):
+    """Each aligned 32-bit field of each kind of response in turn —
+    every count, length, size, row number and group count among them —
+    overwritten with each hostile value."""
+    for _kind, message, decode in _responses(np.random.default_rng(seed), 3):
+        for position in range(0, len(message) - 3, 4):
+            for value in HOSTILE_U32:
+                forged = bytearray(message)
+                struct.pack_into("<I", forged, position, value)
+                _decode_within_bounds(bytes(forged), decode)
+
+
+def _forge(message, position, value):
+    forged = bytearray(message)
+    struct.pack_into("<i", forged, position, value)
+    return Reader(bytes(forged))
+
+
+def test_named_forgeries_are_refused_by_name():
+    """The inconsistencies a response can carry, one by one, each
+    refused with an error that says what is wrong."""
+    records = [_Stored(oid, bytes(3)) for oid in range(4)]
+    rows = np.arange(4)
+    table_end = 4 + 4 * 8 + 4 + 4 * 4 + 4 * 3
+
+    single = write_candidates(records).getvalue()
+    with pytest.raises(ProtocolError, match="truncated"):
+        # a count whose column runs past the end
+        read_candidate_table(_forge(single, 0, 1000))
+    with pytest.raises(ProtocolError, match="announces 258 payload bytes"):
+        # lengths summing past the region
+        read_candidate_table(_forge(single, 4 + 4 * 8 + 4, 249))
+    with pytest.raises(ProtocolError, match="announces 258 payload bytes"):
+        _forge(single[4 + 4 * 8 :], 4, 249).blob_region()
+
+    batch = write_candidate_lists(records, [rows[:2], rows[2:]]).getvalue()
+    sizes_at = table_end + 4
+    rows_at = sizes_at + 2 * 4 + 4
+    for hostile in (-1, 4):
+        with pytest.raises(ProtocolError, match="outside its table of 4"):
+            read_candidate_lists(_forge(batch, rows_at, hostile))
+    with pytest.raises(ProtocolError, match="sizes add up to 5, 4 follow"):
+        read_candidate_lists(_forge(batch, sizes_at, 3))
+    with pytest.raises(ProtocolError, match="negative candidate list size"):
+        read_candidate_lists(_forge(batch, sizes_at, -2))
+
+    groups = [[(0.5, (1,), rows[:2], np.zeros(2))], [(0.5, (2,), rows[2:], np.zeros(2))]]
+    knn = write_knn_scatter_response(records, groups).getvalue()
+    per_query_at = table_end + 4
+    group_sizes_at = per_query_at + 2 * 4 + 4
+    with pytest.raises(ProtocolError, match="groups-per-query sizes add up to 3"):
+        read_knn_scatter_response(_forge(knn, per_query_at, 2))
+    with pytest.raises(ProtocolError, match="scatter group sizes add up to 5"):
+        read_knn_scatter_response(_forge(knn, group_sizes_at, 3))
+    for hostile in (-1, 4):
+        with pytest.raises(ProtocolError, match="outside its table of 4"):
+            read_knn_scatter_response(
+                _forge(knn, group_sizes_at + 2 * 4 + 4, hostile)
+            )
+    with pytest.raises(ProtocolError, match="carries 1 scores for 4"):
+        # the score column cut to one entry (and the message with it)
+        scores_at = len(knn) - 4 * 8 - 4
+        read_knn_scatter_response(
+            Reader(knn[:scores_at] + struct.pack("<I", 1) + bytes(8))
+        )
+    # a query count that disagrees with the request
+    answer = read_knn_scatter_response(Reader(knn))
+    with pytest.raises(ProtocolError, match="answers 2 queries, 3 were asked"):
+        merge_knn_candidates([(0, *answer)], 3, 10, None)
+
+    ranges = write_range_scatter_response(
+        records, [[((1,), rows[:2])], [((2,), rows[2:])]]
+    ).getvalue()
+    with pytest.raises(ProtocolError, match="groups-per-query sizes add up to 3"):
+        read_range_scatter_response(_forge(ranges, per_query_at, 2))
+    with pytest.raises(ProtocolError, match="carries 1 top pivots for 2"):
+        read_range_scatter_response(
+            Reader(ranges[:-12] + struct.pack("<Ii", 1, 7))
+        )

@@ -29,7 +29,7 @@ from repro.crypto.keys import SecretKey
 from repro.exceptions import ProtocolError, QueryError
 from repro.metric.distances import L1Distance
 from repro.metric.space import MetricSpace
-from repro.wire.encoding import Writer
+from repro.wire.encoding import Reader, Writer
 
 
 def _same_hits(single_lists, batched_lists):
@@ -148,6 +148,23 @@ class TestBatchEquivalence:
         client = approx_cloud.new_client()
         with pytest.raises(QueryError):
             client.range_batch(queries, 10.0)
+
+    def test_response_for_another_batch_is_refused(
+        self, approx_cloud, queries
+    ):
+        """A response whose query count disagrees with the request is
+        not refined, whatever its candidates."""
+        client = approx_cloud.new_client()
+        real_call = client.rpc.call
+        client.rpc.call = lambda method, body, **kwargs: real_call(
+            method,
+            Writer()
+            .i32_matrix(Reader(body.getvalue()).i32_matrix()[:2])
+            .u32(60)
+            .u32(0),
+        )
+        with pytest.raises(QueryError, match="2 result lists for 3 queries"):
+            client.knn_batch(queries[:3], 5, cand_size=60)
 
 
 class TestBaselineBatchEquivalence:
@@ -349,28 +366,52 @@ class TestConcurrentSearch:
 
     def test_closed_deployment_is_not_cyclic_garbage(self, small_data):
         """Dropping a closed deployment frees it by reference counting:
-        the collector finds no record left behind in a cycle (the
-        dispatcher used to hold the server's bound methods strongly)."""
+        with the collector off, its servers, indexes and router are
+        gone the moment the last name is, and a collection afterwards
+        finds no record left behind in a cycle. (The dispatcher used to
+        hold the server's bound methods strongly, the router a view and
+        a method table pointing back at itself, and a stopped socket
+        transport the handler of the server that owned it.)"""
         import gc
+        import weakref
 
         from repro.core.records import IndexedRecord
 
         gc.collect()
         gc.disable()
         try:
-            cloud = SimilarityCloud.build(
-                small_data,
-                distance=L1Distance(),
-                n_pivots=8,
-                bucket_capacity=40,
-                strategy=Strategy.APPROXIMATE,
-                seed=7,
-            )
-            cloud.owner.outsource(range(len(small_data)), small_data)
-            client = cloud.new_client()
-            assert len(client.knn_search(small_data[0], 5, cand_size=60)) == 5
-            cloud.close()
-            del cloud, client
+            for deployment in (
+                {},
+                {"shards": 2},
+                {"transport": "tcp-async"},
+                {"shards": 2, "transport": "tcp-async"},
+            ):
+                cloud = SimilarityCloud.build(
+                    small_data,
+                    distance=L1Distance(),
+                    n_pivots=8,
+                    bucket_capacity=40,
+                    strategy=Strategy.APPROXIMATE,
+                    seed=7,
+                    **deployment,
+                )
+                cloud.owner.outsource(range(len(small_data)), small_data)
+                client = cloud.new_client()
+                assert len(client.knn_batch(small_data[:3], 5, cand_size=60)) == 3
+                servers = (
+                    cloud.cluster.servers if cloud.cluster else [cloud.server]
+                )
+                watched = [weakref.ref(client.rpc)]
+                for server in servers:
+                    watched += [weakref.ref(server), weakref.ref(server.index)]
+                close = getattr(client.rpc, "close", None)
+                if close is not None:
+                    close()
+                cloud.close()
+                del cloud, client, servers, server, close
+                assert [ref() for ref in watched] == [None] * len(watched), (
+                    deployment
+                )
             gc.set_debug(gc.DEBUG_SAVEALL)  # keep what collect() finds
             gc.collect()
             found = [o for o in gc.garbage if isinstance(o, IndexedRecord)]

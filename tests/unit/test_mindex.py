@@ -242,10 +242,10 @@ class TestBatchedIndexSearches:
                 for _ in range(12)
             ]
         )
-        batched = index.approx_knn_candidates_batch(perms, 60)
-        for perm, batch_records in zip(perms, batched):
+        records, batched = index.approx_knn_candidates_batch(perms, 60)
+        for perm, rows in zip(perms, batched):
             single = index.approx_knn_candidates(perm, 60)
-            assert [r.oid for r in single] == [r.oid for r in batch_records]
+            assert [r.oid for r in single] == [records[i].oid for i in rows]
 
     def test_approx_knn_batch_with_max_cells(self, rng):
         index, _data, pivots, d = _build_index(rng, bucket_capacity=10)
@@ -255,10 +255,12 @@ class TestBatchedIndexSearches:
                 for _ in range(6)
             ]
         )
-        batched = index.approx_knn_candidates_batch(perms, 10_000, max_cells=2)
-        for perm, batch_records in zip(perms, batched):
+        records, batched = index.approx_knn_candidates_batch(
+            perms, 10_000, max_cells=2
+        )
+        for perm, rows in zip(perms, batched):
             single = index.approx_knn_candidates(perm, 10_000, max_cells=2)
-            assert [r.oid for r in single] == [r.oid for r in batch_records]
+            assert [r.oid for r in single] == [records[i].oid for i in rows]
 
     def test_range_batch_matches_loop_with_identical_stats(self, rng):
         index, data, pivots, d = _build_index(rng, bucket_capacity=10)
@@ -266,23 +268,23 @@ class TestBatchedIndexSearches:
         q_matrix = np.stack([d.batch(q, pivots) for q in queries])
         radius = float(np.percentile(d.batch(queries[0], data), 10))
         batch_stats = [RangeSearchStats() for _ in range(len(queries))]
-        batched = index.range_search_batch(q_matrix, radius, stats=batch_stats)
-        for q_dists, batch_records, got_stats in zip(
-            q_matrix, batched, batch_stats
-        ):
+        records, batched = index.range_search_batch(
+            q_matrix, radius, stats=batch_stats
+        )
+        for q_dists, rows, got_stats in zip(q_matrix, batched, batch_stats):
             single_stats = RangeSearchStats()
             single = index.range_search(q_dists, radius, stats=single_stats)
-            assert [r.oid for r in single] == [r.oid for r in batch_records]
+            assert [r.oid for r in single] == [records[i].oid for i in rows]
             assert single_stats == got_stats
 
     def test_empty_batches(self, rng):
         index, _data, _pivots, _d = _build_index(rng, n_records=30)
         assert index.approx_knn_candidates_batch(
             np.empty((0, _N_PIVOTS), dtype=np.int64), 10
-        ) == []
+        ) == ([], [])
         assert index.range_search_batch(
             np.empty((0, _N_PIVOTS)), 1.0
-        ) == []
+        ) == ([], [])
 
     def test_batch_shape_validation(self, rng):
         index, _data, _pivots, _d = _build_index(rng, n_records=30)

@@ -130,8 +130,8 @@ def test_range_search_batch_identical_across_backends(tmp_path):
     disk_index = build(DiskStorage(tmp_path / "range-cells"))
 
     def run(index):
-        lists = index.range_search_batch(queries, 6.0)
-        return [[r.oid for r in candidates] for candidates in lists]
+        scanned, lists = index.range_search_batch(queries, 6.0)
+        return [[scanned[i].oid for i in rows] for rows in lists]
 
     memory_hits = run(memory_index)
     disk_hits = run(disk_index)

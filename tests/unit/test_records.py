@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.core.records import (
-    CandidateEntry,
     IndexedRecord,
     RecordBatch,
     payload_to_vector,
@@ -109,22 +108,6 @@ class TestRecordSerialization:
         restored = [IndexedRecord.read_from(reader) for _ in range(5)]
         reader.expect_end()
         assert [r.oid for r in restored] == [0, 1, 2, 3, 4]
-
-
-class TestCandidateEntry:
-    def test_roundtrip(self):
-        entry = CandidateEntry(42, b"token-bytes")
-        writer = Writer()
-        entry.write_to(writer)
-        restored = CandidateEntry.read_from(Reader(writer.getvalue()))
-        assert restored.oid == 42
-        assert restored.payload == b"token-bytes"
-
-    def test_wire_size_exact(self):
-        entry = CandidateEntry(1, b"0123456789")
-        writer = Writer()
-        entry.write_to(writer)
-        assert len(writer.getvalue()) == entry.wire_size
 
 
 class TestVectorPayloads:

@@ -1,10 +1,18 @@
-"""Unit tests for repro.wire.encoding."""
+"""Unit tests for repro.wire.encoding and the candidate-table codec."""
 
 import numpy as np
 import pytest
 
+from repro.core.records import IndexedRecord
 from repro.exceptions import ProtocolError
 from repro.wire.encoding import Reader, Writer
+from repro.wire.scatter import (
+    candidate_tokens,
+    read_candidate_lists,
+    read_candidate_table,
+    write_candidate_lists,
+    write_candidates,
+)
 
 
 class TestScalars:
@@ -233,3 +241,77 @@ class TestColumnarCodecs:
         encoded = Writer().blob_region([b"abcdef"]).getvalue()
         with pytest.raises(ProtocolError):
             Reader(encoded[:-2]).blob_region()
+
+    def test_blob_columns_share_the_blob_region_layout(self):
+        blobs = [b"", b"a", b"bc", bytes(range(256))]
+        encoded = Writer().blob_region(blobs).getvalue()
+        offsets, region = Reader(encoded).blob_columns()
+        assert offsets.tolist() == [0, 0, 1, 3, 259]
+        assert bytes(region) == b"".join(blobs)
+        lengths = np.diff(offsets)
+        assert Writer().blob_columns(lengths, region).getvalue() == encoded
+
+    def test_blob_columns_reject_lengths_that_miss_the_region(self):
+        with pytest.raises(ProtocolError):
+            Writer().blob_columns([1, 2], b"ab")
+
+
+class TestCandidateTable:
+    """The one (oid column, blob region) codec of search responses."""
+
+    RECORDS = [
+        IndexedRecord(42, np.arange(3), None, b"token-bytes"),
+        IndexedRecord(2**64 - 1, np.arange(3), None, b""),
+        IndexedRecord(7, np.arange(3), None, b"0123456789"),
+    ]
+
+    def test_roundtrip(self):
+        reader = Reader(write_candidates(self.RECORDS).getvalue())
+        table = read_candidate_table(reader)
+        reader.expect_end()
+        assert table[0].tolist() == [42, 2**64 - 1, 7]
+        assert candidate_tokens(table) == [b"token-bytes", b"", b"0123456789"]
+
+    def test_wire_size_exact(self):
+        # two count prefixes, then 8 bytes of oid and 4 of length a
+        # candidate, then the payloads and nothing else
+        encoded = write_candidates(self.RECORDS).getvalue()
+        assert len(encoded) == 4 + 4 + 3 * (8 + 4) + 11 + 0 + 10
+
+    def test_records_and_wire_tables_encode_alike(self):
+        """A server (stored records) and the router (a table off the
+        wire) must emit the same bytes for the same candidates."""
+        encoded = write_candidates(self.RECORDS).getvalue()
+        table = read_candidate_table(Reader(encoded))
+        assert write_candidates(table).getvalue() == encoded
+        rows = np.array([2, 0, 2, 1])
+        assert (
+            write_candidates(table, rows).getvalue()
+            == write_candidates(self.RECORDS, rows).getvalue()
+            == write_candidates(
+                [self.RECORDS[row] for row in rows]
+            ).getvalue()
+        )
+
+    def test_batch_table_is_in_first_use_order(self):
+        lists = [np.array([2, 0]), np.array([], dtype=int), np.array([0, 1])]
+        reader = Reader(write_candidate_lists(self.RECORDS, lists).getvalue())
+        table, rows_per_query = read_candidate_lists(reader)
+        assert table[0].tolist() == [7, 42, 2**64 - 1]
+        assert [rows.tolist() for rows in rows_per_query] == [
+            [0, 1], [], [1, 2],
+        ]
+        # an unused row does not travel, and an empty batch has no lists
+        assert read_candidate_lists(
+            Reader(write_candidate_lists(self.RECORDS, lists[:1]).getvalue())
+        )[0][0].tolist() == [7, 42]
+        assert read_candidate_lists(
+            Reader(write_candidate_lists(self.RECORDS, []).getvalue())
+        )[1] == []
+
+    def test_count_mismatch_rejected(self):
+        encoded = (
+            Writer().u64_array(np.arange(2)).blob_region([b"x"]).getvalue()
+        )
+        with pytest.raises(ProtocolError, match="2 oids and 1 payloads"):
+            read_candidate_table(Reader(encoded))
