@@ -49,12 +49,10 @@ class PlainServer:
     encrypted ``insert_bulk``, so the construction comparison isolates
     the encryption layer rather than loop overhead), ``knn_plain``
     (full search + refinement server-side, returns the answer set),
-    ``range_plain``, ``stats``, plus the generic ``search_batch``
-    fan-out so :meth:`PlainClient.knn_batch` can ship a whole query
-    batch in one message. Handlers serialize on a mutex — the plain server computes
-    distances and charges its own cost recorder, neither of which is
-    concurrency-safe, and as the comparison baseline it should not gain
-    or lose time to locking subtleties.
+    ``range_plain`` and ``stats``. Handlers serialize on a mutex — the
+    plain server computes distances and charges its own cost recorder,
+    neither of which is concurrency-safe, and as the comparison
+    baseline it should not gain or lose time to locking subtleties.
     """
 
     def __init__(
@@ -66,7 +64,6 @@ class PlainServer:
         storage=None,
         max_level: int = 8,
         clock: Clock | None = None,
-        max_workers: int = 8,
     ) -> None:
         pivots = np.asarray(pivots, dtype=np.float64)
         self.pivots = pivots
@@ -85,7 +82,6 @@ class PlainServer:
         self.dispatcher.register("knn_plain", self._handle_knn)
         self.dispatcher.register("range_plain", self._handle_range)
         self.dispatcher.register("stats", self._handle_stats)
-        self.dispatcher.enable_batch(max_workers=max_workers)
 
     def handle(self, request: bytes) -> bytes:
         """Raw request entry point, pluggable into any channel."""
@@ -107,10 +103,6 @@ class PlainServer:
         self.costs.reset()
         self.space.reset_counter()
         self.storage.reset_accounting()
-
-    def close(self) -> None:
-        """Release the dispatcher's batch thread pool."""
-        self.dispatcher.close()
 
     # -- handlers ------------------------------------------------------------
 
@@ -322,7 +314,7 @@ class PlainClient:
 
     def range_search(self, query: np.ndarray, radius: float) -> list[SearchHit]:
         """Precise range query, fully server-side."""
-        if radius < 0:
+        if not radius >= 0:  # NaN compares false either way
             raise QueryError(f"radius must be >= 0, got {radius}")
         with self.costs.time(CLIENT):
             writer = Writer()
@@ -342,50 +334,28 @@ class PlainClient:
         cand_size: int,
         max_cells: int | None = None,
     ) -> list[list[SearchHit]]:
-        """Approximate k-NN for a query batch in one ``search_batch``
-        round trip; per-query answers equal looped :meth:`knn_search`
-        calls (this baseline has no client-side work to amortize, so
-        batching only saves round trips)."""
-        queries = np.asarray(queries, dtype=np.float64)
-        if queries.ndim == 1:
-            queries = queries.reshape(1, -1)
-        if queries.shape[0] == 0:
-            return []
-        with self.costs.time(CLIENT):
-            bodies = []
-            for query in queries:
-                writer = Writer()
-                writer.f64_array(query)
-                writer.u32(k)
-                writer.u32(cand_size)
-                writer.u32(max_cells if max_cells is not None else 0)
-                bodies.append(writer)
-        readers = self.rpc.call_batch("knn_plain", bodies)
-        with self.costs.time(CLIENT):
-            return [_read_answers(reader) for reader in readers]
+        """Approximate k-NN for a query batch: looped
+        :meth:`knn_search` calls (this baseline has no client-side work
+        to amortize, and its server answers one request at a time)."""
+        return [
+            self.knn_search(query, k, cand_size=cand_size, max_cells=max_cells)
+            for query in self._as_query_matrix(queries)
+        ]
 
     def range_batch(
         self, queries: np.ndarray, radius: float
     ) -> list[list[SearchHit]]:
-        """Precise range queries for a batch sharing one radius, in one
-        ``search_batch`` round trip."""
-        if radius < 0:
-            raise QueryError(f"radius must be >= 0, got {radius}")
+        """Precise range queries for a batch sharing one radius: looped
+        :meth:`range_search` calls."""
+        return [
+            self.range_search(query, radius)
+            for query in self._as_query_matrix(queries)
+        ]
+
+    @staticmethod
+    def _as_query_matrix(queries: np.ndarray) -> np.ndarray:
         queries = np.asarray(queries, dtype=np.float64)
-        if queries.ndim == 1:
-            queries = queries.reshape(1, -1)
-        if queries.shape[0] == 0:
-            return []
-        with self.costs.time(CLIENT):
-            bodies = []
-            for query in queries:
-                writer = Writer()
-                writer.f64_array(query)
-                writer.f64(radius)
-                bodies.append(writer)
-        readers = self.rpc.call_batch("range_plain", bodies)
-        with self.costs.time(CLIENT):
-            return [_read_answers(reader) for reader in readers]
+        return queries.reshape(1, -1) if queries.ndim == 1 else queries
 
     def report(self) -> CostReport:
         """Cost snapshot (client side + server view + channel)."""

@@ -160,7 +160,6 @@ def _shard_server_main(config: dict, conn) -> None:
         config["n_pivots"],
         config["bucket_capacity"],
         max_level=config["max_level"],
-        max_workers=config["max_workers"],
     )
     transport = server.serve_async()
     conn.send(transport.port)
@@ -192,7 +191,6 @@ class ProcessShardCluster:
         *,
         n_shards: int,
         max_level: int = 8,
-        max_workers: int = 4,
         shard_map: ShardMap | None = None,
         start_timeout: float = 60.0,
     ) -> None:
@@ -209,7 +207,6 @@ class ProcessShardCluster:
             "n_pivots": n_pivots,
             "bucket_capacity": bucket_capacity,
             "max_level": max_level,
-            "max_workers": max_workers,
             # spawn re-imports this module in the child; make sure the
             # package is importable even when it came off PYTHONPATH
             "sys_path": list(sys.path),

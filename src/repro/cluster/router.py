@@ -78,6 +78,7 @@ from repro.wire.scatter import (
     write_candidates,
     write_stats_map,
 )
+from repro.wire.search import KNN, SEARCHES, Search
 
 __all__ = [
     "ShardRouter",
@@ -85,6 +86,14 @@ __all__ = [
     "merge_range_candidates",
     "merge_stats",
 ]
+
+#: the search methods a client sends, each with its search and whether
+#: it is the single form
+_ROUTED_SEARCHES = {
+    search.method(single): (search, single)
+    for search in SEARCHES
+    for single in (True, False)
+}
 
 #: stats counters where the cluster-level view is a maximum, not a sum
 _MAX_COUNTERS = frozenset(
@@ -512,6 +521,11 @@ class ShardRouter:
         their dedup caches are independent, but the *sub-requests*
         differ per shard).
         """
+        data = body.getvalue() if isinstance(body, Writer) else bytes(body)
+        if method in _ROUTED_SEARCHES:
+            return self._route_search(
+                *_ROUTED_SEARCHES[method], data, deadline
+            )
         # looked up per call: a table of bound methods on the instance
         # would be a reference cycle through the router
         handler = getattr(self, f"_call_{method}", None)
@@ -519,7 +533,6 @@ class ShardRouter:
             raise ProtocolError(
                 f"method {method!r} is not routable across shards"
             )
-        data = body.getvalue() if isinstance(body, Writer) else bytes(body)
         return handler(data, deadline)
 
     # -- fan-out machinery -------------------------------------------------
@@ -653,139 +666,49 @@ class ShardRouter:
 
     # -- searches -----------------------------------------------------------
 
-    def _knn_gather(
+    def _route_search(
         self,
-        scatter_body: bytes,
-        n_queries: int,
-        cand_size: int,
-        max_cells: int | None,
+        search: Search,
+        single: bool,
+        data: bytes,
         deadline: float | None,
-    ) -> tuple[tuple, list[np.ndarray]]:
+    ) -> Reader:
+        """Answer a search request in the form it was asked in.
+
+        The shards are sent the batch request — a single request
+        re-encoded as a batch of one — under the search's scatter
+        method, their groups are merged into the single-server
+        candidate sets, and those are written as one server would.
+        What the request codec does not check (a negative radius,
+        crossed intervals, the number of pivots) the shards do.
+        """
+        queries, options = search.read_request(Reader(data), single=single)
+        if single:
+            data = search.write_request(*queries, **options).getvalue()
         responses = self._scatter(
-            "knn_scatter", scatter_body, deadline, strict=False
+            search.scatter, data, deadline, strict=False
         )
-        payloads = [
-            (shard, *read_knn_scatter_response(response))
-            for shard, response in responses
-        ]
-        return merge_knn_candidates(
-            payloads, n_queries, cand_size, max_cells
-        )
-
-    def _call_knn_batch(
-        self, data: bytes, deadline: float | None
-    ) -> Reader:
-        reader = Reader(data)
-        permutations = reader.i32_matrix()
-        cand_size = reader.u32()
-        max_cells = reader.u32()
-        reader.expect_end()
-        merged = self._knn_gather(
-            data,
-            permutations.shape[0],
-            cand_size,
-            max_cells if max_cells > 0 else None,
-            deadline,
-        )
-        return Reader(write_candidate_lists(*merged).getvalue())
-
-    def _call_approx_knn(
-        self, data: bytes, deadline: float | None
-    ) -> Reader:
-        reader = Reader(data)
-        permutation = reader.i32_array()
-        cand_size = reader.u32()
-        max_cells = reader.u32()
-        reader.expect_end()
-        scatter_body = (
-            Writer()
-            .i32_matrix(permutation[np.newaxis, :])
-            .u32(cand_size)
-            .u32(max_cells)
-            .getvalue()
-        )
-        table, rows = self._knn_gather(
-            scatter_body,
-            1,
-            cand_size,
-            max_cells if max_cells > 0 else None,
-            deadline,
-        )
-        return Reader(write_candidates(table, rows[0]).getvalue())
-
-    def _range_gather(
-        self,
-        method: str,
-        scatter_body: bytes,
-        n_queries: int,
-        deadline: float | None,
-    ) -> tuple[tuple, list[np.ndarray]]:
-        responses = self._scatter(
-            method, scatter_body, deadline, strict=False
-        )
-        payloads = [
-            (shard, *read_range_scatter_response(response))
-            for shard, response in responses
-        ]
-        return merge_range_candidates(payloads, n_queries)
-
-    def _call_range_batch(
-        self, data: bytes, deadline: float | None
-    ) -> Reader:
-        reader = Reader(data)
-        distances = reader.f64_matrix()
-        reader.f64()  # radius; validated by the shards
-        reader.expect_end()
-        merged = self._range_gather(
-            "range_scatter", data, distances.shape[0], deadline
-        )
-        return Reader(write_candidate_lists(*merged).getvalue())
-
-    def _call_range(self, data: bytes, deadline: float | None) -> Reader:
-        reader = Reader(data)
-        distances = reader.f64_array()
-        radius = reader.f64()
-        reader.expect_end()
-        scatter_body = (
-            Writer()
-            .f64_matrix(distances[np.newaxis, :])
-            .f64(radius)
-            .getvalue()
-        )
-        table, rows = self._range_gather(
-            "range_scatter", scatter_body, 1, deadline
-        )
-        return Reader(write_candidates(table, rows[0]).getvalue())
-
-    def _call_range_transformed_batch(
-        self, data: bytes, deadline: float | None
-    ) -> Reader:
-        reader = Reader(data)
-        lows = reader.f64_matrix()
-        reader.f64_matrix()  # highs; validated by the shards
-        reader.expect_end()
-        merged = self._range_gather(
-            "range_transformed_scatter", data, lows.shape[0], deadline
-        )
-        return Reader(write_candidate_lists(*merged).getvalue())
-
-    def _call_range_transformed(
-        self, data: bytes, deadline: float | None
-    ) -> Reader:
-        reader = Reader(data)
-        lows = reader.f64_array()
-        highs = reader.f64_array()
-        reader.expect_end()
-        scatter_body = (
-            Writer()
-            .f64_matrix(lows[np.newaxis, :])
-            .f64_matrix(highs[np.newaxis, :])
-            .getvalue()
-        )
-        table, rows = self._range_gather(
-            "range_transformed_scatter", scatter_body, 1, deadline
-        )
-        return Reader(write_candidates(table, rows[0]).getvalue())
+        n_queries = queries[0].shape[0]
+        if search is KNN:
+            table, rows = merge_knn_candidates(
+                [
+                    (shard, *read_knn_scatter_response(response))
+                    for shard, response in responses
+                ],
+                n_queries,
+                **options,
+            )
+        else:
+            table, rows = merge_range_candidates(
+                [
+                    (shard, *read_range_scatter_response(response))
+                    for shard, response in responses
+                ],
+                n_queries,
+            )
+        if single:
+            return Reader(write_candidates(table, rows[0]).getvalue())
+        return Reader(write_candidate_lists(table, rows).getvalue())
 
     # -- diagnostics ---------------------------------------------------------
 

@@ -19,8 +19,12 @@ batch come out of one ``d_pairwise`` matrix call, the whole batch
 travels in a single wire message, and refinement decrypts each unique
 candidate once — the server deduplicates candidates shared by several
 queries, and an LRU cache of decrypted payloads (keyed by record id)
-carries reuse across calls. Batched searches return exactly the same
-hits as looped single-query calls.
+carries reuse across calls. There is one search path: a single query
+(:meth:`EncryptedClient.knn_search`, :meth:`EncryptedClient.range_search`)
+is a batch of one through the same request builder and the same
+refiner, sent under the single-query method name in the single-query
+wire form, so batched searches return exactly the same hits as looped
+single-query calls.
 
 Construction is columnar as well: :meth:`EncryptedClient.insert_many`
 computes one object×pivot distance matrix per bulk, transforms and
@@ -72,11 +76,8 @@ from repro.metric.space import MetricSpace
 from repro.net.rpc import RpcClient
 from repro.parallel.scheduler import GLOBAL_STATS
 from repro.wire.encoding import Reader, Writer
-from repro.wire.scatter import (
-    candidate_tokens,
-    read_candidate_lists,
-    read_candidate_table,
-)
+from repro.wire.scatter import candidate_tokens, read_candidate_lists
+from repro.wire.search import KNN, RANGE, RANGE_TRANSFORMED
 
 __all__ = ["Strategy", "SearchHit", "EncryptedClient", "DataOwner"]
 
@@ -346,33 +347,10 @@ class EncryptedClient:
         request carries per-pivot transformed intervals instead of raw
         query–pivot distances, hiding the distance distribution.
         """
-        if radius < 0:
-            raise QueryError(f"radius must be >= 0, got {radius}")
-        if self.strategy is Strategy.APPROXIMATE:
-            raise QueryError(
-                "range queries require the PRECISE or TRANSFORMED "
-                "strategy (the server stores no pivot distances under "
-                "APPROXIMATE)"
-            )
-        with self.costs.time(CLIENT):
-            with self.costs.time(DISTANCE):
-                q_dists = self.space.d_batch(query, self.secret_key.pivots)
-            if self.strategy is Strategy.TRANSFORMED:
-                with self.costs.time(ENCRYPTION):
-                    lows = np.asarray(
-                        self.ope.encrypt(np.maximum(q_dists - radius, 0.0))
-                    )
-                    if radius == float("inf"):
-                        highs = np.full_like(q_dists, np.inf)
-                    else:
-                        highs = np.asarray(self.ope.encrypt(q_dists + radius))
-                method = "range_transformed"
-                writer = Writer().f64_array(lows).f64_array(highs)
-            else:
-                method = "range"
-                writer = Writer().f64_array(q_dists).f64(radius)
-        reader = self._call(method, writer)
-        return self._refine(query, reader, radius=radius)
+        (hits,) = self._range(
+            np.asarray(query)[np.newaxis], radius, single=True
+        )
+        return hits
 
     def knn_search(
         self,
@@ -391,22 +369,15 @@ class EncryptedClient:
         decrypt and compute distances only for candidates with the
         highest rank").
         """
-        if k <= 0:
-            raise QueryError(f"k must be positive, got {k}")
-        if cand_size < k:
-            raise QueryError(
-                f"cand_size ({cand_size}) must be at least k ({k})"
-            )
-        with self.costs.time(CLIENT):
-            with self.costs.time(DISTANCE):
-                q_dists = self.space.d_batch(query, self.secret_key.pivots)
-            permutation = pivot_permutation(q_dists)
-            writer = Writer()
-            writer.i32_array(permutation)
-            writer.u32(cand_size)
-            writer.u32(max_cells if max_cells is not None else 0)
-        reader = self._call("approx_knn", writer)
-        return self._refine(query, reader, k=k, refine_limit=refine_limit)
+        (hits,) = self._knn(
+            np.asarray(query)[np.newaxis],
+            k,
+            cand_size,
+            max_cells,
+            refine_limit,
+            single=True,
+        )
+        return hits
 
     def knn_precise(
         self, query: np.ndarray, k: int, *, cand_size: int | None = None
@@ -459,28 +430,8 @@ class EncryptedClient:
         shared between queries; the LRU cache carries reuse across
         calls).
         """
-        if k <= 0:
-            raise QueryError(f"k must be positive, got {k}")
-        if cand_size < k:
-            raise QueryError(
-                f"cand_size ({cand_size}) must be at least k ({k})"
-            )
-        query_matrix = self._as_query_matrix(queries)
-        if query_matrix.shape[0] == 0:
-            return []
-        with self.costs.time(CLIENT):
-            with self.costs.time(DISTANCE):
-                distance_matrix = self.space.d_pairwise(
-                    query_matrix, self.secret_key.pivots
-                )
-            permutations = pivot_permutations(distance_matrix)
-            writer = Writer()
-            writer.i32_matrix(permutations)
-            writer.u32(cand_size)
-            writer.u32(max_cells if max_cells is not None else 0)
-        reader = self._call("knn_batch", writer)
-        return self._refine_batch(
-            query_matrix, reader, k=k, refine_limit=refine_limit
+        return self._knn(
+            queries, k, cand_size, max_cells, refine_limit, single=False
         )
 
     def range_batch(
@@ -494,7 +445,56 @@ class EncryptedClient:
         :meth:`range_search`; under TRANSFORMED the request carries the
         per-pivot transformed interval *matrices* of the whole batch.
         """
-        if radius < 0:
+        return self._range(queries, radius, single=False)
+
+    def _knn(
+        self,
+        queries: np.ndarray,
+        k: int,
+        cand_size: int,
+        max_cells: int | None,
+        refine_limit: int | None,
+        *,
+        single: bool,
+    ) -> list[list[SearchHit]]:
+        """The k-NN request path: validate, permutations of the whole
+        query matrix, one message in the form asked, refine."""
+        if k <= 0:
+            raise QueryError(f"k must be positive, got {k}")
+        if cand_size < k:
+            raise QueryError(
+                f"cand_size ({cand_size}) must be at least k ({k})"
+            )
+        if refine_limit is not None and refine_limit < 0:
+            raise QueryError(
+                f"refine_limit must be >= 0, got {refine_limit}"
+            )
+        query_matrix = self._as_query_matrix(queries)
+        if query_matrix.shape[0] == 0:
+            return []
+        with self.costs.time(CLIENT):
+            with self.costs.time(DISTANCE):
+                distance_matrix = self.space.d_pairwise(
+                    query_matrix, self.secret_key.pivots
+                )
+            writer = KNN.write_request(
+                pivot_permutations(distance_matrix),
+                cand_size,
+                max_cells,
+                single=single,
+            )
+        reader = self._call(KNN.method(single), writer)
+        return self._refine(
+            query_matrix, reader, single, k=k, refine_limit=refine_limit
+        )
+
+    def _range(
+        self, queries: np.ndarray, radius: float, *, single: bool
+    ) -> list[list[SearchHit]]:
+        """The range request path: validate, query–pivot distances of
+        the whole query matrix (transformed intervals under
+        TRANSFORMED), one message in the form asked, refine."""
+        if not radius >= 0:  # NaN compares false either way
             raise QueryError(f"radius must be >= 0, got {radius}")
         if self.strategy is Strategy.APPROXIMATE:
             raise QueryError(
@@ -523,13 +523,15 @@ class EncryptedClient:
                         highs = np.asarray(
                             self.ope.encrypt(distance_matrix + radius)
                         )
-                method = "range_transformed_batch"
-                writer = Writer().f64_matrix(lows).f64_matrix(highs)
+                search = RANGE_TRANSFORMED
+                writer = search.write_request(lows, highs, single=single)
             else:
-                method = "range_batch"
-                writer = Writer().f64_matrix(distance_matrix).f64(radius)
-        reader = self._call(method, writer)
-        return self._refine_batch(query_matrix, reader, radius=radius)
+                search = RANGE
+                writer = search.write_request(
+                    distance_matrix, radius, single=single
+                )
+        reader = self._call(search.method(single), writer)
+        return self._refine(query_matrix, reader, single, radius=radius)
 
     @staticmethod
     def _as_query_matrix(queries: np.ndarray) -> np.ndarray:
@@ -618,47 +620,25 @@ class EncryptedClient:
 
     def _refine(
         self,
-        query: np.ndarray,
-        reader: Reader,
-        *,
-        radius: float | None = None,
-        k: int | None = None,
-        refine_limit: int | None = None,
-    ) -> list[SearchHit]:
-        with self.costs.time(CLIENT):
-            table = read_candidate_table(reader)
-            reader.expect_end()
-            head = slice(None, refine_limit)
-            oids = table[0][head]
-            hits: list[SearchHit] = []
-            if len(oids):
-                vectors = self._decrypt_candidates(
-                    oids, candidate_tokens(table, head)
-                )
-                hits = self._select(query, oids, vectors, radius, k)
-            self.costs.add_count("candidates_received", len(table[0]))
-            self.costs.add_count("candidates_refined", len(oids))
-        return hits
-
-    def _refine_batch(
-        self,
         queries: np.ndarray,
         reader: Reader,
+        single: bool,
         *,
         radius: float | None = None,
         k: int | None = None,
         refine_limit: int | None = None,
     ) -> list[list[SearchHit]]:
-        """Bulk refinement of a deduplicated batch response.
+        """Bulk refinement of a search response, one hit list per query.
 
         The response is a table of unique candidates — an oid column
-        and one region of payload bytes — followed by one list of table
-        rows per query (rank order). The union of all refined heads is
+        and one region of payload bytes — with one list of table rows
+        per query in rank order (a ``single`` response is the table
+        alone: one list, every row). The union of all refined heads is
         cut out of the region and decrypted in a single pass; each
         query then selects its hits from its own candidate rows.
         """
         with self.costs.time(CLIENT):
-            table, index_lists = read_candidate_lists(reader)
+            table, index_lists = read_candidate_lists(reader, single=single)
             if len(index_lists) != queries.shape[0]:
                 raise QueryError(
                     f"batch response carries {len(index_lists)} result "

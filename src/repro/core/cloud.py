@@ -268,8 +268,8 @@ LocalShardCluster` instead of one server: the cell tree partitions by
         return self.server.drain(timeout)
 
     def close(self) -> None:
-        """Shut down the TCP server (when one was started) and release
-        the server's batch thread pool."""
+        """Shut down the TCP server (when one was started) or the
+        shard cluster."""
         if self._tcp_server is not None:
             self._tcp_server.shutdown()
             self._tcp_server = None

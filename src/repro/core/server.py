@@ -17,16 +17,15 @@ The server exposes these RPC methods:
     are routed group-wise by :meth:`MIndex.bulk_insert` (one storage
     write per touched cell). Both produce identical indexes. Writers —
     they take the exclusive side of the server's read–write lock.
-``range``
-    Algorithm 3 — candidate set of a range query from query–pivot
-    distances, after tree pruning and pivot filtering.
-``range_transformed``
-    The §6 future-work variant: candidate set from per-pivot
+``range`` / ``range_transformed`` / ``approx_knn``
+    The three searches, one query each. ``range`` is Algorithm 3 —
+    candidate set of a range query from query–pivot distances, after
+    tree pruning and pivot filtering; ``range_transformed`` the §6
+    future-work variant — candidate set from per-pivot
     *transformed-space intervals*, so the server filters without ever
-    seeing a true distance value.
-``approx_knn``
-    Algorithm 4 — pre-ranked candidate set of a given size from the
-    query permutation, optionally restricted to a number of cells.
+    seeing a true distance value; ``approx_knn`` Algorithm 4 —
+    pre-ranked candidate set of a given size from the query
+    permutation, optionally restricted to a number of cells.
 ``knn_batch`` / ``range_batch`` / ``range_transformed_batch``
     Batched forms of the three searches: one wire message carries a
     whole query batch (permutation/distance *matrices*), the index
@@ -46,15 +45,19 @@ The server exposes these RPC methods:
     :class:`~repro.cluster.router.ShardRouter` can interleave the
     groups of every shard, replay the stopping rule, and reproduce the
     single-server answer bit for bit.
+
+    These nine are three searches in three forms, registered from the
+    table in :mod:`repro.wire.search` through one handler
+    (:func:`_search_handler`): decode the request with the search's one
+    reader — a single query reads as a batch of one — take the shared
+    lock, call the :class:`~repro.mindex.index.MIndex` method of that
+    form, write the answer in that form.
 ``export_cells`` / ``drop_cells`` / ``dump_cells``
     Rebalance and diagnostics surface: ``export_cells`` returns every
     record of a set of top-level pivots in the ``insert`` request
     format (so a rebalance replays it verbatim on the receiving
     shard), ``drop_cells`` removes them, and ``dump_cells``
     fingerprints cell-tree contents for equivalence benches.
-``search_batch``
-    Generic batching (``RpcDispatcher.enable_batch``): many request
-    bodies for one inner method, fanned out over a thread pool.
 ``stats``
     Index statistics (diagnostics; not part of any measured phase),
     including the fault-tolerance counters (requests shed, deadline
@@ -66,16 +69,15 @@ The server exposes these RPC methods:
 
 Concurrency: searches are read-only, so all search handlers take the
 shared side of a :class:`~repro.core.locks.ReadWriteLock` and may run
-concurrently (the socket transport's handler pool, thread-pool batch
-fan-out); ``insert``/``delete`` serialize exclusively so no reader can
-observe a half-split cell tree.
+concurrently (the socket transport's handler pool);
+``insert``/``delete`` serialize exclusively so no reader can observe a
+half-split cell tree.
 """
 
 from __future__ import annotations
 
 from repro.core.locks import ReadWriteLock
 from repro.core.records import IndexedRecord, RecordBatch
-from repro.exceptions import QueryError
 from repro.mindex.index import MIndex
 from repro.net.aio import AsyncTcpServer
 from repro.net.clock import Clock
@@ -91,8 +93,57 @@ from repro.wire.scatter import (
     write_range_scatter_response,
     write_stats_map,
 )
+from repro.wire.search import FORMS, KNN, RANGE, RANGE_TRANSFORMED, Search
 
 __all__ = ["SimilarityCloudServer"]
+
+#: the :class:`MIndex` method that answers each search in its single,
+#: batch and scatter form (the order of ``FORMS``)
+_INDEX_METHODS = {
+    KNN: (
+        "approx_knn_candidates",
+        "approx_knn_candidates_batch",
+        "approx_knn_scatter_batch",
+    ),
+    RANGE: ("range_search", "range_search_batch", "range_scatter_batch"),
+    RANGE_TRANSFORMED: (
+        "range_search_transformed",
+        "range_search_transformed_batch",
+        "range_transformed_scatter_batch",
+    ),
+}
+
+
+def _search_handler(
+    index: MIndex, lock: ReadWriteLock, search: Search, form: str
+):
+    """The handler of one search RPC — every search, every form.
+
+    It holds the index and the lock, not the server: the dispatcher
+    keeps plain functions strongly, and one that led back to the server
+    owning the dispatcher would be the reference cycle that keeps a
+    closed deployment alive until the cyclic collector runs.
+    """
+    single = form == "single"
+    index_method = _INDEX_METHODS[search][FORMS.index(form)]
+
+    def handle(body: Reader) -> Writer:
+        queries, options = search.read_request(body, single=single)
+        if single:
+            queries = [matrix[0] for matrix in queries]
+        with lock.read():
+            found = getattr(index, index_method)(*queries, **options)
+        # the writers are module globals looked up per call, which is
+        # where the end-to-end benchmark's tracer wraps them
+        if single:
+            return _write_candidates(found)
+        if form == "batch":
+            return _write_candidate_lists(*found)
+        if search is KNN:
+            return write_knn_scatter_response(*found)
+        return write_range_scatter_response(*found)
+
+    return handle
 
 
 class SimilarityCloudServer:
@@ -111,8 +162,6 @@ class SimilarityCloudServer:
         Maximum cell-tree depth.
     clock:
         Clock used for the dispatcher's server-time accounting.
-    max_workers:
-        Thread-pool width of the generic ``search_batch`` fan-out.
     """
 
     def __init__(
@@ -123,7 +172,6 @@ class SimilarityCloudServer:
         storage=None,
         max_level: int = 8,
         clock: Clock | None = None,
-        max_workers: int = 8,
     ) -> None:
         self.storage = storage if storage is not None else MemoryStorage()
         self.index = MIndex(
@@ -135,29 +183,18 @@ class SimilarityCloudServer:
         self.dispatcher.register("insert", self._handle_insert)
         self.dispatcher.register("insert_bulk", self._handle_insert_bulk)
         self.dispatcher.register("delete", self._handle_delete)
-        self.dispatcher.register("range", self._handle_range)
-        self.dispatcher.register(
-            "range_transformed", self._handle_range_transformed
-        )
-        self.dispatcher.register("approx_knn", self._handle_approx_knn)
-        self.dispatcher.register("knn_batch", self._handle_knn_batch)
-        self.dispatcher.register("range_batch", self._handle_range_batch)
-        self.dispatcher.register(
-            "range_transformed_batch", self._handle_range_transformed_batch
-        )
-        self.dispatcher.register("knn_scatter", self._handle_knn_scatter)
-        self.dispatcher.register("range_scatter", self._handle_range_scatter)
-        self.dispatcher.register(
-            "range_transformed_scatter",
-            self._handle_range_transformed_scatter,
-        )
+        for search in _INDEX_METHODS:
+            for form in FORMS:
+                self.dispatcher.register(
+                    getattr(search, form),
+                    _search_handler(self.index, self._lock, search, form),
+                )
         self.dispatcher.register("export_cells", self._handle_export_cells)
         self.dispatcher.register("drop_cells", self._handle_drop_cells)
         self.dispatcher.register("dump_cells", self._handle_dump_cells)
         self.dispatcher.register("stats", self._handle_stats)
         self.dispatcher.register("ping", self._handle_ping)
         self.dispatcher.register("healthz", self._handle_healthz)
-        self.dispatcher.enable_batch(max_workers=max_workers)
         # mutating RPCs carry idempotency keys (see
         # repro.net.resilience); dedup makes their retries exactly-once
         self.dispatcher.enable_idempotency()
@@ -172,9 +209,8 @@ class SimilarityCloudServer:
         """Raw request entry point, pluggable into any channel.
 
         Locking happens per handler (read for searches, write for index
-        maintenance), so concurrent TCP clients and thread-pool batch
-        workers can search simultaneously while never observing a
-        half-split cell tree.
+        maintenance), so concurrent TCP clients can search
+        simultaneously while never observing a half-split cell tree.
         """
         return self.dispatcher.handle(request)
 
@@ -227,8 +263,11 @@ class SimilarityCloudServer:
         return drained
 
     def close(self) -> None:
-        """Release the dispatcher's batch thread pool."""
-        self.dispatcher.close()
+        """End of the endpoint's life, called by every deployment's
+        shutdown. The server owns no thread or file of its own — a
+        socket transport is shut down by whoever started it, the
+        storage backend by whoever opened it — so nothing is released
+        here and requests keep being answered."""
 
     # -- handlers ------------------------------------------------------------
 
@@ -263,105 +302,6 @@ class SimilarityCloudServer:
                 record.oid, record.ensure_permutation()
             )
         return Writer().boolean(removed)
-
-    def _handle_range(self, body: Reader) -> Writer:
-        distances = body.f64_array()
-        radius = body.f64()
-        body.expect_end()
-        with self._lock.read():
-            candidates = self.index.range_search(distances, radius)
-        return _write_candidates(candidates)
-
-    def _handle_range_transformed(self, body: Reader) -> Writer:
-        lows = body.f64_array()
-        highs = body.f64_array()
-        body.expect_end()
-        with self._lock.read():
-            candidates = self.index.range_search_transformed(lows, highs)
-        return _write_candidates(candidates)
-
-    def _handle_approx_knn(self, body: Reader) -> Writer:
-        permutation = body.i32_array()
-        cand_size = body.u32()
-        max_cells = body.u32()
-        body.expect_end()
-        if cand_size == 0:
-            raise QueryError("cand_size must be positive")
-        with self._lock.read():
-            candidates = self.index.approx_knn_candidates(
-                permutation,
-                cand_size,
-                max_cells=max_cells if max_cells > 0 else None,
-            )
-        return _write_candidates(candidates)
-
-    def _handle_knn_batch(self, body: Reader) -> Writer:
-        permutations = body.i32_matrix()
-        cand_size = body.u32()
-        max_cells = body.u32()
-        body.expect_end()
-        if cand_size == 0:
-            raise QueryError("cand_size must be positive")
-        with self._lock.read():
-            records, rows = self.index.approx_knn_candidates_batch(
-                permutations,
-                cand_size,
-                max_cells=max_cells if max_cells > 0 else None,
-            )
-        return _write_candidate_lists(records, rows)
-
-    def _handle_range_batch(self, body: Reader) -> Writer:
-        distances = body.f64_matrix()
-        radius = body.f64()
-        body.expect_end()
-        with self._lock.read():
-            records, rows = self.index.range_search_batch(distances, radius)
-        return _write_candidate_lists(records, rows)
-
-    def _handle_range_transformed_batch(self, body: Reader) -> Writer:
-        lows = body.f64_matrix()
-        highs = body.f64_matrix()
-        body.expect_end()
-        with self._lock.read():
-            records, rows = self.index.range_search_transformed_batch(
-                lows, highs
-            )
-        return _write_candidate_lists(records, rows)
-
-    def _handle_knn_scatter(self, body: Reader) -> Writer:
-        permutations = body.i32_matrix()
-        cand_size = body.u32()
-        max_cells = body.u32()
-        body.expect_end()
-        if cand_size == 0:
-            raise QueryError("cand_size must be positive")
-        with self._lock.read():
-            records, query_groups = self.index.approx_knn_scatter_batch(
-                permutations,
-                cand_size,
-                max_cells=max_cells if max_cells > 0 else None,
-            )
-        return write_knn_scatter_response(records, query_groups)
-
-    def _handle_range_scatter(self, body: Reader) -> Writer:
-        distances = body.f64_matrix()
-        radius = body.f64()
-        body.expect_end()
-        with self._lock.read():
-            records, query_groups = self.index.range_scatter_batch(
-                distances, radius
-            )
-        return write_range_scatter_response(records, query_groups)
-
-    def _handle_range_transformed_scatter(self, body: Reader) -> Writer:
-        lows = body.f64_matrix()
-        highs = body.f64_matrix()
-        body.expect_end()
-        with self._lock.read():
-            records, query_groups = (
-                self.index.range_transformed_scatter_batch(lows, highs)
-            )
-        return write_range_scatter_response(records, query_groups)
 
     def _handle_export_cells(self, body: Reader) -> Writer:
         pivots = body.i32_array()

@@ -45,6 +45,13 @@ __all__ = [
 ]
 
 
+#: what one broadcast temporary of a serial :meth:`Distance.pairwise`
+#: kernel call (``rows x len(xs) x dim`` float64) is held to: enough
+#: rows to amortize the call, few enough that the temporaries stay in
+#: cache and are reused by the allocator rather than returned to the OS
+_BLOCK_BYTES = 256 * 1024
+
+
 def _as_vector(x: np.ndarray) -> np.ndarray:
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim != 1:
@@ -97,12 +104,18 @@ class Distance:
         """Distance matrix between the rows of ``qs`` and the rows of
         ``xs``; ``pairwise(Q, X)[i] == batch(Q[i], X)`` bit for bit.
 
-        With ``REPRO_KERNEL_WORKERS > 1`` the matrix is computed in
-        row blocks on the kernel scheduler. Every ``_pairwise``
-        implementation reduces strictly per row (sum/max over the
-        trailing axis), so a row block of the full kernel is the same
-        floating-point program as the corresponding rows of the serial
-        call — the block split preserves the bit-for-bit contract.
+        The matrix is computed in blocks of query rows into one
+        preallocated output, each block as many rows as keep the
+        kernels' broadcast temporaries (``rows x len(xs) x dim`` each)
+        within :data:`_BLOCK_BYTES` — a size the allocator reuses,
+        instead of tens of megabytes per call that go back to the OS
+        and fault in again on the next. With
+        ``REPRO_KERNEL_WORKERS > 1`` the kernel scheduler cuts the rows
+        into its own slices instead. Every ``_pairwise`` implementation
+        reduces strictly per row (sum/max over the trailing axis), so a
+        row block of the full kernel is the same floating-point program
+        as the corresponding rows of one whole-matrix call — either
+        split preserves the bit-for-bit contract.
         """
         qs = np.asarray(qs, dtype=np.float64)
         xs = np.asarray(xs, dtype=np.float64)
@@ -115,8 +128,8 @@ class Distance:
                 f"dimensionality mismatch: queries {qs.shape[1]} vs "
                 f"matrix rows {xs.shape[1]}"
             )
+        out = np.empty((qs.shape[0], xs.shape[0]), dtype=np.float64)
         if backend.kernel_workers() > 1:
-            out = np.empty((qs.shape[0], xs.shape[0]), dtype=np.float64)
 
             def compute(start: int, stop: int) -> np.ndarray:
                 return self._pairwise(qs[start:stop], xs)
@@ -131,7 +144,11 @@ class Distance:
                 "distance", qs.shape[0], compute, write, process_spec=spec
             ):
                 return out
-        return self._pairwise(qs, xs)
+        block = max(1, _BLOCK_BYTES // (8 * max(1, xs.size)))
+        for start in range(0, qs.shape[0], block):
+            stop = start + block
+            out[start:stop] = self._pairwise(qs[start:stop], xs)
+        return out
 
     # -- implementation hooks ------------------------------------------
 

@@ -19,18 +19,19 @@ Search algorithms implemented (paper §4.1 / §4.2):
   requested candidate-set size is reached; the result is pre-ranked so a
   client may refine only its head.
 
-Each search has a batched variant (:meth:`MIndex.range_search_batch`,
-:meth:`MIndex.approx_knn_candidates_batch`, ...) that answers many
-queries in one call. Batched searches return exactly the same per-query
-results as the looped single-query forms, as columns: the records of
-every visited cell, each cell once, plus per query the *rows* of that
-list that are its candidates — no object is built per candidate, which
-is what lets the server encode a response (and a shard its scatter
-groups, the ``*_scatter_batch`` forms) with array operations. They
-amortize work across the batch — cell promises for all queries are
-computed in one vectorized kernel, and bucket loads and per-bucket
-matrices are shared — which is what makes the server's ``*_batch`` RPC
-methods faster than fanning out single-query calls.
+Each search is implemented once, for a batch of queries
+(:meth:`MIndex.range_search_batch`,
+:meth:`MIndex.approx_knn_candidates_batch`, ...); the single-query
+methods above are that code over a one-row matrix, with the answer
+handed back as a record list. A batch is answered as columns: the
+records of every visited cell, each cell once, plus per query the
+*rows* of that list that are its candidates — no object is built per
+candidate, which is what lets the server encode a response (and a
+shard its scatter groups, the ``*_scatter_batch`` forms) with array
+operations. Work is amortized across the batch — cell promises for all
+queries are computed in one vectorized kernel, and bucket loads and
+per-bucket matrices are shared — which is what makes the server's
+``*_batch`` RPC methods faster than fanning out single-query calls.
 
 Searches are read-only with respect to the cell tree and storage, so
 any number may run concurrently; only :meth:`MIndex.insert`,
@@ -49,11 +50,7 @@ import numpy as np
 
 from repro.core.records import IndexedRecord
 from repro.exceptions import IndexError_, QueryError
-from repro.metric.permutations import (
-    inverse_permutation,
-    pivot_permutations,
-    prefix_promise,
-)
+from repro.metric.permutations import pivot_permutations
 from repro.mindex.cell_tree import CellTree, LeafCell
 from repro.parallel import backend
 
@@ -397,19 +394,13 @@ class MIndex:
         ``d(q, o) <= radius`` according to the metric lower bounds; the
         caller (client or plain server) refines with true distances.
         """
-        q = np.asarray(query_distances, dtype=np.float64)
-        if q.ndim != 1 or q.shape[0] != self.n_pivots:
-            raise QueryError(
-                f"query distances must have length {self.n_pivots}, "
-                f"got shape {q.shape}"
+        return self._only(
+            self.range_search_batch(
+                np.asarray(query_distances)[np.newaxis],
+                radius,
+                stats=None if stats is None else [stats],
             )
-        if radius < 0:
-            raise QueryError(f"radius must be >= 0, got {radius}")
-        stats = stats if stats is not None else RangeSearchStats()
-        records, groups = self._range_groups_batch(
-            q[np.newaxis, :], radius, [stats]
         )
-        return self._records_at(records, groups[0])
 
     def _double_pivot_bound(
         self, q: np.ndarray, order: np.ndarray, prefix: tuple[int, ...]
@@ -480,20 +471,13 @@ class MIndex:
         per-leaf interval overlap test and per-object interval
         filtering only. The ablation bench quantifies that cost.
         """
-        lows = np.asarray(lows, dtype=np.float64)
-        highs = np.asarray(highs, dtype=np.float64)
-        if lows.shape != (self.n_pivots,) or highs.shape != (self.n_pivots,):
-            raise QueryError(
-                f"interval arrays must have length {self.n_pivots}, got "
-                f"{lows.shape} and {highs.shape}"
+        return self._only(
+            self.range_search_transformed_batch(
+                np.asarray(lows)[np.newaxis],
+                np.asarray(highs)[np.newaxis],
+                stats=None if stats is None else [stats],
             )
-        if np.any(lows > highs):
-            raise QueryError("interval lows must not exceed highs")
-        stats = stats if stats is not None else RangeSearchStats()
-        records, groups = self._range_transformed_groups_batch(
-            lows[np.newaxis, :], highs[np.newaxis, :], [stats]
         )
-        return self._records_at(records, groups[0])
 
     @staticmethod
     def _interval_prunes_leaf(
@@ -532,62 +516,20 @@ class MIndex:
         and the query's — this is the paper's "pre-ranked" property that
         lets clients refine only the head of the set.
         """
-        perm = np.asarray(query_permutation, dtype=np.int64)
-        if perm.ndim != 1 or perm.shape[0] != self.n_pivots:
-            raise QueryError(
-                f"query permutation must have length {self.n_pivots}, "
-                f"got shape {perm.shape}"
+        return self._only(
+            self.approx_knn_candidates_batch(
+                np.asarray(query_permutation)[np.newaxis],
+                cand_size,
+                max_cells=max_cells,
             )
-        if cand_size <= 0:
-            raise QueryError(f"cand_size must be positive, got {cand_size}")
-        if max_cells is not None and max_cells <= 0:
-            raise QueryError(f"max_cells must be positive, got {max_cells}")
-        query_ranks = inverse_permutation(perm)
-        ranked = sorted(
-            (
-                (self._promise(query_ranks, leaf.prefix), leaf.prefix, leaf)
-                for leaf in self.tree.leaves()
-                if leaf.count > 0
-            ),
-            key=lambda item: (item[0], item[1]),
         )
-        collected: list[tuple[float, np.ndarray, IndexedRecord]] = []
-        cells_accessed = 0
-        for promise, _prefix, leaf in ranked:
-            if len(collected) >= cand_size:
-                break
-            if max_cells is not None and cells_accessed >= max_cells:
-                break
-            records = self.storage.load(leaf.prefix)
-            cells_accessed += 1
-            scores = self._record_scores(query_ranks, records)
-            collected.extend(
-                (promise, score, record)
-                for score, record in zip(scores, records)
-            )
-        collected.sort(key=lambda item: (item[0], item[1], item[2].oid))
-        return [record for _p, _s, record in collected[:cand_size]]
 
     @staticmethod
-    def _promise(query_ranks: np.ndarray, prefix: tuple[int, ...]) -> float:
-        if not prefix:
-            return 0.0
-        return prefix_promise(query_ranks, prefix)
-
-    @staticmethod
-    def _record_scores(
-        query_ranks: np.ndarray, records: list[IndexedRecord]
-    ) -> np.ndarray:
-        """Truncated-footrule pre-ranking scores, vectorized per bucket."""
-        if not records:
-            return np.empty(0, dtype=np.float64)
-        depth = min(_RANK_PREFIX, query_ranks.shape[0])
-        prefixes = np.stack([r.permutation[:depth] for r in records])
-        positions = np.arange(depth, dtype=np.int64)
-        displacement = np.abs(
-            query_ranks[prefixes].astype(np.int64) - positions
-        )
-        return displacement.sum(axis=1).astype(np.float64)
+    def _only(found: tuple) -> list[IndexedRecord]:
+        """The record-list view of a batch of one: a single search is
+        its batch form over a one-row matrix."""
+        records, (rows,) = found
+        return [records[row] for row in rows.tolist()]
 
     # ------------------------------------------------------------------
     # batched searches
@@ -609,14 +551,15 @@ class MIndex:
         ``query_permutations``. The work is amortized: the cell
         promises of every (query, cell) pair come out of one vectorized
         kernel — the promise weights and integer rank displacements are
-        exactly representable, so the result is bit-identical to the
-        per-leaf loop — bucket loads plus the per-bucket permutation
+        exactly representable, so the result is bit-identical to a
+        per-leaf :func:`~repro.metric.permutations.prefix_promise` loop
+        — bucket loads plus the per-bucket permutation
         matrices are shared across the batch, and the final
         ``(promise, score, oid)`` order is one ``lexsort`` per query
         over columns, with no object built per candidate.
         """
-        records, groups_per_query = self._knn_groups_batch(
-            query_permutations, cand_size, max_cells
+        records, groups_per_query = self.approx_knn_scatter_batch(
+            query_permutations, cand_size, max_cells=max_cells
         )
         oids = np.fromiter(
             (record.oid for record in records), np.uint64, len(records)
@@ -655,21 +598,11 @@ class MIndex:
         stopping rule needs — the router can replay the rule over the
         merged group stream and reproduce the single-server candidate
         set bit for bit.
-        """
-        return self._knn_groups_batch(
-            query_permutations, cand_size, max_cells
-        )
 
-    def _knn_groups_batch(
-        self,
-        query_permutations: np.ndarray,
-        cand_size: int,
-        max_cells: int | None,
-    ) -> tuple[list[IndexedRecord], list[list[tuple]]]:
-        """The shared batch kNN traversal: the visited cells' records
-        end to end and, per query, the visited
-        ``(promise, prefix, rows, scores)`` leaf groups in promise
-        order, with vectorized promises and shared bucket loads."""
+        This is the index's one k-NN traversal — vectorized promises,
+        shared bucket loads — and the core of
+        :meth:`approx_knn_candidates_batch`.
+        """
         perms = np.asarray(query_permutations, dtype=np.int64)
         if perms.ndim != 2 or perms.shape[1] != self.n_pivots:
             raise QueryError(
@@ -684,9 +617,8 @@ class MIndex:
         visited: list[IndexedRecord] = []
         if n_queries == 0:
             return visited, []
-        # each row must be a permutation of 0..n_pivots-1 — matching the
-        # single-query path's validation — or put_along_axis below would
-        # leave uninitialized rank slots
+        # each row must be a permutation of 0..n_pivots-1, or
+        # put_along_axis below would leave uninitialized rank slots
         expected = np.arange(self.n_pivots, dtype=np.int64)
         if not np.array_equal(
             np.sort(perms, axis=1), np.broadcast_to(expected, perms.shape)
@@ -707,8 +639,8 @@ class MIndex:
         if not leaves:
             return visited, [[] for _ in range(n_queries)]
         promises = self._promise_matrix(ranks, leaves)
-        # ordinal encoding of the prefix tie-breaker used by the
-        # single-query sort key (promise, prefix)
+        # ordinal encoding of the prefix tie-breaker of the visit
+        # order's sort key (promise, prefix)
         prefix_rank = np.empty(len(leaves), dtype=np.int64)
         by_prefix = sorted(range(len(leaves)), key=lambda i: leaves[i].prefix)
         prefix_rank[by_prefix] = np.arange(len(leaves), dtype=np.int64)
@@ -863,7 +795,7 @@ class MIndex:
                 f"query distances must have shape (batch, {self.n_pivots}), "
                 f"got {q_matrix.shape}"
             )
-        if radius < 0:
+        if not radius >= 0:  # NaN compares false either way
             raise QueryError(f"radius must be >= 0, got {radius}")
         return self._range_groups_batch(
             q_matrix, radius, self._stats_for(stats, q_matrix.shape[0])
@@ -888,13 +820,6 @@ class MIndex:
         if not groups:
             return np.empty(0, dtype=np.int64)
         return np.concatenate([rows for _prefix, rows in groups])
-
-    @classmethod
-    def _records_at(
-        cls, records: list[IndexedRecord], groups: list[tuple]
-    ) -> list[IndexedRecord]:
-        """The record-list view of one query's groups."""
-        return [records[row] for row in cls._rows_of(groups).tolist()]
 
     def _range_groups_batch(
         self,

@@ -58,8 +58,9 @@ from repro.exceptions import (
 )
 from repro.net.channel import Channel
 from repro.net.clock import Clock, WallClock
-from repro.net.rpc import BATCH_METHOD, RpcClient
+from repro.net.rpc import RpcClient
 from repro.wire.encoding import Reader, Writer
+from repro.wire.search import SEARCH_METHODS
 
 __all__ = [
     "MUTATING_METHODS",
@@ -77,27 +78,15 @@ MUTATING_METHODS = frozenset(
 )
 
 #: methods safe to resend without a key (answers are pure functions of
-#: the index state; re-executing one is harmless — including the
-#: scatter searches, the rebalance export and the cell dump)
-READ_ONLY_METHODS = frozenset(
-    {
-        "range",
-        "range_transformed",
-        "approx_knn",
-        "knn_batch",
-        "range_batch",
-        "range_transformed_batch",
-        "knn_scatter",
-        "range_scatter",
-        "range_transformed_scatter",
-        "export_cells",
-        "dump_cells",
-        "stats",
-        "ping",
-        "healthz",
-        BATCH_METHOD,
-    }
-)
+#: the index state; re-executing one is harmless): every search in
+#: every form, the rebalance export, the cell dump and the probes
+READ_ONLY_METHODS = SEARCH_METHODS | {
+    "export_cells",
+    "dump_cells",
+    "stats",
+    "ping",
+    "healthz",
+}
 
 _KEY_MASK = 0xFFFFFFFFFFFFFFFF
 
@@ -416,24 +405,6 @@ class ResilientRpcClient:
             lambda rpc: rpc.call(
                 method, body_bytes, deadline=deadline, idempotency_key=key
             ),
-        )
-
-    def call_batch(
-        self,
-        method: str,
-        bodies: list[Writer | bytes],
-        *,
-        deadline: float | None = None,
-    ) -> list[Reader]:
-        """Batched counterpart of :meth:`call` (read-only inner methods
-        only, matching the server's ``search_batch``)."""
-        frozen = [
-            body.getvalue() if isinstance(body, Writer) else bytes(body)
-            for body in bodies
-        ]
-        return self._with_retries(
-            BATCH_METHOD,
-            lambda rpc: rpc.call_batch(method, frozen, deadline=deadline),
         )
 
     def ping(self, *, deadline: float | None = None) -> bool:

@@ -19,13 +19,11 @@ duplicate key instead of re-executing the handler, so a retried
 values drawn from the same numbering machinery as the framing layer's
 correlation ids (see :class:`repro.net.resilience.ResilientRpcClient`).
 
-The layer also provides a generic **batched** call: a dispatcher with
-:meth:`RpcDispatcher.enable_batch` exposes a ``search_batch`` method
-that carries many request bodies for one inner method in a single wire
-message and fans them out over a thread pool on the server;
-:meth:`RpcClient.call_batch` is the client-side counterpart. Handlers
-reached through ``search_batch`` run concurrently, so they must take the
-server's read–write lock themselves (see
+One request carries one call. A whole query batch travels as one call
+of a ``*_batch`` method whose body holds the batch (see
+:mod:`repro.wire.search`), not as many calls in one envelope. Handlers
+may run concurrently (the socket transport runs them on a thread pool),
+so they take the server's read–write lock themselves (see
 :class:`~repro.core.locks.ReadWriteLock`).
 """
 
@@ -35,7 +33,7 @@ import inspect
 import threading
 import weakref
 from collections import OrderedDict
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Future
 from typing import Callable
 
 from repro.exceptions import ProtocolError, ReproError
@@ -46,12 +44,9 @@ from repro.wire.encoding import Reader, Writer
 __all__ = [
     "RpcDispatcher",
     "RpcClient",
-    "BATCH_METHOD",
     "RpcServerError",
     "encode_request",
     "decode_response",
-    "encode_batch_request",
-    "decode_batch_response",
 ]
 
 _STATUS_OK = 0
@@ -103,35 +98,6 @@ class RpcServerError(ProtocolError):
         super().__init__(message)
         self.server_time = server_time
 
-#: wire name of the generic batched call
-BATCH_METHOD = "search_batch"
-
-
-def encode_batch_request(
-    method: str, bodies: list[Writer | bytes]
-) -> Writer:
-    """Body of one ``search_batch`` envelope carrying ``bodies``."""
-    writer = Writer()
-    writer.string(method)
-    writer.u32(len(bodies))
-    for body in bodies:
-        writer.blob(
-            body.getvalue() if isinstance(body, Writer) else bytes(body)
-        )
-    return writer
-
-
-def decode_batch_response(reader: Reader, expected: int) -> list[Reader]:
-    """Per-body response Readers of a ``search_batch`` reply."""
-    count = reader.u32()
-    if count != expected:
-        raise ProtocolError(
-            f"batch response carries {count} results for "
-            f"{expected} requests"
-        )
-    readers = [Reader(reader.blob()) for _ in range(count)]
-    reader.expect_end()
-    return readers
 
 Handler = Callable[[Reader], Writer]
 
@@ -152,7 +118,6 @@ class RpcDispatcher:
         self._handlers: dict[str, Handler | weakref.WeakMethod] = {}
         self._clock: Clock = clock or WallClock()
         self._accounting = threading.Lock()
-        self._pool: ThreadPoolExecutor | None = None
         self._idempotency: OrderedDict[int, bytes | Future] | None = None
         self._idempotency_capacity = 0
         self._idempotency_lock = threading.Lock()
@@ -184,28 +149,6 @@ class RpcDispatcher:
             handler = handler()
         return handler
 
-    def enable_batch(self, *, max_workers: int = 8) -> None:
-        """Expose the generic ``search_batch`` method.
-
-        The request body carries an inner method name and a sequence of
-        request bodies; the dispatcher fans them out over a shared
-        thread pool and returns the responses in request order. The
-        batch is all-or-nothing: one failing sub-request fails the whole
-        call (a caller that needs failure isolation can fall back to
-        per-query calls). Inner handlers run *outside* the per-call
-        accounting (the batch call's own elapsed time already covers
-        them) and must be safe for concurrent execution. Worker threads
-        are spawned on demand; :meth:`close` releases them.
-        """
-        if max_workers <= 0:
-            raise ProtocolError(
-                f"max_workers must be positive, got {max_workers}"
-            )
-        self._pool = ThreadPoolExecutor(
-            max_workers=max_workers, thread_name_prefix="rpc-batch"
-        )
-        self.register(BATCH_METHOD, self._handle_batch)
-
     def enable_idempotency(self, *, capacity: int = 4096) -> None:
         """Deduplicate keyed requests in a bounded LRU of responses.
 
@@ -225,27 +168,6 @@ class RpcDispatcher:
         with self._idempotency_lock:
             self._idempotency = OrderedDict()
             self._idempotency_capacity = capacity
-
-    def _handle_batch(self, body: Reader) -> Writer:
-        if self._pool is None:
-            raise ProtocolError("batch thread pool is closed")
-        inner_method = body.string()
-        if inner_method == BATCH_METHOD:
-            raise ProtocolError("search_batch cannot nest")
-        handler = self._handler(inner_method)
-        if handler is None:
-            raise ProtocolError(f"unknown inner method {inner_method!r}")
-        count = body.u32()
-        bodies = [body.blob() for _ in range(count)]
-        body.expect_end()
-        results = list(
-            self._pool.map(lambda sub: handler(Reader(sub)), bodies)
-        )
-        response = Writer()
-        response.u32(len(results))
-        for result in results:
-            response.blob(result.getvalue())
-        return response
 
     def handle(self, request: bytes) -> bytes:
         """Entry point given to a channel: decode, dispatch, encode.
@@ -354,16 +276,6 @@ class RpcDispatcher:
         with self._idempotency_lock:
             self.dedup_hits = 0
 
-    def close(self) -> None:
-        """Release the batch thread pool (no-op without enable_batch).
-
-        Subsequent ``search_batch`` calls fail; single-query methods
-        keep working.
-        """
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
 
 class RpcClient:
     """Client-side caller: frames requests, decodes envelopes.
@@ -411,25 +323,6 @@ class RpcClient:
         self.server_time += server_time
         self.calls += 1
         self.channel.note_server_time(server_time)
-
-    def call_batch(
-        self,
-        method: str,
-        bodies: list[Writer | bytes],
-        *,
-        deadline: float | None = None,
-    ) -> list[Reader]:
-        """Invoke ``method`` once per body in a single ``search_batch``
-        round trip; returns one response Reader per body, in order.
-
-        Requires the server dispatcher to have batching enabled
-        (:meth:`RpcDispatcher.enable_batch`).
-        """
-        reader = self.call(
-            BATCH_METHOD, encode_batch_request(method, bodies),
-            deadline=deadline,
-        )
-        return decode_batch_response(reader, len(bodies))
 
     def reset_accounting(self) -> None:
         """Zero the client's view of server time and the channel counters."""

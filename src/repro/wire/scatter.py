@@ -226,11 +226,16 @@ def write_candidate_lists(source, rows_per_query: list) -> Writer:
 
 
 def read_candidate_lists(
-    reader: Reader,
+    reader: Reader, *, single: bool = False
 ) -> tuple[CandidateTable, list[np.ndarray]]:
-    """Decode a batch response as ``(table, rows_per_query)``, every
-    row checked to lie inside the table."""
+    """Decode a search response as ``(table, rows_per_query)``, every
+    row checked to lie inside the table. A ``single`` response — a bare
+    table in rank order — reads as a batch of one that uses every row
+    in turn."""
     table = read_candidate_table(reader)
+    if single:
+        reader.expect_end()
+        return table, [np.arange(table[0].shape[0])]
     sizes, rows = _read_ragged(reader, "candidate list")
     reader.expect_end()
     _check_rows(rows, table)

@@ -25,6 +25,7 @@ from repro.wire.scatter import (
     write_knn_scatter_response,
     write_range_scatter_response,
 )
+from repro.wire.search import KNN, RANGE, RANGE_TRANSFORMED
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False)
 
@@ -133,7 +134,8 @@ def test_record_roundtrip(oid, n_pivots, has_perm, has_dists, payload, seed):
 
 
 # ---------------------------------------------------------------------------
-# the candidate-table codec: round trips, then hostile input
+# the candidate-table codec and the search-request codecs: round trips,
+# then hostile input
 
 
 class _Stored(NamedTuple):
@@ -177,8 +179,81 @@ def test_candidate_table_roundtrip(records, data):
     ]
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_queries=st.integers(0, 4),
+    n_pivots=st.integers(1, 6),
+    cand_size=st.integers(1, 2**32 - 1),
+    max_cells=st.none() | st.integers(1, 2**32 - 1),
+    radius=st.floats(min_value=0.0, allow_nan=False),
+)
+def test_search_request_roundtrip(
+    seed, n_queries, n_pivots, cand_size, max_cells, radius
+):
+    """A search request is the layout written out by hand here, in the
+    batch form and — its one row as an array — in the single form, and
+    the search's reader hands either back as matrices."""
+    rng = np.random.default_rng(seed)
+    perms = rng.permuted(
+        np.tile(np.arange(n_pivots, dtype=np.int32), (n_queries, 1)), axis=1
+    )
+    lows = rng.random((n_queries, n_pivots))
+    highs = lows + 1.0
+    cells = max_cells if max_cells is not None else 0
+    for search, queries, options, by_hand in (
+        (
+            KNN,
+            (perms,),
+            {"cand_size": cand_size, "max_cells": max_cells},
+            lambda w, rows, form: getattr(w, f"i32_{form}")(perms[rows])
+            .u32(cand_size)
+            .u32(cells),
+        ),
+        (
+            RANGE,
+            (lows,),
+            {"radius": radius},
+            lambda w, rows, form: getattr(w, f"f64_{form}")(lows[rows])
+            .f64(radius),
+        ),
+        (
+            RANGE_TRANSFORMED,
+            (lows, highs),
+            {},
+            lambda w, rows, form: getattr(
+                getattr(w, f"f64_{form}")(lows[rows]), f"f64_{form}"
+            )(highs[rows]),
+        ),
+    ):
+        forms = [(False, queries, by_hand(Writer(), slice(None), "matrix"))]
+        forms += [
+            (
+                True,
+                [matrix[row : row + 1] for matrix in queries],
+                by_hand(Writer(), row, "array"),
+            )
+            for row in range(n_queries)
+        ]
+        for single, sent, expected in forms:
+            message = search.write_request(
+                *sent, single=single, **options
+            ).getvalue()
+            assert message == expected.getvalue()
+            got, got_options = search.read_request(
+                Reader(message), single=single
+            )
+            assert got_options == options
+            assert len(got) == len(sent)
+            for matrix, original in zip(got, sent):
+                np.testing.assert_array_equal(matrix, original)
+    with pytest.raises(ProtocolError, match="carries one query, got 2"):
+        RANGE.write_request(np.zeros((2, 3)), 1.0, single=True)
+
+
 def _responses(rng, n_queries):
-    """One valid response of each kind over the same made-up records:
+    """One valid message of each kind — the search responses over the
+    same made-up records, then the search requests in both forms:
     (kind, message, decode) with ``decode`` the whole consumer — reader
     plus, for scatter answers, the router's merge and re-encoding."""
     records = [
@@ -243,6 +318,32 @@ def _responses(rng, n_queries):
             Writer().blob_region([r.payload for r in records]).getvalue(),
             lambda message: Reader(message).blob_region(),
         ),
+    ] + _requests(rng, n_queries)
+
+
+def _requests(rng, n_queries):
+    """One valid request of each search in its batch form (``n_queries``
+    rows) and its single form, with the search's reader as consumer."""
+    perms = rng.permuted(np.tile(np.arange(5), (max(n_queries, 1), 1)), axis=1)
+    lows = rng.random(perms.shape)
+    return [
+        (
+            f"{search.method(single)} request",
+            search.write_request(
+                *(m[: 1 if single else n_queries] for m in queries),
+                single=single,
+                **options,
+            ).getvalue(),
+            lambda message, search=search, single=single: (
+                search.read_request(Reader(message), single=single)
+            ),
+        )
+        for search, queries, options in (
+            (KNN, (perms,), {"cand_size": 7, "max_cells": 2}),
+            (RANGE, (lows,), {"radius": 1.5}),
+            (RANGE_TRANSFORMED, (lows, lows + 1.0), {}),
+        )
+        for single in (False, True)
     ]
 
 
@@ -389,3 +490,32 @@ def test_named_forgeries_are_refused_by_name():
         read_range_scatter_response(
             Reader(ranges[:-12] + struct.pack("<Ii", 1, 7))
         )
+
+    # requests: rows the message has no bytes for, which every layer
+    # below would loop over and allocate by
+    no_columns = struct.pack("<II", 2**32 - 1, 0)
+    for search, rest in (
+        (KNN, struct.pack("<II", 5, 0)),
+        (RANGE, struct.pack("<d", 1.0)),
+        (RANGE_TRANSFORMED, no_columns),
+    ):
+        with pytest.raises(
+            ProtocolError, match="4294967295 rows of no columns"
+        ):
+            search.read_request(Reader(no_columns + rest))
+    # ... columns it has none for, and a shape the bytes fall short of
+    KNN.read_request(Reader(struct.pack("<IIII", 0, 2**32 - 1, 5, 0)))
+    with pytest.raises(ProtocolError, match="truncated"):
+        KNN.read_request(Reader(struct.pack("<IIII", 2**16, 2**16, 5, 0)))
+    with pytest.raises(ProtocolError, match="trailing"):
+        RANGE.read_request(Reader(no_columns[4:] + bytes(12)), single=True)
+    for single in (False, True):
+        with pytest.raises(QueryError, match="cand_size must be positive"):
+            KNN.read_request(
+                Reader(
+                    KNN.write_request(
+                        np.arange(4)[None], 0, single=single
+                    ).getvalue()
+                ),
+                single=single,
+            )

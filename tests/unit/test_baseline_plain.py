@@ -87,6 +87,10 @@ class TestSearch:
             client.knn_search(queries[0], 0, cand_size=10)
         with pytest.raises(QueryError):
             client.range_search(queries[0], -2.0)
+        with pytest.raises(QueryError):
+            client.range_search(queries[0], float("nan"))
+        with pytest.raises(QueryError):
+            client.range_batch(queries, float("nan"))
 
 
 class TestReporting:

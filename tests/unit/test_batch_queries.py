@@ -7,8 +7,8 @@ Three guarantees are pinned here:
   on every strategy and baseline that offers a batch path;
 * the decrypted-candidate LRU cache accounts every hit and miss
   exactly, and decryption time is only ever charged for misses;
-* concurrent ``search_batch`` execution (8 server-side threads, and 8
-  independent client threads) returns the same results as serial calls.
+* concurrent execution (8 independent client threads, searches racing
+  inserts) returns the same results as serial calls.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from repro.core.cloud import SimilarityCloud
 from repro.core.costs import CACHE_HITS, CACHE_MISSES, DECRYPTION
 from repro.core.locks import ReadWriteLock
 from repro.crypto.keys import SecretKey
-from repro.exceptions import ProtocolError, QueryError
+from repro.exceptions import QueryError
 from repro.metric.distances import L1Distance
 from repro.metric.space import MetricSpace
 from repro.wire.encoding import Reader, Writer
@@ -135,12 +135,37 @@ class TestBatchEquivalence:
         )
         _same_hits([single], [batched])
 
-    def test_knn_batch_validates_arguments(self, approx_cloud, queries):
+    def test_knn_batch_validates_arguments(
+        self, approx_cloud, queries, small_data
+    ):
         client = approx_cloud.new_client()
         with pytest.raises(QueryError):
             client.knn_batch(queries, 0, cand_size=60)
         with pytest.raises(QueryError):
             client.knn_batch(queries, 5, cand_size=3)
+        # a negative refine_limit is not a slice end and NaN is not a
+        # radius (``nan < 0`` is false), on any strategy, routed or not
+        nan = float("nan")
+        for strategy in Strategy:
+            for shards in (1, 2):
+                with SimilarityCloud.build(
+                    small_data[:60], distance=L1Distance(), n_pivots=8,
+                    bucket_capacity=40, strategy=strategy, seed=7,
+                    shards=shards,
+                ) as cloud:
+                    client = cloud.new_client()
+                    with pytest.raises(QueryError, match="refine_limit"):
+                        client.knn_search(
+                            queries[0], 5, cand_size=60, refine_limit=-1
+                        )
+                    with pytest.raises(QueryError, match="refine_limit"):
+                        client.knn_batch(
+                            queries, 5, cand_size=60, refine_limit=-4
+                        )
+                    with pytest.raises(QueryError, match="radius must be"):
+                        client.range_search(queries[0], nan)
+                    with pytest.raises(QueryError, match="radius must be"):
+                        client.range_batch(queries, nan)
 
     def test_range_batch_rejected_under_approximate(
         self, approx_cloud, queries
@@ -285,8 +310,8 @@ class TestConcurrentSearch:
     def test_search_batch_under_8_threads_matches_serial(
         self, approx_cloud, queries
     ):
-        """The generic search_batch fan-out (8 workers server-side) and
-        8 concurrent client threads all reproduce the serial answers."""
+        """8 concurrent client threads, each sending the whole batch,
+        all reproduce the serial answers."""
         serial_client = approx_cloud.new_client()
         serial = [
             serial_client.knn_search(q, 5, cand_size=60) for q in queries
@@ -301,66 +326,14 @@ class TestConcurrentSearch:
         for batched in outcomes:
             _same_hits(serial, batched)
 
-    def test_generic_search_batch_rpc_matches_single_calls(
-        self, approx_cloud, queries
-    ):
-        """call_batch('approx_knn', ...) equals per-query call()s."""
-        client = approx_cloud.new_client()
-        perms = []
-        for q in queries:
-            q_dists = client.space.d_batch(q, client.secret_key.pivots)
-            order = np.argsort(q_dists, kind="stable").astype(np.int32)
-            perms.append(order)
-        bodies = []
-        for perm in perms:
-            writer = Writer()
-            writer.i32_array(perm)
-            writer.u32(60)
-            writer.u32(0)
-            bodies.append(writer)
-        batched = client.rpc.call_batch("approx_knn", bodies)
-        rpc2 = approx_cloud.new_client().rpc
-        for perm, reader in zip(perms, batched):
-            writer = Writer()
-            writer.i32_array(perm)
-            writer.u32(60)
-            writer.u32(0)
-            single = rpc2.call("approx_knn", writer)
-            assert single.remaining() == reader.remaining()
-            count = reader.u32()
-            assert count == single.u32()
-
-    def test_search_batch_error_propagates(self, approx_cloud):
-        client = approx_cloud.new_client()
-        writer = Writer()
-        writer.i32_array(np.arange(8, dtype=np.int32))
-        writer.u32(0)  # cand_size 0 -> QueryError on the server
-        writer.u32(0)
-        with pytest.raises(ProtocolError, match="cand_size"):
-            client.rpc.call_batch("approx_knn", [writer])
-
-    def test_search_batch_rejects_nesting_and_unknown_methods(
-        self, approx_cloud
-    ):
-        client = approx_cloud.new_client()
-        with pytest.raises(ProtocolError, match="nest"):
-            client.rpc.call_batch("search_batch", [Writer()])
-        with pytest.raises(ProtocolError, match="unknown inner"):
-            client.rpc.call_batch("no_such_method", [Writer()])
-
     def test_close_releases_pool_but_keeps_single_queries_working(
         self, approx_cloud, queries
     ):
+        """An in-process server holds no thread of its own, so
+        ``close()`` takes nothing away from its clients."""
         client = approx_cloud.new_client()
-        writer = Writer()
-        writer.u32(0)  # empty insert bulk as a no-op inner body
-        assert client.rpc.call_batch("insert", [writer]) is not None
-        # the vectorized knn_batch handler does not use the pool at all
         assert client.knn_batch(queries[:2], 5, cand_size=60)
         approx_cloud.close()
-        # generic search_batch fan-out is gone; everything else works
-        with pytest.raises(ProtocolError, match="closed"):
-            client.rpc.call_batch("insert", [Writer().u32(0)])
         assert len(client.knn_search(queries[0], 5, cand_size=60)) == 5
         assert client.knn_batch(queries[:2], 5, cand_size=60)
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import MetricError
+from repro.metric import distances
 from repro.metric.distances import (
     CanberraDistance,
     ChebyshevDistance,
@@ -218,6 +219,40 @@ class TestWeightedCombination:
     def test_dimension_property(self):
         d = WeightedCombination([(L1Distance(), 2, 7, 1.0)])
         assert d.dimension == 7
+
+
+def _every_distance(dim):
+    a = np.random.default_rng(11).normal(size=(dim, dim))
+    return [
+        L1Distance(),
+        L2Distance(),
+        MinkowskiDistance(3),
+        ChebyshevDistance(),
+        CosineDistance(),
+        CanberraDistance(),
+        QuadraticFormDistance(a @ a.T + dim * np.eye(dim)),
+        WeightedCombination(
+            [(L1Distance(), 0, 6, 1.5), (L2Distance(), 6, dim, 0.5)]
+        ),
+    ]
+
+
+@pytest.mark.parametrize("rows", [1, 63, 64, 65, 1000])
+@pytest.mark.parametrize(
+    "distance", _every_distance(16), ids=lambda distance: distance.name
+)
+def test_pairwise_rows_equal_batch_bit_for_bit(distance, rows):
+    """The contract of ``Distance.pairwise`` — row ``i`` is
+    ``batch(Q[i], X)`` bit for bit — on either side of a row-block
+    boundary: against 32 x 16 objects a serial block is 64 query rows."""
+    rng = np.random.default_rng(rows)
+    xs = np.abs(rng.normal(size=(32, 16))) + 0.1
+    qs = np.abs(rng.normal(size=(rows, 16))) + 0.1
+    assert distances._BLOCK_BYTES // (8 * xs.size) == 64
+    matrix = distance.pairwise(qs, xs)
+    assert matrix.shape == (rows, 32)
+    for q, row in zip(qs, matrix):
+        assert np.array_equal(row, distance.batch(q, xs))
 
 
 class TestRegistry:

@@ -12,12 +12,18 @@ import pytest
 from repro.core.records import IndexedRecord, vector_to_payload
 from repro.exceptions import IndexError_, QueryError
 from repro.metric.distances import L1Distance
-from repro.metric.permutations import pivot_permutation
+from repro.metric.permutations import (
+    inverse_permutation,
+    pivot_permutation,
+    prefix_promise,
+)
 from repro.mindex.index import MIndex, RangeSearchStats
 from repro.storage.memory import MemoryStorage
 
 _DIM = 6
 _N_PIVOTS = 7
+#: leading permutation positions in the oracle's pre-ranking footrule
+_RANK_PREFIX = 8
 
 
 def _build_index(
@@ -43,6 +49,62 @@ def _build_index(
         )
         index.insert(record)
     return index, data, pivots, d
+
+
+def algorithm4_candidates(index, query_permutation, cand_size, max_cells=None):
+    """Algorithm 4 one leaf and one record at a time: the oracle the
+    index's one (batched, columnar) k-NN traversal is compared to.
+
+    This is the loop ``MIndex.approx_knn_candidates`` ran before it
+    became a view of the batch path, kept verbatim — per-leaf
+    ``prefix_promise``, per-record truncated footrule, a Python sort on
+    ``(promise, score, oid)`` — so it shares no code with what it
+    checks."""
+    perm = np.asarray(query_permutation, dtype=np.int64)
+    query_ranks = inverse_permutation(perm)
+    ranked = sorted(
+        (
+            (_promise(query_ranks, leaf.prefix), leaf.prefix, leaf)
+            for leaf in index.tree.leaves()
+            if leaf.count > 0
+        ),
+        key=lambda item: (item[0], item[1]),
+    )
+    collected = []
+    cells_accessed = 0
+    for promise, _prefix, leaf in ranked:
+        if len(collected) >= cand_size:
+            break
+        if max_cells is not None and cells_accessed >= max_cells:
+            break
+        records = index.storage.load(leaf.prefix)
+        cells_accessed += 1
+        scores = _record_scores(query_ranks, records)
+        collected.extend(
+            (promise, score, record)
+            for score, record in zip(scores, records)
+        )
+    collected.sort(key=lambda item: (item[0], item[1], item[2].oid))
+    return [record for _p, _s, record in collected[:cand_size]]
+
+
+def _promise(query_ranks, prefix):
+    if not prefix:
+        return 0.0
+    return prefix_promise(query_ranks, prefix)
+
+
+def _record_scores(query_ranks, records):
+    """Truncated-footrule pre-ranking scores, vectorized per bucket."""
+    if not records:
+        return np.empty(0, dtype=np.float64)
+    depth = min(_RANK_PREFIX, query_ranks.shape[0])
+    prefixes = np.stack([r.permutation[:depth] for r in records])
+    positions = np.arange(depth, dtype=np.int64)
+    displacement = np.abs(
+        query_ranks[prefixes].astype(np.int64) - positions
+    )
+    return displacement.sum(axis=1).astype(np.float64)
 
 
 class TestInsertion:
@@ -149,6 +211,12 @@ class TestRangeSearch:
         with pytest.raises(QueryError):
             index.range_search(np.zeros(_N_PIVOTS), -1.0)
         with pytest.raises(QueryError):
+            index.range_search(np.zeros(_N_PIVOTS), float("nan"))
+        with pytest.raises(QueryError):
+            index.range_scatter_batch(
+                np.zeros((2, _N_PIVOTS)), float("nan")
+            )
+        with pytest.raises(QueryError):
             index.range_search(np.zeros(3), 1.0)
 
 
@@ -232,7 +300,9 @@ class TestApproxKnn:
 
 
 class TestBatchedIndexSearches:
-    """MIndex batch variants must equal looped single-query calls."""
+    """MIndex batch variants must equal looped single-query calls —
+    for k-NN, where the single call is the batch code over one row,
+    the per-record Algorithm 4 oracle."""
 
     def test_approx_knn_batch_matches_loop(self, rng):
         index, _data, pivots, d = _build_index(rng, bucket_capacity=10)
@@ -244,7 +314,7 @@ class TestBatchedIndexSearches:
         )
         records, batched = index.approx_knn_candidates_batch(perms, 60)
         for perm, rows in zip(perms, batched):
-            single = index.approx_knn_candidates(perm, 60)
+            single = algorithm4_candidates(index, perm, 60)
             assert [r.oid for r in single] == [records[i].oid for i in rows]
 
     def test_approx_knn_batch_with_max_cells(self, rng):
@@ -259,7 +329,7 @@ class TestBatchedIndexSearches:
             perms, 10_000, max_cells=2
         )
         for perm, rows in zip(perms, batched):
-            single = index.approx_knn_candidates(perm, 10_000, max_cells=2)
+            single = algorithm4_candidates(index, perm, 10_000, max_cells=2)
             assert [r.oid for r in single] == [records[i].oid for i in rows]
 
     def test_range_batch_matches_loop_with_identical_stats(self, rng):
