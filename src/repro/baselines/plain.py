@@ -21,8 +21,9 @@ import numpy as np
 from repro.core.costs import CLIENT, DISTANCE, CostRecorder, CostReport
 from repro.core.client import SearchHit
 from repro.core.records import (
+    CellRecords,
     IndexedRecord,
-    payload_to_vector,
+    region_to_matrix,
     vector_to_payload,
 )
 from repro.exceptions import QueryError
@@ -202,18 +203,20 @@ class PlainServer:
         return _write_answers(hits)
 
     def _refine(
-        self, query: np.ndarray, candidates: list[IndexedRecord]
+        self, query: np.ndarray, candidates: CellRecords
     ) -> list[SearchHit]:
-        if not candidates:
+        if not len(candidates):
             return []
-        vectors = np.stack(
-            [payload_to_vector(record.payload) for record in candidates]
-        )
+        # the candidates arrive as columns and stay columns, as on the
+        # encrypted client: one matrix out of the payload region
+        vectors = region_to_matrix(*candidates.packed_payloads())
         with self.costs.time(DISTANCE):
             distances = self.space.d_batch(query, vectors)
         hits = [
-            SearchHit(record.oid, vector, float(dist))
-            for record, vector, dist in zip(candidates, vectors, distances)
+            SearchHit(oid, vector, dist)
+            for oid, vector, dist in zip(
+                candidates.oids.tolist(), vectors, distances.tolist()
+            )
         ]
         hits.sort(key=lambda hit: (hit.distance, hit.oid))
         return hits

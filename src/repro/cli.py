@@ -191,7 +191,7 @@ def _cmd_attack(args: argparse.Namespace) -> int:
     cloud.owner.outsource(range(len(data)), data)
     view = []
     for cell in cloud.server.storage.cells():
-        view.extend(cloud.server.storage.load(cell))
+        view.extend(cloud.server.storage.load(cell).to_records())
     print(f"attacking a {strategy.value}-strategy server holding "
           f"{len(view)} encrypted records ...\n")
 

@@ -73,6 +73,7 @@ from repro.wire.scatter import (
     read_knn_scatter_response,
     read_range_scatter_response,
     read_stats_map,
+    oid_column,
     per_query,
     write_candidate_lists,
     write_candidates,
@@ -112,12 +113,13 @@ def _stacked(
     """The common first half of both merges: every shard's answer in
     one set of columns.
 
-    Returns ``(table, query, shard, sizes, rows, keys)``: the shard
-    tables end to end as one candidate table; per group, in the order
-    the shards emitted them, its query, its shard and its size; the
-    groups' table rows renumbered into the one table; and the
-    ``n_keys`` columns that follow in a scatter response, each
-    concatenated across shards.
+    Returns ``(tables, oids, query, shard, sizes, rows, keys)``: the
+    shard tables, laid end to end but not copied together, and their
+    one oid column; per group, in the order the shards emitted them,
+    its query, its shard and its size; the groups' table rows
+    renumbered to count through all the tables; and the ``n_keys``
+    columns that follow in a scatter response, each concatenated across
+    shards.
     """
     for _shard, _table, columns in shard_payloads:
         if columns[0].shape[0] != n_queries:
@@ -126,27 +128,12 @@ def _stacked(
                 f"{n_queries} were asked"
             )
     tables = [table for _shard, table, _columns in shard_payloads]
-    first_row = np.cumsum([0] + [len(oids) for oids, _o, _r in tables])
-    first_byte = np.cumsum([0] + [len(region) for _i, _o, region in tables])
-    table = (
-        np.concatenate(
-            [np.empty(0, dtype=np.uint64), *(oids for oids, _o, _r in tables)]
-        ),
-        np.concatenate(
-            [
-                np.zeros(1, dtype=np.int64),
-                *(
-                    offsets[1:] + base
-                    for (_i, offsets, _r), base in zip(tables, first_byte)
-                ),
-            ]
-        ),
-        b"".join(region for _i, _o, region in tables),
-    )
+    first_row = np.cumsum([0] + [len(table.oids) for table in tables])
     columns = [columns for _shard, _table, columns in shard_payloads]
     queries = np.arange(n_queries)
     return (
-        table,
+        tables,
+        oid_column(tables),
         _joined([np.repeat(queries, c[0]) for c in columns]),
         _joined(
             [
@@ -161,7 +148,7 @@ def _stacked(
 
 
 def _stream(
-    table: tuple,
+    oids: np.ndarray,
     query: np.ndarray,
     sizes: np.ndarray,
     rows: np.ndarray,
@@ -187,7 +174,6 @@ def _stream(
         emitted - (np.cumsum(sizes) - sizes), sizes
     )
     row = rows[at]
-    oids = table[0]
     _, canonical, inverse, copies = np.unique(
         oids, return_index=True, return_inverse=True, return_counts=True
     )
@@ -207,13 +193,13 @@ def merge_knn_candidates(
     n_queries: int,
     cand_size: int,
     max_cells: int | None,
-) -> tuple[tuple, list[np.ndarray]]:
+) -> tuple[list, list[np.ndarray]]:
     """Merge per-shard kNN scatter payloads into final candidate sets.
 
     ``shard_payloads`` holds ``(shard_index, table, columns)`` triples
     (:func:`~repro.wire.scatter.read_knn_scatter_response`). Returns
-    one table over all shards and, per query, its candidates as rows of
-    that table in rank order — what
+    the shards' tables and, per query, its candidates as rows counting
+    through those tables, in rank order — what
     :func:`~repro.wire.scatter.write_candidate_lists` takes.
 
     All queries are merged at once, as columns. The groups of every
@@ -228,7 +214,7 @@ def merge_knn_candidates(
     repeated oids, then get the single-server final sort ``(promise,
     score, oid)`` and trim.
     """
-    table, query, shard, sizes, rows, keys = _stacked(
+    tables, oids, query, shard, sizes, rows, keys = _stacked(
         shard_payloads, n_queries, 4
     )
     promises, prefix_sizes, prefixes, scores = keys
@@ -249,7 +235,7 @@ def merge_knn_candidates(
     # groups are in visit order from here on, query by query
     query, promises = query[order], promises[order]
     group, at, row, first, canonical = _stream(
-        table, query, sizes, rows, order
+        oids, query, sizes, rows, order
     )
     sizes = sizes[order]
     groups_in = np.bincount(query, minlength=n_queries)
@@ -267,18 +253,18 @@ def merge_knn_candidates(
         (query[1:] != query[:-1]) | (promises[1:] != promises[:-1])
     )
     run = np.concatenate(([0], run))[group]
-    final = np.lexsort((table[0][row], scores[at], run))
+    final = np.lexsort((oids[row], scores[at], run))
     query = query[group[final]]
     found = np.bincount(query, minlength=n_queries)
     rank = np.arange(len(final)) - (np.cumsum(found) - found)[query]
-    return table, per_query(
+    return tables, per_query(
         canonical[row[final[rank < cand_size]]], np.minimum(found, cand_size)
     )
 
 
 def merge_range_candidates(
     shard_payloads: list[tuple], n_queries: int
-) -> tuple[tuple, list[np.ndarray]]:
+) -> tuple[list, list[np.ndarray]]:
     """Merge per-shard range scatter payloads into candidate sets, in
     the form :func:`merge_knn_candidates` returns.
 
@@ -288,15 +274,15 @@ def merge_range_candidates(
     and each shard emits its groups in its own leaf order — then
     concatenate, less repeated oids.
     """
-    table, query, shard, sizes, rows, (top_pivots,) = _stacked(
+    tables, oids, query, shard, sizes, rows, (top_pivots,) = _stacked(
         shard_payloads, n_queries, 1
     )
     order = np.lexsort((shard, top_pivots, query))
     query = query[order]
     group, _at, row, first, canonical = _stream(
-        table, query, sizes, rows, order
+        oids, query, sizes, rows, order
     )
-    return table, per_query(
+    return tables, per_query(
         canonical[row[first]],
         np.bincount(query[group[first]], minlength=n_queries),
     )
@@ -690,7 +676,7 @@ class ShardRouter:
         )
         n_queries = queries[0].shape[0]
         if search is KNN:
-            table, rows = merge_knn_candidates(
+            tables, rows = merge_knn_candidates(
                 [
                     (shard, *read_knn_scatter_response(response))
                     for shard, response in responses
@@ -699,7 +685,7 @@ class ShardRouter:
                 **options,
             )
         else:
-            table, rows = merge_range_candidates(
+            tables, rows = merge_range_candidates(
                 [
                     (shard, *read_range_scatter_response(response))
                     for shard, response in responses
@@ -707,8 +693,8 @@ class ShardRouter:
                 n_queries,
             )
         if single:
-            return Reader(write_candidates(table, rows[0]).getvalue())
-        return Reader(write_candidate_lists(table, rows).getvalue())
+            return Reader(write_candidates(tables, rows[0]).getvalue())
+        return Reader(write_candidate_lists(tables, rows).getvalue())
 
     # -- diagnostics ---------------------------------------------------------
 

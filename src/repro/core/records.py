@@ -18,6 +18,13 @@ server derives it on arrival via :meth:`IndexedRecord.ensure_permutation`)
 *or* the permutation (approximate strategy). The same record type serves
 the encrypted and the plain variant, which keeps the index code
 identical on both sides of the comparison.
+
+:class:`RecordBatch` is the same content as columns: the wire unit of a
+construction bulk, and the form in which a stored cell is read back
+(its payloads a :class:`~repro.wire.encoding.BlobColumn`, left where
+they lie in the cell's bytes). :class:`CellRecords` strings the batches
+of several cells together — what a search returns, so that no object is
+built per record between a storage read and the response.
 """
 
 from __future__ import annotations
@@ -28,14 +35,17 @@ import numpy as np
 
 from repro.exceptions import ProtocolError
 from repro.metric.permutations import pivot_permutation, pivot_permutations
-from repro.wire.encoding import Reader, Writer
+from repro.wire.encoding import BlobColumn, Reader, Writer, pack_blobs
+from repro.wire.scatter import oid_column
 
 __all__ = [
+    "CellRecords",
     "IndexedRecord",
     "RecordBatch",
     "vector_to_payload",
     "payload_to_vector",
     "payloads_to_matrix",
+    "region_to_matrix",
 ]
 
 
@@ -156,8 +166,24 @@ class IndexedRecord:
         return size
 
 
-@dataclass
-class RecordBatch:
+class _RecordSequence:
+    """Reads a columnar holder as the list of its records — iteration
+    and ``==`` against a list go through its ``to_records()`` — for
+    maintenance code, tests and diagnostics; a search never does."""
+
+    def __iter__(self):
+        return iter(self.to_records())
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, list):
+            return self.to_records() == other
+        return NotImplemented
+
+    __hash__ = None
+
+
+@dataclass(eq=False)
+class RecordBatch(_RecordSequence):
     """A columnar bulk of indexed records (Algorithm 1's wire unit).
 
     The construction pipeline ships whole bulks as columns — one uint64
@@ -173,12 +199,22 @@ class RecordBatch:
         [flags & 1] i32_matrix permutations   (count rows)
         [flags & 2] f64_matrix distances      (count rows)
         blob_region payloads                  (count blobs)
+
+    A stored cell is read back as a batch too (:meth:`from_columns` over
+    the cell's bytes, :meth:`of_cell` over its records), and read as the
+    list of its records wherever rows are wanted — maintenance, tests,
+    diagnostics (``len``, iteration, indexing, ``==`` against a list,
+    :meth:`to_records`). A search reads only the columns.
     """
 
     oids: np.ndarray
     permutations: np.ndarray | None
     distances: np.ndarray | None
-    payloads: list[bytes]
+    payloads: "list[bytes] | BlobColumn"
+
+    #: the records the batch was made from (:meth:`of_cell`), which
+    #: :meth:`to_records` then hands back instead of building new ones
+    _records = None
 
     def __post_init__(self) -> None:
         self.oids = np.ascontiguousarray(self.oids, dtype=np.uint64)
@@ -276,29 +312,70 @@ class RecordBatch:
         return cls(oids, permutations, distances, payloads)
 
     @classmethod
+    def from_columns(
+        cls,
+        oids: np.ndarray,
+        permutations: np.ndarray | None,
+        distances: np.ndarray | None,
+        payloads: BlobColumn,
+        records: list[IndexedRecord] | None = None,
+    ) -> "RecordBatch":
+        """A batch over columns the caller has already checked — views
+        of a stored cell's bytes — taken as they are: nothing copied,
+        nothing checked again."""
+        batch = object.__new__(cls)
+        batch.oids = oids
+        batch.permutations = permutations
+        batch.distances = distances
+        batch.payloads = payloads
+        batch._records = records
+        return batch
+
+    @classmethod
+    def of_cell(cls, records: list[IndexedRecord]) -> "RecordBatch":
+        """Columns beside the rows of a stored cell, which it keeps.
+
+        The storage contract lets a cell hold any records, so a matrix
+        column exists only where every record has that array at one
+        length (None otherwise: such a cell can be listed, not
+        searched); payloads of any sizes are copied end to end.
+        """
+        records = list(records)
+
+        def matrix(arrays: list) -> np.ndarray | None:
+            if not arrays or any(array is None for array in arrays):
+                return None
+            if len({array.shape[0] for array in arrays}) != 1:
+                return None
+            return np.stack(arrays)
+
+        return cls.from_columns(
+            np.fromiter(
+                (record.oid for record in records), np.uint64, len(records)
+            ),
+            matrix([record.permutation for record in records]),
+            matrix([record.distances for record in records]),
+            BlobColumn.of([record.payload for record in records]),
+            records,
+        )
+
+    @classmethod
     def from_records(cls, records: list[IndexedRecord]) -> "RecordBatch":
         """Columnar view of a homogeneous row-wise record list."""
         if not records:
             raise ProtocolError("record batch must not be empty")
+        batch = cls.of_cell(records)
         first = records[0]
-        with_perms = first.permutation is not None
-        with_dists = first.distances is not None
-        for record in records:
-            if (record.permutation is not None) != with_perms or (
-                record.distances is not None
-            ) != with_dists:
-                raise ProtocolError(
-                    "record batch requires a homogeneous representation"
-                )
-        return cls(
-            np.array([record.oid for record in records], dtype=np.uint64),
-            np.stack([r.permutation for r in records]) if with_perms else None,
-            np.stack([r.distances for r in records]) if with_dists else None,
-            [record.payload for record in records],
-        )
+        if (batch.permutations is None) != (first.permutation is None) or (
+            batch.distances is None
+        ) != (first.distances is None):
+            raise ProtocolError(
+                "record batch requires a homogeneous representation"
+            )
+        return batch
 
-    def to_records(self) -> list[IndexedRecord]:
-        """Row-wise records, deriving missing permutations in one call.
+    def ensure_permutations(self) -> np.ndarray:
+        """The permutation matrix, derived from the distances if absent.
 
         Under the precise/transformed strategies only distances travel;
         their row-wise stable sort order *is* the pivot permutation
@@ -306,22 +383,105 @@ class RecordBatch:
         :func:`~repro.metric.permutations.pivot_permutations` call
         instead of one argsort per record.
         """
-        permutations = self.permutations
-        if permutations is None:
-            assert self.distances is not None
-            permutations = pivot_permutations(self.distances)
+        if self.permutations is not None:
+            return self.permutations
+        if self.distances is None:
+            raise ProtocolError(
+                "the records of this cell do not share one representation"
+            )
+        return pivot_permutations(self.distances)
+
+    def to_records(self) -> list[IndexedRecord]:
+        """Row-wise records, any missing permutations derived in one
+        call (:meth:`ensure_permutations`)."""
+        if self._records is not None:
+            return list(self._records)
+        permutations = self.ensure_permutations()
         distances = self.distances
         return [
             IndexedRecord(
-                int(oid),
+                oid,
                 permutations[position],
                 None if distances is None else distances[position],
                 payload,
             )
             for position, (oid, payload) in enumerate(
-                zip(self.oids, self.payloads)
+                zip(self.oids.tolist(), self.payloads)
             )
         ]
+
+    def __getitem__(self, index):
+        if self._records is not None or isinstance(index, slice):
+            return self.to_records()[index]
+        distances = self.distances
+        return IndexedRecord(
+            int(self.oids[index]),
+            self.ensure_permutations()[index],
+            None if distances is None else distances[index],
+            self.payloads[index],
+        )
+
+
+class CellRecords(_RecordSequence):
+    """The records of stored cells laid end to end, each cell kept as
+    the :class:`RecordBatch` it was read as — or, with ``rows``, a
+    selection of those records in a given order.
+
+    This is what a search returns and a response writer takes: a row
+    number counts through ``cells`` end to end, and the cells are never
+    concatenated. Read as a sequence (``len``, iteration, indexing,
+    ``==`` against a list) it is the list of its records, built on
+    demand — for tests, baselines and diagnostics, never on a search.
+    """
+
+    def __init__(
+        self, cells: list[RecordBatch], rows: np.ndarray | None = None
+    ) -> None:
+        self.cells = cells
+        self.rows = rows
+        self._stored = sum(len(cell) for cell in cells)
+
+    def append(self, cell: RecordBatch) -> np.ndarray:
+        """Lay ``cell`` at the end; the rows its records take."""
+        rows = np.arange(self._stored, self._stored + len(cell))
+        self.cells.append(cell)
+        self._stored += len(cell)
+        return rows
+
+    def select(self, rows: np.ndarray) -> "CellRecords":
+        """Records ``rows`` of this sequence, in that order."""
+        return CellRecords(
+            self.cells, rows if self.rows is None else self.rows[rows]
+        )
+
+    @property
+    def oids(self) -> np.ndarray:
+        """The oid column."""
+        oids = oid_column(self.cells)
+        return oids if self.rows is None else oids[self.rows]
+
+    def packed_payloads(self) -> tuple[np.ndarray, np.ndarray]:
+        """The payloads' lengths and their bytes copied end to end."""
+        return pack_blobs([cell.payloads for cell in self.cells], self.rows)
+
+    def __len__(self) -> int:
+        return self._stored if self.rows is None else len(self.rows)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return self.to_records()[index]
+        row = int(index if self.rows is None else self.rows[index])
+        if row < 0:
+            row += self._stored
+        for cell in self.cells:
+            if row < len(cell):
+                return cell[row]
+            row -= len(cell)
+        raise IndexError(f"record {index} of {len(self)}")
+
+    def to_records(self) -> list[IndexedRecord]:
+        """The records, one object each."""
+        return [self[position] for position in range(len(self))]
 
 
 def vector_to_payload(vector: np.ndarray) -> bytes:
@@ -345,12 +505,21 @@ def payload_to_vector(payload: bytes) -> np.ndarray:
 def payloads_to_matrix(payloads: list[bytes]) -> np.ndarray:
     """Decode equal-length plaintext-vector payloads as one ``(n, dim)``
     matrix (on little-endian hosts a read-only view of their bytes)."""
-    lengths = {len(payload) for payload in payloads}
-    for length in lengths:
-        _check_vector_bytes(length)
-    if len(lengths) != 1:
+    return region_to_matrix(
+        np.fromiter(map(len, payloads), np.int64, len(payloads)),
+        b"".join(payloads),
+    )
+
+
+def region_to_matrix(lengths: np.ndarray, region) -> np.ndarray:
+    """:func:`payloads_to_matrix` for payloads already end to end in
+    ``region`` (what :meth:`CellRecords.packed_payloads` returns)."""
+    sizes = np.unique(lengths).tolist()
+    for size in sizes:
+        _check_vector_bytes(size)
+    if len(sizes) != 1:
         raise ProtocolError(
-            f"plain payloads of {sorted(lengths)} bytes do not form a matrix"
+            f"plain payloads of {sizes} bytes do not form a matrix"
         )
-    flat = np.frombuffer(b"".join(payloads), dtype="<f8")
-    return flat.reshape(len(payloads), -1).astype(np.float64, copy=False)
+    flat = np.frombuffer(region, dtype="<f8")
+    return flat.reshape(len(lengths), -1).astype(np.float64, copy=False)

@@ -133,15 +133,18 @@ def _search_handler(
             queries = [matrix[0] for matrix in queries]
         with lock.read():
             found = getattr(index, index_method)(*queries, **options)
-        # the writers are module globals looked up per call, which is
-        # where the end-to-end benchmark's tracer wraps them
+        # the index answers with the stored cells it visited, as
+        # columns, and rows of them; the writers are module globals
+        # looked up per call, which is where the end-to-end benchmark's
+        # tracer wraps them
         if single:
-            return _write_candidates(found)
+            return _write_candidates(found.cells, found.rows)
+        visited, per_query = found
         if form == "batch":
-            return _write_candidate_lists(*found)
+            return _write_candidate_lists(visited.cells, per_query)
         if search is KNN:
-            return write_knn_scatter_response(*found)
-        return write_range_scatter_response(*found)
+            return write_knn_scatter_response(visited.cells, per_query)
+        return write_range_scatter_response(visited.cells, per_query)
 
     return handle
 
@@ -331,7 +334,10 @@ class SimilarityCloudServer:
         body.expect_end()
         with self._lock.read():
             cells = [
-                (leaf.prefix, self.index.storage.load(leaf.prefix))
+                (
+                    leaf.prefix,
+                    self.index.storage.load(leaf.prefix).to_records(),
+                )
                 for leaf in self.index.tree.leaves()
                 if leaf.count > 0
             ]
@@ -343,8 +349,10 @@ class SimilarityCloudServer:
             stats = self.index.statistics()
             storage = self.storage
             # the storage backend's I/O and cache accounting rides the
-            # same diagnostics surface; counters a backend does not
-            # define (e.g. block cache on MemoryStorage) are omitted
+            # same diagnostics surface, with the number of chunks its
+            # cells are in (chunk fill is records / chunks); counters a
+            # backend does not define (e.g. block cache on
+            # MemoryStorage) are omitted
             for counter in (
                 "reads",
                 "writes",
@@ -354,6 +362,7 @@ class SimilarityCloudServer:
                 "block_cache_misses",
                 "chunks_decompressed",
                 "manifest_writes",
+                "chunks",
             ):
                 value = getattr(storage, counter, None)
                 if value is not None:

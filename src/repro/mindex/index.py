@@ -23,12 +23,16 @@ Each search is implemented once, for a batch of queries
 (:meth:`MIndex.range_search_batch`,
 :meth:`MIndex.approx_knn_candidates_batch`, ...); the single-query
 methods above are that code over a one-row matrix, with the answer
-handed back as a record list. A batch is answered as columns: the
-records of every visited cell, each cell once, plus per query the
-*rows* of that list that are its candidates — no object is built per
-candidate, which is what lets the server encode a response (and a
-shard its scatter groups, the ``*_scatter_batch`` forms) with array
-operations. Work is amortized across the batch — cell promises for all
+handed back as that query's selection. A batch is answered as columns,
+from the storage read to the response: every visited cell as the
+:class:`~repro.core.records.RecordBatch` the backend read it as, each
+cell once and never concatenated
+(:class:`~repro.core.records.CellRecords`), plus per query the *rows*
+of those cells, end to end, that are its candidates. The traversals
+take a cell's permutation and distance matrices straight from its
+columns and no object is built per stored record or per candidate,
+which is what lets the server encode a response (and a shard its
+scatter groups, the ``*_scatter_batch`` forms) with array operations. Work is amortized across the batch — cell promises for all
 queries are computed in one vectorized kernel, and bucket loads and
 per-bucket matrices are shared — which is what makes the server's
 ``*_batch`` RPC methods faster than fanning out single-query calls.
@@ -48,7 +52,7 @@ from functools import wraps
 
 import numpy as np
 
-from repro.core.records import IndexedRecord
+from repro.core.records import CellRecords, IndexedRecord, RecordBatch
 from repro.exceptions import IndexError_, QueryError
 from repro.metric.permutations import pivot_permutations
 from repro.mindex.cell_tree import CellTree, LeafCell
@@ -315,7 +319,7 @@ class MIndex:
             if self.storage.cell_size(prefix) == 0:
                 continue
             leaf = self.tree.ensure_leaf(tuple(prefix))
-            records = self.storage.load(prefix)
+            records = self.storage.load(prefix).to_records()
             missing = [r for r in records if r.permutation is None]
             if missing:
                 derived = pivot_permutations(
@@ -348,7 +352,7 @@ class MIndex:
                 f"shape {perm.shape}"
             )
         leaf = self.tree.locate_leaf(perm)
-        records = self.storage.load(leaf.prefix)
+        records = self.storage.load(leaf.prefix).to_records()
         remaining = [record for record in records if record.oid != oid]
         if len(remaining) == len(records):
             return False
@@ -364,7 +368,7 @@ class MIndex:
     def _split(self, leaf: LeafCell) -> None:
         # one batch: the parent leaves the catalog in the same commit
         # that adds its children, and its file is unlinked only after
-        records = self.storage.load(leaf.prefix)
+        records = self.storage.load(leaf.prefix).to_records()
         groups = self.tree.split_leaf(leaf, records)
         self.storage.delete(leaf.prefix)
         self.storage.save_many(
@@ -387,7 +391,7 @@ class MIndex:
         radius: float,
         *,
         stats: RangeSearchStats | None = None,
-    ) -> list[IndexedRecord]:
+    ) -> CellRecords:
         """Candidate set of a range query from query–pivot distances.
 
         Returns every stored record that *may* satisfy
@@ -453,7 +457,7 @@ class MIndex:
         highs: np.ndarray,
         *,
         stats: RangeSearchStats | None = None,
-    ) -> list[IndexedRecord]:
+    ) -> CellRecords:
         """Range-query candidates from *transformed-space* intervals.
 
         The level-4 variant (§6): records store a secret monotone
@@ -503,7 +507,7 @@ class MIndex:
         cand_size: int,
         *,
         max_cells: int | None = None,
-    ) -> list[IndexedRecord]:
+    ) -> CellRecords:
         """Pre-ranked candidate set for an approximate k-NN query.
 
         Visits leaf cells in increasing *promise* order (a damped
@@ -525,11 +529,12 @@ class MIndex:
         )
 
     @staticmethod
-    def _only(found: tuple) -> list[IndexedRecord]:
-        """The record-list view of a batch of one: a single search is
-        its batch form over a one-row matrix."""
-        records, (rows,) = found
-        return [records[row] for row in rows.tolist()]
+    def _only(found: tuple) -> CellRecords:
+        """The answer of a batch of one — the visited cells narrowed to
+        the one query's rows, in rank order: a single search is its
+        batch form over a one-row matrix."""
+        visited, (rows,) = found
+        return visited.select(rows)
 
     # ------------------------------------------------------------------
     # batched searches
@@ -541,12 +546,12 @@ class MIndex:
         cand_size: int,
         *,
         max_cells: int | None = None,
-    ) -> tuple[list[IndexedRecord], list[np.ndarray]]:
+    ) -> tuple[CellRecords, list[np.ndarray]]:
         """Pre-ranked candidate sets for a whole batch of k-NN queries.
 
         Returns ``(records, rows)``: the records of every visited cell,
-        each cell once, and per query the positions in ``records`` of
-        its candidates, best first — ``[records[i] for i in rows[q]]``
+        each cell once as the columns it was read as, and per query the
+        positions in ``records`` of its candidates, best first — ``[records[i] for i in rows[q]]``
         is exactly ``approx_knn_candidates(perm, ...)`` for row ``q`` of
         ``query_permutations``. The work is amortized: the cell
         promises of every (query, cell) pair come out of one vectorized
@@ -561,9 +566,7 @@ class MIndex:
         records, groups_per_query = self.approx_knn_scatter_batch(
             query_permutations, cand_size, max_cells=max_cells
         )
-        oids = np.fromiter(
-            (record.oid for record in records), np.uint64, len(records)
-        )
+        oids = records.oids
         rows_per_query: list[np.ndarray] = []
         for groups in groups_per_query:
             if not groups:
@@ -582,7 +585,7 @@ class MIndex:
         cand_size: int,
         *,
         max_cells: int | None = None,
-    ) -> tuple[list[IndexedRecord], list[list[tuple]]]:
+    ) -> tuple[CellRecords, list[list[tuple]]]:
         """Per-query visited leaf groups for scatter–gather kNN.
 
         Returns ``(records, groups)``: the records of every visited
@@ -614,7 +617,7 @@ class MIndex:
         if max_cells is not None and max_cells <= 0:
             raise QueryError(f"max_cells must be positive, got {max_cells}")
         n_queries = perms.shape[0]
-        visited: list[IndexedRecord] = []
+        visited = CellRecords([])
         if n_queries == 0:
             return visited, []
         # each row must be a permutation of 0..n_pivots-1, or
@@ -644,8 +647,9 @@ class MIndex:
         prefix_rank = np.empty(len(leaves), dtype=np.int64)
         by_prefix = sorted(range(len(leaves)), key=lambda i: leaves[i].prefix)
         prefix_rank[by_prefix] = np.arange(len(leaves), dtype=np.int64)
-        # per loaded cell: its rows in ``visited`` and its stacked
-        # permutation prefixes (None for a cell that loaded empty)
+        # per loaded cell: its rows in ``visited`` and the leading
+        # columns of its permutation matrix (None for a cell that
+        # loaded empty)
         loaded: dict[tuple[int, ...], tuple | None] = {}
         depth = min(_RANK_PREFIX, self.n_pivots)
         positions = np.arange(depth, dtype=np.int64)
@@ -662,11 +666,11 @@ class MIndex:
                     break
                 leaf = leaves[li]
                 if leaf.prefix not in loaded:
-                    records = self.storage.load(leaf.prefix)
+                    cell = self.storage.load(leaf.prefix)
                     loaded[leaf.prefix] = (
-                        self._append_cell(visited, records),
-                        np.stack([r.permutation[:depth] for r in records]),
-                    ) if records else None
+                        visited.append(cell),
+                        cell.ensure_permutations()[:, :depth],
+                    ) if len(cell) else None
                 cells_accessed += 1
                 if loaded[leaf.prefix] is None:
                     continue
@@ -681,16 +685,6 @@ class MIndex:
                 n_collected += len(rows)
             groups_per_query.append(groups)
         return visited, groups_per_query
-
-    @staticmethod
-    def _append_cell(
-        visited: list[IndexedRecord], records: list[IndexedRecord]
-    ) -> np.ndarray:
-        """Put a loaded cell's records at the end of ``visited``; their
-        rows there."""
-        rows = np.arange(len(visited), len(visited) + len(records))
-        visited.extend(records)
-        return rows
 
     @staticmethod
     def _promise_matrix(
@@ -755,7 +749,7 @@ class MIndex:
         radius: float,
         *,
         stats: list[RangeSearchStats] | None = None,
-    ) -> tuple[list[IndexedRecord], list[np.ndarray]]:
+    ) -> tuple[CellRecords, list[np.ndarray]]:
         """Candidate sets for a batch of range queries (one shared radius).
 
         Returns ``(records, rows)`` like
@@ -775,7 +769,7 @@ class MIndex:
         radius: float,
         *,
         stats: list[RangeSearchStats] | None = None,
-    ) -> tuple[list[IndexedRecord], list[list[tuple]]]:
+    ) -> tuple[CellRecords, list[list[tuple]]]:
         """Per-query range candidates as per-leaf groups, for
         scatter–gather merging and as the core of
         :meth:`range_search_batch`.
@@ -826,7 +820,7 @@ class MIndex:
         q_matrix: np.ndarray,
         radius: float,
         stats_list: list[RangeSearchStats],
-    ) -> tuple[list[IndexedRecord], list[list[tuple]]]:
+    ) -> tuple[CellRecords, list[list[tuple]]]:
         """Range candidates per query as ``(leaf_prefix, rows)`` groups
         in leaf order, over the scanned cells' records end to end.
 
@@ -870,7 +864,7 @@ class MIndex:
         survivors: list[list[int]],
         stats_list: list[RangeSearchStats],
         passes,
-    ) -> tuple[list[IndexedRecord], list[list[tuple]]]:
+    ) -> tuple[CellRecords, list[list[tuple]]]:
         """Second half of both range traversals: fetch the union of
         the surviving cells in one :meth:`_bulk_load_leaves` call, then
         per query apply the per-object filter — ``passes(query index,
@@ -884,7 +878,7 @@ class MIndex:
                 )
             ]
         )
-        scanned: list[IndexedRecord] = []
+        scanned = CellRecords([])
         # per scanned cell: its rows in ``scanned``, its distance matrix
         cells: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
         groups_per_query: list[list[tuple]] = []
@@ -895,16 +889,18 @@ class MIndex:
             n_candidates = 0
             for position in surviving:
                 prefix = leaves[position].prefix
-                records = bucket_cache[prefix]
+                cell = bucket_cache[prefix]
                 query_stats.cells_accessed += 1
-                query_stats.records_scanned += len(records)
-                if not records:
+                query_stats.records_scanned += len(cell)
+                if not len(cell):
                     continue
                 if prefix not in cells:
-                    cells[prefix] = (
-                        self._append_cell(scanned, records),
-                        self._distance_matrix(records),
-                    )
+                    if cell.distances is None:
+                        raise QueryError(
+                            "range search requires records stored with "
+                            "pivot distances (the precise strategy)"
+                        )
+                    cells[prefix] = (scanned.append(cell), cell.distances)
                 rows, matrix = cells[prefix]
                 kept = rows[passes(qi, matrix)]
                 query_stats.records_filtered += len(rows) - len(kept)
@@ -921,7 +917,7 @@ class MIndex:
         highs: np.ndarray,
         *,
         stats: list[RangeSearchStats] | None = None,
-    ) -> tuple[list[IndexedRecord], list[np.ndarray]]:
+    ) -> tuple[CellRecords, list[np.ndarray]]:
         """Batched :meth:`range_search_transformed` with shared bucket
         loads and per-bucket matrices, as ``(records, rows)`` (see
         :meth:`range_search_batch`); per-query results are identical
@@ -937,7 +933,7 @@ class MIndex:
         highs: np.ndarray,
         *,
         stats: list[RangeSearchStats] | None = None,
-    ) -> tuple[list[IndexedRecord], list[list[tuple]]]:
+    ) -> tuple[CellRecords, list[list[tuple]]]:
         """Transformed-interval analog of :meth:`range_scatter_batch`."""
         low_matrix = np.asarray(lows, dtype=np.float64)
         high_matrix = np.asarray(highs, dtype=np.float64)
@@ -964,7 +960,7 @@ class MIndex:
         low_matrix: np.ndarray,
         high_matrix: np.ndarray,
         stats_list: list[RangeSearchStats],
-    ) -> tuple[list[IndexedRecord], list[list[tuple]]]:
+    ) -> tuple[CellRecords, list[list[tuple]]]:
         """Transformed-interval analog of :meth:`_range_groups_batch`:
         prune every query first, then fetch and filter through
         :meth:`_filter_survivors`."""
@@ -993,7 +989,7 @@ class MIndex:
 
     def _bulk_load_leaves(
         self, prefixes: list[tuple[int, ...]]
-    ) -> dict[tuple[int, ...], list[IndexedRecord]]:
+    ) -> dict[tuple[int, ...], RecordBatch]:
         """Fetch many cells at once, through the backend's chunk-aware
         ``load_many`` prefetcher when it has one (the disk backend
         orders chunk reads by file offset and decompresses misses in
@@ -1002,16 +998,6 @@ class MIndex:
         if load_many is not None:
             return load_many(prefixes)
         return {prefix: self.storage.load(prefix) for prefix in prefixes}
-
-    @staticmethod
-    def _distance_matrix(records: list[IndexedRecord]) -> np.ndarray:
-        """Stacked pivot distances of a bucket (precise strategy only)."""
-        if any(r.distances is None for r in records):
-            raise QueryError(
-                "range search requires records stored with pivot "
-                "distances (the precise strategy)"
-            )
-        return np.stack([r.distances for r in records])
 
     # ------------------------------------------------------------------
     # rebalance surface
@@ -1032,11 +1018,11 @@ class MIndex:
                 continue
             if leaf.prefix:
                 if leaf.prefix[0] in wanted:
-                    exported.extend(self.storage.load(leaf.prefix))
+                    exported.extend(self.storage.load(leaf.prefix).to_records())
             else:
                 exported.extend(
                     record
-                    for record in self.storage.load(leaf.prefix)
+                    for record in self.storage.load(leaf.prefix).to_records()
                     if int(record.ensure_permutation()[0]) in wanted
                 )
         return exported
@@ -1064,7 +1050,7 @@ class MIndex:
                 self.storage.delete(leaf.prefix)
                 leaf.rebuild_from([])
             else:
-                records = self.storage.load(leaf.prefix)
+                records = self.storage.load(leaf.prefix).to_records()
                 remaining = [
                     record
                     for record in records

@@ -21,10 +21,20 @@ Format version 1 is the seed's plain layout (raw frames, no header,
 recovers its cell ids by hashing candidate permutation prefixes (the
 legacy file name *is* ``sha1(repr(cell_id))``).
 
-:class:`BlockCache` is the byte-budgeted LRU of *decoded* (raw) chunks
-that sits above the chunk reader, modeled on the client's
-decrypted-candidate LRU: exact hit/miss accounting, eviction by least
-recent use, invalidation per file.
+:class:`BlockCache` is the byte-budgeted LRU of *decompressed* chunks —
+raw frame bytes, not decoded records — that sits above the chunk
+reader, modeled on the client's decrypted-candidate LRU: exact hit/miss
+accounting, eviction by least recent use, invalidation per file.
+
+Frames are decoded a cell at a time (:func:`decode_cell`): when every
+frame of a cell has the shape of the first and carries a permutation —
+every cell of an index over equal-sized objects — its bytes are one
+fixed-stride table and the columns are strided views of it, each shape
+field of each frame checked against the first frame's before use; any
+other cell is decoded frame by frame by :func:`parse_frames`, the one
+per-record decoder. Sizes and counts that come from the chunk index
+(``manifest.json``, chunk headers) are checked against the bytes
+present before anything is sized from them.
 """
 
 from __future__ import annotations
@@ -34,10 +44,14 @@ import struct
 import zlib
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Hashable, Iterator
 
-from repro.core.records import IndexedRecord
+import numpy as np
+
+from repro.core.records import IndexedRecord, RecordBatch
 from repro.exceptions import StorageError
+from repro.wire.encoding import BlobColumn
 
 __all__ = [
     "BlockCache",
@@ -49,6 +63,8 @@ __all__ = [
     "build_chunks",
     "cell_digest",
     "count_frames",
+    "decode_cell",
+    "decompress_chunk",
     "encode_file_header",
     "frame_record",
     "is_chunked_blob",
@@ -129,6 +145,109 @@ def parse_frames(blob: bytes) -> Iterator[IndexedRecord]:
             raise StorageError("cell file truncated (frame body)")
         yield IndexedRecord.from_bytes(blob[offset : offset + length])
         offset += length
+
+
+#: the smallest frame: prefix, oid, flags, one one-element array and an
+#: empty payload
+_MIN_FRAME_BYTES = 4 + 8 + 1 + (4 + 4) + 4
+
+
+@lru_cache(maxsize=64)
+def _frame_dtype(
+    n_permutation: int, n_distances: int, payload_size: int
+) -> np.dtype:
+    """One frame with a permutation, distances unless ``n_distances``
+    is 0, and a payload, as a packed structured dtype."""
+    fields: list[tuple] = [
+        ("size", "<u4"),
+        ("oid", "<u8"),
+        ("flags", "u1"),
+        ("n_permutation", "<u4"),
+        ("permutation", "<i4", (n_permutation,)),
+    ]
+    if n_distances:
+        fields += [
+            ("n_distances", "<u4"),
+            ("distances", "<f8", (n_distances,)),
+        ]
+    fields += [("payload_size", "<u4"), ("payload", "u1", (payload_size,))]
+    return np.dtype(fields)
+
+
+def _uniform_table(raw: bytes, n_records: int) -> np.ndarray | None:
+    """``raw`` as a table of ``n_records`` frames shaped like the first,
+    or None when it is not one — the caller then decodes frame by frame.
+
+    The shape (frame size, flags, array lengths, payload size) is read
+    off the first frame, every step bounds-checked against the stride
+    ``len(raw) / n_records`` before the next read; then each of those
+    fields must hold the same value in every frame.
+    """
+    stride, uneven = divmod(len(raw), n_records)
+    if uneven:
+        return None
+    flags = raw[12]
+    if flags not in (1, 3):
+        # no permutation column (or no valid flags): the index stores
+        # none of these, and a batch would hand such records back with
+        # permutations derived, which is not what the frames say
+        return None
+    shape = {"size": stride - _LEN.size, "flags": flags}
+    offset = 13
+    for bit, name, item in ((1, "n_permutation", 4), (2, "n_distances", 8)):
+        if flags & bit:
+            if offset + _LEN.size > stride:
+                return None
+            (shape[name],) = _LEN.unpack_from(raw, offset)
+            if shape[name] == 0:
+                return None
+            offset += _LEN.size + item * shape[name]
+    shape["payload_size"] = stride - offset - _LEN.size
+    if shape["payload_size"] < 0:
+        return None
+    table = np.frombuffer(
+        raw,
+        dtype=_frame_dtype(
+            shape["n_permutation"],
+            shape.get("n_distances", 0),
+            shape["payload_size"],
+        ),
+    )
+    for name, value in shape.items():
+        if not (table[name] == value).all():
+            return None
+    return table
+
+
+def decode_cell(chunks: list[bytes], n_records: int) -> RecordBatch:
+    """The ``n_records`` records framed in ``chunks`` — a cell's raw
+    bytes, chunk by chunk — as columns, decoded once for the cell.
+
+    ``n_records`` comes from the chunk index, so it is held against the
+    bytes before use: more records than the bytes could frame is a
+    :class:`StorageError`, and so is a frame-by-frame decode that finds
+    another number.
+    """
+    raw = chunks[0] if len(chunks) == 1 else b"".join(chunks)
+    if n_records * _MIN_FRAME_BYTES > len(raw):
+        raise StorageError(
+            f"chunk index promises {n_records} records in {len(raw)} bytes"
+        )
+    table = _uniform_table(raw, n_records) if n_records else None
+    if table is not None:
+        return RecordBatch.from_columns(
+            table["oid"],
+            table["permutation"],
+            table["distances"] if "distances" in table.dtype.names else None,
+            BlobColumn(table["payload"]),
+        )
+    records = list(parse_frames(raw))
+    if len(records) != n_records:
+        raise StorageError(
+            f"chunk index promises {n_records} records, the cell "
+            f"frames {len(records)}"
+        )
+    return RecordBatch.of_cell(records)
 
 
 def count_frames(blob: bytes) -> int:
@@ -262,17 +381,26 @@ def scan_chunks(
 
 
 def decompress_chunk(comp: bytes, entry: ChunkEntry) -> bytes:
-    """Decompress one chunk's payload, validating the recorded sizes."""
+    """Decompress one chunk's payload into at most ``raw_size + 1``
+    bytes: a chunk that inflates past the size its index entry
+    promises, stops short of it, or leaves input behind is refused
+    before it can cost more memory than that."""
+    inflater = zlib.decompressobj()
     try:
-        raw = zlib.decompress(comp)
+        raw = inflater.decompress(comp, entry.raw_size + 1)
     except zlib.error as exc:
         raise StorageError(
             f"cell chunk at offset {entry.offset} is corrupt: {exc}"
         ) from exc
-    if len(raw) != entry.raw_size:
+    if len(raw) != entry.raw_size or not inflater.eof:
         raise StorageError(
-            f"cell chunk at offset {entry.offset} decompressed to "
-            f"{len(raw)} bytes, chunk index promises {entry.raw_size}"
+            f"cell chunk at offset {entry.offset} does not decompress to "
+            f"the {entry.raw_size} bytes the chunk index promises"
+        )
+    if inflater.unused_data:
+        raise StorageError(
+            f"cell chunk at offset {entry.offset} carries "
+            f"{len(inflater.unused_data)} bytes past its compressed stream"
         )
     return raw
 
@@ -312,7 +440,7 @@ def recover_legacy_cell_id(
 
 
 class BlockCache:
-    """Byte-budgeted LRU cache of decoded (decompressed raw) chunks.
+    """Byte-budgeted LRU cache of decompressed chunks (raw frame bytes).
 
     Keys are ``(file name, chunk ordinal)``; values are the chunk's raw
     frame bytes. The budget counts raw bytes, so the cache's memory
@@ -341,7 +469,7 @@ class BlockCache:
         return raw
 
     def put(self, file_name: str, ordinal: int, raw: bytes) -> None:
-        """Insert a decoded chunk, evicting least-recently-used ones."""
+        """Insert a chunk's raw bytes, evicting least-recently-used ones."""
         if self.capacity_bytes == 0 or len(raw) > self.capacity_bytes:
             return
         key = (file_name, ordinal)

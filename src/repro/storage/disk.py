@@ -36,9 +36,12 @@ post-batch state; stale files whose unlink did not happen are swept
 the same way. There is no state in between, and the scope exits —
 commits — before the operation is acknowledged.
 
-Reads go through a byte-budgeted LRU :class:`BlockCache` of decoded
-chunks, with exact ``block_cache_hits`` / ``block_cache_misses`` /
-``chunks_decompressed`` counters next to the classic I/O accounting.
+Reads go through a byte-budgeted LRU :class:`BlockCache` of
+decompressed chunks (raw frame bytes), with exact ``block_cache_hits``
+/ ``block_cache_misses`` / ``chunks_decompressed`` counters next to the
+classic I/O accounting. A read hands a cell back as columns — one
+decode per cell over its chunks' bytes end to end, no object per record
+(:func:`~repro.storage.chunks.decode_cell`).
 
 Legacy directories written by the seed's format (raw frame files, no
 manifest) are scavenged on open: chunked files are self-describing,
@@ -69,7 +72,7 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Hashable, Iterator, Mapping
 
-from repro.core.records import IndexedRecord
+from repro.core.records import IndexedRecord, RecordBatch
 from repro.exceptions import StorageError
 from repro.parallel import backend
 from repro.storage.chunks import (
@@ -80,6 +83,7 @@ from repro.storage.chunks import (
     ChunkEntry,
     build_chunks,
     cell_digest,
+    decode_cell,
     decompress_chunk,
     encode_file_header,
     frame_record,
@@ -101,7 +105,7 @@ from repro.storage.manifest import (
 
 __all__ = ["DEFAULT_CACHE_BYTES", "DiskStorage"]
 
-#: default byte budget of the decoded-chunk LRU cache
+#: default byte budget of the decompressed-chunk LRU cache
 DEFAULT_CACHE_BYTES = 16 * 1024 * 1024
 
 _CHUNK_HEADER_SIZE = 12  # struct <III> — see repro.storage.chunks
@@ -121,7 +125,7 @@ class DiskStorage:
     chunk_raw_bytes:
         Target uncompressed bytes per chunk (~64 KiB default).
     cache_bytes:
-        Byte budget of the decoded-chunk LRU cache; ``0`` disables
+        Byte budget of the decompressed-chunk LRU cache; ``0`` disables
         caching (every chunk access is a counted miss).
     """
 
@@ -259,90 +263,25 @@ class DiskStorage:
             self.writes += 1
         self._uncommitted = True
 
-    def load(self, cell_id: Hashable) -> list[IndexedRecord]:
-        """Read back the records of a cell (empty list if absent).
+    def load(self, cell_id: Hashable) -> RecordBatch:
+        """Read back the records of a cell, as columns (an empty batch
+        if absent).
 
         Only the cell's own chunks are decompressed, and of those only
         the ones not already in the block cache; a load of an absent
-        cell touches no disk and charges nothing.
+        cell touches no disk and charges nothing. The cell's frames are
+        decoded once, over its chunks' raw bytes end to end
+        (:func:`~repro.storage.chunks.decode_cell`): a search reads the
+        columns and no record object is built; ``.to_records()`` gives
+        rows to whoever wants them.
         """
-        with self._lock:
-            entry = self._catalog.get(cell_id)
-            if entry is None:
-                return []
-            file_name = entry.file_name
-            fmt = entry.fmt
-            size = entry.size
-            chunks = list(entry.chunks)
-        path = self._dir / file_name
-        if fmt == FORMAT_LEGACY:
-            blob = self._read_exact(path, 0, size, cell_id)
-            records = list(parse_frames(blob))
-            with self._lock:
-                self.bytes_read += size
-                self.reads += 1
-            return records
-        # Probe the cache for every chunk first (hits counted at probe
-        # time, exactly as the per-chunk loop did), then read + inflate
-        # only the missing ones — in parallel on the scheduler's thread
-        # backend when several are missing, since zlib releases the GIL
-        # and chunks decode independently.
-        with self._lock:
-            cached: list[bytes | None] = [
-                self.block_cache.get(file_name, ordinal)
-                for ordinal in range(len(chunks))
-            ]
-            hits = sum(1 for raw in cached if raw is not None)
-            if hits:
-                self.block_cache_hits += hits
-        missing = [i for i, raw in enumerate(cached) if raw is None]
-        if missing:
-            comps: list[bytes] = []
-            handle = None
-            try:
-                try:
-                    handle = open(path, "rb")
-                except FileNotFoundError as exc:
-                    raise StorageError(
-                        f"cell file missing for {cell_id!r}"
-                    ) from exc
-                for ordinal in missing:
-                    chunk = chunks[ordinal]
-                    handle.seek(chunk.offset + _CHUNK_HEADER_SIZE)
-                    comp = handle.read(chunk.comp_size)
-                    if len(comp) != chunk.comp_size:
-                        raise StorageError(
-                            f"cell file truncated for {cell_id!r}: chunk "
-                            f"at offset {chunk.offset} is incomplete"
-                        )
-                    comps.append(comp)
-            finally:
-                if handle is not None:
-                    handle.close()
-            raws = self._decompress_many(
-                comps, [chunks[i] for i in missing]
-            )
-            with self._lock:
-                for ordinal, raw in zip(missing, raws):
-                    self.block_cache_misses += 1
-                    self.chunks_decompressed += 1
-                    self.bytes_read += chunks[ordinal].comp_size
-                    self.block_cache.put(file_name, ordinal, raw)
-            for ordinal, raw in zip(missing, raws):
-                cached[ordinal] = raw
-        records = []
-        for raw in cached:
-            assert raw is not None
-            records.extend(parse_frames(raw))
-        with self._lock:
-            self.reads += 1
-        return records
+        return self._read_cells([cell_id])[cell_id]
 
     def load_many(self, cell_ids) -> dict:
         """Chunk-aware prefetch of many cells in one batch.
 
-        Returns ``{cell_id: records}`` for every requested cell (empty
-        list for absent ones). Equivalent to a :meth:`load` loop — the
+        Returns ``{cell_id: batch}`` for every requested cell (an empty
+        batch for absent ones). Equivalent to a :meth:`load` loop — the
         same cache probes, the same ``block_cache_hits`` /
         ``block_cache_misses`` / ``chunks_decompressed`` /
         ``bytes_read`` / ``reads`` totals, the same cache contents
@@ -355,56 +294,59 @@ class DiskStorage:
         widen each decompression batch; per-chunk accounting is charged
         per cell, in request order, exactly as the loop would.)
         """
-        unique_ids = list(dict.fromkeys(cell_ids))
+        return self._read_cells(list(dict.fromkeys(cell_ids)))
+
+    def _read_cells(self, cell_ids: list) -> dict:
+        """The one read path: :meth:`load` is it for one cell,
+        :meth:`load_many` for several."""
         results: dict = {}
-        legacy: list = []
-        # (cell_id, file_name, path, chunks, cached, missing) per
-        # chunked cell, in request order
+        legacy: list[tuple] = []
+        # (cell_id, file_name, chunks, cached, missing) per chunked
+        # cell, in request order
         plans: list[tuple] = []
         with self._lock:
-            for cell_id in unique_ids:
+            for cell_id in cell_ids:
                 entry = self._catalog.get(cell_id)
                 if entry is None:
-                    results[cell_id] = []
+                    results[cell_id] = RecordBatch.of_cell([])
                     continue
                 if entry.fmt == FORMAT_LEGACY:
-                    legacy.append(cell_id)
+                    legacy.append(
+                        (cell_id, entry.file_name, entry.size, entry.count)
+                    )
                     continue
+                # probe the cache for every chunk first (hits counted
+                # at probe time); only the missing ones are read
                 chunks = list(entry.chunks)
                 cached: list[bytes | None] = [
                     self.block_cache.get(entry.file_name, ordinal)
                     for ordinal in range(len(chunks))
                 ]
-                hits = sum(1 for raw in cached if raw is not None)
-                if hits:
-                    self.block_cache_hits += hits
                 missing = [
                     ordinal
                     for ordinal, raw in enumerate(cached)
                     if raw is None
                 ]
+                self.block_cache_hits += len(chunks) - len(missing)
                 plans.append(
-                    (
-                        cell_id,
-                        entry.file_name,
-                        self._dir / entry.file_name,
-                        chunks,
-                        cached,
-                        missing,
-                    )
+                    (cell_id, entry.file_name, chunks, cached, missing)
                 )
-        for cell_id in legacy:
-            results[cell_id] = self.load(cell_id)
+        for cell_id, file_name, size, count in legacy:  # raw frames
+            blob = self._read_exact(self._dir / file_name, 0, size, cell_id)
+            results[cell_id] = decode_cell([blob], count)
+            with self._lock:
+                self.bytes_read += size
+                self.reads += 1
         # one read pass over all missing chunks, in on-disk order
         read_plan = [
             (position, ordinal)
             for position, plan in enumerate(plans)
-            for ordinal in plan[5]
+            for ordinal in plan[4]
         ]
         read_plan.sort(
             key=lambda item: (
                 plans[item[0]][1],
-                plans[item[0]][3][item[1]].offset,
+                plans[item[0]][2][item[1]].offset,
             )
         )
         comps: list[bytes] = []
@@ -413,16 +355,14 @@ class DiskStorage:
         current_file = None
         try:
             for position, ordinal in read_plan:
-                cell_id, file_name, path, chunks, _cached, _missing = plans[
-                    position
-                ]
+                cell_id, file_name, chunks, _cached, _missing = plans[position]
                 chunk = chunks[ordinal]
                 if file_name != current_file:
                     if handle is not None:
                         handle.close()
                         handle = None
                     try:
-                        handle = open(path, "rb")
+                        handle = open(self._dir / file_name, "rb")
                     except FileNotFoundError as exc:
                         raise StorageError(
                             f"cell file missing for {cell_id!r}"
@@ -446,7 +386,7 @@ class DiskStorage:
         raw_map = dict(zip(read_plan, raws))
         with self._lock:
             for position, plan in enumerate(plans):
-                _cell_id, file_name, _path, chunks, cached, missing = plan
+                _cell_id, file_name, chunks, cached, missing = plan
                 for ordinal in missing:
                     raw = raw_map[(position, ordinal)]
                     self.block_cache_misses += 1
@@ -455,12 +395,10 @@ class DiskStorage:
                     self.block_cache.put(file_name, ordinal, raw)
                     cached[ordinal] = raw
             self.reads += len(plans)
-        for cell_id, _file_name, _path, _chunks, cached, _missing in plans:
-            records: list[IndexedRecord] = []
-            for raw in cached:
-                assert raw is not None
-                records.extend(parse_frames(raw))
-            results[cell_id] = records
+        for cell_id, _file_name, chunks, cached, _missing in plans:
+            results[cell_id] = decode_cell(
+                cached, sum(chunk.n_records for chunk in chunks)
+            )
         return results
 
     @staticmethod
@@ -524,6 +462,14 @@ class DiskStorage:
         """Total number of stored records."""
         with self._lock:
             return sum(entry.count for entry in self._catalog.values())
+
+    @property
+    def chunks(self) -> int:
+        """Chunk-index entries in the catalog: with ``len(self)``, how
+        full the chunks are — appends add a chunk per group, however
+        small, until the cell is next rewritten."""
+        with self._lock:
+            return sum(len(entry.chunks) for entry in self._catalog.values())
 
     def flush(self) -> None:
         """Recommit the manifest — the durability point of this backend.

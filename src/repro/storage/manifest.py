@@ -129,6 +129,12 @@ class CellEntry:
             or entry.size < 0
         ):
             raise StorageError(f"malformed manifest entry {data!r}")
+        if any(chunk.end > entry.size for chunk in chunks):
+            # a reader sizes its file reads by the chunk index
+            raise StorageError(
+                f"manifest entry for {entry.file_name} indexes a chunk "
+                f"past the {entry.size} bytes it commits"
+            )
         return entry
 
 

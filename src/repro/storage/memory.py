@@ -6,7 +6,7 @@ import threading
 from contextlib import contextmanager
 from typing import Hashable, Iterator, Mapping
 
-from repro.core.records import IndexedRecord
+from repro.core.records import IndexedRecord, RecordBatch
 from repro.exceptions import StorageError
 
 __all__ = ["MemoryStorage"]
@@ -19,15 +19,20 @@ class MemoryStorage:
     accounting reflects the records' wire sizes so memory and disk
     backends report comparable numbers; each cell's total is kept as
     the cell is written, so a read charges it without walking the
-    records. Counter updates are guarded by a mutex so concurrent search
-    handlers (the batched query engine runs one reader thread per query)
-    keep the accounting exact.
+    records. A read hands the cell back as columns
+    (:class:`~repro.core.records.RecordBatch`), built from the record
+    list on the first read after a write and kept beside it until the
+    next write to the cell. Counter updates are guarded by a mutex so
+    concurrent search handlers (the batched query engine runs one reader
+    thread per query) keep the accounting exact.
     """
 
     def __init__(self) -> None:
         self._cells: dict[Hashable, list[IndexedRecord]] = {}
         #: wire bytes of each cell's records, as of when they were written
         self._cell_bytes: dict[Hashable, int] = {}
+        #: each cell's columns as of its last read, dropped on a write
+        self._columns: dict[Hashable, RecordBatch] = {}
         self._accounting = threading.Lock()
         self.bytes_written = 0
         self.bytes_read = 0
@@ -49,6 +54,7 @@ class MemoryStorage:
         size = sum(r.wire_size for r in records)
         with self._accounting:
             self._cells[cell_id] = list(records)
+            self._columns.pop(cell_id, None)
             self._cell_bytes[cell_id] = size
             self.bytes_written += size
             self.writes += 1
@@ -87,12 +93,14 @@ class MemoryStorage:
         size = sum(r.wire_size for r in records)
         with self._accounting:
             self._cells.setdefault(cell_id, []).extend(records)
+            self._columns.pop(cell_id, None)
             self._cell_bytes[cell_id] = self._cell_bytes.get(cell_id, 0) + size
             self.bytes_written += size
             self.writes += 1
 
-    def load(self, cell_id: Hashable) -> list[IndexedRecord]:
-        """Return the records of a cell (empty list if absent).
+    def load(self, cell_id: Hashable) -> RecordBatch:
+        """Return the records of a cell, as columns (an empty batch if
+        absent); ``.to_records()`` lists the stored records themselves.
 
         Loading an absent cell charges nothing — the disk backend
         answers it from its catalog without touching a file, and the
@@ -101,13 +109,16 @@ class MemoryStorage:
         with self._accounting:
             records = self._cells.get(cell_id)
             if records is None:
-                return []
+                return RecordBatch.of_cell([])
             self.bytes_read += self._cell_bytes[cell_id]
             self.reads += 1
-            return list(records)
+            columns = self._columns.get(cell_id)
+            if columns is None:
+                columns = self._columns[cell_id] = RecordBatch.of_cell(records)
+            return columns
 
     def load_many(self, cell_ids) -> dict:
-        """Return ``{cell_id: records}`` for many cells in one call.
+        """Return ``{cell_id: batch}`` for many cells in one call.
 
         There is no I/O schedule to optimize in memory, so this is
         exactly a :meth:`load` loop over the (deduplicated) ids — it
@@ -126,6 +137,7 @@ class MemoryStorage:
                 raise StorageError(f"cell {cell_id!r} does not exist")
             del self._cells[cell_id]
             del self._cell_bytes[cell_id]
+            self._columns.pop(cell_id, None)
             self.writes += 1
 
     def cell_size(self, cell_id: Hashable) -> int:

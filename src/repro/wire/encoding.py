@@ -9,6 +9,11 @@ and the ``u64_array``/``blob_region`` codecs are what let a whole
 construction bulk travel as one columnar record batch.
 These primitives underlie every byte that crosses the client/server
 boundary, so communication-cost measurements are exact.
+
+:class:`BlobColumn` is a blob region kept as a column — byte strings
+left where they lie in one buffer — and :func:`pack_blobs` copies a
+selection of several such columns end to end; together they let stored
+payloads reach a response without an object per payload.
 """
 
 from __future__ import annotations
@@ -16,10 +21,11 @@ from __future__ import annotations
 import struct
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.exceptions import ProtocolError
 
-__all__ = ["Writer", "Reader"]
+__all__ = ["BlobColumn", "Reader", "Writer", "pack_blobs"]
 
 _U8 = struct.Struct("<B")
 _U32 = struct.Struct("<I")
@@ -310,3 +316,173 @@ class Reader:
             raise ProtocolError(
                 f"{self.remaining()} unexpected trailing bytes"
             )
+
+
+class BlobColumn:
+    """A column of byte strings lying in one buffer, none of them built.
+
+    Two layouts. *Regular*: equal-sized blobs at a fixed stride —
+    ``matrix`` is an ``(n, width)`` uint8 view of the buffer, one row a
+    blob (cipher tokens of equal-sized objects, in the frames of a
+    stored cell or end to end in a candidate table). *Packed*:
+    ``matrix`` is None and blob ``i`` is
+    ``region[offsets[i]:offsets[i + 1]]`` — blobs of any sizes end to
+    end, what :meth:`Reader.blob_columns` reads.
+    """
+
+    __slots__ = ("matrix", "offsets", "region")
+
+    def __init__(
+        self,
+        matrix: np.ndarray | None,
+        offsets: np.ndarray | None = None,
+        region=b"",
+    ) -> None:
+        self.matrix = matrix
+        self.offsets = offsets
+        self.region = region
+
+    @classmethod
+    def packed(cls, offsets: np.ndarray, region) -> "BlobColumn":
+        """The column of blobs laid end to end in ``region`` (``n + 1``
+        offsets from 0 to its length); regular when they turn out to
+        share one non-zero size."""
+        lengths = np.diff(offsets)
+        if lengths.size and lengths[0] > 0 and (lengths == lengths[0]).all():
+            flat = np.frombuffer(region, dtype=np.uint8, count=int(offsets[-1]))
+            return cls(flat.reshape(lengths.size, -1))
+        return cls(None, offsets, region)
+
+    @classmethod
+    def of(cls, blobs: list[bytes]) -> "BlobColumn":
+        """The column of ``blobs``, copied end to end."""
+        offsets = np.zeros(len(blobs) + 1, dtype=np.int64)
+        np.cumsum(
+            np.fromiter(map(len, blobs), np.int64, len(blobs)),
+            out=offsets[1:],
+        )
+        return cls.packed(offsets, b"".join(blobs))
+
+    def __len__(self) -> int:
+        if self.matrix is not None:
+            return self.matrix.shape[0]
+        return self.offsets.shape[0] - 1
+
+    @property
+    def lengths(self) -> np.ndarray:
+        """The blobs' sizes, one int64 each."""
+        if self.matrix is not None:
+            return np.full(self.matrix.shape[0], self.matrix.shape[1])
+        return np.diff(self.offsets)
+
+    def tolist(self, rows=slice(None)) -> list[bytes]:
+        """Blobs ``rows`` (an index array or a slice; all by default)
+        cut out as ``bytes``, in that order."""
+        if self.matrix is not None:
+            chosen = self.matrix[rows]
+            count, width = chosen.shape
+            if width == 0:
+                return [b""] * count
+            data = chosen.tobytes()
+            return [
+                data[start : start + width]
+                for start in range(0, count * width, width)
+            ]
+        region = self.region
+        return [
+            bytes(region[start:stop])
+            for start, stop in zip(
+                self.offsets[:-1][rows].tolist(),
+                self.offsets[1:][rows].tolist(),
+            )
+        ]
+
+    def __getitem__(self, index: int) -> bytes:
+        if self.matrix is not None:
+            return self.matrix[index].tobytes()
+        return bytes(
+            self.region[self.offsets[:-1][index] : self.offsets[1:][index]]
+        )
+
+    def __iter__(self):
+        return iter(self.tolist())
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (list, BlobColumn)):
+            return self.tolist() == list(other)
+        return NotImplemented
+
+    __hash__ = None
+
+
+def pack_blobs(
+    columns: list[BlobColumn], rows: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Copy blobs ``rows`` of ``columns`` end to end, in that order.
+
+    A row counts through the columns laid end to end; None takes every
+    blob in turn. Returns ``(lengths, region)``, what
+    :meth:`Writer.blob_columns` appends. The rows are ordered by column
+    once, then every column gives up its run of them in one strided
+    copy — as long as all blobs wanted are one size, which regular
+    columns say without looking; otherwise in one copy per column and
+    distinct size.
+    """
+    bounds = np.cumsum([0] + [len(column) for column in columns])
+    if rows is None:
+        rows = np.arange(bounds[-1])
+    count = len(rows)
+    if count and not 0 <= rows.min() <= rows.max() < bounds[-1]:
+        raise IndexError(f"blob rows outside the {bounds[-1]} present")
+    owner = np.searchsorted(bounds, rows, side="right") - 1
+    own = rows - bounds[owner]
+    # None when the rows come column by column already (a range scan's)
+    order = None
+    if count > 1 and not (owner[1:] >= owner[:-1]).all():
+        order = np.argsort(owner, kind="stable")
+        owner, own = owner[order], own[order]
+    cuts = np.searchsorted(owner, np.arange(len(columns) + 1)).tolist()
+    # per column with rows wanted: (column, its own rows, its run)
+    runs = [
+        (column, own[start:stop], start, stop)
+        for column, start, stop in zip(columns, cuts, cuts[1:])
+        if stop > start
+    ]
+    widths = {
+        None if column.matrix is None else column.matrix.shape[1]
+        for column, _chosen, _start, _stop in runs
+    }
+    if len(widths) == 1 and None not in widths:
+        (width,) = widths
+        table = np.empty((count, width), dtype=np.uint8)
+        for column, chosen, start, stop in runs:
+            table[start:stop] = column.matrix[chosen]
+        if order is not None:
+            ranked = np.empty_like(table)
+            ranked[order] = table
+            table = ranked
+        return np.full(count, width, dtype="<u4"), table.reshape(-1)
+    lengths = np.empty(count, dtype=np.int64)
+    places = np.arange(count) if order is None else order
+    for column, chosen, start, stop in runs:
+        lengths[places[start:stop]] = column.lengths[chosen]
+    targets = np.cumsum(lengths) - lengths
+    region = np.empty(int(lengths.sum()), dtype=np.uint8)
+    for column, chosen, start, stop in runs:
+        into = targets[places[start:stop]]
+        if column.matrix is not None:
+            width = column.matrix.shape[1]
+            if width:
+                sliding_window_view(region, width, writeable=True)[
+                    into
+                ] = column.matrix[chosen]
+            continue
+        starts = column.offsets[:-1][chosen]
+        sizes = lengths[places[start:stop]]
+        source = np.frombuffer(column.region, dtype=np.uint8)
+        for size in np.unique(sizes[sizes > 0]).tolist():
+            same = sizes == size
+            sliding_window_view(region, size, writeable=True)[
+                into[same]
+            ] = sliding_window_view(source, size)[starts[same]]
+    return lengths, region

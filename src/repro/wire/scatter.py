@@ -9,8 +9,9 @@ inserts)::
     u64_array   oids         u32 n | n x u64
     blob_region payloads     u32 n | n x u32 length | payload bytes
 
-:func:`read_candidate_table` hands it back as ``(oids, offsets,
-region)`` — payload ``i`` is ``region[offsets[i]:offsets[i + 1]]`` —
+:func:`read_candidate_table` hands it back as a
+:class:`CandidateTable` — the oid column and the payloads as a
+:class:`~repro.wire.encoding.BlobColumn`, a view of the message —
 without building anything per record; only the client cuts ``bytes``
 tokens out of the region (:func:`candidate_tokens`), and only for the
 candidates it decrypts. A *ragged column* (one variable-length list of
@@ -35,11 +36,18 @@ end to end. On top of these:
   stream bit for bit (asserted in ``tests/unit/test_shard_router.py``
   and ``bench_shard_scaling.py``).
 
-The writers take their candidates either as stored records (a server
-answering from its index) or as a table read off the wire (the router
-splicing shard answers), and emit the same bytes for the same
-candidates. Every count, length and row number a reader takes from the
-wire is checked against what is actually there before it is used.
+The writers take their candidates one way: as a list of *tables* —
+anything with an ``oids`` column and a ``payloads``
+:class:`~repro.wire.encoding.BlobColumn` — laid end to end, never
+concatenated, plus row numbers counting through them. A server passes
+the stored cells its index visited, as the storage backend read them
+(:class:`~repro.core.records.RecordBatch`); the router passes the
+tables its shards answered with. The same candidates encode to the same
+bytes either way: the payloads wanted are gathered out of wherever they
+lie straight into the response's blob region, one strided copy per
+table (:func:`~repro.wire.encoding.pack_blobs`). Every count, length
+and row number a reader takes from the wire is checked against what is
+actually there before it is used.
 
 Also here: the shard-map codec (``u32 n_shards`` + the pivot→shard
 assignment column), the cell-dump codec used by equivalence benchmarks
@@ -48,15 +56,17 @@ to fingerprint a remote index's cell tree, and the stats-map codec.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.exceptions import ProtocolError
-from repro.wire.encoding import Reader, Writer
+from repro.wire.encoding import BlobColumn, Reader, Writer, pack_blobs
 
 __all__ = [
     "CandidateTable",
     "candidate_tokens",
+    "oid_column",
     "per_query",
     "read_candidate_lists",
     "read_candidate_table",
@@ -74,10 +84,13 @@ __all__ = [
     "write_stats_map",
 ]
 
-#: a candidate table off the wire: the ``u64`` oid column, ``n + 1``
-#: int64 offsets, and the payload bytes they delimit (payload ``i`` is
-#: ``region[offsets[i]:offsets[i + 1]]``)
-CandidateTable = tuple[np.ndarray, np.ndarray, "memoryview | bytes"]
+class CandidateTable(NamedTuple):
+    """A candidate table off the wire: the ``u64`` oid column and the
+    payloads, left in the message they came in."""
+
+    oids: np.ndarray
+    payloads: BlobColumn
+
 
 #: leads every concatenation of a list of columns that may be empty
 _NO_ROWS = np.empty(0, dtype=np.int64)
@@ -87,8 +100,8 @@ _NO_ROWS = np.empty(0, dtype=np.int64)
 
 
 def read_candidate_table(reader: Reader) -> CandidateTable:
-    """Decode a candidate table as ``(oids, offsets, region)``, the
-    region a view of the message, not a copy."""
+    """Decode a candidate table, its payloads a view of the message,
+    not a copy."""
     oids = reader.u64_array()
     offsets, region = reader.blob_columns()
     if offsets.shape[0] - 1 != oids.shape[0]:
@@ -96,7 +109,7 @@ def read_candidate_table(reader: Reader) -> CandidateTable:
             f"candidate table carries {oids.shape[0]} oids and "
             f"{offsets.shape[0] - 1} payloads"
         )
-    return oids, offsets, region
+    return CandidateTable(oids, BlobColumn.packed(offsets, region))
 
 
 def candidate_tokens(
@@ -105,53 +118,29 @@ def candidate_tokens(
     """The payloads of ``rows`` of a candidate table (an index array or
     a slice; all of it by default) cut out of the region as ``bytes``,
     in that order."""
-    _oids, offsets, region = table
-    return [
-        bytes(region[start:stop])
-        for start, stop in zip(
-            offsets[:-1][rows].tolist(), offsets[1:][rows].tolist()
-        )
-    ]
+    return table.payloads.tolist(rows)
 
 
-def _write_table(writer: Writer, source, rows: np.ndarray | None) -> None:
-    """Append the candidate table of ``rows`` of ``source`` (all of it
-    when None), in that order.
+def oid_column(tables: list) -> np.ndarray:
+    """The oid columns of ``tables`` end to end (none, of no tables)."""
+    return np.concatenate(
+        [np.empty(0, dtype=np.uint64)] + [table.oids for table in tables]
+    )
 
-    ``source`` is a list of stored records, whose payloads go into the
-    message by identity, or an ``(oids, offsets, region)`` table off the
-    wire, whose payloads are gathered out of the region length by
-    length (one strided copy per distinct payload length, which for
-    cipher tokens of equal-sized objects is one copy).
+
+def _write_table(writer: Writer, tables: list, rows: np.ndarray | None) -> None:
+    """Append the candidate table of ``rows`` of ``tables`` (all of
+    them when None), in that order.
+
+    A row counts through the tables end to end. Each table has an
+    ``oids`` column and a ``payloads`` blob column: a stored cell as its
+    backend read it, or a table off the wire.
     """
-    if not isinstance(source, tuple):
-        chosen = (
-            source if rows is None else [source[row] for row in rows.tolist()]
-        )
-        writer.u64_array(
-            np.fromiter(
-                (record.oid for record in chosen), np.uint64, len(chosen)
-            )
-        )
-        writer.blob_region([record.payload for record in chosen])
-        return
-    oids, offsets, region = source
-    if rows is None:
-        writer.u64_array(oids)
-        writer.blob_columns(np.diff(offsets), region)
-        return
-    starts = offsets[rows]
-    lengths = offsets[rows + 1] - starts
-    targets = np.cumsum(lengths) - lengths
-    payloads = np.empty(int(lengths.sum()), dtype=np.uint8)
-    region = np.frombuffer(region, dtype=np.uint8)
-    for length in np.unique(lengths[lengths > 0]).tolist():
-        chosen = lengths == length
-        sliding_window_view(payloads, length, writeable=True)[
-            targets[chosen]
-        ] = sliding_window_view(region, length)[starts[chosen]]
-    writer.u64_array(oids[rows])
-    writer.blob_columns(lengths, payloads)
+    oids = oid_column(tables)
+    writer.u64_array(oids if rows is None else oids[rows])
+    writer.blob_columns(
+        *pack_blobs([table.payloads for table in tables], rows)
+    )
 
 
 def _write_ragged(writer: Writer, sizes, values) -> None:
@@ -192,19 +181,21 @@ def _check_rows(rows: np.ndarray, table: CandidateTable) -> None:
 # -- search responses -------------------------------------------------------
 
 
-def write_candidates(source, rows: np.ndarray | None = None) -> Writer:
-    """Encode a single-query candidate set — ``rows`` of ``source`` (see
-    :func:`_write_table`; all of it when None) in rank order. Only oid
-    + opaque payload go back."""
+def write_candidates(
+    tables: list, rows: np.ndarray | None = None
+) -> Writer:
+    """Encode a single-query candidate set — ``rows`` of ``tables`` (see
+    :func:`_write_table`; all of them when None) in rank order. Only
+    oid + opaque payload go back."""
     writer = Writer()
-    _write_table(writer, source, rows)
+    _write_table(writer, tables, rows)
     return writer
 
 
-def write_candidate_lists(source, rows_per_query: list) -> Writer:
+def write_candidate_lists(tables: list, rows_per_query: list) -> Writer:
     """Encode a batch of candidate sets with cross-query deduplication.
 
-    ``rows_per_query[q]`` are the rows of ``source`` (see
+    ``rows_per_query[q]`` are the rows of ``tables`` (see
     :func:`_write_table`) that are query ``q``'s candidates, in rank
     order. Every row any query uses travels once, in order of first
     use, and each query gets its list as rows of that table — so two
@@ -220,7 +211,7 @@ def write_candidate_lists(source, rows_per_query: list) -> Writer:
     used = used[np.argsort(first[used])]
     first[used] = np.arange(len(used))
     writer = Writer()
-    _write_table(writer, source, used)
+    _write_table(writer, tables, used)
     _write_ragged(writer, [len(rows) for rows in rows_per_query], first[rows])
     return writer
 
@@ -251,23 +242,23 @@ def per_query(rows: np.ndarray, sizes: np.ndarray) -> list[np.ndarray]:
 
 
 def _write_groups(
-    writer: Writer, records: list, query_groups: list, at: int
+    writer: Writer, tables: list, query_groups: list, at: int
 ) -> list:
     """Open a scatter response — the table, the groups-per-query column
     and the ragged column of each group's table rows — and return the
     groups end to end.
 
-    ``group[at]`` holds a group's rows in ``records``. Every visited
-    cell sits in ``records`` once, so a row identifies a record: the
-    table is ``records`` less the rows no group refers to, and nothing
-    is looked up per record.
+    ``group[at]`` holds a group's rows in ``tables`` (see
+    :func:`_write_table`). Every visited cell sits there once, so a row
+    identifies a record: the table is ``tables`` less the rows no group
+    refers to, and nothing is looked up per record.
     """
     groups = [group for groups in query_groups for group in groups]
     rows = np.concatenate([_NO_ROWS, *(group[at] for group in groups)])
-    used = np.zeros(len(records), dtype=bool)
+    used = np.zeros(sum(len(table.oids) for table in tables), dtype=bool)
     used[rows] = True
     _write_table(
-        writer, records, None if used.all() else np.flatnonzero(used)
+        writer, tables, None if used.all() else np.flatnonzero(used)
     )
     writer.i32_array([len(groups) for groups in query_groups])
     _write_ragged(
@@ -297,17 +288,17 @@ def _check_column(column: np.ndarray, count: int, what: str) -> None:
         )
 
 
-def write_knn_scatter_response(records: list, query_groups: list) -> Writer:
-    """Encode per-query kNN leaf groups — ``records`` and
-    ``query_groups`` as :meth:`MIndex.approx_knn_scatter_batch` returns
-    them, ``query_groups[q]`` listing ``(promise, prefix, rows,
+def write_knn_scatter_response(tables: list, query_groups: list) -> Writer:
+    """Encode per-query kNN leaf groups — the cells and
+    ``query_groups`` :meth:`MIndex.approx_knn_scatter_batch` returns,
+    ``query_groups[q]`` listing ``(promise, prefix, rows,
     scores)`` tuples in this shard's visit order.
 
     After the shared opening (:func:`_write_groups`) come the groups'
     promises, their ragged prefixes and one score per group row.
     """
     writer = Writer()
-    groups = _write_groups(writer, records, query_groups, 2)
+    groups = _write_groups(writer, tables, query_groups, 2)
     promises, prefixes, _rows, scores = zip(*groups) if groups else [()] * 4
     writer.f64_array(promises)
     _write_ragged(
@@ -341,10 +332,10 @@ def read_knn_scatter_response(
     )
 
 
-def write_range_scatter_response(records: list, query_groups: list) -> Writer:
-    """Encode per-query range-scan groups — ``records`` and
-    ``query_groups`` as :meth:`MIndex.range_scatter_batch` returns
-    them, ``query_groups[q]`` listing ``(prefix, rows)`` tuples in this
+def write_range_scatter_response(tables: list, query_groups: list) -> Writer:
+    """Encode per-query range-scan groups — the cells and
+    ``query_groups`` :meth:`MIndex.range_scatter_batch` returns,
+    ``query_groups[q]`` listing ``(prefix, rows)`` tuples in this
     shard's leaf order.
 
     After the shared opening (:func:`_write_groups`) comes each group's
@@ -352,7 +343,7 @@ def write_range_scatter_response(records: list, query_groups: list) -> Writer:
     root.
     """
     writer = Writer()
-    groups = _write_groups(writer, records, query_groups, 1)
+    groups = _write_groups(writer, tables, query_groups, 1)
     writer.i32_array(
         [prefix[0] if prefix else -1 for prefix, _rows in groups]
     )

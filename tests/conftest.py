@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import socket
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 
 from repro.core.client import Strategy
 from repro.core.cloud import SimilarityCloud
+from repro.exceptions import ReproError
 from repro.metric.distances import L1Distance, L2Distance
 from repro.metric.space import MetricSpace
 from repro.wire.frames import (
@@ -88,6 +90,40 @@ def candidate_lists(reader) -> list[list[tuple[int, bytes]]]:
         list(zip(table[0][rows].tolist(), candidate_tokens(table, rows)))
         for rows in rows_per_query
     ]
+
+
+#: what a forged count or length is overwritten with
+HOSTILE_U32 = [0xFFFFFFFF, 0x80000000, 0x7FFFFFFF, 0x40000000, 1 << 20]
+
+
+def _peak_allocation(decode) -> int:
+    tracemalloc.start()
+    try:
+        decode()
+    except ReproError:
+        pass
+    finally:
+        _current, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+    return peak
+
+
+def decode_within_bounds(decode, n_bytes: int, slack: int = 64 * 1024) -> None:
+    """Run a consumer on bytes it did not write: it returns or raises a
+    typed error — anything else propagates and fails the test — and
+    what it allocates on the way is bounded by the ``n_bytes`` present
+    (a small multiple of them plus ``slack``, the fixed cost of a few
+    dozen array objects), never by a number read out of them: the
+    smallest hostile count, 2**20 four-byte entries, would already be
+    4 MiB."""
+    bound = 16 * n_bytes + slack
+    peak = _peak_allocation(decode)
+    if peak > bound:
+        # every few thousand calls the interpreter regrows a table of
+        # its own (about 2 MB) inside the traced window, whatever the
+        # input; a decoder's appetite, unlike that, repeats
+        peak = _peak_allocation(decode)
+    assert peak <= bound
 
 
 def brute_force_knn(data: np.ndarray, query: np.ndarray, k: int) -> list[int]:

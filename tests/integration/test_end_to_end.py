@@ -5,9 +5,11 @@ import pytest
 
 from repro.core.client import Strategy
 from repro.core.cloud import SimilarityCloud
+from repro.core.records import IndexedRecord
 from repro.crypto.keys import SecretKey
 from repro.metric.distances import L1Distance, L2Distance
 from repro.storage.disk import DiskStorage
+from repro.storage.memory import MemoryStorage
 
 from tests.conftest import brute_force_knn
 
@@ -104,6 +106,70 @@ class TestDiskBackedDeployment:
         hits = client.range_search(q, radius)
         assert {h.oid for h in hits} == set(np.nonzero(dists <= radius)[0])
         assert cloud.server.storage.bytes_read > 0
+
+
+class TestNoRecordOnASearch:
+    """Stored cells travel as columns from the storage read to the
+    response: a search builds no :class:`IndexedRecord` anywhere, on
+    either backend (over cells of equal-sized objects, which is every
+    cell of an index like this one)."""
+
+    @pytest.mark.parametrize("backend", ["memory", "disk"])
+    def test_searches_construct_no_record(
+        self, backend, small_data, queries, tmp_path, monkeypatch
+    ):
+        storage = (
+            MemoryStorage()
+            if backend == "memory"
+            else DiskStorage(tmp_path / "index", cache_bytes=64 * 1024)
+        )
+        cloud = SimilarityCloud.build(
+            small_data,
+            distance=L1Distance(),
+            n_pivots=8,
+            bucket_capacity=40,
+            strategy=Strategy.PRECISE,
+            storage=storage,
+            seed=7,
+        )
+        cloud.owner.outsource(range(len(small_data)), small_data)
+        client = cloud.new_client()
+        radius = float(
+            np.sort(np.abs(small_data - queries[0]).sum(axis=1))[25]
+        )
+
+        def search():
+            return (
+                client.knn_search(queries[0], 5, cand_size=80),
+                client.knn_batch(queries[:6], 5, cand_size=80),
+                client.range_search(queries[0], radius),
+                client.range_search(queries[1], float("inf")),
+            )
+
+        expected = search()  # every cell has now been read once
+        constructed = []
+        original = IndexedRecord.__init__
+
+        def counting(self, *args, **kwargs):
+            constructed.append(args[0] if args else kwargs.get("oid"))
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(IndexedRecord, "__init__", counting)
+        found = search()
+        monkeypatch.undo()
+        assert constructed == []
+        assert len(found[3]) == len(small_data)
+
+        def answers(result):
+            knn, batch, *ranges = result
+            return [
+                [(hit.oid, hit.distance) for hit in hits]
+                for hits in (knn, *batch, *ranges)
+            ]
+
+        assert answers(found) == answers(expected)
+        # the rows are there for whoever asks
+        assert len(storage.load(next(iter(storage.cells()))).to_records())
 
 
 class TestMultipleMetrics:

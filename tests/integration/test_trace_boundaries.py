@@ -14,11 +14,12 @@ from pathlib import Path
 import numpy as np
 
 from repro import L1Distance, SimilarityCloud, Strategy
+from repro.storage.disk import DiskStorage
 
 TRACE = Path(__file__).parents[2] / "benchmarks" / "e2e" / "trace.py"
 
 
-def test_trace_targets_resolve_and_are_the_calls_made():
+def test_trace_targets_resolve_and_are_the_calls_made(tmp_path):
     spec = importlib.util.spec_from_file_location("e2e_trace", TRACE)
     trace = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(trace)
@@ -33,14 +34,17 @@ def test_trace_targets_resolve_and_are_the_calls_made():
     tracer.install()
     try:
         tracer.enabled = True
-        for strategy, shards in (
-            (Strategy.APPROXIMATE, 1),
-            (Strategy.APPROXIMATE, 2),
-            (Strategy.PRECISE, 2),
+        for strategy, shards, storage in (
+            (Strategy.APPROXIMATE, 1, None),
+            (Strategy.APPROXIMATE, 2, None),
+            (Strategy.PRECISE, 2, None),
+            # one server on disk answering a range query itself: the
+            # read boundaries storage.read_ms_per_op is summed over
+            (Strategy.PRECISE, 1, DiskStorage(tmp_path / "cells")),
         ):
             cloud = SimilarityCloud.build(
                 data, distance=L1Distance(), n_pivots=6, bucket_capacity=20,
-                strategy=strategy, seed=1, shards=shards,
+                strategy=strategy, seed=1, shards=shards, storage=storage,
             )
             try:
                 cloud.owner.outsource(range(len(data)), data)
@@ -69,6 +73,10 @@ def test_trace_targets_resolve_and_are_the_calls_made():
         "MIndex.approx_knn_candidates",
         "MIndex.approx_knn_candidates_batch",
         "MIndex.approx_knn_scatter_batch",
+        "MIndex.range_search",
+        "DiskStorage.load",
+        "DiskStorage.load_many",
+        "MemoryStorage.load",
         "ShardRouter.call",
         "AesCipher.decrypt_many",
     } <= seen

@@ -1,16 +1,32 @@
 """Property-based tests for the storage backends and the channel
 cost model."""
 
+import json
+import struct
+import tracemalloc
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.records import IndexedRecord
+from repro.exceptions import ReproError, StorageError
 from repro.net.channel import InProcessChannel
 from repro.net.clock import SimulatedClock
+from repro.storage.chunks import (
+    ChunkEntry,
+    decode_cell,
+    decompress_chunk,
+    frame_record,
+    parse_frames,
+)
 from repro.storage.disk import DiskStorage
+from repro.storage.manifest import MANIFEST_NAME
 from repro.storage.memory import MemoryStorage
+
+from tests.conftest import HOSTILE_U32, decode_within_bounds
 
 
 def _record(spec) -> IndexedRecord:
@@ -59,6 +75,242 @@ def test_memory_and_disk_agree(cells, tmp_path_factory):
             np.testing.assert_array_equal(a.permutation, b.permutation)
             np.testing.assert_array_equal(a.distances, b.distances)
         assert memory.cell_size(cell_id) == disk.cell_size(cell_id)
+
+
+# ---------------------------------------------------------------------------
+# the columnar cell against the per-record decoder
+
+
+def _cell_records(flags, specs, same_pivots, same_payload_size):
+    """Records of one cell: all of representation ``flags`` (1
+    permutations, 2 distances, 3 both), sharing the first record's
+    pivot count and payload size or not."""
+    records = []
+    for oid, n_pivots, payload, seed in specs:
+        if same_pivots:
+            n_pivots = specs[0][1]
+        if same_payload_size:
+            size = len(specs[0][2])
+            payload = (payload * (size + 1))[:size] if payload else bytes(size)
+        rng = np.random.default_rng(seed)
+        records.append(
+            IndexedRecord(
+                oid,
+                rng.permutation(n_pivots).astype(np.int32)
+                if flags & 1
+                else None,
+                rng.random(n_pivots) if flags & 2 else None,
+                payload,
+            )
+        )
+    return records
+
+
+def _assert_same_records(got, oracle):
+    """Field by field, and the stored encoding byte for byte."""
+    assert len(got) == len(oracle)
+    for ours, theirs in zip(got, oracle):
+        assert isinstance(ours, IndexedRecord)
+        assert ours.oid == theirs.oid and type(ours.oid) is int
+        assert ours.payload == theirs.payload
+        assert type(ours.payload) is bytes
+        for name in ("permutation", "distances"):
+            a, b = getattr(ours, name), getattr(theirs, name)
+            assert (a is None) == (b is None)
+            if a is not None:
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert a.tobytes() == b.tobytes()
+        assert ours.to_bytes() == theirs.to_bytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    flags=st.sampled_from([1, 2, 3]),
+    specs=st.lists(record_specs, max_size=10),
+    same_pivots=st.booleans(),
+    same_payload_size=st.booleans(),
+    chunk_raw_bytes=st.integers(min_value=1, max_value=1500),
+    appended=st.integers(min_value=0, max_value=10),
+)
+def test_columnar_cell_equals_the_frame_decoder(
+    flags, specs, same_pivots, same_payload_size, chunk_raw_bytes, appended,
+    tmp_path_factory,
+):
+    """A cell read back as columns lists exactly the records the
+    per-record decoder finds in its bytes — for every representation,
+    frames of one shape (the fixed-stride table) or not (decoded frame
+    by frame), in one chunk or many — on disk, after a reopen, and in
+    memory; and only frames that are not one shape are decoded one by
+    one."""
+    records = _cell_records(flags, specs, same_pivots, same_payload_size)
+    raw = b"".join(frame_record(record) for record in records)
+    oracle = list(parse_frames(raw))
+    head = records[: len(records) - min(appended, len(records))]
+    tail = records[len(head) :]
+
+    directory = tmp_path_factory.mktemp("columnar")
+    disk = DiskStorage(directory, chunk_raw_bytes=chunk_raw_bytes)
+    memory = MemoryStorage()
+    for storage in (disk, memory):
+        storage.save(("c",), head)
+        storage.append_many(("c",), tail)
+    reopened = DiskStorage(directory, chunk_raw_bytes=chunk_raw_bytes)
+    one_shape = len({len(frame_record(record)) for record in records}) <= 1 and (
+        len({record.n_pivots for record in records}) <= 1
+    )
+    for cell in (
+        memory.load(("c",)),
+        disk.load(("c",)),
+        reopened.load(("c",)),
+        reopened.load_many([("c",)])[("c",)],
+        decode_cell([raw], len(records)),
+        decode_cell([frame_record(r) for r in records] or [b""], len(records)),
+    ):
+        _assert_same_records(cell.to_records(), oracle)
+        _assert_same_records(list(cell), oracle)
+        assert len(cell) == len(oracle)
+        assert cell.oids.tolist() == [record.oid for record in oracle]
+        assert list(cell.payloads) == [record.payload for record in oracle]
+        if one_shape and records:
+            for name, column in (
+                ("permutation", cell.permutations),
+                ("distances", cell.distances),
+            ):
+                if getattr(oracle[0], name) is None:
+                    assert column is None
+                else:
+                    np.testing.assert_array_equal(
+                        column,
+                        np.stack([getattr(r, name) for r in oracle]),
+                    )
+    # the frame-by-frame decoder ran only where the frames differ (or
+    # carry no permutation, which no cell of an index does)
+    assert (disk.load(("c",))._records is None) == bool(
+        one_shape and records and flags & 1
+    )
+
+
+# ---------------------------------------------------------------------------
+# hostile bytes: a raw cell buffer and a chunk-index entry nobody here wrote
+
+
+def _uniform_cell(flags, n_records=6, n_pivots=5, payload_size=16):
+    return _cell_records(
+        flags,
+        [(oid, n_pivots, bytes([oid]) * payload_size, oid) for oid in range(n_records)],
+        True,
+        True,
+    )
+
+
+@pytest.mark.parametrize("flags", [1, 2, 3])
+def test_forged_cell_bytes_fail_typed_and_bounded(flags):
+    """Every 32-bit field of a raw cell buffer forged in turn, every
+    truncation and a flip of every bit of the first frame: the cell
+    decoder returns records or raises a ``ReproError`` in memory bounded
+    by the buffer, and what it returns is what the per-record decoder
+    returns for the same bytes."""
+    records = _uniform_cell(flags)
+    raw = b"".join(frame_record(record) for record in records)
+    stride = len(raw) // len(records)
+
+    def check(damaged, n_records=len(records)):
+        try:
+            oracle = list(parse_frames(damaged))
+        except ReproError:
+            oracle = None
+
+        def decode():
+            cell = decode_cell([damaged], n_records)
+            # bytes the per-record decoder refuses are never accepted
+            assert oracle is not None
+            _assert_same_records(cell.to_records(), oracle)
+
+        decode_within_bounds(decode, len(damaged))
+
+    check(raw)
+    for position in range(0, len(raw) - 3):
+        for value in HOSTILE_U32:
+            forged = bytearray(raw)
+            struct.pack_into("<I", forged, position, value)
+            check(bytes(forged))
+    for cut in range(len(raw)):
+        check(raw[:cut])
+    for bit in range(8 * stride):
+        flipped = bytearray(raw)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        check(bytes(flipped))
+    # a record count the chunk index made up
+    for n_records in (0, 1, 2, 3, 5, 7, 12, *HOSTILE_U32):
+        check(raw, n_records)
+    with pytest.raises(StorageError, match="promises 4294967295 records"):
+        decode_cell([raw], 0xFFFFFFFF)
+    with pytest.raises(StorageError, match="promises 5 records"):
+        decode_cell([raw], 5)
+
+
+def test_forged_chunk_index_entries_fail_typed_and_bounded(tmp_path):
+    """``manifest.json`` is read, not trusted: each field of a chunk
+    index entry (offset, compressed size, raw size, record count) forged
+    to each hostile value gives a ``ReproError`` — or the right records,
+    where the field is not needed to find them — without allocating by
+    it."""
+    records = _uniform_cell(3, n_records=40, payload_size=64)
+    storage = DiskStorage(tmp_path / "cells", chunk_raw_bytes=512)
+    storage.save(("c",), records)
+    oracle = [record.to_bytes() for record in records]
+    manifest_path = tmp_path / "cells" / MANIFEST_NAME
+    manifest = manifest_path.read_text()
+    (cell,) = json.loads(manifest)["cells"]
+    assert len(cell["chunks"]) > 2
+    size_on_disk = sum(
+        path.stat().st_size for path in (tmp_path / "cells").iterdir()
+    )
+    for chunk in (0, len(cell["chunks"]) - 1):
+        for field in range(4):
+            for value in [0, 1, 7, *HOSTILE_U32]:
+                forged = json.loads(manifest)
+                forged["cells"][0]["chunks"][chunk][field] = value
+                manifest_path.write_text(json.dumps(forged))
+
+                def read():
+                    reopened = DiskStorage(tmp_path / "cells")
+                    got = reopened.load(("c",)).to_records()
+                    assert [record.to_bytes() for record in got] == oracle
+
+                # (opening a directory has fixed costs of its own)
+                decode_within_bounds(read, size_on_disk, slack=256 * 1024)
+    manifest_path.write_text(manifest)
+
+
+def test_inflate_is_bounded_by_the_promised_size():
+    """A chunk never inflates past one byte more than its index entry
+    promises, and overrun, leftover input and a short result are each a
+    ``StorageError``."""
+    raw = bytes(1 << 20)
+    bomb = zlib.compress(raw)  # about a kilobyte
+    assert len(bomb) < 2048
+
+    def entry(raw_size):
+        return ChunkEntry(0, len(bomb), raw_size, 1)
+
+    assert decompress_chunk(bomb, entry(len(raw))) == raw
+    for promised in (0, 1, 100, len(raw) - 1):
+        tracemalloc.start()
+        with pytest.raises(StorageError, match="does not decompress to"):
+            decompress_chunk(bomb, entry(promised))
+        _current, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        # (a buffer grown by doubling is briefly held twice)
+        assert peak <= 2 * promised + 64 * 1024
+    with pytest.raises(StorageError, match="does not decompress to"):
+        decompress_chunk(bomb, entry(len(raw) + 1))  # short of the promise
+    with pytest.raises(StorageError, match="does not decompress to"):
+        decompress_chunk(bomb[:-4], entry(len(raw)))  # stream cut short
+    with pytest.raises(StorageError, match="3 bytes past"):
+        decompress_chunk(bomb + b"abc", entry(len(raw)))
+    with pytest.raises(StorageError, match="corrupt"):
+        decompress_chunk(b"not zlib at all", entry(5))
 
 
 @settings(max_examples=50, deadline=None)

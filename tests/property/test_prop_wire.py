@@ -1,7 +1,6 @@
 """Property-based tests for the wire format and records."""
 
 import struct
-import tracemalloc
 from typing import NamedTuple
 
 import numpy as np
@@ -12,9 +11,10 @@ from hypothesis.extra.numpy import arrays
 
 from repro.cluster.router import merge_knn_candidates, merge_range_candidates
 from repro.core.records import IndexedRecord
-from repro.exceptions import ProtocolError, QueryError, ReproError
-from repro.wire.encoding import Reader, Writer
+from repro.exceptions import ProtocolError, QueryError
+from repro.wire.encoding import BlobColumn, Reader, Writer
 from repro.wire.scatter import (
+    CandidateTable,
     candidate_tokens,
     read_candidate_lists,
     read_candidate_table,
@@ -26,6 +26,8 @@ from repro.wire.scatter import (
     write_range_scatter_response,
 )
 from repro.wire.search import KNN, RANGE, RANGE_TRANSFORMED
+
+from tests.conftest import HOSTILE_U32, decode_within_bounds
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False)
 
@@ -143,6 +145,21 @@ class _Stored(NamedTuple):
     payload: bytes
 
 
+def _tables(records, cuts=()):
+    """The writers' one kind of source over made-up ``(oid, payload)``
+    records: a list of tables — an oid column and a blob column each —
+    here the records cut into tables at ``cuts`` (one table, by
+    default), so that a row counts through several of them."""
+    bounds = [0, *sorted(cuts), len(records)]
+    return [
+        CandidateTable(
+            np.array([r.oid for r in records[a:b]], dtype=np.uint64),
+            BlobColumn.of([r.payload for r in records[a:b]]),
+        )
+        for a, b in zip(bounds, bounds[1:])
+    ]
+
+
 stored_records = st.lists(
     st.builds(
         _Stored,
@@ -156,9 +173,12 @@ stored_records = st.lists(
 @settings(max_examples=60, deadline=None)
 @given(records=stored_records, data=st.data())
 def test_candidate_table_roundtrip(records, data):
-    """Every (oid, payload) survives, whichever source the writer is
-    given and whichever rows of it are asked for."""
-    encoded = write_candidates(records).getvalue()
+    """Every (oid, payload) survives, however the writer's source is
+    cut into tables — made up here or read off the wire — and whichever
+    rows of it are asked for."""
+    cuts = data.draw(st.lists(st.integers(0, len(records)), max_size=3))
+    encoded = write_candidates(_tables(records)).getvalue()
+    assert write_candidates(_tables(records, cuts)).getvalue() == encoded
     reader = Reader(encoded)
     table = read_candidate_table(reader)
     reader.expect_end()
@@ -172,8 +192,9 @@ def test_candidate_table_roundtrip(records, data):
         ),
         dtype=np.int64,
     )
-    picked = write_candidates(table, rows).getvalue()
-    assert picked == write_candidates(records, rows).getvalue()
+    picked = write_candidates([table], rows).getvalue()
+    assert picked == write_candidates(_tables(records), rows).getvalue()
+    assert picked == write_candidates(_tables(records, cuts), rows).getvalue()
     assert candidate_tokens(read_candidate_table(Reader(picked))) == [
         records[row].payload for row in rows
     ]
@@ -296,6 +317,7 @@ def _responses(rng, n_queries):
         reader.expect_end()
         return candidate_tokens(table)
 
+    records = _tables(records, cuts=[len(records) // 2])
     return [
         ("single", write_candidates(records).getvalue(), single),
         (
@@ -315,7 +337,9 @@ def _responses(rng, n_queries):
         ),
         (
             "blob_region",
-            Writer().blob_region([r.payload for r in records]).getvalue(),
+            Writer().blob_region(
+                [token for table in records for token in table.payloads]
+            ).getvalue(),
             lambda message: Reader(message).blob_region(),
         ),
     ] + _requests(rng, n_queries)
@@ -347,37 +371,8 @@ def _requests(rng, n_queries):
     ]
 
 
-#: what a forged count or length is overwritten with
-HOSTILE_U32 = [0xFFFFFFFF, 0x80000000, 0x7FFFFFFF, 0x40000000, 1 << 20]
-
-
-def _peak_allocation(message, decode):
-    tracemalloc.start()
-    try:
-        decode(message)
-    except ReproError:
-        pass
-    finally:
-        _current, peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
-    return peak
-
-
 def _decode_within_bounds(message, decode):
-    """Run a consumer on bytes it did not write: it returns or raises a
-    typed error — anything else propagates and fails the test — and
-    what it allocates on the way is bounded by the bytes present (a
-    small multiple of the message plus the fixed cost of a few dozen
-    array objects), never by a number read out of it: the smallest
-    hostile count, 2**20 four-byte entries, would already be 4 MiB."""
-    bound = 16 * len(message) + 64 * 1024
-    peak = _peak_allocation(message, decode)
-    if peak > bound:
-        # every few thousand calls the interpreter regrows a table of
-        # its own (about 2 MB) inside the traced window, whatever the
-        # input; a decoder's appetite, unlike that, repeats
-        peak = _peak_allocation(message, decode)
-    assert peak <= bound
+    decode_within_bounds(lambda: decode(message), len(message))
 
 
 @settings(max_examples=60, deadline=None)
@@ -432,7 +427,7 @@ def _forge(message, position, value):
 def test_named_forgeries_are_refused_by_name():
     """The inconsistencies a response can carry, one by one, each
     refused with an error that says what is wrong."""
-    records = [_Stored(oid, bytes(3)) for oid in range(4)]
+    records = _tables([_Stored(oid, bytes(3)) for oid in range(4)])
     rows = np.arange(4)
     table_end = 4 + 4 * 8 + 4 + 4 * 4 + 4 * 3
 

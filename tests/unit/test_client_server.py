@@ -11,7 +11,9 @@ from repro.metric.distances import L1Distance
 from repro.metric.space import MetricSpace
 from repro.net.channel import InProcessChannel
 from repro.net.rpc import RpcClient
+from repro.storage.disk import DiskStorage
 from repro.wire.encoding import Writer
+from repro.wire.scatter import read_stats_map
 
 from tests.conftest import brute_force_knn
 
@@ -223,6 +225,24 @@ class TestServerValidation:
             key = reader.string()
             stats[key] = reader.f64()
         assert stats["records"] == 600
+
+    def test_stats_report_chunk_fill_of_a_disk_backend(
+        self, approx_cloud, small_data, tmp_path
+    ):
+        def stats_of(cloud):
+            return read_stats_map(cloud.new_client().rpc.call("stats"))
+
+        storage = DiskStorage(tmp_path / "cells", chunk_raw_bytes=512)
+        cloud = SimilarityCloud.build(
+            small_data, distance=L1Distance(), n_pivots=8,
+            bucket_capacity=40, storage=storage, seed=7,
+        )
+        cloud.owner.outsource(range(200), small_data[:200], bulk_size=50)
+        stats = stats_of(cloud)
+        assert stats["storage_chunks"] == storage.chunks > 0
+        assert stats["records"] == 200
+        # a memory backend has no chunks to report
+        assert "storage_chunks" not in stats_of(approx_cloud)
 
     def test_server_reset_accounting(self, approx_cloud):
         approx_cloud.server.reset_accounting()

@@ -7,8 +7,6 @@ the merge order of the candidate streams, oid dedup, strict vs
 degraded shard-loss handling, and the rebalance round trip.
 """
 
-from typing import NamedTuple
-
 import numpy as np
 import pytest
 
@@ -31,8 +29,9 @@ from repro.metric.permutations import pivot_permutations
 from repro.net.channel import InProcessChannel
 from repro.net.resilience import RetryPolicy
 from repro.net.rpc import RpcClient
-from repro.wire.encoding import Reader, Writer
+from repro.wire.encoding import BlobColumn, Reader, Writer
 from repro.wire.scatter import (
+    CandidateTable,
     candidate_tokens,
     read_candidate_lists,
     read_candidate_table,
@@ -114,11 +113,6 @@ def test_merge_stats_sums_and_maxes():
     assert merged["avg_occupied_bucket"] == 5.0  # 40 records / 8 cells
 
 
-class _Stored(NamedTuple):
-    oid: int
-    payload: bytes
-
-
 def _synthetic_shard(rng, n_queries, *, knn):
     """One shard's made-up scatter answer, through the real codec.
 
@@ -128,18 +122,27 @@ def _synthetic_shard(rng, n_queries, *, knn):
     and equal ``(promise, prefix)`` keys on two shards all occur.
     """
     leaves = []
+    # the writers' source: one table a visited leaf, as the index
+    # hands a shard's stored cells over, rows counting through them
     records = []
+    n_records = 0
     for _ in range(int(rng.integers(0, 6))):
         prefix = tuple(
             int(p) for p in rng.integers(0, 3, size=rng.integers(0, 4))
         )
         oids = rng.integers(0, 40, size=rng.integers(1, 7))
         leaves.append(
-            (prefix, np.arange(len(records), len(records) + len(oids)))
+            (prefix, np.arange(n_records, n_records + len(oids)))
         )
-        records += [
-            _Stored(int(oid), bytes([int(oid)]) * (int(oid) % 5)) for oid in oids
-        ]
+        n_records += len(oids)
+        records.append(
+            CandidateTable(
+                oids.astype(np.uint64),
+                BlobColumn.of(
+                    [bytes([int(oid)]) * (int(oid) % 5) for oid in oids]
+                ),
+            )
+        )
     query_groups = []
     for _ in range(n_queries):
         visited = [leaf for leaf in leaves if rng.random() < 0.7]

@@ -176,9 +176,10 @@ class TestMemoryStorage(_StorageContract):
     def test_load_returns_copy(self, tmp_path):
         storage = self.make(tmp_path)
         storage.save(("a",), [_record(1)])
-        loaded = storage.load(("a",))
+        loaded = storage.load(("a",)).to_records()
         loaded.append(_record(2))
         assert len(storage.load(("a",))) == 1
+        assert len(storage.load(("a",)).to_records()) == 1
 
 
 class TestDiskStorage(_StorageContract):
@@ -411,6 +412,25 @@ class TestChunkFormat:
         records = [_record(i) for i in range(40)]
         storage.save((7,), records)
         assert [r.oid for r in storage.load((7,))] == list(range(40))
+
+    def test_chunks_counts_the_chunk_index(self, tmp_path):
+        """``chunks`` is how many chunks the cells are in: a rewrite
+        packs a cell into full ones, every append adds at least one."""
+        storage = DiskStorage(tmp_path / "cells", chunk_raw_bytes=200)
+        assert storage.chunks == 0
+        storage.save((1,), [_record(i) for i in range(20)])
+        packed = storage.chunks
+        assert packed == len(storage._catalog[(1,)].chunks) > 2
+        for i in range(20, 25):
+            storage.append((1,), _record(i))
+        assert storage.chunks == packed + 5  # five one-record chunks
+        storage.save((2,), [_record(99)])
+        assert storage.chunks == packed + 6
+        assert DiskStorage(tmp_path / "cells").chunks == packed + 6
+        storage.save((1,), storage.load((1,)).to_records())
+        assert storage.chunks < packed + 6  # the rewrite packed them again
+        storage.delete((1,))
+        assert storage.chunks == 1
 
     def test_compression_shrinks_redundant_payloads(self, tmp_path):
         storage = DiskStorage(tmp_path / "cells")

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.core.records import IndexedRecord
+from repro.core.records import IndexedRecord, RecordBatch
 from repro.exceptions import ProtocolError
-from repro.wire.encoding import Reader, Writer
+from repro.wire.encoding import BlobColumn, Reader, Writer, pack_blobs
 from repro.wire.scatter import (
     candidate_tokens,
     read_candidate_lists,
@@ -256,13 +256,91 @@ class TestColumnarCodecs:
             Writer().blob_columns([1, 2], b"ab")
 
 
+class TestBlobColumns:
+    """Blobs left where they lie, and the one gather out of them."""
+
+    @staticmethod
+    def _strided(rng, count, width, stride=37):
+        """A regular column the way a stored cell has one: equal-sized
+        blobs inside bigger fixed-size frames."""
+        frames = np.frombuffer(rng.bytes(count * stride), dtype=np.uint8)
+        return BlobColumn(frames.reshape(count, stride)[:, 5 : 5 + width])
+
+    def test_both_layouts_list_their_blobs(self):
+        rng = np.random.default_rng(0)
+        regular = self._strided(rng, 6, 9)
+        blobs = [bytes(row) for row in regular.matrix]
+        assert len(regular) == 6 and regular.tolist() == blobs
+        assert regular[4] == blobs[4] and list(regular) == blobs
+        assert regular.tolist(np.array([5, 0, 5])) == [blobs[5], blobs[0], blobs[5]]
+        assert regular.lengths.tolist() == [9] * 6
+        ragged = BlobColumn.of([b"", b"abc", b"", b"0123456789"])
+        assert ragged.matrix is None and len(ragged) == 4
+        assert ragged.tolist() == [b"", b"abc", b"", b"0123456789"]
+        assert ragged[3] == b"0123456789"
+        assert ragged.tolist(slice(1, 3)) == [b"abc", b""]
+        assert ragged.lengths.tolist() == [0, 3, 0, 10]
+        # equal non-zero sizes end to end are a regular column too
+        assert BlobColumn.of([b"ab", b"cd"]).matrix.tolist() == [[97, 98], [99, 100]]
+        assert BlobColumn.of([b"", b""]).tolist() == [b"", b""]
+        assert len(BlobColumn.of([])) == 0 and BlobColumn.of([]) == []
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_pack_gathers_any_rows_of_any_columns(self, seed):
+        rng = np.random.default_rng(seed)
+        widths = [9, 9, 9] if seed % 2 else [9, 4, 9]
+        columns = [
+            self._strided(rng, int(rng.integers(0, 6)), widths[0]),
+            BlobColumn.of(
+                [rng.bytes(int(rng.integers(0, 12))) for _ in range(5)]
+                if seed % 4 > 1
+                else [rng.bytes(widths[1]) for _ in range(5)]
+            ),
+            BlobColumn(np.empty((3, 0), dtype=np.uint8))
+            if seed == 6
+            else self._strided(rng, 3, widths[2]),
+            BlobColumn.of([]),
+        ]
+        blobs = [blob for column in columns for blob in column]
+        for rows in (
+            None,
+            np.arange(len(blobs))[::-1],
+            rng.integers(0, len(blobs), size=25),
+            np.sort(rng.integers(0, len(blobs), size=25)),
+            np.empty(0, dtype=np.int64),
+        ):
+            lengths, region = pack_blobs(columns, rows)
+            wanted = blobs if rows is None else [blobs[row] for row in rows]
+            assert lengths.tolist() == [len(blob) for blob in wanted]
+            assert bytes(region) == b"".join(wanted)
+            # and it is what the writer appends
+            assert (
+                Writer().blob_columns(lengths, region).getvalue()
+                == Writer().blob_region(wanted).getvalue()
+            )
+
+    def test_pack_refuses_rows_outside_the_columns(self):
+        columns = [BlobColumn.of([b"ab", b"cd"]), BlobColumn.of([b"e"])]
+        for rows in ([3], [-1], [0, 7]):
+            with pytest.raises(IndexError):
+                pack_blobs(columns, np.array(rows))
+        with pytest.raises(IndexError):
+            pack_blobs([], np.array([0]))
+
+
 class TestCandidateTable:
     """The one (oid column, blob region) codec of search responses."""
 
+    #: the writers' source: a list of tables, here one stored cell as
+    #: a storage backend hands it over
     RECORDS = [
-        IndexedRecord(42, np.arange(3), None, b"token-bytes"),
-        IndexedRecord(2**64 - 1, np.arange(3), None, b""),
-        IndexedRecord(7, np.arange(3), None, b"0123456789"),
+        RecordBatch.of_cell(
+            [
+                IndexedRecord(42, np.arange(3), None, b"token-bytes"),
+                IndexedRecord(2**64 - 1, np.arange(3), None, b""),
+                IndexedRecord(7, np.arange(3), None, b"0123456789"),
+            ]
+        )
     ]
 
     def test_roundtrip(self):
@@ -279,17 +357,23 @@ class TestCandidateTable:
         assert len(encoded) == 4 + 4 + 3 * (8 + 4) + 11 + 0 + 10
 
     def test_records_and_wire_tables_encode_alike(self):
-        """A server (stored records) and the router (a table off the
+        """A server (stored cells) and the router (a table off the
         wire) must emit the same bytes for the same candidates."""
         encoded = write_candidates(self.RECORDS).getvalue()
         table = read_candidate_table(Reader(encoded))
-        assert write_candidates(table).getvalue() == encoded
+        assert write_candidates([table]).getvalue() == encoded
         rows = np.array([2, 0, 2, 1])
+        (cell,) = self.RECORDS
         assert (
-            write_candidates(table, rows).getvalue()
+            write_candidates([table], rows).getvalue()
             == write_candidates(self.RECORDS, rows).getvalue()
             == write_candidates(
-                [self.RECORDS[row] for row in rows]
+                [RecordBatch.of_cell([cell[row] for row in rows])]
+            ).getvalue()
+            # rows count through the tables end to end
+            == write_candidates(
+                [RecordBatch.of_cell(cell[:1]), RecordBatch.of_cell(cell[1:])],
+                rows,
             ).getvalue()
         )
 
