@@ -97,6 +97,8 @@ _ROUTED_SEARCHES = {
 }
 
 #: stats counters where the cluster-level view is a maximum, not a sum
+#: (``kernel_workers`` always reads 0 and stays for the benchmark: see
+#: ``KERNEL_COUNTERS`` in :mod:`repro.core.costs`)
 _MAX_COUNTERS = frozenset(
     {"max_level", "bucket_capacity", "kernel_workers"}
 )

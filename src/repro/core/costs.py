@@ -39,6 +39,7 @@ __all__ = [
     "KERNEL_TASKS",
     "KERNEL_PARALLEL_BATCHES",
     "KERNEL_WORKERS",
+    "KERNEL_COUNTERS",
     "SHARDS_SKIPPED",
     "CostRecorder",
     "CostReport",
@@ -81,18 +82,21 @@ REQUESTS_SHED = "requests_shed"
 DEADLINE_EXPIRATIONS = "deadline_expirations"
 IDEMPOTENT_DEDUP_HITS = "idempotent_dedup_hits"
 
-#: canonical counter names of the multi-core kernel scheduler
-#: (:mod:`repro.parallel`). ``kernel_tasks`` counts task slices run on
-#: the worker pool, ``kernel_parallel_batches`` counts kernel calls
-#: that took the parallel path (a batch of N tasks adds N to the
-#: former, 1 to the latter), and ``kernel_workers`` reports the worker
-#: count of the most recent parallel batch (0 while everything runs
-#: serial). The counters are process-global — one scheduler serves
-#: client and server of an in-process deployment — and surface both in
-#: the server ``stats`` RPC and the client report extras.
+#: the three counters of the kernel scheduler, which is gone: every
+#: kernel runs serial (PR 22; the scheduler was slower on all four
+#: benchmark workloads), so all three always read 0. The names stay in
+#: ``report().extras`` and the ``stats`` RPC only because
+#: ``benchmarks/e2e/workloads.py`` indexes both by them and
+#: ``BENCHMARK.json`` lists ``parallel.*``; they go when a benchmark
+#: change drops those metrics.
 KERNEL_TASKS = "kernel_tasks"
 KERNEL_PARALLEL_BATCHES = "kernel_parallel_batches"
 KERNEL_WORKERS = "kernel_workers"
+KERNEL_COUNTERS = {
+    KERNEL_TASKS: 0,
+    KERNEL_PARALLEL_BATCHES: 0,
+    KERNEL_WORKERS: 0,
+}
 
 #: canonical counter name of the shard router's graceful degradation.
 #: In ``allow_partial`` mode a scatter that cannot reach a shard skips

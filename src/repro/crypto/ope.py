@@ -28,7 +28,6 @@ import hashlib
 import numpy as np
 
 from repro.exceptions import CryptoError
-from repro.parallel import backend
 
 __all__ = ["OrderPreservingEncryption"]
 
@@ -119,44 +118,13 @@ class OrderPreservingEncryption:
         Arrays of any shape (including the construction path's whole
         object×pivot distance matrix) transform elementwise in one
         call; row ``i`` of a matrix input equals ``encrypt(matrix[i])``
-        bit for bit. Large matrices split into column slices on the
-        kernel scheduler when ``REPRO_KERNEL_WORKERS > 1`` — the
-        transform is purely elementwise (``np.interp`` plus a boundary
-        extrapolation reusing the per-calibration slope), so any slice
-        of the input maps to the same slice of the output exactly.
+        bit for bit.
         """
         if self._grid is None or self._values is None:
             raise CryptoError("OPE not calibrated; call fit() first")
         arr = np.asarray(value, dtype=np.float64)
         if np.any(arr < 0):
             raise CryptoError("OPE operates on non-negative values")
-        if (
-            arr.ndim == 2
-            and arr.size >= 2048
-            and backend.kernel_workers() > 1
-        ):
-            out = np.empty_like(arr)
-
-            def compute(start: int, stop: int) -> np.ndarray:
-                return self._transform_forward(arr[:, start:stop])
-
-            def write(start: int, stop: int, result: np.ndarray) -> None:
-                out[:, start:stop] = result
-
-            spec = backend.ProcessSpec(
-                "ope_cols", {"matrix": arr}, self, out
-            )
-            if backend.parallel_slices(
-                "ope", arr.shape[1], compute, write, process_spec=spec
-            ):
-                return out
-        out = self._transform_forward(arr)
-        if np.isscalar(value) or arr.ndim == 0:
-            return float(out)
-        return out
-
-    def _transform_forward(self, arr: np.ndarray) -> np.ndarray:
-        """Elementwise monotone map of a validated float64 array."""
         _low, high = self.domain
         # np.interp clamps outside [low, high]; extend with the
         # precomputed boundary slope so the function stays strictly
@@ -169,6 +137,8 @@ class OrderPreservingEncryption:
                 self._values[-1] + (arr - high) * self._slope_forward,
                 out,
             )
+        if np.isscalar(value) or arr.ndim == 0:
+            return float(out)
         return out
 
     def decrypt(self, value: float | np.ndarray) -> float | np.ndarray:

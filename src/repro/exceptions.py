@@ -54,10 +54,6 @@ class StorageError(ReproError):
     """A bucket/storage backend operation failed."""
 
 
-class BucketCapacityError(StorageError):
-    """An insert would exceed a bucket's fixed capacity and cannot split."""
-
-
 class IndexError_(ReproError):
     """Base class for M-Index structural failures.
 
@@ -143,15 +139,3 @@ class DatasetError(ReproError):
 
 class EvaluationError(ReproError):
     """The experiment harness was configured inconsistently."""
-
-
-class ParallelError(ReproError):
-    """The kernel scheduler itself failed.
-
-    Raised when a worker crashes with a non-library exception, when a
-    process worker dies, or when the ``REPRO_KERNEL_WORKERS`` /
-    ``REPRO_KERNEL_BACKEND`` knobs are set to unparseable values.
-    Library errors (:class:`ReproError` subclasses) raised *inside* a
-    worker are re-raised as themselves so parallel execution never
-    changes which exception a caller observes.
-    """

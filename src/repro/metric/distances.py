@@ -27,7 +27,6 @@ from typing import Sequence
 import numpy as np
 
 from repro.exceptions import MetricError
-from repro.parallel import backend
 
 __all__ = [
     "Distance",
@@ -109,13 +108,12 @@ class Distance:
         kernels' broadcast temporaries (``rows x len(xs) x dim`` each)
         within :data:`_BLOCK_BYTES` — a size the allocator reuses,
         instead of tens of megabytes per call that go back to the OS
-        and fault in again on the next. With
-        ``REPRO_KERNEL_WORKERS > 1`` the kernel scheduler cuts the rows
-        into its own slices instead. Every ``_pairwise`` implementation
-        reduces strictly per row (sum/max over the trailing axis), so a
-        row block of the full kernel is the same floating-point program
-        as the corresponding rows of one whole-matrix call — either
-        split preserves the bit-for-bit contract.
+        and fault in again on the next. Every ``_pairwise``
+        implementation reduces strictly per row (sum/max over the
+        trailing axis), so a row block of the full kernel is the same
+        floating-point program as the corresponding rows of one
+        whole-matrix call — the split preserves the bit-for-bit
+        contract.
         """
         qs = np.asarray(qs, dtype=np.float64)
         xs = np.asarray(xs, dtype=np.float64)
@@ -129,21 +127,6 @@ class Distance:
                 f"matrix rows {xs.shape[1]}"
             )
         out = np.empty((qs.shape[0], xs.shape[0]), dtype=np.float64)
-        if backend.kernel_workers() > 1:
-
-            def compute(start: int, stop: int) -> np.ndarray:
-                return self._pairwise(qs[start:stop], xs)
-
-            def write(start: int, stop: int, result: np.ndarray) -> None:
-                out[start:stop] = result
-
-            spec = backend.ProcessSpec(
-                "distance_rows", {"qs": qs, "xs": xs}, self, out
-            )
-            if backend.parallel_slices(
-                "distance", qs.shape[0], compute, write, process_spec=spec
-            ):
-                return out
         block = max(1, _BLOCK_BYTES // (8 * max(1, xs.size)))
         for start in range(0, qs.shape[0], block):
             stop = start + block

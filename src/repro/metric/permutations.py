@@ -18,7 +18,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.exceptions import PivotError
-from repro.parallel import backend
 
 __all__ = [
     "pivot_permutation",
@@ -48,26 +47,11 @@ def pivot_permutations(distance_matrix: np.ndarray) -> np.ndarray:
     """Row-wise pivot permutations for a ``(n_objects, n_pivots)`` matrix.
 
     The server's ``insert_bulk`` path derives all permutations of a
-    batch through this one call. The stable argsort is independent per
-    row, so with ``REPRO_KERNEL_WORKERS > 1`` the matrix splits into
-    row blocks on the kernel scheduler with a bit-identical result.
+    batch through this one call.
     """
     m = np.asarray(distance_matrix, dtype=np.float64)
     if m.ndim != 2 or m.shape[1] == 0:
         raise PivotError(f"expected a 2-D distance matrix, got {m.shape}")
-    if backend.kernel_workers() > 1:
-        out = np.empty(m.shape, dtype=np.int32)
-
-        def compute(start: int, stop: int) -> np.ndarray:
-            return np.argsort(
-                m[start:stop], axis=1, kind="stable"
-            ).astype(np.int32)
-
-        def write(start: int, stop: int, result: np.ndarray) -> None:
-            out[start:stop] = result
-
-        if backend.parallel_slices("permutation", m.shape[0], compute, write):
-            return out
     return np.argsort(m, axis=1, kind="stable").astype(np.int32)
 
 

@@ -56,7 +56,6 @@ from repro.core.records import CellRecords, IndexedRecord, RecordBatch
 from repro.exceptions import IndexError_, QueryError
 from repro.metric.permutations import pivot_permutations
 from repro.mindex.cell_tree import CellTree, LeafCell
-from repro.parallel import backend
 
 __all__ = ["MIndex", "RangeSearchStats"]
 
@@ -695,31 +694,7 @@ class MIndex:
         Numerically exact — every term ``decay**l * |rank - l|`` and all
         partial sums are exactly representable — so each entry equals
         :func:`~repro.metric.permutations.prefix_promise` bit for bit.
-        Rows are independent (one query each), so large batches split
-        into query-row blocks on the kernel scheduler when
-        ``REPRO_KERNEL_WORKERS > 1``, preserving exactness.
         """
-        if backend.kernel_workers() > 1:
-            out = np.empty((ranks.shape[0], len(leaves)), dtype=np.float64)
-
-            def compute(start: int, stop: int) -> np.ndarray:
-                return MIndex._promise_matrix_serial(
-                    ranks[start:stop], leaves, level_decay
-                )
-
-            def write(start: int, stop: int, result: np.ndarray) -> None:
-                out[start:stop] = result
-
-            if backend.parallel_slices(
-                "promise", ranks.shape[0], compute, write
-            ):
-                return out
-        return MIndex._promise_matrix_serial(ranks, leaves, level_decay)
-
-    @staticmethod
-    def _promise_matrix_serial(
-        ranks: np.ndarray, leaves: list["LeafCell"], level_decay: float
-    ) -> np.ndarray:
         promises = np.empty((ranks.shape[0], len(leaves)), dtype=np.float64)
         by_length: dict[int, list[int]] = {}
         for index, leaf in enumerate(leaves):
@@ -828,9 +803,8 @@ class MIndex:
         leaves are determined before any bucket is touched, then the
         union of surviving cells is fetched through
         :meth:`_bulk_load_leaves` — on the disk backend one
-        ``load_many`` call that orders chunk reads by on-disk locality
-        and decompresses all missing chunks in a single parallel kernel
-        batch. Per-query candidate order, pruning decisions and every
+        ``load_many`` call that orders chunk reads by on-disk locality.
+        Per-query candidate order, pruning decisions and every
         counter total are identical to the per-leaf load loop; only the
         I/O schedule changes.
         """
@@ -992,8 +966,8 @@ class MIndex:
     ) -> dict[tuple[int, ...], RecordBatch]:
         """Fetch many cells at once, through the backend's chunk-aware
         ``load_many`` prefetcher when it has one (the disk backend
-        orders chunk reads by file offset and decompresses misses in
-        one parallel kernel batch), falling back to per-cell loads."""
+        orders chunk reads by file offset), falling back to per-cell
+        loads."""
         load_many = getattr(self.storage, "load_many", None)
         if load_many is not None:
             return load_many(prefixes)

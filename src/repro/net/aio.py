@@ -601,6 +601,9 @@ class PipelinedTcpChannel(Channel):
         self._pending: dict[int, concurrent.futures.Future] = {}
         self._received: dict[int, int] = {}
         self._assembler = FrameAssembler()
+        #: response and error frames dropped because their correlation
+        #: id was not in flight (a late answer to an abandoned request)
+        self.frames_discarded = 0
         self._closed = False
         self._death: ChannelError | None = None
         # request() blocks its caller, so "the round trip this thread
@@ -657,6 +660,7 @@ class PipelinedTcpChannel(Channel):
             with self._lock:
                 self._pending.pop(correlation_id, None)
                 self._received.pop(correlation_id, None)
+                self._assembler.discard(correlation_id)
         elapsed = time.perf_counter() - start
         self._own.round_trip = elapsed
         with self._lock:
@@ -711,27 +715,33 @@ class PipelinedTcpChannel(Channel):
             )
 
     def _dispatch(self, header: FrameHeader, payload: bytes) -> None:
-        with self._lock:
-            if header.correlation_id in self._received:
-                self._received[header.correlation_id] += (
-                    HEADER_SIZE + header.length
-                )
-            future = self._pending.get(header.correlation_id)
-        if header.kind == KIND_ERROR:
-            if future is not None and not future.done():
-                future.set_exception(_decode_error(payload))
-        elif header.kind == KIND_RESPONSE:
-            complete = self._assembler.add(header, payload)
-            if (
-                complete is not None
-                and future is not None
-                and not future.done()
-            ):
-                with self._lock:
-                    received = self._received.get(header.correlation_id, 0)
-                future.set_result((complete, received))
-        else:
+        if header.kind == KIND_REQUEST:
             raise ProtocolError(f"server sent frame kind {header.kind}")
+        correlation_id = header.correlation_id
+        complete = None
+        with self._lock:
+            future = self._pending.get(correlation_id)
+            if future is None:
+                # not in flight: never sent, or given up on after a
+                # deadline. A late answer is legal, so the frame is
+                # counted and dropped — never buffered
+                self.frames_discarded += 1
+                return
+            self._received[correlation_id] += HEADER_SIZE + header.length
+            received = self._received[correlation_id]
+            if header.kind == KIND_RESPONSE:
+                # under the lock: request() giving up on this id drops
+                # its partial, and must not slip in before this frame
+                # joins it
+                complete = self._assembler.add(header, payload)
+                if complete is None:
+                    return
+        if future.done():
+            return
+        if header.kind == KIND_ERROR:
+            future.set_exception(_decode_error(payload))
+        else:
+            future.set_result((complete, received))
 
     def _fail_all(self, error: ChannelError) -> None:
         with self._lock:

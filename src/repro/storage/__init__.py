@@ -7,7 +7,6 @@ account their I/O (bytes and operation counts) so the ablation benches
 can compare them.
 """
 
-from repro.storage.bucket import Bucket
 from repro.storage.chunks import (
     DEFAULT_CHUNK_RAW_BYTES,
     FORMAT_CHUNKED,
@@ -19,7 +18,6 @@ from repro.storage.manifest import MANIFEST_NAME
 from repro.storage.memory import MemoryStorage
 
 __all__ = [
-    "Bucket",
     "BlockCache",
     "DEFAULT_CACHE_BYTES",
     "DEFAULT_CHUNK_RAW_BYTES",

@@ -65,6 +65,7 @@ server's lock) wait for an operation in flight.
 from __future__ import annotations
 
 import json
+import logging
 import os
 import re
 import threading
@@ -74,7 +75,6 @@ from typing import Hashable, Iterator, Mapping
 
 from repro.core.records import IndexedRecord, RecordBatch
 from repro.exceptions import StorageError
-from repro.parallel import backend
 from repro.storage.chunks import (
     DEFAULT_CHUNK_RAW_BYTES,
     FORMAT_CHUNKED,
@@ -104,6 +104,11 @@ from repro.storage.manifest import (
 )
 
 __all__ = ["DEFAULT_CACHE_BYTES", "DiskStorage"]
+
+#: what recovery did on reopen, one record per repair (``event``,
+#: ``file`` and ``bytes`` ride as ``extra`` fields); a clean reopen
+#: logs nothing
+_LOG = logging.getLogger("repro.storage")
 
 #: default byte budget of the decompressed-chunk LRU cache
 DEFAULT_CACHE_BYTES = 16 * 1024 * 1024
@@ -288,11 +293,8 @@ class DiskStorage:
         afterwards — but with a batched I/O schedule: every missing
         chunk across all requested cells is read in one pass ordered by
         (file, offset) — sequential disk movement instead of per-cell
-        seek order — and all of them inflate in a *single* parallel
-        kernel batch, so a range scan touching many cold cells pays one
-        scheduler fan-out instead of one per cell. (Batching can only
-        widen each decompression batch; per-chunk accounting is charged
-        per cell, in request order, exactly as the loop would.)
+        seek order. (Per-chunk accounting is charged per cell, in
+        request order, exactly as the loop would.)
         """
         return self._read_cells(list(dict.fromkeys(cell_ids)))
 
@@ -380,10 +382,7 @@ class DiskStorage:
         finally:
             if handle is not None:
                 handle.close()
-        # every cold chunk of the whole batch inflates in one kernel
-        # fan-out (zlib releases the GIL)
-        raws = self._decompress_many(comps, entries)
-        raw_map = dict(zip(read_plan, raws))
+        raw_map = dict(zip(read_plan, map(decompress_chunk, comps, entries)))
         with self._lock:
             for position, plan in enumerate(plans):
                 _cell_id, file_name, chunks, cached, missing = plan
@@ -400,36 +399,6 @@ class DiskStorage:
                 cached, sum(chunk.n_records for chunk in chunks)
             )
         return results
-
-    @staticmethod
-    def _decompress_many(comps: list[bytes], entries: list) -> list[bytes]:
-        """Inflate chunks, fanning out on the thread backend when possible.
-
-        Chunk ``i`` of the result always comes from ``comps[i]`` — the
-        parallel path writes each task's slice back at its own offset,
-        so the assembled record order (and every counter derived from
-        ``len(comps)``) is identical to the serial loop.
-        """
-        if len(comps) >= 2 and backend.kernel_workers() > 1:
-            raws: list[bytes | None] = [None] * len(comps)
-
-            def compute(start: int, stop: int) -> list[bytes]:
-                return [
-                    decompress_chunk(comps[i], entries[i])
-                    for i in range(start, stop)
-                ]
-
-            def write(start: int, stop: int, result: list[bytes]) -> None:
-                raws[start:stop] = result
-
-            if backend.parallel_slices(
-                "decompress", len(comps), compute, write
-            ):
-                return raws  # type: ignore[return-value]
-        return [
-            decompress_chunk(comp, entry)
-            for comp, entry in zip(comps, entries)
-        ]
 
     def delete(self, cell_id: Hashable) -> None:
         """Remove a cell and its file; charged as one physical write."""
@@ -511,12 +480,21 @@ class DiskStorage:
         is committed when anything changed or none existed.
         """
         for stray in self._dir.glob("*.tmp"):
-            stray.unlink()
+            self._remove(stray, "tmp_removed", "stray temporary file")
         dirty = False
         try:
             entries = read_manifest(self._dir)
-        except StorageError:
+        except StorageError as exc:
             entries = None  # corrupt manifest: fall back to scavenging
+            _LOG.warning(
+                "manifest of %s unreadable, scavenging cell files: %s",
+                self._dir, exc,
+                extra={
+                    "event": "manifest_fallback",
+                    "file": MANIFEST_NAME,
+                    "error": str(exc),
+                },
+            )
         if entries is not None:
             for entry in entries:
                 self._validate_entry(entry)
@@ -541,10 +519,33 @@ class DiskStorage:
                 path.name.startswith("cell_")
                 and path.name not in referenced
             ):
-                path.unlink()
+                self._remove(path, "orphan_removed", "unreferenced cell file")
                 dirty = True
         if dirty:
             self._commit()
+
+    @staticmethod
+    def _remove(path: Path, event: str, what: str) -> None:
+        size = path.stat().st_size
+        path.unlink()
+        _LOG.info(
+            "removed %s %s (%d bytes)", what, path.name, size,
+            extra={"event": event, "file": path.name, "bytes": size},
+        )
+
+    @staticmethod
+    def _truncate(path: Path, size: int, actual: int) -> None:
+        """Cut a torn tail: bytes a crashed append left past ``size``."""
+        os.truncate(path, size)
+        _LOG.info(
+            "truncated torn tail of %s: %d bytes past the committed %d",
+            path.name, actual - size, size,
+            extra={
+                "event": "tail_truncated",
+                "file": path.name,
+                "bytes": actual - size,
+            },
+        )
 
     def _validate_entry(self, entry: CellEntry) -> None:
         """Check one manifest entry against the file system, repairing
@@ -563,7 +564,7 @@ class DiskStorage:
                 f"manifest promises {entry.size}"
             )
         if actual > entry.size:
-            os.truncate(path, entry.size)
+            self._truncate(path, entry.size, actual)
 
     def _scavenge(self, cell_files: list[Path]) -> None:
         """Rebuild the catalog from cell files alone (no manifest).
@@ -598,7 +599,7 @@ class DiskStorage:
             ) from exc
         chunks, end = scan_chunks(blob, header_len)
         if end < len(blob):
-            os.truncate(path, end)  # torn tail from a crashed append
+            self._truncate(path, end, len(blob))
         match = _CHUNKED_NAME.match(path.name)
         generation = int(match.group(1)) if match else 0
         return CellEntry(

@@ -237,32 +237,51 @@ class FrameAssembler:
     Feed every received (header, payload) pair to :meth:`add`; it
     returns the complete message once the LAST-flagged frame of that
     correlation id arrives, and ``None`` while chunks are still
-    outstanding. Reassembly is bounded by :data:`MAX_PAYLOAD` so a
-    malicious peer cannot grow memory without limit.
+    outstanding. A message is bounded by :data:`MAX_PAYLOAD` in bytes
+    (a running total per id) and, because every frame but the last must
+    carry at least one byte, by the same number in frames; whoever
+    feeds it bounds the number of ids (:meth:`discard`).
     """
 
     def __init__(self) -> None:
-        self._partial: dict[int, list[bytes]] = {}
+        #: correlation id -> (payload bytes held, their chunks)
+        self._partial: dict[int, tuple[int, list[bytes]]] = {}
 
     def add(self, header: FrameHeader, payload: bytes) -> bytes | None:
-        """Absorb one frame; returns the full message when complete."""
+        """Absorb one frame; returns the full message when complete.
+
+        A frame that breaks a rule raises
+        :class:`~repro.exceptions.ProtocolError` and drops what was
+        held for its id.
+        """
+        size, chunks = self._partial.pop(header.correlation_id, (0, []))
         if len(payload) != header.length:
             raise ProtocolError(
                 f"frame payload truncated: expected {header.length} "
                 f"bytes, got {len(payload)}"
             )
-        chunks = self._partial.setdefault(header.correlation_id, [])
-        chunks.append(payload)
-        if sum(len(c) for c in chunks) > MAX_PAYLOAD:
-            del self._partial[header.correlation_id]
+        if not payload and not header.is_last:
+            # it would grow the chunk list without moving the byte total
+            raise ProtocolError("empty frame that is not the last one")
+        size += len(payload)
+        if size > MAX_PAYLOAD:
             raise ProtocolError(
                 f"reassembled message exceeds the {MAX_PAYLOAD}-byte limit"
             )
+        chunks.append(payload)
         if not header.is_last:
+            self._partial[header.correlation_id] = (size, chunks)
             return None
-        del self._partial[header.correlation_id]
         return b"".join(chunks)
+
+    def discard(self, correlation_id: int) -> None:
+        """Drop whatever is held for ``correlation_id``."""
+        self._partial.pop(correlation_id, None)
 
     def pending(self) -> int:
         """Number of messages with outstanding chunks."""
         return len(self._partial)
+
+    def buffered(self) -> int:
+        """Payload bytes held for messages with outstanding chunks."""
+        return sum(size for size, _chunks in self._partial.values())

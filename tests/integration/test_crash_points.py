@@ -11,6 +11,7 @@ must find exactly the state before or after the operation that died —
 never one in between — and leave no debris.
 """
 
+import logging
 import os
 from pathlib import Path
 
@@ -199,3 +200,47 @@ def test_every_crash_point_reopens_to_an_operation_boundary(
         assert leftovers == set(), f"crash at call {crash_at}"
     # both sides of the commit point were exercised
     assert outcomes["before"] > 0 and outcomes["after"] > 0
+
+
+def test_reopen_logs_exactly_what_it_removed_and_cut(
+    tmp_path, monkeypatch, caplog
+):
+    """What did recovery do on reopen: over a sample of the crash
+    points, the ``repro.storage`` records name every file the reopen
+    removed (stray ``*.tmp``, unreferenced cell files) and every tail
+    it cut, with the byte counts, and nothing else."""
+    with monkeypatch.context() as patch:
+        shim = CrashShim(patch)
+        _run_workload(tmp_path / "reference", lambda index: None)
+    caplog.set_level(logging.INFO, logger="repro.storage")
+    events = set()
+    for crash_at in range(0, shim.calls, 5):
+        directory = tmp_path / f"crash_{crash_at}"
+        with monkeypatch.context() as patch:
+            CrashShim(patch, crash_at)
+            try:
+                _run_workload(directory, lambda index: None)
+            except SimulatedCrash:
+                pass
+        before = {p.name: p.stat().st_size for p in directory.iterdir()}
+        caplog.clear()
+        DiskStorage(directory)
+        after = {p.name: p.stat().st_size for p in directory.iterdir()}
+        expected = {
+            (
+                "tmp_removed" if name.endswith(".tmp") else "orphan_removed",
+                name,
+                size,
+            )
+            for name, size in before.items()
+            if name not in after
+        } | {
+            ("tail_truncated", name, size - after[name])
+            for name, size in before.items()
+            if name != MANIFEST_NAME and after.get(name, size) < size
+        }
+        logged = [(r.event, r.file, r.bytes) for r in caplog.records]
+        assert sorted(logged) == sorted(expected), f"crash at {crash_at}"
+        assert all(r.levelno == logging.INFO for r in caplog.records)
+        events.update(event for event, _file, _bytes in logged)
+    assert events == {"tmp_removed", "orphan_removed", "tail_truncated"}

@@ -4,6 +4,7 @@ bit-identical — including directories written by the legacy format
 (no manifest) and directories whose manifest was corrupted."""
 
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -215,6 +216,23 @@ class TestFallbackRecovery:
         q = queries[1]
         hits = client.knn_precise(q, 10)
         assert [h.oid for h in hits] == brute_force_knn(small_data, q, 10)
+
+    def test_manifest_fallback_is_logged_and_a_clean_reopen_is_silent(
+        self, small_data, tmp_path, caplog
+    ):
+        directory = tmp_path / "cells"
+        _build_disk_cloud(small_data, directory)
+        caplog.set_level(logging.INFO, logger="repro.storage")
+        DiskStorage(directory)
+        assert caplog.records == []  # nothing to repair, nothing said
+
+        (directory / MANIFEST_NAME).write_bytes(b"{not json !!")
+        DiskStorage(directory)
+        (record,) = caplog.records
+        assert record.levelno == logging.WARNING
+        assert record.event == "manifest_fallback"
+        assert record.file == MANIFEST_NAME
+        assert record.error and record.error in record.getMessage()
 
     def test_unrecoverable_legacy_file_fails_loudly(self, tmp_path):
         from repro.core.records import IndexedRecord

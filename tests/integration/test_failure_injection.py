@@ -2,6 +2,8 @@
 the wire. A production service degrades with clear errors, never with
 silent corruption or crashed server loops."""
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from repro.exceptions import (
 from repro.net.channel import Channel, InProcessChannel
 from repro.net.rpc import RpcClient
 from repro.storage.disk import DiskStorage
+from repro.storage.manifest import MANIFEST_NAME
 from repro.wire.encoding import Reader, Writer
 
 
@@ -61,6 +64,25 @@ class TestDiskCorruption:
         reopened = DiskStorage(path.parent)
         assert [r.oid for r in reopened.load(("c",))] == [0, 1, 2, 3, 4]
         assert path.stat().st_size == len(blob)
+
+    @pytest.mark.parametrize("manifest", ["kept", "lost"])
+    def test_torn_tail_truncation_is_logged(self, tmp_path, caplog, manifest):
+        """Both places a torn tail is cut: against the manifest's
+        committed length, and against the chunk headers when the
+        manifest is gone and the file is scavenged."""
+        _storage, path = self._storage_with_cell(tmp_path)
+        size = path.stat().st_size
+        path.write_bytes(path.read_bytes() + b"\x01\x02\x03")
+        if manifest == "lost":
+            (path.parent / MANIFEST_NAME).unlink()
+        caplog.set_level(logging.INFO, logger="repro.storage")
+        DiskStorage(path.parent)
+        (record,) = caplog.records
+        assert (record.levelno, record.event) == (
+            logging.INFO, "tail_truncated"
+        )
+        assert (record.file, record.bytes) == (path.name, 3)
+        assert path.stat().st_size == size
 
     def test_bitflipped_record_payload_still_parses_but_fails_auth(
         self, approx_cloud, queries

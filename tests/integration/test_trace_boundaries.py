@@ -15,6 +15,7 @@ import numpy as np
 
 from repro import L1Distance, SimilarityCloud, Strategy
 from repro.storage.disk import DiskStorage
+from repro.wire.scatter import read_stats_map
 
 TRACE = Path(__file__).parents[2] / "benchmarks" / "e2e" / "trace.py"
 
@@ -86,3 +87,38 @@ def test_trace_targets_resolve_and_are_the_calls_made(tmp_path):
         for span in tracer.spans
         if span[trace.LABEL] == "AesCipher.decrypt_many"
     )
+
+
+def test_benchmark_reads_three_kernel_counters_that_are_zero():
+    """``benchmarks/e2e/workloads.py`` indexes ``report().extras`` and
+    the ``stats`` map — a router's merged one on the cluster workload —
+    by these names and raises ``KeyError`` without them. Kernels are
+    serial, so each reads 0."""
+    data = np.random.default_rng(5).normal(size=(200, 6))
+    for shards in (1, 2):
+        cloud = SimilarityCloud.build(
+            data, distance=L1Distance(), n_pivots=6, bucket_capacity=20,
+            strategy=Strategy.APPROXIMATE, seed=1, shards=shards,
+        )
+        try:
+            cloud.owner.outsource(range(len(data)), data)
+            client = cloud.new_client()
+            client.knn_batch(data[:4], 3, cand_size=30)
+            views = [
+                client.report().extras,
+                read_stats_map(client.rpc.call("stats")),
+            ]
+            if shards > 1:
+                per_shard, merged = client.rpc.cluster_stats()
+                views += [merged, *per_shard.values()]
+            for view in views:
+                assert [
+                    view[key]
+                    for key in (
+                        "kernel_tasks",
+                        "kernel_parallel_batches",
+                        "kernel_workers",
+                    )
+                ] == [0, 0, 0]
+        finally:
+            cloud.close()

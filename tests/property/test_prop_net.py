@@ -7,12 +7,15 @@ reader with an unexpected exception type.
 """
 
 import struct
+import time
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import ProtocolError
+from repro.wire import frames as frames_module
 from repro.wire.frames import (
     FLAG_LAST,
     FRAME_MAGIC,
@@ -176,3 +179,129 @@ class TestChunkedReassembly:
         header = FrameHeader(KIND_RESPONSE, FLAG_LAST, cid, len(payload) + 1)
         with pytest.raises(ProtocolError):
             assembler.add(header, payload)
+
+
+#: the reassembly cap the hostile-frame property runs under, so totals
+#: over it are reachable with a few short frames
+_SMALL_CAP = 64
+
+hostile_frames = st.lists(
+    st.tuples(
+        st.binary(max_size=40),
+        st.booleans(),  # LAST
+        st.sampled_from([0, 0, 0, 1, -1]),  # announced minus real length
+    ),
+    min_size=1,
+    max_size=6,
+)
+cut_messages = st.tuples(
+    st.binary(max_size=2 * _SMALL_CAP), st.integers(min_value=1, max_value=16)
+)
+header_bytes = st.one_of(
+    st.binary(max_size=2 * HEADER_SIZE),
+    st.binary(min_size=14, max_size=14).map(
+        lambda rest: struct.pack("<I", FRAME_MAGIC) + rest
+    ),
+)
+
+
+class TestHostileFrames:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        blob=header_bytes,
+        streams=st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=3),  # repeated ids
+                st.one_of(hostile_frames, cut_messages),
+            ),
+            max_size=6,
+        ),
+        data=st.data(),
+    )
+    def test_any_input_reassembles_exactly_or_is_refused(
+        self, blob, streams, data
+    ):
+        try:
+            header = FrameHeader.decode(blob)
+        except ProtocolError:
+            pass
+        else:
+            assert header.encode() == blob
+
+        # each stream's frames in order, the streams interleaved
+        queues = []
+        for cid, source in streams:
+            if isinstance(source, tuple):
+                payload, chunk_size = source
+                queues.append([
+                    (FrameHeader.decode(f[:HEADER_SIZE]), f[HEADER_SIZE:])
+                    for f in response_frames(cid, payload, chunk_size)
+                ])
+            else:
+                queues.append([
+                    (
+                        FrameHeader(
+                            KIND_RESPONSE,
+                            FLAG_LAST if last else 0,
+                            cid,
+                            len(payload) + lie,
+                        ),
+                        payload,
+                    )
+                    for payload, last, lie in source
+                ])
+        order = data.draw(
+            st.permutations(
+                [i for i, queue in enumerate(queues) for _ in queue]
+            )
+        )
+        alone = {
+            cid: source[0]
+            for cid, source in streams
+            if isinstance(source, tuple)
+            and len(source[0]) <= _SMALL_CAP
+            and [c for c, _ in streams].count(cid) == 1
+        }
+
+        assembler = FrameAssembler()
+        held: dict[int, list[bytes]] = {}
+        fed = 0
+        with mock.patch.object(frames_module, "MAX_PAYLOAD", _SMALL_CAP):
+            for index in order:
+                header, payload = queues[index].pop(0)
+                cid = header.correlation_id
+                fed += len(payload)
+                chunks = held.pop(cid, [])
+                total = sum(map(len, chunks)) + len(payload)
+                if (
+                    len(payload) != header.length
+                    or (not payload and not header.is_last)
+                    or total > _SMALL_CAP
+                ):
+                    with pytest.raises(ProtocolError):
+                        assembler.add(header, payload)
+                elif header.is_last:
+                    message = assembler.add(header, payload)
+                    assert message == b"".join(chunks) + payload
+                    assert message == alone.get(cid, message)
+                else:
+                    assert assembler.add(header, payload) is None
+                    held[cid] = chunks + [payload]
+                assert assembler.pending() == len(held)
+                assert (
+                    assembler.buffered()
+                    == sum(len(c) for cs in held.values() for c in cs)
+                    <= fed
+                )
+
+    def test_many_small_frames_cost_linear_time(self):
+        # a total recomputed per frame made this quadratic: minutes
+        assembler = FrameAssembler()
+        piece = FrameHeader(KIND_RESPONSE, 0, 9, 1)
+        start = time.perf_counter()
+        for _ in range(50_000):
+            assert assembler.add(piece, b"x") is None
+        last = FrameHeader(KIND_RESPONSE, FLAG_LAST, 9, 0)
+        assert assembler.add(last, b"") == b"x" * 50_000
+        assert time.perf_counter() - start < 10.0
+        assert assembler.pending() == 0 and assembler.buffered() == 0

@@ -2,6 +2,7 @@
 
 import socket
 import struct
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -27,6 +28,7 @@ from repro.wire.frames import (
     FrameHeader,
     encode_frame,
     encode_request_frame,
+    response_frames,
 )
 
 from tests.conftest import burst_frames, request_concurrently
@@ -549,3 +551,109 @@ class TestReaderDeath:
                     channel.request(b"y")
             finally:
                 channel.close()
+
+
+def _scripted_peer(script):
+    """A listening socket whose one connection is handled by
+    ``script(read_request, send)`` on a thread; ``read_request()``
+    returns the next request frame's ``(correlation id, payload)``.
+    Returns ``(host, port, thread)``."""
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def serve():
+        with listener, listener.accept()[0] as conn:
+            with conn.makefile("rb") as stream:
+
+                def read_request():
+                    header = FrameHeader.decode(stream.read(HEADER_SIZE))
+                    return header.correlation_id, stream.read(header.length)
+
+                script(read_request, conn.sendall)
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    return (*listener.getsockname(), thread)
+
+
+class TestFramesNotInFlight:
+    def test_frames_for_ids_never_sent_are_counted_and_dropped(self):
+        def script(read_request, send):
+            cid, payload = read_request()
+            send(b"".join(
+                encode_frame(KIND_RESPONSE, stray, b"x" * 100, flags=0)
+                for stray in range(1000, 2000)
+            ))
+            send(encode_frame(KIND_ERROR, 5000, b"nobody asked"))
+            send(b"".join(response_frames(cid, b"re:" + payload, 2)))
+            cid, payload = read_request()
+            send(encode_frame(KIND_RESPONSE, cid, b"re:" + payload))
+
+        host, port, peer = _scripted_peer(script)
+        with PipelinedTcpChannel(host, port, timeout=5.0) as channel:
+            assert channel.request(b"one") == b"re:one"
+            assert channel._assembler.pending() == 0
+            assert channel.frames_discarded == 1001
+            assert channel.request(b"two") == b"re:two"
+        peer.join(5)
+
+    def test_late_answer_to_an_abandoned_request_is_dropped(self):
+        gave_up = threading.Event()
+
+        def script(read_request, send):
+            cid, _payload = read_request()
+            answer = list(response_frames(cid, b"late" * 100, 64))
+            send(answer[0])
+            gave_up.wait(5)
+            send(b"".join(answer[1:]))
+            cid, payload = read_request()
+            send(encode_frame(KIND_RESPONSE, cid, b"re:" + payload))
+
+        host, port, peer = _scripted_peer(script)
+        with PipelinedTcpChannel(host, port, timeout=5.0) as channel:
+            with pytest.raises(DeadlineExceededError):
+                channel.request(b"slow", deadline=0.2)
+            # the partial went with the request that gave up on it
+            assert channel._assembler.pending() == 0
+            gave_up.set()
+            assert channel.request(b"next") == b"re:next"
+            assert channel._assembler.pending() == 0
+            assert channel.frames_discarded == 6
+        peer.join(5)
+
+    def test_giving_up_under_load_leaves_nothing_buffered(self):
+        """More threads than cores on one channel, answers arriving in
+        many small frames, deadlines that about half the requests miss:
+        a partial must never outlive the request that gave up on it,
+        however the reader and the callers interleave."""
+
+        def handler(data):
+            time.sleep(0.02 * (data[0] % 3))
+            return data * 4000
+
+        def caller(thread):
+            outcomes = []
+            for n in range(15):
+                payload = bytes([thread * 15 + n])
+                try:
+                    answer = channel.request(payload, deadline=0.03)
+                    outcomes.append(answer == payload * 4000)
+                except DeadlineExceededError:
+                    outcomes.append(None)
+            return outcomes
+
+        interval = sys.getswitchinterval()
+        with AsyncTcpServer(handler, chunk_size=256) as server:
+            with server.connect() as channel:
+                sys.setswitchinterval(1e-5)
+                try:
+                    with ThreadPoolExecutor(max_workers=8) as pool:
+                        outcomes = sum(pool.map(caller, range(8)), [])
+                finally:
+                    sys.setswitchinterval(interval)
+                assert False not in outcomes
+                assert None in outcomes and True in outcomes
+                # nothing in flight: whatever still arrives is dropped
+                assert channel._assembler.pending() == 0
+                assert channel._assembler.buffered() == 0
+                assert channel.request(b"z") == b"z" * 4000
+                assert channel.frames_discarded > 0

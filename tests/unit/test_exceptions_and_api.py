@@ -23,9 +23,6 @@ class TestExceptionHierarchy:
         )
         assert issubclass(exceptions.KeyError_, exceptions.CryptoError)
         assert issubclass(exceptions.PivotError, exceptions.MetricError)
-        assert issubclass(
-            exceptions.BucketCapacityError, exceptions.StorageError
-        )
 
     def test_one_except_clause_catches_everything(self):
         """The promise of the hierarchy: library failures are catchable

@@ -2,7 +2,7 @@
 
 `load_many` is the storage surface the range scanner prefetches
 through: one call loads every surviving cell, reading missing chunks in
-on-disk order and decompressing them as one parallel batch. The
+on-disk order and decompressing them in one pass. The
 contract pinned here is *identical results and identical accounting* to
 the equivalent `load` loop — the prefetcher is purely an I/O-schedule
 optimization, never a semantic one.

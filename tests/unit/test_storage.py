@@ -1,4 +1,4 @@
-"""Unit tests for repro.storage (bucket, memory and disk backends)."""
+"""Unit tests for repro.storage (memory and disk backends)."""
 
 import contextlib
 import json
@@ -9,9 +9,8 @@ import numpy as np
 import pytest
 
 from repro.core.records import IndexedRecord
-from repro.exceptions import BucketCapacityError, StorageError
+from repro.exceptions import StorageError
 from repro.mindex.index import MIndex
-from repro.storage.bucket import Bucket
 from repro.storage.chunks import (
     BlockCache,
     build_chunks,
@@ -29,29 +28,6 @@ def _record(oid: int, n_pivots: int = 4) -> IndexedRecord:
         rng.random(n_pivots),
         bytes([oid % 256] * 10),
     )
-
-
-class TestBucket:
-    def test_add_until_full(self):
-        bucket = Bucket(3)
-        for oid in range(3):
-            bucket.add(_record(oid))
-        assert bucket.is_full
-        with pytest.raises(BucketCapacityError):
-            bucket.add(_record(99))
-
-    def test_initial_records(self):
-        bucket = Bucket(5, [_record(1), _record(2)])
-        assert len(bucket) == 2
-        assert [r.oid for r in bucket] == [1, 2]
-
-    def test_initial_overflow_rejected(self):
-        with pytest.raises(BucketCapacityError):
-            Bucket(1, [_record(1), _record(2)])
-
-    def test_invalid_capacity_rejected(self):
-        with pytest.raises(StorageError):
-            Bucket(0)
 
 
 class _StorageContract:

@@ -45,7 +45,13 @@ def count(path: Path) -> tuple[int, int]:
 
 def main(argv: list[str]) -> int:
     root = Path(argv[1]) if len(argv) > 1 else Path(__file__).parents[1] / "src"
+    if not root.is_dir():
+        print(f"{root}: not a directory", file=sys.stderr)
+        return 2
     counts = [count(path) for path in sorted(root.rglob("*.py"))]
+    if not counts:
+        print(f"{root}: no *.py file", file=sys.stderr)
+        return 2
     total = sum(total for total, _code in counts)
     code = sum(code for _total, code in counts)
     print(f"{root}: {len(counts)} files, {total} lines, {code} code lines")
