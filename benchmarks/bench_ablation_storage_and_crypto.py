@@ -6,13 +6,8 @@
 2. The vectorized batch-cipher path vs per-message calls: the
    optimization that makes a pure-Python AES usable for candidate-set
    decryption at all.
-3. The chunk-compressed disk format and its decoded-chunk block cache:
-   compression ratio, exact hit/miss/decompression counters, and the
-   hot-vs-cold load cost (``REPRO_STORAGE_N`` scales the record count
-   for CI smoke runs).
 """
 
-import os
 import time
 
 import numpy as np
@@ -83,106 +78,6 @@ def test_ablation_storage_backend(yeast, tmp_path, benchmark):
     ]
     storage.save(("cell",), records)
     benchmark(lambda: storage.load(("cell",)))
-
-
-def _synthetic_records(n: int, payload_bytes: int) -> list[IndexedRecord]:
-    """Compressible records: structured payloads like real metadata
-    (encrypted payloads are incompressible by design — AES output is
-    indistinguishable from random — so the compression-win row uses
-    plaintext-shaped data; the encrypted bound gets its own row)."""
-    rng = np.random.default_rng(0)
-    words = [b"descriptor", b"surrogate", b"mpeg7", b"cophir-like"]
-    return [
-        IndexedRecord(
-            i,
-            rng.permutation(16).astype(np.int32),
-            None,
-            (words[i % len(words)] * (payload_bytes // 8))[:payload_bytes],
-        )
-        for i in range(n)
-    ]
-
-
-def test_ablation_chunked_storage_and_block_cache(tmp_path, benchmark):
-    """Compressed chunk format vs raw bytes, cold vs hot loads, and the
-    exactness of the block-cache counters the cost surface reports."""
-    n_records = int(os.environ.get("REPRO_STORAGE_N", "4000"))
-    n_cells = 8
-    records = _synthetic_records(n_records, payload_bytes=512)
-    cells = {
-        (cell,): records[cell::n_cells] for cell in range(n_cells)
-    }
-    raw_bytes = sum(r.wire_size for r in records)
-
-    cached = DiskStorage(tmp_path / "cached")
-    cached.save_many(cells)
-    compressed_bytes = cached.bytes_written
-    assert compressed_bytes < raw_bytes  # compressible payloads shrink
-
-    # encrypted payloads are incompressible: the format must not blow
-    # them up by more than the zlib framing overhead
-    enc_storage = DiskStorage(tmp_path / "encrypted")
-    cipher = AesCipher(bytes(range(16)))
-    enc_records = [
-        IndexedRecord(
-            r.oid, r.permutation, None, cipher.encrypt(r.payload)
-        )
-        for r in records[: max(200, n_records // 10)]
-    ]
-    enc_raw = sum(r.wire_size for r in enc_records)
-    enc_storage.save(("e",), enc_records)
-    assert enc_storage.bytes_written <= enc_raw * 1.1
-
-    cached.reset_accounting()
-    start = time.perf_counter()
-    for cell in cells:
-        cached.load(cell)
-    cold = time.perf_counter() - start
-    cold_misses = cached.block_cache_misses
-    assert cached.block_cache_hits == 0
-    assert cached.chunks_decompressed == cold_misses
-    assert cold_misses > 0
-
-    start = time.perf_counter()
-    for cell in cells:
-        cached.load(cell)
-    hot = time.perf_counter() - start
-    assert cached.block_cache_hits == cold_misses  # every chunk now hits
-    assert cached.block_cache_misses == cold_misses
-    assert cached.chunks_decompressed == cold_misses
-
-    # disabled cache: every access is a miss, every miss decompresses
-    uncached = DiskStorage(tmp_path / "uncached", cache_bytes=0)
-    uncached.save_many(cells)
-    uncached.reset_accounting()
-    for _ in range(2):
-        for cell in cells:
-            uncached.load(cell)
-    assert uncached.block_cache_hits == 0
-    assert uncached.block_cache_misses == 2 * cold_misses
-    assert uncached.chunks_decompressed == uncached.block_cache_misses
-
-    text = format_matrix(
-        f"Ablation: chunked disk format + block cache "
-        f"({n_records} records, {n_cells} cells)",
-        ["value"],
-        [
-            ("raw MB", [f"{raw_bytes / 1e6:.2f}"]),
-            ("compressed MB", [f"{compressed_bytes / 1e6:.2f}"]),
-            ("compression ratio", [f"{raw_bytes / compressed_bytes:.2f}x"]),
-            ("encrypted overhead", [
-                f"{enc_storage.bytes_written / enc_raw:.3f}x"
-            ]),
-            ("cold load [ms]", [f"{cold * 1e3:.2f}"]),
-            ("hot load [ms]", [f"{hot * 1e3:.2f}"]),
-            ("chunks decompressed (cold)", [str(cold_misses)]),
-            ("block cache hits (hot)", [str(cached.block_cache_hits)]),
-        ],
-        row_header="Metric",
-    )
-    save_result("ablation_chunked_storage", text)
-
-    benchmark(lambda: cached.load((0,)))
 
 
 def test_ablation_batch_cipher_speedup(benchmark):

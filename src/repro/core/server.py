@@ -350,8 +350,9 @@ class SimilarityCloudServer:
             storage = self.storage
             # the storage backend's I/O and cache accounting rides the
             # same diagnostics surface, with the number of chunks its
-            # cells are in (chunk fill is records / chunks); counters a
-            # backend does not define (e.g. block cache on
+            # cells are in (chunk fill is records / chunks), its data
+            # files and their bytes that are not live chunks; counters
+            # a backend does not define (e.g. block cache on
             # MemoryStorage) are omitted
             for counter in (
                 "reads",
@@ -363,6 +364,8 @@ class SimilarityCloudServer:
                 "chunks_decompressed",
                 "manifest_writes",
                 "chunks",
+                "segments",
+                "dead_bytes",
             ):
                 value = getattr(storage, counter, None)
                 if value is not None:

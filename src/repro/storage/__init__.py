@@ -7,12 +7,7 @@ account their I/O (bytes and operation counts) so the ablation benches
 can compare them.
 """
 
-from repro.storage.chunks import (
-    DEFAULT_CHUNK_RAW_BYTES,
-    FORMAT_CHUNKED,
-    FORMAT_LEGACY,
-    BlockCache,
-)
+from repro.storage.chunks import DEFAULT_CHUNK_RAW_BYTES, BlockCache
 from repro.storage.disk import DEFAULT_CACHE_BYTES, DiskStorage
 from repro.storage.manifest import MANIFEST_NAME
 from repro.storage.memory import MemoryStorage
@@ -22,8 +17,6 @@ __all__ = [
     "DEFAULT_CACHE_BYTES",
     "DEFAULT_CHUNK_RAW_BYTES",
     "DiskStorage",
-    "FORMAT_CHUNKED",
-    "FORMAT_LEGACY",
     "MANIFEST_NAME",
     "MemoryStorage",
 ]

@@ -1,30 +1,30 @@
-"""Chunk-indexed compressed cell files and the LRU block cache.
+"""Compressed chunks, the cell decoder and the LRU block cache.
 
-One cell = one file of independently ``zlib``-compressed chunks, so a
-point ``load`` decompresses only the chunks of that cell and an append
-compresses just the new tail chunk(s). The on-disk layout (format
-version 2, ``*.chk``) is::
+A cell's records live in independently ``zlib``-compressed *chunks*, so
+a point ``load`` decompresses only the chunks of that cell and an append
+compresses just the new group. A chunk is self-delimiting::
 
-    file  := header chunk*
-    header:= magic(4) | version u8 | u32 id_len | id_json
     chunk := u32 comp_len | u32 raw_len | u32 n_records | zlib bytes
 
 ``raw`` is a concatenation of the usual length-prefixed record frames;
 a record never spans two chunks, so every chunk decodes independently.
-The header embeds the cell id (manifest JSON encoding), which makes
-chunked files *self-describing*: a missing or corrupted manifest can be
-rebuilt by scanning file headers alone — the compatibility-first
-fallback the CoZip hybrid-decompression design mandates.
+Chunks of many cells share one *segment* file — what one storage batch
+wrote, in the order it wrote it, then the batch's catalog as a trailer
+(:mod:`repro.storage.manifest`). Where a chunk lies is the catalog's
+business: a :class:`ChunkEntry` names the file, the offset and the
+sizes, and nothing in a segment's data region says which cell a chunk
+belongs to (CoZip's layout: the index is written after the data, not
+repeated in local headers).
 
-Format version 1 is the seed's plain layout (raw frames, no header,
-``*.bin``); :mod:`repro.storage.disk` still reads it transparently and
-recovers its cell ids by hashing candidate permutation prefixes (the
-legacy file name *is* ``sha1(repr(cell_id))``).
+The directory format before segments — one file per cell, a header
+carrying the cell id and then that cell's chunks — is still *read*,
+once, to convert a directory on open: :func:`read_file_header` and
+:func:`scan_chunks` are its no-manifest reader, :func:`encode_file_header`
+its writer (kept for the tests that build such a directory).
 
 :class:`BlockCache` is the byte-budgeted LRU of *decompressed* chunks —
-raw frame bytes, not decoded records — that sits above the chunk
-reader, modeled on the client's decrypted-candidate LRU: exact hit/miss
-accounting, eviction by least recent use, invalidation per file.
+raw frame bytes, not decoded records — keyed by where the chunk lies,
+so a relocated chunk is re-keyed, not lost.
 
 Frames are decoded a cell at a time (:func:`decode_cell`): when every
 frame of a cell has the shape of the first and carries a permutation —
@@ -33,19 +33,18 @@ fixed-stride table and the columns are strided views of it, each shape
 field of each frame checked against the first frame's before use; any
 other cell is decoded frame by frame by :func:`parse_frames`, the one
 per-record decoder. Sizes and counts that come from the chunk index
-(``manifest.json``, chunk headers) are checked against the bytes
-present before anything is sized from them.
+are checked against the bytes present before anything is sized from
+them.
 """
 
 from __future__ import annotations
 
-import hashlib
 import struct
 import zlib
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Hashable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -56,35 +55,21 @@ from repro.wire.encoding import BlobColumn
 __all__ = [
     "BlockCache",
     "ChunkEntry",
+    "CHUNK_HEADER_SIZE",
     "DEFAULT_CHUNK_RAW_BYTES",
-    "FORMAT_CHUNKED",
-    "FORMAT_LEGACY",
-    "MAGIC",
     "build_chunks",
-    "cell_digest",
-    "count_frames",
     "decode_cell",
     "decompress_chunk",
     "encode_file_header",
     "frame_record",
-    "is_chunked_blob",
     "parse_frames",
     "read_file_header",
-    "recover_legacy_cell_id",
     "scan_chunks",
 ]
 
 _LEN = struct.Struct("<I")
 _CHUNK_HEADER = struct.Struct("<III")  # comp_len, raw_len, n_records
-
-#: first bytes of a chunked cell file. A legacy file starts with the
-#: u32 length of its first record frame, so this value (≈1.1e9 as a
-#: little-endian u32) can never collide with a real frame length.
-MAGIC = b"RXCF"
-
-#: storage format versions (the version byte after the magic)
-FORMAT_LEGACY = 1
-FORMAT_CHUNKED = 2
+CHUNK_HEADER_SIZE = _CHUNK_HEADER.size
 
 #: target uncompressed bytes per chunk — small enough that a point
 #: lookup never decompresses much more than it needs, large enough for
@@ -94,33 +79,23 @@ DEFAULT_CHUNK_RAW_BYTES = 64 * 1024
 
 @dataclass(frozen=True)
 class ChunkEntry:
-    """Location and shape of one compressed chunk inside a cell file."""
+    """Location and shape of one compressed chunk inside a file."""
 
     offset: int  # file offset of the chunk header
     comp_size: int  # compressed payload bytes (header excluded)
     raw_size: int  # decompressed bytes
     n_records: int  # record frames inside
+    segment: str = ""  # name of the file the chunk lies in
+
+    @property
+    def size(self) -> int:
+        """Bytes the chunk takes in its file, header included."""
+        return _CHUNK_HEADER.size + self.comp_size
 
     @property
     def end(self) -> int:
         """File offset one past the chunk's last byte."""
-        return self.offset + _CHUNK_HEADER.size + self.comp_size
-
-    def as_list(self) -> list[int]:
-        """Manifest JSON form."""
-        return [self.offset, self.comp_size, self.raw_size, self.n_records]
-
-    @classmethod
-    def from_list(cls, values) -> "ChunkEntry":
-        if not isinstance(values, list) or len(values) != 4:
-            raise StorageError(f"malformed chunk index entry {values!r}")
-        offset, comp_size, raw_size, n_records = values
-        for value in (offset, comp_size, raw_size, n_records):
-            if not isinstance(value, int) or value < 0:
-                raise StorageError(
-                    f"malformed chunk index entry {values!r}"
-                )
-        return cls(offset, comp_size, raw_size, n_records)
+        return self.offset + self.size
 
 
 # -- record framing (format-independent) --------------------------------
@@ -250,58 +225,7 @@ def decode_cell(chunks: list[bytes], n_records: int) -> RecordBatch:
     return RecordBatch.of_cell(records)
 
 
-def count_frames(blob: bytes) -> int:
-    """Number of complete frames in ``blob`` (no record decoding)."""
-    offset = 0
-    total = len(blob)
-    count = 0
-    while offset < total:
-        if offset + _LEN.size > total:
-            raise StorageError("cell file truncated (frame header)")
-        (length,) = _LEN.unpack_from(blob, offset)
-        offset += _LEN.size + length
-        if offset > total:
-            raise StorageError("cell file truncated (frame body)")
-        count += 1
-    return count
-
-
-# -- chunked file format (version 2) ------------------------------------
-
-
-def encode_file_header(id_json: bytes) -> bytes:
-    """Header bytes for a chunked cell file carrying ``id_json``."""
-    return (
-        MAGIC
-        + bytes([FORMAT_CHUNKED])
-        + _LEN.pack(len(id_json))
-        + id_json
-    )
-
-
-def read_file_header(blob: bytes) -> tuple[bytes, int]:
-    """(cell id JSON, header length) of a chunked file's first bytes."""
-    if blob[: len(MAGIC)] != MAGIC:
-        raise StorageError("not a chunked cell file (bad magic)")
-    base = len(MAGIC)
-    if len(blob) < base + 1 + _LEN.size:
-        raise StorageError("chunked cell file truncated (header)")
-    version = blob[base]
-    if version != FORMAT_CHUNKED:
-        raise StorageError(
-            f"unsupported cell file format version {version}"
-        )
-    (id_len,) = _LEN.unpack_from(blob, base + 1)
-    header_len = base + 1 + _LEN.size + id_len
-    if len(blob) < header_len:
-        raise StorageError("chunked cell file truncated (cell id)")
-    id_json = blob[base + 1 + _LEN.size : header_len]
-    return id_json, header_len
-
-
-def is_chunked_blob(blob: bytes) -> bool:
-    """Whether ``blob`` starts a format-2 chunked cell file."""
-    return blob[: len(MAGIC)] == MAGIC
+# -- chunks ------------------------------------------------------------
 
 
 def build_chunks(
@@ -309,8 +233,10 @@ def build_chunks(
     *,
     base_offset: int,
     chunk_raw_bytes: int = DEFAULT_CHUNK_RAW_BYTES,
+    segment: str = "",
 ) -> tuple[bytes, list[ChunkEntry]]:
-    """Compress ``records`` into chunk bytes starting at ``base_offset``.
+    """Compress ``records`` into chunk bytes starting at ``base_offset``
+    of the file ``segment``.
 
     Frames are packed greedily: a chunk closes once it holds at least
     ``chunk_raw_bytes`` of raw frame bytes, so a frame never spans two
@@ -338,7 +264,9 @@ def build_chunks(
         pieces.append(
             _CHUNK_HEADER.pack(len(comp), len(raw), len(group)) + comp
         )
-        entries.append(ChunkEntry(offset, len(comp), len(raw), len(group)))
+        entries.append(
+            ChunkEntry(offset, len(comp), len(raw), len(group), segment)
+        )
         offset += _CHUNK_HEADER.size + len(comp)
         group = []
         group_raw = 0
@@ -351,33 +279,6 @@ def build_chunks(
             _close_group()
     _close_group()
     return b"".join(pieces), entries
-
-
-def scan_chunks(
-    blob: bytes, start: int
-) -> tuple[list[ChunkEntry], int]:
-    """Rebuild a chunk index by walking chunk headers from ``start``.
-
-    Used when the manifest is absent or corrupted. An *incomplete*
-    trailing chunk (a crash mid-append, before the manifest caught up)
-    is ignored — scanning stops at the last complete chunk; the
-    returned end offset points one past it. No decompression happens.
-    """
-    entries: list[ChunkEntry] = []
-    offset = start
-    total = len(blob)
-    while offset < total:
-        if offset + _CHUNK_HEADER.size > total:
-            break  # torn chunk header: crashed append, drop the tail
-        comp_len, raw_len, n_records = _CHUNK_HEADER.unpack_from(
-            blob, offset
-        )
-        if offset + _CHUNK_HEADER.size + comp_len > total:
-            break  # torn chunk body
-        entries.append(ChunkEntry(offset, comp_len, raw_len, n_records))
-        offset += _CHUNK_HEADER.size + comp_len
-    end = entries[-1].end if entries else start
-    return entries, end
 
 
 def decompress_chunk(comp: bytes, entry: ChunkEntry) -> bytes:
@@ -405,35 +306,67 @@ def decompress_chunk(comp: bytes, entry: ChunkEntry) -> bytes:
     return raw
 
 
-# -- legacy (format 1) cell id recovery ---------------------------------
+# -- per-cell files: the directory format before segments --------------
+
+#: first bytes of a per-cell file, then its format version byte
+_PER_CELL_MAGIC = b"RXCF"
+_PER_CELL_VERSION = 2
 
 
-def cell_digest(cell_id: Hashable) -> str:
-    """The stable digest both file-name schemes derive from a cell id."""
-    return hashlib.sha1(repr(cell_id).encode("utf-8")).hexdigest()[:24]
+def encode_file_header(id_json: bytes) -> bytes:
+    """Header bytes for a per-cell file carrying ``id_json``."""
+    return (
+        _PER_CELL_MAGIC
+        + bytes([_PER_CELL_VERSION])
+        + _LEN.pack(len(id_json))
+        + id_json
+    )
 
 
-def recover_legacy_cell_id(
-    digest: str, records: list[IndexedRecord]
-) -> tuple[int, ...] | None:
-    """Recover a legacy file's cell id from its records, or ``None``.
+def read_file_header(blob: bytes) -> tuple[bytes, int]:
+    """(cell id JSON, header length) of a per-cell file's first bytes."""
+    base = len(_PER_CELL_MAGIC)
+    if blob[:base] != _PER_CELL_MAGIC:
+        raise StorageError("not a per-cell chunk file (bad magic)")
+    if len(blob) < base + 1 + _LEN.size:
+        raise StorageError("per-cell chunk file truncated (header)")
+    version = blob[base]
+    if version != _PER_CELL_VERSION:
+        raise StorageError(
+            f"unsupported cell file format version {version}"
+        )
+    (id_len,) = _LEN.unpack_from(blob, base + 1)
+    header_len = base + 1 + _LEN.size + id_len
+    if len(blob) < header_len:
+        raise StorageError("per-cell chunk file truncated (cell id)")
+    id_json = blob[base + 1 + _LEN.size : header_len]
+    return id_json, header_len
 
-    Legacy file names are ``cell_<sha1(repr(cell_id))[:24]>.bin`` — a
-    one-way hash — but the M-Index only ever stores cells whose id is a
-    prefix of every member record's pivot permutation. That bounds the
-    candidates to ``n_pivots + 1`` tuples, and hashing each candidate
-    identifies the original id *exactly* (no structural guessing).
-    Returns ``None`` when no prefix matches, e.g. for cell ids that
-    were never permutation prefixes.
-    """
-    if not records:
-        return None
-    permutation = records[0].ensure_permutation()
-    for length in range(permutation.shape[0] + 1):
-        candidate = tuple(int(p) for p in permutation[:length])
-        if cell_digest(candidate) == digest:
-            return candidate
-    return None
+
+def scan_chunks(
+    blob: bytes, start: int, segment: str = ""
+) -> tuple[list[ChunkEntry], int]:
+    """A per-cell file's chunk index, by walking chunk headers from
+    ``start`` (no manifest, no decompression). That format appended in
+    place, so a crash could tear a tail: scanning stops at the last
+    complete chunk and returns the offset one past it."""
+    entries: list[ChunkEntry] = []
+    offset = start
+    total = len(blob)
+    while offset < total:
+        if offset + _CHUNK_HEADER.size > total:
+            break  # torn chunk header
+        comp_len, raw_len, n_records = _CHUNK_HEADER.unpack_from(
+            blob, offset
+        )
+        if offset + _CHUNK_HEADER.size + comp_len > total:
+            break  # torn chunk body
+        entries.append(
+            ChunkEntry(offset, comp_len, raw_len, n_records, segment)
+        )
+        offset += _CHUNK_HEADER.size + comp_len
+    end = entries[-1].end if entries else start
+    return entries, end
 
 
 # -- the block cache ----------------------------------------------------
@@ -442,13 +375,13 @@ def recover_legacy_cell_id(
 class BlockCache:
     """Byte-budgeted LRU cache of decompressed chunks (raw frame bytes).
 
-    Keys are ``(file name, chunk ordinal)``; values are the chunk's raw
-    frame bytes. The budget counts raw bytes, so the cache's memory
-    footprint is bounded regardless of compression ratio. A zero
-    budget disables caching (every lookup misses), mirroring the
-    client-side candidate cache's opt-out. Callers provide their own
-    locking — :class:`~repro.storage.disk.DiskStorage` serializes all
-    cache access under its accounting mutex.
+    Keys are ``(file name, offset)`` — where the chunk lies; values are
+    the chunk's raw frame bytes. The budget counts raw bytes, so the
+    cache's memory footprint is bounded regardless of compression
+    ratio. A zero budget disables caching (every lookup misses),
+    mirroring the client-side candidate cache's opt-out. Callers provide
+    their own locking — :class:`~repro.storage.disk.DiskStorage`
+    serializes all cache access under its accounting mutex.
     """
 
     def __init__(self, capacity_bytes: int) -> None:
@@ -460,19 +393,19 @@ class BlockCache:
         self._entries: OrderedDict[tuple[str, int], bytes] = OrderedDict()
         self._used = 0
 
-    def get(self, file_name: str, ordinal: int) -> bytes | None:
+    def get(self, file_name: str, offset: int) -> bytes | None:
         """The cached raw chunk, or ``None`` on a miss."""
-        raw = self._entries.get((file_name, ordinal))
+        raw = self._entries.get((file_name, offset))
         if raw is None:
             return None
-        self._entries.move_to_end((file_name, ordinal))
+        self._entries.move_to_end((file_name, offset))
         return raw
 
-    def put(self, file_name: str, ordinal: int, raw: bytes) -> None:
+    def put(self, file_name: str, offset: int, raw: bytes) -> None:
         """Insert a chunk's raw bytes, evicting least-recently-used ones."""
         if self.capacity_bytes == 0 or len(raw) > self.capacity_bytes:
             return
-        key = (file_name, ordinal)
+        key = (file_name, offset)
         previous = self._entries.pop(key, None)
         if previous is not None:
             self._used -= len(previous)
@@ -482,16 +415,21 @@ class BlockCache:
             _evicted_key, evicted = self._entries.popitem(last=False)
             self._used -= len(evicted)
 
-    def invalidate_file(self, file_name: str) -> None:
-        """Drop every chunk cached for one file (replace/delete)."""
-        stale = [key for key in self._entries if key[0] == file_name]
-        for key in stale:
-            self._used -= len(self._entries.pop(key))
+    def discard(self, file_name: str, offset: int) -> None:
+        """Drop one chunk (its cell was replaced or deleted)."""
+        raw = self._entries.pop((file_name, offset), None)
+        if raw is not None:
+            self._used -= len(raw)
 
-    def clear(self) -> None:
-        """Drop all entries."""
-        self._entries.clear()
-        self._used = 0
+    def rekey(self, moved: dict[tuple[str, int], tuple[str, int]]) -> None:
+        """Chunks were copied verbatim from the ``moved`` keys to their
+        values: the cached bytes follow them, each keeping its place in
+        the eviction order."""
+        if any(key in self._entries for key in moved):
+            self._entries = OrderedDict(
+                (moved.get(key, key), raw)
+                for key, raw in self._entries.items()
+            )
 
     @property
     def used_bytes(self) -> int:

@@ -1,20 +1,36 @@
-"""The persisted cell catalog of the disk backend.
+"""The persisted cell catalog of the disk backend, in its two homes.
 
-``manifest.json`` lives next to the cell files and maps every cell id
-to its file name, storage format, record count, valid byte length and
-(for chunked files) the per-file chunk index. It is what makes a
-:class:`~repro.storage.disk.DiskStorage` *restart-aware*: reopening a
-directory reconstructs the catalog without touching a single cell
-file.
+The catalog says which segment files hold live chunks (name and the
+byte length of the chunk region) and, per cell, the record count and
+the chunk index — ``[segment, offset, comp_size, raw_size, n_records]``
+per chunk, ``segment`` an index into the segment list. One rendering
+(:func:`render_manifest`, JSON, version 2) is written twice by every
+storage batch:
 
-Every write is atomic — the new manifest is written to a sibling
-``*.tmp`` file, fsynced, and moved into place with :func:`os.replace`
-— so a crash at any instant leaves either the old or the new manifest,
-never a torn one. Mutating operations persist their data file *before*
-the manifest, which makes the manifest the commit point: whatever it
-describes is guaranteed to be on disk, and bytes it does not describe
-(a torn tail from a crashed append, an orphaned replacement file) are
-ignored on reopen.
+* as the *trailer* of the segment the batch wrote —
+  ``catalog | u32 length | u32 crc32 | tail magic`` after the last
+  chunk, synced with the data by the segment's one ``fsync``;
+* as ``manifest.json``, atomically (:func:`atomic_write_bytes`) — the
+  commit point. Data is synced before the manifest that references it,
+  so whatever ``manifest.json`` describes is on disk, and a segment it
+  does not name is debris of a batch that never committed.
+
+A reader that finds ``manifest.json`` missing or unacceptable falls
+back to the trailer of the highest-numbered segment that has a valid
+one (:func:`read_trailer`) — the same bytes through the same parser, no
+replay. The highest-numbered segment is never unlinked, so the newest
+trailer is the committed catalog.
+
+:func:`parse_manifest` trusts nothing it reads: every file name must
+match the segment name pattern (no separator, no ``..``) before anyone
+``stat``s it, every number is a non-negative integer below 2**63, a
+cell's count equals the records its chunks hold, no cell id and no
+(segment, offset) appears twice, and every chunk ends inside its
+segment's committed length. Anything else is a :class:`StorageError`.
+Version 1 — one ``cell_<digest>.g<generation>.chk`` file per cell —
+parses to the same shape (each per-cell file a "segment" of its own),
+which is what lets :class:`~repro.storage.disk.DiskStorage` convert such
+a directory by relocating its chunks in one batch.
 
 Cell ids are JSON-encoded structurally: scalars (int, float, str,
 bool, None) map to their JSON forms, tuples to ``{"t": [...]}`` —
@@ -27,26 +43,46 @@ from __future__ import annotations
 
 import json
 import os
+import re
+import struct
+import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Hashable
+from typing import Hashable, Iterable, Mapping
 
 from repro.exceptions import StorageError
-from repro.storage.chunks import FORMAT_CHUNKED, FORMAT_LEGACY, ChunkEntry
+from repro.storage.chunks import ChunkEntry
 
 __all__ = [
     "MANIFEST_NAME",
     "MANIFEST_VERSION",
+    "PER_CELL_NAME",
+    "SEGMENT_NAME",
     "CellEntry",
     "atomic_write_bytes",
     "decode_cell_id",
     "encode_cell_id",
-    "read_manifest",
+    "parse_manifest",
+    "read_trailer",
     "render_manifest",
+    "segment_name",
+    "trailer",
 ]
 
 MANIFEST_NAME = "manifest.json"
-MANIFEST_VERSION = 1
+MANIFEST_VERSION = 2
+
+#: the only file names a manifest may carry (matched with ``fullmatch``)
+SEGMENT_NAME = re.compile(r"seg_(\d{8,18})\.chk")
+PER_CELL_NAME = re.compile(r"cell_[0-9a-f]{24}\.g(\d{1,18})\.chk")
+
+_TRAILER = struct.Struct("<II4s")  # catalog length, crc32, tail magic
+_TRAILER_MAGIC = b"RXSG"
+
+
+def segment_name(number: int) -> str:
+    """File name of segment ``number``."""
+    return f"seg_{number:08d}.chk"
 
 
 def encode_cell_id(cell_id: Hashable):
@@ -74,68 +110,11 @@ def decode_cell_id(encoded) -> Hashable:
 
 @dataclass
 class CellEntry:
-    """Catalog state of one cell: where and how its records live."""
+    """Catalog state of one cell: how many records, in which chunks."""
 
     cell_id: Hashable
-    file_name: str
-    fmt: int  # FORMAT_LEGACY (raw frames) or FORMAT_CHUNKED
-    count: int  # records in the cell
-    size: int  # valid byte length (bytes past it are torn appends)
-    generation: int  # bumped on every full rewrite of the cell
+    count: int = 0
     chunks: list[ChunkEntry] = field(default_factory=list)
-
-    def as_dict(self) -> dict:
-        entry = {
-            "id": encode_cell_id(self.cell_id),
-            "file": self.file_name,
-            "format": self.fmt,
-            "count": self.count,
-            "size": self.size,
-            "generation": self.generation,
-        }
-        if self.fmt == FORMAT_CHUNKED:
-            entry["chunks"] = [chunk.as_list() for chunk in self.chunks]
-        return entry
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CellEntry":
-        try:
-            fmt = data["format"]
-            if fmt not in (FORMAT_LEGACY, FORMAT_CHUNKED):
-                raise StorageError(
-                    f"unknown storage format {fmt!r} in manifest"
-                )
-            chunks = [
-                ChunkEntry.from_list(values)
-                for values in data.get("chunks", [])
-            ]
-            entry = cls(
-                cell_id=decode_cell_id(data["id"]),
-                file_name=data["file"],
-                fmt=fmt,
-                count=data["count"],
-                size=data["size"],
-                generation=data.get("generation", 0),
-                chunks=chunks,
-            )
-        except (KeyError, TypeError) as exc:
-            raise StorageError(f"malformed manifest entry: {exc}") from exc
-        if (
-            not isinstance(entry.file_name, str)
-            or not isinstance(entry.count, int)
-            or not isinstance(entry.size, int)
-            or not isinstance(entry.generation, int)
-            or entry.count < 0
-            or entry.size < 0
-        ):
-            raise StorageError(f"malformed manifest entry {data!r}")
-        if any(chunk.end > entry.size for chunk in chunks):
-            # a reader sizes its file reads by the chunk index
-            raise StorageError(
-                f"manifest entry for {entry.file_name} indexes a chunk "
-                f"past the {entry.size} bytes it commits"
-            )
-        return entry
 
 
 def atomic_write_bytes(path: Path, data: bytes) -> None:
@@ -144,7 +123,8 @@ def atomic_write_bytes(path: Path, data: bytes) -> None:
     A reader concurrent with a crash sees either the complete old file
     or the complete new one. The directory entry is fsynced too (best
     effort — not every platform allows opening directories), so the
-    rename itself survives power loss.
+    rename itself — and the directory entry of the segment the manifest
+    now names — survives power loss.
     """
     tmp = path.with_name(path.name + ".tmp")
     with open(tmp, "wb") as handle:
@@ -164,38 +144,162 @@ def atomic_write_bytes(path: Path, data: bytes) -> None:
         os.close(dir_fd)
 
 
-def render_manifest(entries: list[CellEntry]) -> bytes:
-    """Serialized manifest for :func:`atomic_write_bytes`."""
+def render_manifest(
+    segments: Mapping[str, int], cells: Iterable[CellEntry]
+) -> bytes:
+    """The catalog's bytes: ``segments`` maps each named file to the
+    length of its chunk region, ``cells`` index chunks inside them."""
+    index = {name: position for position, name in enumerate(segments)}
     document = {
         "version": MANIFEST_VERSION,
-        "cells": [entry.as_dict() for entry in entries],
+        "segments": [[name, size] for name, size in segments.items()],
+        "cells": [
+            {
+                "id": encode_cell_id(entry.cell_id),
+                "count": entry.count,
+                "chunks": [
+                    [index[c.segment], c.offset, c.comp_size, c.raw_size,
+                     c.n_records]
+                    for c in entry.chunks
+                ],
+            }
+            for entry in cells
+        ],
     }
     return json.dumps(document, separators=(",", ":")).encode("utf-8")
 
 
-def read_manifest(directory: Path) -> list[CellEntry] | None:
-    """Parse ``directory``'s manifest.
+def _natural(value) -> int:
+    """``value`` if it is a size, offset or count; booleans and anything
+    a 64-bit file system could not mean are not."""
+    if type(value) is not int or not 0 <= value < 1 << 63:
+        raise StorageError(f"malformed manifest number {value!r}")
+    return value
 
-    Returns ``None`` when no manifest exists (a fresh or legacy
-    directory) and raises :class:`StorageError` when one exists but is
-    corrupt — the disk backend turns both into the scavenging fallback
-    where recovery is possible.
+
+def _file_name(name, pattern: re.Pattern) -> str:
+    if not isinstance(name, str) or pattern.fullmatch(name) is None:
+        raise StorageError(
+            f"manifest names {name!r}, which is not a data file of a "
+            "storage directory"
+        )
+    return name
+
+
+def _chunk(values, segment: str) -> ChunkEntry:
+    offset, comp_size, raw_size, n_records = map(_natural, values)
+    return ChunkEntry(offset, comp_size, raw_size, n_records, segment)
+
+
+def _read_v2(document: dict) -> tuple[dict[str, int], list[CellEntry]]:
+    segments: dict[str, int] = {}
+    for name, size in document["segments"]:
+        if _file_name(name, SEGMENT_NAME) in segments:
+            raise StorageError(f"manifest lists segment {name} twice")
+        segments[name] = _natural(size)
+    names = list(segments)
+    cells = []
+    for data in document["cells"]:
+        chunks = []
+        for index, *values in data["chunks"]:
+            if _natural(index) >= len(names):
+                raise StorageError(
+                    f"manifest chunk in unlisted segment {index}"
+                )
+            chunks.append(_chunk(values, names[index]))
+        cells.append(
+            CellEntry(decode_cell_id(data["id"]), data["count"], chunks)
+        )
+    return segments, cells
+
+
+def _read_v1(document: dict) -> tuple[dict[str, int], list[CellEntry]]:
+    """A per-cell directory's manifest: each cell's file is a segment."""
+    segments: dict[str, int] = {}
+    cells = []
+    for data in document["cells"]:
+        name = _file_name(data["file"], PER_CELL_NAME)
+        if name in segments:
+            raise StorageError(f"manifest gives {name} to two cells")
+        segments[name] = _natural(data["size"])
+        chunks = [_chunk(values, name) for values in data["chunks"]]
+        cells.append(
+            CellEntry(decode_cell_id(data["id"]), data["count"], chunks)
+        )
+    return segments, cells
+
+
+def parse_manifest(blob: bytes) -> tuple[dict[str, int], list[CellEntry]]:
+    """``(segments, cells)`` of a catalog's bytes — what
+    :func:`render_manifest` took — or :class:`StorageError`.
+
+    Purely a parse: no file is looked at (the caller holds each named
+    segment against the file system), nothing is written.
     """
-    path = directory / MANIFEST_NAME
-    try:
-        blob = path.read_bytes()
-    except FileNotFoundError:
-        return None
     try:
         document = json.loads(blob.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise StorageError(f"storage manifest is corrupt: {exc}") from exc
-    if (
-        not isinstance(document, dict)
-        or document.get("version") != MANIFEST_VERSION
-        or not isinstance(document.get("cells"), list)
-    ):
-        raise StorageError(
-            "storage manifest is corrupt (bad version or structure)"
-        )
-    return [CellEntry.from_dict(entry) for entry in document["cells"]]
+        version = document["version"]
+        if version == MANIFEST_VERSION:
+            segments, cells = _read_v2(document)
+        elif version == 1:
+            segments, cells = _read_v1(document)
+        else:
+            raise StorageError(f"unknown manifest version {version!r}")
+    except (
+        UnicodeDecodeError, KeyError, TypeError, ValueError, RecursionError
+    ) as exc:  # JSONDecodeError is a ValueError
+        raise StorageError(f"storage manifest is corrupt: {exc!r}") from exc
+    seen_cells: set = set()
+    seen_chunks: set = set()
+    for entry in cells:
+        if entry.cell_id in seen_cells:
+            raise StorageError(
+                f"manifest lists cell {entry.cell_id!r} twice"
+            )
+        seen_cells.add(entry.cell_id)
+        records = sum(chunk.n_records for chunk in entry.chunks)
+        if _natural(entry.count) != records:
+            raise StorageError(
+                f"manifest counts {entry.count} records in cell "
+                f"{entry.cell_id!r}, its chunks hold {records}"
+            )
+        for chunk in entry.chunks:
+            # a reader sizes its file reads by the chunk index
+            if chunk.end > segments[chunk.segment]:
+                raise StorageError(
+                    f"manifest indexes a chunk past the "
+                    f"{segments[chunk.segment]} bytes {chunk.segment} commits"
+                )
+            if (chunk.segment, chunk.offset) in seen_chunks:
+                raise StorageError(
+                    f"manifest indexes offset {chunk.offset} of "
+                    f"{chunk.segment} twice"
+                )
+            seen_chunks.add((chunk.segment, chunk.offset))
+    return segments, cells
+
+
+def trailer(catalog: bytes) -> bytes:
+    """What seals a segment: the catalog and how to find it from the
+    file's end."""
+    return catalog + _TRAILER.pack(
+        len(catalog), zlib.crc32(catalog), _TRAILER_MAGIC
+    )
+
+
+def read_trailer(path: Path) -> bytes:
+    """The catalog bytes a sealed segment ends with, or
+    :class:`StorageError` (never sealed, cut short, or damaged)."""
+    with open(path, "rb") as handle:
+        start = handle.seek(0, os.SEEK_END) - _TRAILER.size
+        if start < 0:
+            raise StorageError(f"{path.name} has no trailer")
+        handle.seek(start)
+        length, crc, magic = _TRAILER.unpack(handle.read(_TRAILER.size))
+        if magic != _TRAILER_MAGIC or length > start:
+            raise StorageError(f"{path.name} has no trailer")
+        handle.seek(start - length)
+        catalog = handle.read(length)
+    if zlib.crc32(catalog) != crc:
+        raise StorageError(f"the trailer of {path.name} is damaged")
+    return catalog

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import socket
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -14,6 +16,8 @@ from repro.core.cloud import SimilarityCloud
 from repro.exceptions import ReproError
 from repro.metric.distances import L1Distance, L2Distance
 from repro.metric.space import MetricSpace
+from repro.storage.chunks import build_chunks, encode_file_header
+from repro.storage.manifest import MANIFEST_NAME, encode_cell_id
 from repro.wire.frames import (
     HEADER_SIZE,
     KIND_REQUEST,
@@ -124,6 +128,47 @@ def decode_within_bounds(decode, n_bytes: int, slack: int = 64 * 1024) -> None:
         # input; a decoder's appetite, unlike that, repeats
         peak = _peak_allocation(decode)
     assert peak <= bound
+
+
+def write_per_cell_directory(directory, cells, *, manifest=True) -> None:
+    """Write ``cells`` (``{cell id: records}``) as the parent of PR 23
+    stored them: one ``cell_<digest>.g<k>.chk`` file per cell — header
+    with the cell id, then its chunks, the cell's last record in a group
+    of its own as an in-place append left it — and, with ``manifest``,
+    the version-1 ``manifest.json`` over them."""
+    directory.mkdir(parents=True, exist_ok=True)
+    entries = []
+    for generation, (cell_id, records) in enumerate(cells.items()):
+        encoded = encode_cell_id(cell_id)
+        blob = encode_file_header(
+            json.dumps(encoded, separators=(",", ":")).encode("utf-8")
+        )
+        chunks = []
+        for group in (records[:-1], records[-1:]):
+            payload, entries_of_group = build_chunks(
+                group, base_offset=len(blob)
+            )
+            blob += payload
+            chunks += entries_of_group
+        digest = hashlib.sha1(repr(cell_id).encode("utf-8")).hexdigest()[:24]
+        name = f"cell_{digest}.g{generation % 3}.chk"
+        (directory / name).write_bytes(blob)
+        entries.append({
+            "id": encoded,
+            "file": name,
+            "format": 2,
+            "count": len(records),
+            "size": len(blob),
+            "generation": generation % 3,
+            "chunks": [
+                [c.offset, c.comp_size, c.raw_size, c.n_records]
+                for c in chunks
+            ],
+        })
+    if manifest:
+        (directory / MANIFEST_NAME).write_text(
+            json.dumps({"version": 1, "cells": entries})
+        )
 
 
 def brute_force_knn(data: np.ndarray, query: np.ndarray, k: int) -> list[int]:

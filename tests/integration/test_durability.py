@@ -1,7 +1,8 @@
 """Restart durability: a DiskStorage directory must round-trip through
 a full process restart — catalog, record bytes, and search results all
-bit-identical — including directories written by the legacy format
-(no manifest) and directories whose manifest was corrupted."""
+bit-identical — including directories written in the per-cell format
+(with or without their manifest), which are converted on open, and
+directories whose manifest was corrupted or lost."""
 
 import json
 import logging
@@ -17,11 +18,11 @@ from repro.metric.space import MetricSpace
 from repro.mindex.index import MIndex
 from repro.net.channel import InProcessChannel
 from repro.net.rpc import RpcClient
-from repro.storage.chunks import cell_digest, frame_record
+from repro.storage.chunks import frame_record
 from repro.storage.disk import DiskStorage
-from repro.storage.manifest import MANIFEST_NAME
+from repro.storage.manifest import MANIFEST_NAME, SEGMENT_NAME
 
-from tests.conftest import brute_force_knn
+from tests.conftest import brute_force_knn, write_per_cell_directory
 
 N_PIVOTS = 8
 BUCKET_CAPACITY = 40
@@ -151,52 +152,56 @@ class TestManifestRestart:
 
 
 class TestFallbackRecovery:
-    def _legacy_directory(self, source: DiskStorage, directory):
-        """Rewrite ``source``'s cells as a seed-format directory: plain
-        ``cell_<sha1>.bin`` frame files, no manifest."""
-        directory.mkdir(parents=True)
-        for cell in source.cells():
-            blob = b"".join(
-                frame_record(record) for record in source.load(cell)
-            )
-            name = f"cell_{cell_digest(cell)}.bin"
-            (directory / name).write_bytes(blob)
-
-    def test_legacy_directory_scavenged(
-        self, small_data, queries, tmp_path
+    @pytest.mark.parametrize("manifest", [True, False])
+    def test_per_cell_directory_converts(
+        self, small_data, queries, tmp_path, caplog, manifest
     ):
+        """A directory the parent of PR 23 wrote — with its version-1
+        manifest, or without one through the files' own headers —
+        reopens to the same records, holds only segments afterwards,
+        converts once, and answers a k-NN identically."""
         cloud, storage = _build_disk_cloud(small_data, tmp_path / "cells")
-        legacy_dir = tmp_path / "legacy"
-        self._legacy_directory(storage, legacy_dir)
         before = _snapshot(storage)
+        old_dir = tmp_path / "per-cell"
+        write_per_cell_directory(
+            old_dir,
+            {cell: storage.load(cell).to_records() for cell in storage.cells()},
+            manifest=manifest,
+        )
+        old_files = [p for p in old_dir.iterdir() if p.name != MANIFEST_NAME]
+        assert len(old_files) == len(before)
+        old_bytes = sum(p.stat().st_size for p in old_files)
 
-        reopened = DiskStorage(legacy_dir)
-        # cell ids recovered exactly from the one-way hashed file names
-        assert sorted(reopened.cells()) == sorted(before.keys())
+        caplog.set_level(logging.INFO, logger="repro.storage")
+        reopened = DiskStorage(old_dir)
         assert _snapshot(reopened) == before
-        # scavenging persisted a manifest for the next restart
-        assert (legacy_dir / MANIFEST_NAME).exists()
-
-        server, client = _restarted_client(cloud, legacy_dir)
-        q = queries[0]
-        hits = client.knn_precise(q, 10)
-        assert [h.oid for h in hits] == brute_force_knn(small_data, q, 10)
-
-    def test_legacy_file_upgraded_on_rewrite(self, small_data, tmp_path):
-        cloud, storage = _build_disk_cloud(small_data, tmp_path / "cells")
-        legacy_dir = tmp_path / "legacy"
-        self._legacy_directory(storage, legacy_dir)
-
-        reopened = DiskStorage(legacy_dir)
-        cell = max(reopened.cells(), key=reopened.cell_size)
-        records = reopened.load(cell)
-        reopened.save(cell, records)  # full rewrite upgrades the format
-        names = [p.name for p in legacy_dir.iterdir()]
-        assert f"cell_{cell_digest(cell)}.bin" not in names
-        assert any(name.endswith(".chk") for name in names)
-        assert [r.to_bytes() for r in DiskStorage(legacy_dir).load(cell)] == [
-            r.to_bytes() for r in records
+        # moved, not repacked: still a chunk per group
+        assert reopened.chunks == sum(
+            min(len(records), 2) for records in before.values()
+        )
+        names = {p.name for p in old_dir.iterdir()} - {MANIFEST_NAME}
+        assert names and all(map(SEGMENT_NAME.fullmatch, names))
+        upgrades = [
+            r for r in caplog.records if r.event == "directory_upgraded"
         ]
+        assert [(r.files, r.bytes) for r in upgrades] == [
+            (len(before), old_bytes)
+        ]
+        assert all(r.levelno == logging.INFO for r in upgrades)
+        assert ("manifest_fallback" in {r.event for r in caplog.records}) == (
+            not manifest
+        )
+
+        caplog.clear()
+        again = DiskStorage(old_dir)  # a segment directory now: nothing to do
+        assert caplog.records == []
+        assert {p.name for p in old_dir.iterdir()} - {MANIFEST_NAME} == names
+        assert _snapshot(again) == before
+
+        server, client = _restarted_client(cloud, old_dir)
+        for q in queries[:2]:
+            hits = client.knn_precise(q, 10)
+            assert [h.oid for h in hits] == brute_force_knn(small_data, q, 10)
 
     def test_corrupted_manifest_falls_back_to_scavenge(
         self, small_data, queries, tmp_path
@@ -234,16 +239,20 @@ class TestFallbackRecovery:
         assert record.file == MANIFEST_NAME
         assert record.error and record.error in record.getMessage()
 
-    def test_unrecoverable_legacy_file_fails_loudly(self, tmp_path):
+    def test_unrecoverable_legacy_file_fails_loudly(self, small_data, tmp_path):
+        """The seed's ``cell_<sha1>.bin`` files are no longer read: a
+        directory holding one is refused by name and left as it was,
+        whatever else is in it."""
         from repro.core.records import IndexedRecord
         from repro.exceptions import StorageError
 
         directory = tmp_path / "cells"
-        directory.mkdir()
+        _build_disk_cloud(small_data, directory)
         record = IndexedRecord(1, np.arange(4, dtype=np.int32), None, b"x")
-        # file name does not hash any permutation prefix of the record
-        (directory / ("cell_" + "0" * 24 + ".bin")).write_bytes(
-            frame_record(record)
-        )
-        with pytest.raises(StorageError):
+        name = "cell_" + "0" * 24 + ".bin"
+        (directory / name).write_bytes(frame_record(record))
+        (directory / "stray.tmp").write_bytes(b"half a manifest")
+        before = {p.name: p.read_bytes() for p in directory.iterdir()}
+        with pytest.raises(StorageError, match=name):
             DiskStorage(directory)
+        assert {p.name: p.read_bytes() for p in directory.iterdir()} == before

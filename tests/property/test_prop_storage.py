@@ -23,7 +23,11 @@ from repro.storage.chunks import (
     parse_frames,
 )
 from repro.storage.disk import DiskStorage
-from repro.storage.manifest import MANIFEST_NAME
+from repro.storage.manifest import (
+    MANIFEST_NAME,
+    parse_manifest,
+    read_trailer,
+)
 from repro.storage.memory import MemoryStorage
 
 from tests.conftest import HOSTILE_U32, decode_within_bounds
@@ -75,6 +79,86 @@ def test_memory_and_disk_agree(cells, tmp_path_factory):
             np.testing.assert_array_equal(a.permutation, b.permutation)
             np.testing.assert_array_equal(a.distances, b.distances)
         assert memory.cell_size(cell_id) == disk.cell_size(cell_id)
+
+
+# ---------------------------------------------------------------------------
+# the segment format against the dictionary
+
+cell_ids = st.tuples(st.integers(min_value=0, max_value=5))
+record_lists = st.lists(record_specs, min_size=1, max_size=6)
+storage_ops = st.one_of(
+    st.tuples(st.just("save"), cell_ids, st.lists(record_specs, max_size=6)),
+    st.tuples(
+        st.just("save_many"),
+        st.dictionaries(cell_ids, record_lists, min_size=1, max_size=3),
+    ),
+    st.tuples(st.just("append_many"), cell_ids, record_lists),
+    st.tuples(st.just("delete"), cell_ids),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    batches=st.lists(
+        st.tuples(st.lists(storage_ops, min_size=1, max_size=5), st.booleans()),
+        min_size=1,
+        max_size=8,
+    ),
+    chunk_raw_bytes=st.sampled_from([48, 64 * 1024]),
+)
+def test_segments_hold_what_memory_holds_in_bounded_space(
+    batches, chunk_raw_bytes, tmp_path_factory
+):
+    """Any sequence of saves, appends, deletes and reopens, grouped
+    into batches of any size, leaves the directory equal to
+    ``MemoryStorage`` cell by cell and byte by byte — and after every
+    commit the directory is the manifest plus exactly the segments it
+    names, at most twice the live chunk bytes plus the newest segment,
+    whose trailer is the committed catalog."""
+    directory = tmp_path_factory.mktemp("segments")
+    memory = MemoryStorage()
+    disk = DiskStorage(directory, chunk_raw_bytes=chunk_raw_bytes)
+    for operations, reopen in batches:
+        with disk.batch():
+            for kind, *arguments in operations:
+                if kind == "save_many":
+                    arguments = [
+                        {
+                            cell: [_record(spec) for spec in specs]
+                            for cell, specs in arguments[0].items()
+                        }
+                    ]
+                elif kind == "delete":
+                    if arguments[0] not in set(memory.cells()):
+                        with pytest.raises(StorageError):
+                            disk.delete(arguments[0])
+                        continue
+                else:
+                    arguments[1] = [_record(spec) for spec in arguments[1]]
+                for storage in (memory, disk):
+                    getattr(storage, kind)(*arguments)
+        if reopen:
+            disk = DiskStorage(directory, chunk_raw_bytes=chunk_raw_bytes)
+        assert sorted(disk.cells()) == sorted(memory.cells())
+        for cell in memory.cells():
+            assert [r.to_bytes() for r in disk.load(cell)] == [
+                r.to_bytes() for r in memory.load(cell)
+            ]
+        manifest = (directory / MANIFEST_NAME).read_bytes()
+        named, cells = parse_manifest(manifest)
+        sizes = {
+            path.name: path.stat().st_size
+            for path in directory.iterdir()
+            if path.name != MANIFEST_NAME
+        }
+        assert set(sizes) == set(named)
+        live = sum(chunk.size for entry in cells for chunk in entry.chunks)
+        if sizes:  # (no write yet: a fresh directory has no segment)
+            newest = max(sizes)
+            assert read_trailer(directory / newest) == manifest
+            assert sum(sizes.values()) <= 2 * live + sizes[newest]
+        assert disk.segments == len(sizes)
+        assert disk.dead_bytes == sum(sizes.values()) - live
 
 
 # ---------------------------------------------------------------------------

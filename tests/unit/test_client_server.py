@@ -240,9 +240,13 @@ class TestServerValidation:
         cloud.owner.outsource(range(200), small_data[:200], bulk_size=50)
         stats = stats_of(cloud)
         assert stats["storage_chunks"] == storage.chunks > 0
+        assert stats["storage_segments"] == storage.segments > 0
+        assert stats["storage_dead_bytes"] == storage.dead_bytes > 0
         assert stats["records"] == 200
-        # a memory backend has no chunks to report
-        assert "storage_chunks" not in stats_of(approx_cloud)
+        # a memory backend has no chunks, files or dead bytes to report
+        assert not {
+            "storage_chunks", "storage_segments", "storage_dead_bytes"
+        } & set(stats_of(approx_cloud))
 
     def test_server_reset_accounting(self, approx_cloud):
         approx_cloud.server.reset_accounting()

@@ -2,6 +2,8 @@
 
 import contextlib
 import json
+import logging
+import os
 import shutil
 import threading
 
@@ -163,74 +165,80 @@ class TestDiskStorage(_StorageContract):
         return DiskStorage(tmp_path / "cells")
 
     @staticmethod
-    def _cell_files(tmp_path):
-        return [
-            path
-            for path in (tmp_path / "cells").iterdir()
-            if path.name.startswith("cell_")
-        ]
+    def _segments(tmp_path, directory="cells"):
+        return sorted(
+            path.name
+            for path in (tmp_path / directory).iterdir()
+            if path.name != "manifest.json"
+        )
 
     def test_files_created_on_disk(self, tmp_path):
         storage = self.make(tmp_path)
         storage.save(("a", "b"), [_record(1)])
-        files = self._cell_files(tmp_path)
-        assert len(files) == 1
+        assert self._segments(tmp_path) == ["seg_00000000.chk"]
         # plus the persisted catalog next to it
         assert (tmp_path / "cells" / "manifest.json").exists()
 
-    def test_distinct_cells_distinct_files(self, tmp_path):
+    def test_a_batch_is_one_segment(self, tmp_path):
         storage = self.make(tmp_path)
-        storage.save((1,), [_record(1)])
-        storage.save((2,), [_record(2)])
-        assert len(self._cell_files(tmp_path)) == 2
+        with storage.batch():
+            storage.save((1,), [_record(1)])
+            storage.save((2,), [_record(2)])
+            storage.append_many((1,), [_record(3)])
+        assert self._segments(tmp_path) == ["seg_00000000.chk"]
+        assert storage.segments == 1
+        chunks = [
+            chunk
+            for cell in ((1,), (2,))
+            for chunk in storage._catalog[cell].chunks
+        ]
+        assert {chunk.segment for chunk in chunks} == {"seg_00000000.chk"}
+        assert len({chunk.offset for chunk in chunks}) == 3
 
     def test_delete_removes_file(self, tmp_path):
         storage = self.make(tmp_path)
         storage.save((1,), [_record(1)])
         storage.delete((1,))
-        # the cell file is gone; the (now empty) manifest remains
-        assert self._cell_files(tmp_path) == []
+        # the segment that held the cell is gone; the one the delete's
+        # batch sealed holds its (empty) catalog and no chunk
+        assert self._segments(tmp_path) == ["seg_00000001.chk"]
+        (segment,) = storage._segments.values()
+        assert segment.data == segment.live == 0
+        assert storage.dead_bytes == segment.size > 0
         assert (tmp_path / "cells" / "manifest.json").exists()
-
-    def test_save_replaces_old_generation_file(self, tmp_path):
-        storage = self.make(tmp_path)
-        storage.save((1,), [_record(1), _record(2)])
-        storage.save((1,), [_record(3)])
-        # the rewrite bumped the generation and removed the old file
-        files = self._cell_files(tmp_path)
-        assert len(files) == 1
-        assert files[0].name.endswith(".g1.chk")
 
     def test_batch_defers_commit_and_unlinks_to_scope_exit(self, tmp_path):
         storage = self.make(tmp_path)
-        storage.save((1,), [_record(1)])
-        storage.save((2,), [_record(2)])
+        with storage.batch():
+            storage.save((1,), [_record(1)])
+            storage.save((2,), [_record(2)])
         manifest = tmp_path / "cells" / "manifest.json"
         committed = manifest.read_bytes()
         commits = storage.manifest_writes
         with storage.batch():
-            storage.save((1,), [_record(3)])  # g0 -> g1
+            storage.save((1,), [_record(3)])
             with storage.batch():
                 storage.delete((2,))
                 storage.append_many((3,), [_record(4)])
             # nothing committed, nothing unlinked — inner exit included
             assert storage.manifest_writes == commits
             assert manifest.read_bytes() == committed
-            assert len(self._cell_files(tmp_path)) == 4
+            assert self._segments(tmp_path) == [
+                "seg_00000000.chk", "seg_00000001.chk"
+            ]
         assert storage.manifest_writes == commits + 1
-        assert sorted(p.name[-6:] for p in self._cell_files(tmp_path)) == [
-            "g0.chk", "g1.chk"
-        ]
+        # every chunk of the first segment died in the batch
+        assert self._segments(tmp_path) == ["seg_00000001.chk"]
         reopened = DiskStorage(tmp_path / "cells")
         assert sorted(reopened.cells()) == [(1,), (3,)]
         assert [r.oid for r in reopened.load((1,))] == [3]
 
     def test_delete_then_recreate_in_one_batch(self, tmp_path):
-        """A cell deleted and re-created inside one batch must not
-        overwrite the file the committed manifest still references."""
+        """A cell deleted and re-created inside one batch must leave the
+        bytes the committed manifest still references alone."""
         storage = self.make(tmp_path)
         storage.save((1,), [_record(1), _record(2)])
-        (old_file,) = self._cell_files(tmp_path)
+        old_file = tmp_path / "cells" / "seg_00000000.chk"
         old_bytes = old_file.read_bytes()
         with storage.batch():
             storage.delete((1,))
@@ -241,10 +249,8 @@ class TestDiskStorage(_StorageContract):
             shutil.copytree(tmp_path / "cells", tmp_path / "crashed")
         crashed = DiskStorage(tmp_path / "crashed")
         assert [r.oid for r in crashed.load((1,))] == [1, 2]
-        assert [p.name for p in (tmp_path / "crashed").iterdir()
-                if p.name.startswith("cell_")] == [old_file.name]
-        (new_file,) = self._cell_files(tmp_path)
-        assert new_file.name.endswith(".g1.chk")
+        assert self._segments(tmp_path, "crashed") == [old_file.name]
+        assert self._segments(tmp_path) == ["seg_00000001.chk"]
         reopened = DiskStorage(tmp_path / "cells")
         assert [r.oid for r in reopened.load((1,))] == [3]
 
@@ -443,14 +449,22 @@ class TestBlockCache:
         cache.put("f", 0, b"x" * 11)
         assert cache.get("f", 0) is None
 
-    def test_invalidate_file(self):
+    def test_discard_and_rekey(self):
         cache = BlockCache(100)
         cache.put("f", 0, b"aa")
         cache.put("g", 0, b"bb")
-        cache.invalidate_file("f")
+        cache.put("g", 7, b"cc")
+        cache.discard("f", 0)
+        cache.discard("f", 1)  # not cached: nothing to do
         assert cache.get("f", 0) is None
-        assert cache.get("g", 0) == b"bb"
-        assert cache.used_bytes == 2
+        assert cache.used_bytes == 4
+        # a relocated chunk keeps its bytes and its place in the
+        # eviction order: ("g", 0) is still the least recently used
+        cache.rekey({("g", 0): ("h", 5), ("f", 0): ("h", 9)})
+        assert cache.get("g", 0) is None and cache.get("h", 9) is None
+        assert list(cache._entries) == [("h", 5), ("g", 7)]
+        assert cache.get("h", 5) == b"bb"
+        assert cache.used_bytes == 4
 
     def test_disk_counters_are_exact(self, tmp_path):
         storage = DiskStorage(tmp_path / "cells", chunk_raw_bytes=64)
@@ -510,11 +524,20 @@ class TestManifest:
         document = json.loads(
             (tmp_path / "cells" / "manifest.json").read_text()
         )
-        assert document["version"] == 1
+        assert document["version"] == 2
+        (segment,) = document["segments"]
+        assert segment[0] == "seg_00000000.chk"
         (cell,) = document["cells"]
         assert cell["id"] == {"t": [1, 2]}
         assert cell["count"] == 20
         assert len(cell["chunks"]) > 1
+        # [segment, offset, comp_size, raw_size, n_records], end to end
+        # from the start of the segment's chunk region
+        offset = 0
+        for index, at, comp_size, _raw_size, _n_records in cell["chunks"]:
+            assert (index, at) == (0, offset)
+            offset += 12 + comp_size
+        assert offset == segment[1]
 
     def test_append_commits_manifest(self, tmp_path):
         storage = DiskStorage(tmp_path / "cells")
@@ -556,6 +579,154 @@ class TestManifest:
         assert storage.manifest_writes == 1
         reopened = MIndex(6, 20, DiskStorage(tmp_path / "cells"))
         assert reopened.rebuild_from_storage() == 1201
+
+
+    def test_bulk_insert_is_three_fsyncs_and_one_rename(
+        self, tmp_path, monkeypatch
+    ):
+        """The batch is the file unit: whatever a bulk touches, its data
+        is one segment synced once, then the manifest (tmp file,
+        rename, directory)."""
+        storage = DiskStorage(tmp_path / "cells")
+        index = MIndex(6, 20, storage)
+        index.bulk_insert([_record(oid, 6) for oid in range(200)])
+        leaves_before = index.n_cells
+        calls = {"fsync": 0, "replace": 0}
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            calls["fsync"] += 1
+            return real_fsync(fd)
+
+        def replace(src, dst):
+            calls["replace"] += 1
+            return real_replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        storage.reset_accounting()
+        index.bulk_insert([_record(oid, 6) for oid in range(200, 1200)])
+        assert index.n_cells > leaves_before  # it split
+        assert storage.writes > 50  # and touched many cells
+        assert calls == {"fsync": 3, "replace": 1}
+        index.insert(_record(5000, 6))
+        assert calls == {"fsync": 6, "replace": 2}
+
+
+class TestSegmentCleaning:
+    """Space is the write path's own job, at its commit point."""
+
+    @staticmethod
+    def _big(oid):
+        """A record whose chunk outweighs any catalog trailer here."""
+        rng = np.random.default_rng(oid)
+        return IndexedRecord(
+            oid, rng.permutation(4).astype(np.int32), None, rng.bytes(3000)
+        )
+
+    @staticmethod
+    def _files(tmp_path):
+        return sorted(
+            path.name
+            for path in (tmp_path / "cells").iterdir()
+            if path.name != "manifest.json"
+        )
+
+    def _events(self, caplog):
+        return [
+            (record.event, record.file)
+            for record in caplog.records
+            if record.name == "repro.storage"
+        ]
+
+    def test_half_dead_segment_is_cleaned_at_the_next_commit(
+        self, tmp_path, caplog
+    ):
+        storage = DiskStorage(tmp_path / "cells")
+        storage.save_many({(i,): [self._big(i)] for i in range(5)})
+        storage.save((9,), [self._big(9)])
+        assert self._files(tmp_path) == [
+            "seg_00000000.chk", "seg_00000001.chk"
+        ]
+        caplog.set_level(logging.DEBUG, logger="repro.storage")
+        storage.delete((0,))
+        storage.delete((1,))  # segment 0 is still half live: it stays
+        assert "seg_00000000.chk" in self._files(tmp_path)
+        assert "segment_cleaned" not in dict(self._events(caplog))
+        before = {
+            cell: [r.to_bytes() for r in storage.load(cell)]
+            for cell in storage.cells()
+        }
+        caplog.clear()
+        storage.delete((2,))  # under half: the chunks of 3 and 4 move on
+        assert "seg_00000000.chk" not in self._files(tmp_path)
+        cleaned = [
+            r for r in caplog.records if r.event == "segment_cleaned"
+        ]
+        (chunk,) = storage._catalog[(3,)].chunks
+        (other,) = storage._catalog[(4,)].chunks
+        assert other.segment == chunk.segment and other.offset == chunk.end
+        assert [(r.file, r.bytes, r.levelno) for r in cleaned] == [
+            ("seg_00000000.chk", chunk.size + other.size, logging.INFO)
+        ]
+        (commit,) = [r for r in caplog.records if r.event == "batch_commit"]
+        assert commit.levelno == logging.DEBUG
+        assert (commit.file, commit.cells) == (chunk.segment, 1)
+        assert commit.relocated >= chunk.size + other.size
+        assert commit.bytes == storage._segments[chunk.segment].size
+        # the bound: every segment but the newest is at least half live
+        for name, segment in storage._segments.items():
+            assert name == chunk.segment or 2 * segment.live >= segment.size
+        for opened in (storage, DiskStorage(tmp_path / "cells")):
+            assert {
+                cell: [r.to_bytes() for r in opened.load(cell)]
+                for cell in opened.cells()
+            } == {cell: before[cell] for cell in [(3,), (4,), (9,)]}
+        assert storage.dead_bytes == sum(
+            path.stat().st_size
+            for path in (tmp_path / "cells").iterdir()
+            if path.name != "manifest.json"
+        ) - sum(
+            chunk.size
+            for entry in storage._catalog.values()
+            for chunk in entry.chunks
+        )
+
+    def test_segment_without_a_live_chunk_is_removed(self, tmp_path, caplog):
+        storage = DiskStorage(tmp_path / "cells")
+        storage.save((1,), [self._big(1)])
+        storage.save((2,), [self._big(2)])
+        caplog.set_level(logging.INFO, logger="repro.storage")
+        storage.save((1,), [self._big(3)])  # segment 0's one chunk dies
+        (record,) = caplog.records
+        assert (record.event, record.file, record.levelno) == (
+            "segment_removed", "seg_00000000.chk", logging.INFO
+        )
+        assert record.bytes > 3000
+        assert self._files(tmp_path) == [
+            "seg_00000001.chk", "seg_00000002.chk"
+        ]
+        assert storage.segments == 2
+
+    def test_relocated_chunks_stay_cached(self, tmp_path):
+        """Cleaning copies compressed bytes: nothing is inflated, and
+        what was cached is found at its new place."""
+        storage = DiskStorage(tmp_path / "cells")
+        storage.save_many({(i,): [self._big(i)] for i in range(5)})
+        storage.save((9,), [self._big(9)])
+        storage.load_many([(3,), (9,)])  # warm
+        storage.delete((0,))
+        storage.delete((1,))
+        storage.reset_accounting()
+        where = list(storage._catalog[(3,)].chunks)
+        storage.delete((2,))  # relocates the chunks of cells 3 and 4
+        assert storage._catalog[(3,)].chunks != where
+        assert storage.load((3,))[0].to_bytes() == self._big(3).to_bytes()
+        storage.load((9,))
+        assert storage.block_cache_hits == 2
+        assert storage.block_cache_misses == 0
+        assert storage.chunks_decompressed == 0
+        assert storage.bytes_read == 0
 
 
 class TestDiskConcurrentReaders:
