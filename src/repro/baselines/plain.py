@@ -23,6 +23,7 @@ from repro.core.client import SearchHit
 from repro.core.records import (
     CellRecords,
     IndexedRecord,
+    RecordBatch,
     region_to_matrix,
     vector_to_payload,
 )
@@ -35,7 +36,7 @@ from repro.net.channel import InProcessChannel
 from repro.net.clock import Clock
 from repro.net.rpc import RpcClient, RpcDispatcher
 from repro.storage.memory import MemoryStorage
-from repro.wire.encoding import Reader, Writer
+from repro.wire.encoding import BlobColumn, Reader, Writer
 
 __all__ = ["PlainServer", "PlainClient", "build_plain"]
 
@@ -152,18 +153,16 @@ class PlainServer:
         with self._mutex:
             with self.costs.time(DISTANCE):
                 distance_matrix = self.space.d_pairwise(vectors, self.pivots)
-            permutations = pivot_permutations(distance_matrix)
-            rows = np.ascontiguousarray(vectors, dtype=np.float64)
-            records = [
-                IndexedRecord(
-                    int(oid),
-                    permutations[position],
-                    distance_matrix[position],
-                    vector_to_payload(rows[position]),
+            # a payload is the vector's float64 bytes (vector_to_payload)
+            rows = np.ascontiguousarray(vectors, dtype="<f8")
+            self.index.bulk_insert(
+                RecordBatch(
+                    oids,
+                    pivot_permutations(distance_matrix),
+                    distance_matrix,
+                    BlobColumn(rows.view(np.uint8).reshape(len(rows), -1)),
                 )
-                for position, oid in enumerate(oids)
-            ]
-            self.index.bulk_insert(records)
+            )
             return Writer().u64(len(self.index))
 
     def _handle_knn(self, body: Reader) -> Writer:

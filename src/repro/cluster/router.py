@@ -623,17 +623,9 @@ class ShardRouter:
             tops = np.argmin(batch.distances, axis=1).astype(np.int64)
         per_shard: dict[int, bytes] = {}
         for shard, rows in enumerate(self.shard_map.split_rows(tops)):
-            sub_batch = RecordBatch(
-                batch.oids[rows],
-                None
-                if batch.permutations is None
-                else batch.permutations[rows],
-                None if batch.distances is None else batch.distances[rows],
-                [batch.payloads[int(row)] for row in rows],
+            per_shard[shard] = (
+                batch.select(rows).write_to(Writer()).getvalue()
             )
-            writer = Writer()
-            sub_batch.write_to(writer)
-            per_shard[shard] = writer.getvalue()
         responses = self._scatter(
             "insert_bulk", per_shard, deadline, strict=True
         )

@@ -20,11 +20,15 @@ the encrypted and the plain variant, which keeps the index code
 identical on both sides of the comparison.
 
 :class:`RecordBatch` is the same content as columns: the wire unit of a
-construction bulk, and the form in which a stored cell is read back
-(its payloads a :class:`~repro.wire.encoding.BlobColumn`, left where
-they lie in the cell's bytes). :class:`CellRecords` strings the batches
-of several cells together — what a search returns, so that no object is
-built per record between a storage read and the response.
+construction bulk, what the index routes and a storage backend writes
+(each cell its row selection of the bulk), and the form in which a
+stored cell is read back (its payloads a
+:class:`~repro.wire.encoding.BlobColumn`, left where they lie in the
+cell's bytes). :class:`CellRecords` strings the batches of several
+cells together — what a search returns. No object is built per record
+between the wire and a chunk, or between a storage read and the
+response; an :class:`IndexedRecord` is for the edges — the per-record
+requests, exports, dumps, tests.
 """
 
 from __future__ import annotations
@@ -200,21 +204,23 @@ class RecordBatch(_RecordSequence):
         [flags & 2] f64_matrix distances      (count rows)
         blob_region payloads                  (count blobs)
 
-    A stored cell is read back as a batch too (:meth:`from_columns` over
-    the cell's bytes, :meth:`of_cell` over its records), and read as the
-    list of its records wherever rows are wanted — maintenance, tests,
-    diagnostics (``len``, iteration, indexing, ``==`` against a list,
-    :meth:`to_records`). A search reads only the columns.
+    The same columns are what the index routes, a storage backend
+    writes and a stored cell is read back as: a bulk goes from the wire
+    to its cells as row selections (:meth:`select`) of one batch, and a
+    list of records becomes a batch once, at the edge (:meth:`of_cell`).
+    Wherever rows are wanted — maintenance, tests, diagnostics — a batch
+    reads as the list of its records (``len``, iteration, indexing,
+    ``==`` against a list, :meth:`to_records`).
     """
 
     oids: np.ndarray
     permutations: np.ndarray | None
     distances: np.ndarray | None
-    payloads: "list[bytes] | BlobColumn"
+    payloads: BlobColumn
 
-    #: the records the batch was made from (:meth:`of_cell`), which
-    #: :meth:`to_records` then hands back instead of building new ones
-    _records = None
+    #: the records themselves, kept only where the columns would not
+    #: give them back (:meth:`of_cell`) — never for what an index stores
+    rows = None
 
     def __post_init__(self) -> None:
         self.oids = np.ascontiguousarray(self.oids, dtype=np.uint64)
@@ -245,6 +251,8 @@ class RecordBatch(_RecordSequence):
                     "batch distances must align with the permutations: "
                     f"{self.distances.shape} vs {self.permutations.shape}"
                 )
+        if not isinstance(self.payloads, BlobColumn):
+            self.payloads = BlobColumn.of(list(self.payloads))
         if len(self.payloads) != count:
             raise ProtocolError(
                 f"batch carries {len(self.payloads)} payloads for "
@@ -278,6 +286,19 @@ class RecordBatch(_RecordSequence):
         assert matrix is not None
         return int(matrix.shape[1])
 
+    @property
+    def wire_size(self) -> int:
+        """What the records' standalone encodings add up to, in bytes
+        (:attr:`IndexedRecord.wire_size`, summed without the records)."""
+        if self.rows is not None:
+            return sum(record.wire_size for record in self.rows)
+        each = 8 + 1 + 4
+        if self.permutations is not None:
+            each += 4 + 4 * self.permutations.shape[1]
+        if self.distances is not None:
+            each += 4 + 8 * self.distances.shape[1]
+        return len(self) * each + int(self.payloads.lengths.sum())
+
     def write_to(self, writer: Writer) -> Writer:
         """Append the batch's columnar wire encoding to ``writer``."""
         writer.u32(len(self))
@@ -290,12 +311,13 @@ class RecordBatch(_RecordSequence):
             writer.i32_matrix(self.permutations)
         if self.distances is not None:
             writer.f64_matrix(self.distances)
-        writer.blob_region(self.payloads)
+        writer.blob_columns(*pack_blobs([self.payloads]))
         return writer
 
     @classmethod
     def read_from(cls, reader: Reader) -> "RecordBatch":
-        """Decode one columnar batch from ``reader``."""
+        """Decode one columnar batch from ``reader``, its payloads left
+        in the message."""
         count = reader.u32()
         flags = reader.u8()
         if flags not in (1, 2, 3):
@@ -308,7 +330,7 @@ class RecordBatch(_RecordSequence):
             )
         permutations = reader.i32_matrix() if flags & 1 else None
         distances = reader.f64_matrix() if flags & 2 else None
-        payloads = reader.blob_region()
+        payloads = BlobColumn.packed(*reader.blob_columns())
         return cls(oids, permutations, distances, payloads)
 
     @classmethod
@@ -318,28 +340,34 @@ class RecordBatch(_RecordSequence):
         permutations: np.ndarray | None,
         distances: np.ndarray | None,
         payloads: BlobColumn,
-        records: list[IndexedRecord] | None = None,
     ) -> "RecordBatch":
         """A batch over columns the caller has already checked — views
-        of a stored cell's bytes — taken as they are: nothing copied,
-        nothing checked again."""
+        of a stored cell's bytes, rows of another batch — taken as they
+        are: nothing copied, nothing checked again."""
         batch = object.__new__(cls)
         batch.oids = oids
         batch.permutations = permutations
         batch.distances = distances
         batch.payloads = payloads
-        batch._records = records
         return batch
 
     @classmethod
-    def of_cell(cls, records: list[IndexedRecord]) -> "RecordBatch":
-        """Columns beside the rows of a stored cell, which it keeps.
+    def of_cell(
+        cls, records: "list[IndexedRecord] | RecordBatch"
+    ) -> "RecordBatch":
+        """The columns of ``records`` — the edge at which rows handed to
+        the index or to a storage backend become a batch (a batch is
+        returned as it is).
 
         The storage contract lets a cell hold any records, so a matrix
         column exists only where every record has that array at one
-        length (None otherwise: such a cell can be listed, not
-        searched); payloads of any sizes are copied end to end.
+        length, and payloads of any sizes are copied end to end. Where
+        the columns would not give the records back — no permutation
+        column, or distances only some of them carry — the records are
+        kept too, as :attr:`rows`.
         """
+        if isinstance(records, cls):
+            return records
         records = list(records)
 
         def matrix(arrays: list) -> np.ndarray | None:
@@ -349,30 +377,72 @@ class RecordBatch(_RecordSequence):
                 return None
             return np.stack(arrays)
 
-        return cls.from_columns(
+        batch = cls.from_columns(
             np.fromiter(
                 (record.oid for record in records), np.uint64, len(records)
             ),
             matrix([record.permutation for record in records]),
             matrix([record.distances for record in records]),
             BlobColumn.of([record.payload for record in records]),
-            records,
         )
+        if batch.permutations is None or (
+            batch.distances is None
+            and any(record.distances is not None for record in records)
+        ):
+            batch.rows = records
+        return batch
 
     @classmethod
-    def from_records(cls, records: list[IndexedRecord]) -> "RecordBatch":
+    def from_records(
+        cls, records: "list[IndexedRecord] | RecordBatch"
+    ) -> "RecordBatch":
         """Columnar view of a homogeneous row-wise record list."""
-        if not records:
-            raise ProtocolError("record batch must not be empty")
         batch = cls.of_cell(records)
-        first = records[0]
-        if (batch.permutations is None) != (first.permutation is None) or (
-            batch.distances is None
-        ) != (first.distances is None):
+        if not len(batch):
+            raise ProtocolError("record batch must not be empty")
+        if batch.rows is not None and 1 != len(
+            {
+                (r.permutation is None, r.distances is None, r.n_pivots)
+                for r in batch.rows
+            }
+        ):
             raise ProtocolError(
                 "record batch requires a homogeneous representation"
             )
         return batch
+
+    def select(self, rows: np.ndarray) -> "RecordBatch":
+        """Records ``rows`` (an index array) of this batch, in that
+        order, as a batch of their own."""
+        if self.rows is not None:
+            return self.of_cell([self.rows[row] for row in rows.tolist()])
+        return self.from_columns(
+            self.oids[rows],
+            None if self.permutations is None else self.permutations[rows],
+            None if self.distances is None else self.distances[rows],
+            BlobColumn.gathered([self.payloads], rows),
+        )
+
+    def extended(self, other: "RecordBatch") -> "RecordBatch":
+        """This batch with the records of ``other`` after its own."""
+        if not len(self):
+            return other
+        pairs = (
+            (self.permutations, other.permutations),
+            (self.distances, other.distances),
+        )
+        if self.rows is not None or other.rows is not None or any(
+            np.shape(mine)[1:] != np.shape(theirs)[1:] for mine, theirs in pairs
+        ):
+            return self.of_cell(self.to_records() + other.to_records())
+        return self.from_columns(
+            np.concatenate((self.oids, other.oids)),
+            *(
+                None if mine is None else np.concatenate((mine, theirs))
+                for mine, theirs in pairs
+            ),
+            BlobColumn.gathered([self.payloads, other.payloads]),
+        )
 
     def ensure_permutations(self) -> np.ndarray:
         """The permutation matrix, derived from the distances if absent.
@@ -394,8 +464,8 @@ class RecordBatch(_RecordSequence):
     def to_records(self) -> list[IndexedRecord]:
         """Row-wise records, any missing permutations derived in one
         call (:meth:`ensure_permutations`)."""
-        if self._records is not None:
-            return list(self._records)
+        if self.rows is not None:
+            return list(self.rows)
         permutations = self.ensure_permutations()
         distances = self.distances
         return [
@@ -411,7 +481,9 @@ class RecordBatch(_RecordSequence):
         ]
 
     def __getitem__(self, index):
-        if self._records is not None or isinstance(index, slice):
+        if self.rows is not None:
+            return self.rows[index]
+        if isinstance(index, slice):
             return self.to_records()[index]
         distances = self.distances
         return IndexedRecord(

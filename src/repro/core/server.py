@@ -12,10 +12,11 @@ The server exposes these RPC methods:
     Index maintenance (Algorithm 1's server part: locate the cell tree
     leaf, store, split if needed). ``insert`` takes per-record wire
     encodings; ``insert_bulk`` takes one columnar
-    :class:`~repro.core.records.RecordBatch` — missing permutations are
-    derived for the whole batch in one vectorized call and the records
-    are routed group-wise by :meth:`MIndex.bulk_insert` (one storage
-    write per touched cell). Both produce identical indexes. Writers —
+    :class:`~repro.core.records.RecordBatch`, handed to
+    :meth:`MIndex.bulk_insert` as it was decoded — missing permutations
+    are derived for the whole batch in one vectorized call and each
+    touched cell receives its rows of the batch in one storage write,
+    no object built per record. Both produce identical indexes. Writers —
     they take the exclusive side of the server's read–write lock.
 ``range`` / ``range_transformed`` / ``approx_knn``
     The three searches, one query each. ``range`` is Algorithm 3 —
@@ -290,11 +291,8 @@ class SimilarityCloudServer:
     def _handle_insert_bulk(self, body: Reader) -> Writer:
         batch = RecordBatch.read_from(body)
         body.expect_end()
-        # to_records derives any missing permutations (precise strategy)
-        # with one vectorized call for the whole batch
-        records = batch.to_records()
         with self._lock.write():
-            self.index.bulk_insert(records)
+            self.index.bulk_insert(batch)
             return Writer().u64(len(self.index))
 
     def _handle_delete(self, body: Reader) -> Writer:

@@ -18,7 +18,7 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.core.records import IndexedRecord
+from repro.core.records import IndexedRecord, RecordBatch
 from repro.exceptions import IndexError_
 
 __all__ = ["LeafCell", "InternalCell", "CellTree"]
@@ -47,44 +47,25 @@ class LeafCell:
 
     def note_record(self, record: IndexedRecord) -> None:
         """Update count and distance intervals for an arriving record."""
-        self.count += 1
-        if self.intervals is None:
-            return
-        if record.distances is None:
-            self.intervals = None
-            return
-        for position, pivot in enumerate(self.prefix):
-            value = float(record.distances[pivot])
-            interval = self.intervals[position]
-            if value < interval[0]:
-                interval[0] = value
-            if value > interval[1]:
-                interval[1] = value
+        distances = record.distances
+        self.note_records(
+            1, None if distances is None else distances[np.newaxis]
+        )
 
-    def note_records(
-        self,
-        records: list[IndexedRecord],
-        distances: np.ndarray | None = None,
-    ) -> None:
-        """Bulk :meth:`note_record`: count once, reduce intervals
-        vectorized.
-
-        ``distances`` may carry the records' pre-stacked
-        ``(len(records), n_pivots)`` distance matrix; otherwise it is
-        stacked here when every record has distances. The resulting
-        intervals are identical to a per-record loop (min/max reductions
-        are exact).
-        """
-        if not records:
+    def note_records(self, count: int, distances: np.ndarray | None) -> None:
+        """Count ``count`` arriving records and widen the intervals by
+        their ``(count, n_pivots)`` distance rows — None when they carry
+        none, which ends interval keeping for this leaf. Min/max
+        reductions are exact, so the intervals are those of a
+        per-record loop."""
+        if not count:
             return
-        self.count += len(records)
+        self.count += count
         if self.intervals is None:
             return
         if distances is None:
-            if any(record.distances is None for record in records):
-                self.intervals = None
-                return
-            distances = np.stack([record.distances for record in records])
+            self.intervals = None
+            return
         for position, pivot in enumerate(self.prefix):
             column = distances[:, pivot]
             low = float(column.min())
@@ -95,15 +76,13 @@ class LeafCell:
             if high > interval[1]:
                 interval[1] = high
 
-    def rebuild_from(
-        self,
-        records: list[IndexedRecord],
-        distances: np.ndarray | None = None,
-    ) -> None:
-        """Recompute count and intervals from scratch (vectorized)."""
+    def rebuild_from(self, cell) -> None:
+        """Recompute count and intervals from scratch, from the columns
+        of ``cell`` (a batch, or a record list turned into one)."""
+        cell = RecordBatch.of_cell(cell)
         self.count = 0
         self.intervals = [[np.inf, -np.inf] for _ in self.prefix]
-        self.note_records(records, distances)
+        self.note_records(len(cell), cell.distances)
 
 
 class InternalCell:
@@ -238,23 +217,27 @@ class CellTree:
         return children
 
     def split_leaf(
-        self, leaf: LeafCell, records: list[IndexedRecord]
-    ) -> dict[int, tuple[LeafCell, list[IndexedRecord]]]:
-        """Replace ``leaf`` with an internal cell and partition records.
+        self, leaf: LeafCell, cell
+    ) -> dict[int, tuple[LeafCell, RecordBatch]]:
+        """Replace ``leaf`` with an internal cell and partition its
+        records — ``cell``, a batch or a record list — by the next
+        permutation element.
 
-        Returns ``{pivot: (new_leaf, its_records)}``; the caller persists
-        the groups in storage and removes the old cell.
+        Returns ``{pivot: (new_leaf, its_records)}``, pivots in the
+        order the cell first shows them and each group a row selection
+        in cell order; the caller persists the groups in storage and
+        removes the old cell.
         """
-        groups: dict[int, list[IndexedRecord]] = {}
-        for record in records:
-            pivot = int(record.permutation[leaf.level])
-            groups.setdefault(pivot, []).append(record)
-        children = self.split_into(leaf, list(groups))
-        result: dict[int, tuple[LeafCell, list[IndexedRecord]]] = {}
-        for pivot, group in groups.items():
-            child = children[pivot]
-            child.rebuild_from(group)
-            result[pivot] = (child, group)
+        cell = RecordBatch.of_cell(cell)
+        column = cell.ensure_permutations()[:, leaf.level]
+        pivots, first = np.unique(column, return_index=True)
+        pivots = pivots[np.argsort(first)].tolist()
+        children = self.split_into(leaf, pivots)
+        result: dict[int, tuple[LeafCell, RecordBatch]] = {}
+        for pivot in pivots:
+            group = cell.select(np.flatnonzero(column == pivot))
+            children[pivot].rebuild_from(group)
+            result[pivot] = (children[pivot], group)
         return result
 
     def _replace(

@@ -54,7 +54,6 @@ import numpy as np
 
 from repro.core.records import CellRecords, IndexedRecord, RecordBatch
 from repro.exceptions import IndexError_, QueryError
-from repro.metric.permutations import pivot_permutations
 from repro.mindex.cell_tree import CellTree, LeafCell
 
 __all__ = ["MIndex", "RangeSearchStats"]
@@ -132,41 +131,33 @@ class MIndex:
     # insertion
     # ------------------------------------------------------------------
 
-    @_one_batch
     def insert(self, record: IndexedRecord) -> None:
-        """Insert one record, splitting its leaf cell on overflow."""
-        permutation = record.ensure_permutation()
-        if permutation.shape[0] != self.n_pivots:
-            raise IndexError_(
-                f"record permutation over {permutation.shape[0]} "
-                f"pivots does not match index with {self.n_pivots}"
-            )
-        leaf = self.tree.locate_leaf(permutation)
-        self.storage.append(leaf.prefix, record)
-        leaf.note_record(record)
-        self._n_records += 1
-        if leaf.count > self.bucket_capacity and self.tree.can_split(leaf):
-            self._split(leaf)
+        """Insert one record, splitting its leaf cell on overflow — a
+        bulk of one."""
+        self.bulk_insert([record])
 
     @_one_batch
-    def bulk_insert(self, records: list[IndexedRecord]) -> int:
+    def bulk_insert(self, records: "RecordBatch | list[IndexedRecord]") -> int:
         """Insert many records group-wise; returns the number inserted.
 
         Produces exactly the cell tree and record placement of a
         per-record :meth:`insert` loop (splitting is order-independent:
         a cell ends up partitioned iff its final record count exceeds
-        the bucket capacity), but routes the whole bulk at once: the
-        permutation-prefix columns are lexsorted so every record bound
-        for the same leaf is contiguous, each touched cell receives its
-        group in one ``append_many`` storage write, and overflow splits
-        are resolved once per cell after its group lands. The whole
-        bulk, splits included, is one storage commit. Works on empty and
-        already-populated indexes alike.
+        the bucket capacity), but routes the whole bulk at once, as
+        columns: the permutation-prefix columns are lexsorted so every
+        record bound for the same leaf is contiguous, each touched cell
+        receives its group — a row selection of the batch — in one
+        ``append_many`` storage write, and overflow splits are resolved
+        once per cell after its group lands. The whole bulk, splits
+        included, is one storage commit. Works on empty and
+        already-populated indexes alike; a bulk that is refused has
+        changed nothing.
         """
-        records = list(records)
-        if not records:
+        batch = self._checked(records)
+        total = len(batch)
+        if not total:
             return 0
-        permutations = self._stacked_permutations(records)
+        permutations = batch.permutations
         depth = self.tree.max_level
         keys = permutations[:, :depth]
         # lexsort's last key is the primary one: sort by prefix column
@@ -184,7 +175,6 @@ class MIndex:
             np.flatnonzero(changed[:, level]) + 1 for level in range(depth)
         ]
         position = 0
-        total = len(records)
         while position < total:
             leaf = self.tree.locate_leaf(permutations[order[position]])
             level = len(leaf.prefix)
@@ -200,9 +190,9 @@ class MIndex:
                 )
             # restore input order inside the group, so cell contents are
             # byte-identical to the per-record insertion path
-            group = [records[i] for i in np.sort(order[position:end])]
+            group = batch.select(np.sort(order[position:end]))
             self.storage.append_many(leaf.prefix, group)
-            leaf.note_records(group)
+            leaf.note_records(len(group), group.distances)
             self._n_records += len(group)
             if leaf.count > self.bucket_capacity and self.tree.can_split(leaf):
                 self._split(leaf)
@@ -210,29 +200,25 @@ class MIndex:
         return total
 
     @_one_batch
-    def bulk_load(self, records: list[IndexedRecord]) -> int:
+    def bulk_load(self, records: "RecordBatch | list[IndexedRecord]") -> int:
         """Build the index from scratch in one top-down partitioning.
 
         Equivalent to inserting every record into an empty index, but
         partitions iteratively on index arrays (no per-record routing,
         no intermediate splits) with vectorized leaf interval
-        reductions, and persists every final cell exactly once through
-        one ``save_many`` call — the difference matters on disk backends
-        (see the bulk-load ablation bench). The index must be empty.
+        reductions, and persists every final cell — a row selection of
+        the batch — exactly once through one ``save_many`` call; the
+        difference matters on disk backends (see the bulk-load ablation
+        bench). The index must be empty.
         """
         if self._n_records:
             raise IndexError_(
                 "bulk_load requires an empty index; use bulk_insert to "
                 "extend an existing one"
             )
-        records = list(records)
-        if not records:
+        batch = self._checked(records)
+        if not len(batch):
             return 0
-        permutations = self._stacked_permutations(records)
-        if all(record.distances is not None for record in records):
-            distances = np.stack([record.distances for record in records])
-        else:
-            distances = None
         root = self.tree.root
         if not isinstance(root, LeafCell):
             # zero records but a split tree: the index was emptied via
@@ -242,56 +228,64 @@ class MIndex:
                 "fresh MIndex instead of loading into an emptied one"
             )
         pending: list[tuple[LeafCell, np.ndarray]] = [
-            (root, np.arange(len(records), dtype=np.int64))
+            (root, np.arange(len(batch), dtype=np.int64))
         ]
-        cells: dict[tuple[int, ...], list[IndexedRecord]] = {}
+        cells: dict[tuple[int, ...], RecordBatch] = {}
         while pending:
             leaf, indices = pending.pop()
             if indices.size <= self.bucket_capacity or not self.tree.can_split(
                 leaf
             ):
-                group = [records[i] for i in indices]
-                leaf.rebuild_from(
-                    group,
-                    None if distances is None else distances[indices],
-                )
-                if group:
+                group = batch.select(indices)
+                leaf.rebuild_from(group)
+                if indices.size:
                     cells[leaf.prefix] = group
                 continue
-            column = permutations[indices, leaf.level]
+            column = batch.permutations[indices, leaf.level]
             children = self.tree.split_into(leaf, np.unique(column))
             for pivot, child in children.items():
                 pending.append((child, indices[column == pivot]))
         self.storage.save_many(cells)
-        self._n_records = len(records)
-        return len(records)
+        self._n_records = len(batch)
+        return len(batch)
 
-    def _stacked_permutations(
-        self, records: list[IndexedRecord]
-    ) -> np.ndarray:
-        """Validated ``(len(records), n_pivots)`` permutation matrix."""
-        for record in records:
-            permutation = record.ensure_permutation()
-            if permutation.shape[0] != self.n_pivots:
-                raise IndexError_(
-                    f"record permutation over {permutation.shape[0]} "
-                    f"pivots does not match index with {self.n_pivots}"
-                )
-        return np.stack(
-            [record.permutation for record in records]
-        ).astype(np.int64)
+    def _checked(self, records: "RecordBatch | list[IndexedRecord]") -> RecordBatch:
+        """``records`` as a batch this index can take, before anything
+        is changed for it: a permutation column (derived once from the
+        distances where only those travelled) over this index's pivots,
+        every row of it a permutation."""
+        if not len(records):
+            return RecordBatch.of_cell([])
+        batch = RecordBatch.from_records(records)
+        permutations = batch.ensure_permutations()
+        self._check_permutations(permutations, IndexError_)
+        return RecordBatch.from_columns(
+            batch.oids, permutations, batch.distances, batch.payloads
+        )
+
+    def _check_permutations(self, matrix: np.ndarray, error) -> None:
+        """Every row of ``matrix`` must be a permutation of this
+        index's pivots: a stray element would grow the tree a cell no
+        search can rank and break every later traversal."""
+        if matrix.ndim != 2 or matrix.shape[1] != self.n_pivots:
+            raise error(
+                f"permutations of shape {matrix.shape} do not match an "
+                f"index over {self.n_pivots} pivots"
+            )
+        if not (np.sort(matrix, axis=1) == np.arange(self.n_pivots)).all():
+            raise error(
+                f"every row must be a permutation of 0..{self.n_pivots - 1}"
+            )
 
     def rebuild_from_storage(self) -> int:
         """Reconstruct the cell tree from the storage backend's cells.
 
         Cell identifiers *are* permutation prefixes, so a restarted
         server can recover the full tree — counts and range-pivot
-        intervals included — by walking the (disk) cells, without any
-        client involvement or write amplification. Records stored
-        without a permutation (distances only) get theirs back from one
-        vectorized :func:`~repro.metric.permutations.pivot_permutations`
-        call per cell. Returns the number of recovered records. Any
-        in-memory state is discarded.
+        intervals included — by walking the (disk) cells and reading
+        each one's count and distance columns, without any client
+        involvement or write amplification. Returns the number of
+        recovered records. Any in-memory state is discarded.
 
         Works identically on a storage object that lived through the
         inserts and on a freshly reopened :class:`DiskStorage`
@@ -318,16 +312,8 @@ class MIndex:
             if self.storage.cell_size(prefix) == 0:
                 continue
             leaf = self.tree.ensure_leaf(tuple(prefix))
-            records = self.storage.load(prefix).to_records()
-            missing = [r for r in records if r.permutation is None]
-            if missing:
-                derived = pivot_permutations(
-                    np.stack([record.distances for record in missing])
-                )
-                for record, row in zip(missing, derived):
-                    record.permutation = row
-            leaf.rebuild_from(records)
-            self._n_records += len(records)
+            leaf.rebuild_from(self.storage.load(prefix))
+            self._n_records += leaf.count
         return self._n_records
 
     # ------------------------------------------------------------------
@@ -345,36 +331,35 @@ class MIndex:
         addressed cell.
         """
         perm = np.asarray(permutation)
-        if perm.ndim != 1 or perm.shape[0] != self.n_pivots:
-            raise QueryError(
-                f"permutation must have length {self.n_pivots}, got "
-                f"shape {perm.shape}"
-            )
+        self._check_permutations(perm[np.newaxis], QueryError)
         leaf = self.tree.locate_leaf(perm)
-        records = self.storage.load(leaf.prefix).to_records()
-        remaining = [record for record in records if record.oid != oid]
-        if len(remaining) == len(records):
-            return False
-        if remaining:
+        cell = self.storage.load(leaf.prefix)
+        return bool(self._retain(leaf, cell, cell.oids != oid))
+
+    def _retain(self, leaf: LeafCell, cell: RecordBatch, keep: np.ndarray) -> int:
+        """Rewrite the cell of ``leaf`` as the rows of ``cell`` under
+        the mask ``keep``; returns how many records that removed."""
+        if keep.all():
+            return 0
+        remaining = cell.select(np.flatnonzero(keep))
+        if len(remaining):
             self.storage.save(leaf.prefix, remaining)
         else:
             self.storage.delete(leaf.prefix)
         leaf.rebuild_from(remaining)
-        self._n_records -= len(records) - len(remaining)
-        return True
+        self._n_records -= len(cell) - len(remaining)
+        return len(cell) - len(remaining)
 
     @_one_batch
     def _split(self, leaf: LeafCell) -> None:
         # one batch: the parent leaves the catalog in the same commit
         # that adds its children, and its file is unlinked only after
-        records = self.storage.load(leaf.prefix).to_records()
-        groups = self.tree.split_leaf(leaf, records)
+        groups = self.tree.split_leaf(leaf, self.storage.load(leaf.prefix))
         self.storage.delete(leaf.prefix)
         self.storage.save_many(
-            {child.prefix: child_records
-             for _pivot, (child, child_records) in groups.items()}
+            {child.prefix: rows for child, rows in groups.values()}
         )
-        for _pivot, (child, _child_records) in groups.items():
+        for child, _rows in groups.values():
             # A split may produce a child that itself overflows (all
             # records sharing the next permutation element); recurse.
             if child.count > self.bucket_capacity and self.tree.can_split(child):
@@ -1017,28 +1002,17 @@ class MIndex:
         for leaf in self.tree.leaves():
             if leaf.count == 0:
                 continue
-            if leaf.prefix:
-                if leaf.prefix[0] not in wanted:
-                    continue
+            if not leaf.prefix:
+                cell = self.storage.load(leaf.prefix)
+                tops = cell.ensure_permutations()[:, 0]
+                removed += self._retain(
+                    leaf, cell, ~np.isin(tops, list(wanted))
+                )
+            elif leaf.prefix[0] in wanted:
                 removed += leaf.count
+                self._n_records -= leaf.count
                 self.storage.delete(leaf.prefix)
                 leaf.rebuild_from([])
-            else:
-                records = self.storage.load(leaf.prefix).to_records()
-                remaining = [
-                    record
-                    for record in records
-                    if int(record.ensure_permutation()[0]) not in wanted
-                ]
-                if len(remaining) == len(records):
-                    continue
-                removed += len(records) - len(remaining)
-                if remaining:
-                    self.storage.save(leaf.prefix, remaining)
-                else:
-                    self.storage.delete(leaf.prefix)
-                leaf.rebuild_from(remaining)
-        self._n_records -= removed
         return removed
 
     # ------------------------------------------------------------------

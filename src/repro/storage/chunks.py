@@ -228,56 +228,87 @@ def decode_cell(chunks: list[bytes], n_records: int) -> RecordBatch:
 # -- chunks ------------------------------------------------------------
 
 
+def _uniform_frames(batch: RecordBatch) -> tuple[bytes, int] | None:
+    """The frames of ``batch`` end to end and the size of one, from one
+    structured-array encode — the mirror of :func:`_uniform_table`, over
+    the same :func:`_frame_dtype` — or None when the batch is not a
+    table: no permutation column, or payloads of several sizes."""
+    permutations, distances = batch.permutations, batch.distances
+    payloads = batch.payloads.matrix
+    if permutations is None or payloads is None:
+        return None
+    n_distances = 0 if distances is None else distances.shape[1]
+    table = np.empty(
+        len(batch),
+        dtype=_frame_dtype(
+            permutations.shape[1], n_distances, payloads.shape[1]
+        ),
+    )
+    table["size"] = table.itemsize - _LEN.size
+    table["oid"] = batch.oids
+    table["flags"] = 3 if n_distances else 1
+    table["n_permutation"] = permutations.shape[1]
+    table["permutation"] = permutations
+    if n_distances:
+        table["n_distances"] = n_distances
+        table["distances"] = distances
+    table["payload_size"] = payloads.shape[1]
+    table["payload"] = payloads
+    return table.tobytes(), table.itemsize
+
+
 def build_chunks(
-    records: list[IndexedRecord],
+    records: "RecordBatch | list[IndexedRecord]",
     *,
     base_offset: int,
     chunk_raw_bytes: int = DEFAULT_CHUNK_RAW_BYTES,
     segment: str = "",
 ) -> tuple[bytes, list[ChunkEntry]]:
-    """Compress ``records`` into chunk bytes starting at ``base_offset``
+    """Frame ``records`` into chunk bytes starting at ``base_offset``
     of the file ``segment``.
 
-    Frames are packed greedily: a chunk closes once it holds at least
-    ``chunk_raw_bytes`` of raw frame bytes, so a frame never spans two
-    chunks and an oversized record simply gets a chunk of its own.
-    Returns the concatenated ``header|payload`` chunk bytes and their
-    index entries (offsets are absolute, i.e. shifted by
-    ``base_offset``).
+    A group whose frames are one shape — every group an index over
+    equal-sized objects writes — is framed in one strided encode;
+    any other frame by frame (:func:`frame_record`). Frames are packed
+    greedily: a chunk closes once it holds at least ``chunk_raw_bytes``
+    of raw frame bytes, so a frame never spans two chunks and an
+    oversized record simply gets a chunk of its own. Returns the
+    concatenated ``header|payload`` chunk bytes and their index entries
+    (offsets are absolute, i.e. shifted by ``base_offset``).
     """
     if chunk_raw_bytes <= 0:
         raise StorageError(
             f"chunk size must be positive, got {chunk_raw_bytes}"
         )
+    batch = RecordBatch.of_cell(records)
+    uniform = _uniform_frames(batch) if len(batch) else None
+    if uniform is not None:
+        raw, stride = uniform
+        ends = np.arange(1, len(batch) + 1) * stride
+    else:
+        frames = [frame_record(record) for record in batch.to_records()]
+        raw = b"".join(frames)
+        ends = np.cumsum(np.fromiter(map(len, frames), np.int64, len(frames)))
     pieces: list[bytes] = []
     entries: list[ChunkEntry] = []
     offset = base_offset
-    group: list[bytes] = []
-    group_raw = 0
-
-    def _close_group() -> None:
-        nonlocal group, group_raw, offset
-        if not group:
-            return
-        raw = b"".join(group)
-        comp = zlib.compress(raw)
+    row = start = 0
+    while row < len(ends):
+        # the first frame to bring the chunk to ``chunk_raw_bytes``
+        # closes it; the last chunk takes what is left
+        last = min(
+            int(np.searchsorted(ends, start + chunk_raw_bytes)), len(ends) - 1
+        )
+        end = int(ends[last])
+        comp = zlib.compress(raw[start:end])
         pieces.append(
-            _CHUNK_HEADER.pack(len(comp), len(raw), len(group)) + comp
+            _CHUNK_HEADER.pack(len(comp), end - start, last + 1 - row) + comp
         )
         entries.append(
-            ChunkEntry(offset, len(comp), len(raw), len(group), segment)
+            ChunkEntry(offset, len(comp), end - start, last + 1 - row, segment)
         )
         offset += _CHUNK_HEADER.size + len(comp)
-        group = []
-        group_raw = 0
-
-    for record in records:
-        frame = frame_record(record)
-        group.append(frame)
-        group_raw += len(frame)
-        if group_raw >= chunk_raw_bytes:
-            _close_group()
-    _close_group()
+        row, start = last + 1, end
     return b"".join(pieces), entries
 
 

@@ -234,14 +234,13 @@ class DiskStorage:
                 if self._batch_depth == 0 and self._uncommitted:
                     self._commit()
 
-    def save(self, cell_id: Hashable, records: list[IndexedRecord]) -> None:
-        """Store (replace) the record list of a cell, atomically."""
+    def save(self, cell_id: Hashable, records) -> None:
+        """Store (replace) the records of a cell — a batch, or a list
+        turned into one — atomically."""
         with self.batch():
-            self._store(cell_id, list(records), replace=True)
+            self._store(cell_id, records, replace=True)
 
-    def save_many(
-        self, cells: Mapping[Hashable, list[IndexedRecord]]
-    ) -> None:
+    def save_many(self, cells: Mapping[Hashable, RecordBatch]) -> None:
         """Store (replace) several cells in one call.
 
         Each cell charges one physical write — the same accounting as a
@@ -251,31 +250,27 @@ class DiskStorage:
         """
         with self.batch():
             for cell_id, records in cells.items():
-                self._store(cell_id, list(records), replace=True)
+                self._store(cell_id, records, replace=True)
 
     def append(self, cell_id: Hashable, record: IndexedRecord) -> None:
         """Append one record to a cell, creating it if missing."""
         self.append_many(cell_id, [record])
 
-    def append_many(
-        self, cell_id: Hashable, records: list[IndexedRecord]
-    ) -> None:
+    def append_many(self, cell_id: Hashable, records) -> None:
         """Append a group of records to a cell in one physical write.
 
-        The group is compressed into new chunk(s) at the end of the
-        batch's segment, charged as one physical write — the
-        bulk-insert path's amortization over per-record :meth:`append`.
-        Cached chunks of the cell stay valid (an append never touches
-        the chunks a cell already has).
+        The group is framed into new chunk(s) at the end of the batch's
+        segment, charged as one physical write — the bulk-insert path's
+        amortization over per-record :meth:`append`. Cached chunks of
+        the cell stay valid (an append never touches the chunks a cell
+        already has).
         """
-        if not records:
+        if not len(records):
             return
         with self.batch():
-            self._store(cell_id, list(records), replace=False)
+            self._store(cell_id, records, replace=False)
 
-    def _store(
-        self, cell_id: Hashable, records: list[IndexedRecord], *, replace: bool
-    ) -> None:
+    def _store(self, cell_id: Hashable, records, *, replace: bool) -> None:
         """Write ``records`` as chunks of the open segment and index
         them under ``cell_id``, after or instead of the chunks it has."""
         encode_cell_id(cell_id)  # an id the manifest cannot carry fails here

@@ -15,24 +15,21 @@ __all__ = ["MemoryStorage"]
 class MemoryStorage:
     """Dictionary-backed cell storage.
 
-    Keys are Voronoi-cell identifiers (permutation-prefix tuples). Byte
-    accounting reflects the records' wire sizes so memory and disk
+    Keys are Voronoi-cell identifiers (permutation-prefix tuples). A
+    cell is held as columns (:class:`~repro.core.records.RecordBatch`) —
+    what a write hands over, or makes of a record list once, and what a
+    read hands back; rows are built by whoever asks the batch for them.
+    Byte accounting reflects the records' wire sizes so memory and disk
     backends report comparable numbers; each cell's total is kept as
     the cell is written, so a read charges it without walking the
-    records. A read hands the cell back as columns
-    (:class:`~repro.core.records.RecordBatch`), built from the record
-    list on the first read after a write and kept beside it until the
-    next write to the cell. Counter updates are guarded by a mutex so
-    concurrent search handlers (the batched query engine runs one reader
-    thread per query) keep the accounting exact.
+    records. Counter updates are guarded by a mutex so concurrent
+    search handlers keep the accounting exact.
     """
 
     def __init__(self) -> None:
-        self._cells: dict[Hashable, list[IndexedRecord]] = {}
+        self._cells: dict[Hashable, RecordBatch] = {}
         #: wire bytes of each cell's records, as of when they were written
         self._cell_bytes: dict[Hashable, int] = {}
-        #: each cell's columns as of its last read, dropped on a write
-        self._columns: dict[Hashable, RecordBatch] = {}
         self._accounting = threading.Lock()
         self.bytes_written = 0
         self.bytes_read = 0
@@ -49,19 +46,12 @@ class MemoryStorage:
         """
         yield
 
-    def save(self, cell_id: Hashable, records: list[IndexedRecord]) -> None:
-        """Store (replace) the record list of a cell."""
-        size = sum(r.wire_size for r in records)
-        with self._accounting:
-            self._cells[cell_id] = list(records)
-            self._columns.pop(cell_id, None)
-            self._cell_bytes[cell_id] = size
-            self.bytes_written += size
-            self.writes += 1
+    def save(self, cell_id: Hashable, records) -> None:
+        """Store (replace) the records of a cell — a batch, or a list
+        turned into one."""
+        self._write(cell_id, RecordBatch.of_cell(records), replace=True)
 
-    def save_many(
-        self, cells: Mapping[Hashable, list[IndexedRecord]]
-    ) -> None:
+    def save_many(self, cells: Mapping[Hashable, RecordBatch]) -> None:
         """Store (replace) several cells in one call.
 
         One *physical write* is charged per cell — the same accounting a
@@ -74,48 +64,49 @@ class MemoryStorage:
 
     def append(self, cell_id: Hashable, record: IndexedRecord) -> None:
         """Append one record to a cell, creating it if missing."""
-        self._extend(cell_id, [record])
+        self.append_many(cell_id, [record])
 
-    def append_many(
-        self, cell_id: Hashable, records: list[IndexedRecord]
-    ) -> None:
+    def append_many(self, cell_id: Hashable, records) -> None:
         """Append a group of records to one cell as a single write.
 
         The whole group lands in one operation, so it is charged as one
-        physical write (the disk backend opens the cell file once) —
-        this is what makes the group-wise bulk-insert path cheaper than
-        per-record :meth:`append` calls.
+        physical write (the disk backend writes it as one run of
+        chunks) — this is what makes the group-wise bulk-insert path
+        cheaper than per-record :meth:`append` calls.
         """
-        if records:
-            self._extend(cell_id, records)
+        if len(records):
+            self._write(cell_id, RecordBatch.of_cell(records), replace=False)
 
-    def _extend(self, cell_id: Hashable, records: list[IndexedRecord]) -> None:
-        size = sum(r.wire_size for r in records)
+    def _write(
+        self, cell_id: Hashable, batch: RecordBatch, *, replace: bool
+    ) -> None:
+        size = batch.wire_size
         with self._accounting:
-            self._cells.setdefault(cell_id, []).extend(records)
-            self._columns.pop(cell_id, None)
-            self._cell_bytes[cell_id] = self._cell_bytes.get(cell_id, 0) + size
+            held = None if replace else self._cells.get(cell_id)
+            if held is None:
+                self._cells[cell_id] = batch
+                self._cell_bytes[cell_id] = size
+            else:
+                self._cells[cell_id] = held.extended(batch)
+                self._cell_bytes[cell_id] += size
             self.bytes_written += size
             self.writes += 1
 
     def load(self, cell_id: Hashable) -> RecordBatch:
         """Return the records of a cell, as columns (an empty batch if
-        absent); ``.to_records()`` lists the stored records themselves.
+        absent).
 
         Loading an absent cell charges nothing — the disk backend
         answers it from its catalog without touching a file, and the
         backends must account identically (storage-contract parity).
         """
         with self._accounting:
-            records = self._cells.get(cell_id)
-            if records is None:
+            cell = self._cells.get(cell_id)
+            if cell is None:
                 return RecordBatch.of_cell([])
             self.bytes_read += self._cell_bytes[cell_id]
             self.reads += 1
-            columns = self._columns.get(cell_id)
-            if columns is None:
-                columns = self._columns[cell_id] = RecordBatch.of_cell(records)
-            return columns
+            return cell
 
     def load_many(self, cell_ids) -> dict:
         """Return ``{cell_id: batch}`` for many cells in one call.
@@ -137,12 +128,11 @@ class MemoryStorage:
                 raise StorageError(f"cell {cell_id!r} does not exist")
             del self._cells[cell_id]
             del self._cell_bytes[cell_id]
-            self._columns.pop(cell_id, None)
             self.writes += 1
 
     def cell_size(self, cell_id: Hashable) -> int:
         """Number of records in a cell without charging a read."""
-        return len(self._cells.get(cell_id, []))
+        return len(self._cells.get(cell_id, ()))
 
     def cells(self) -> Iterator[Hashable]:
         """Iterate over existing cell ids."""

@@ -363,6 +363,31 @@ class BlobColumn:
         )
         return cls.packed(offsets, b"".join(blobs))
 
+    @classmethod
+    def gathered(
+        cls, columns: "list[BlobColumn]", rows: np.ndarray | None = None
+    ) -> "BlobColumn":
+        """Blobs ``rows`` of ``columns`` laid end to end (all of them,
+        when None) as a column of their own — a row selection of one
+        column, several columns joined. Regular columns of one width
+        are indexed as the matrix they are; anything else is what
+        :func:`pack_blobs` copies."""
+        widths = {
+            None if column.matrix is None else column.matrix.shape[1]
+            for column in columns
+        }
+        if len(widths) == 1 and None not in widths:
+            matrix = (
+                columns[0].matrix
+                if len(columns) == 1
+                else np.concatenate([column.matrix for column in columns])
+            )
+            return cls(matrix if rows is None else matrix[rows])
+        lengths, region = pack_blobs(columns, rows)
+        offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
+        np.cumsum(lengths, out=offsets[1:])
+        return cls.packed(offsets, region)
+
     def __len__(self) -> int:
         if self.matrix is not None:
             return self.matrix.shape[0]

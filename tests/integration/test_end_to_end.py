@@ -172,6 +172,73 @@ class TestNoRecordOnASearch:
         assert len(storage.load(next(iter(storage.cells()))).to_records())
 
 
+class TestNoRecordOnAWrite:
+    """A construction bulk is columns from the wire to the chunk: the
+    server decodes one batch, the index hands each leaf a row selection
+    of it, a split partitions the loaded cell's columns and a delete
+    masks its oid column — on either backend no
+    :class:`IndexedRecord` is built on the way."""
+
+    @pytest.mark.parametrize("strategy", [Strategy.APPROXIMATE, Strategy.PRECISE])
+    @pytest.mark.parametrize("backend", ["memory", "disk"])
+    def test_bulk_inserts_and_deletes_construct_no_record(
+        self, backend, strategy, small_data, tmp_path, monkeypatch
+    ):
+        storage = (
+            MemoryStorage()
+            if backend == "memory"
+            else DiskStorage(tmp_path / "index", cache_bytes=64 * 1024)
+        )
+        cloud = SimilarityCloud.build(
+            small_data,
+            distance=L1Distance(),
+            n_pivots=8,
+            bucket_capacity=40,
+            strategy=strategy,
+            storage=storage,
+            seed=7,
+        )
+        client = cloud.owner.client
+        index = cloud.server.index
+        half = len(small_data) // 2
+        client.insert_many(range(half), small_data[:half], bulk_size=100)
+        victims = [
+            (int(oid), batch.permutations[row].copy())
+            for cell in list(storage.cells())[:3]
+            for batch in [storage.load(cell)]
+            for row, oid in enumerate(batch.oids[:2])
+        ]
+        constructed = []
+        original = IndexedRecord.__init__
+
+        def counting(self, *args, **kwargs):
+            constructed.append(args[0] if args else kwargs.get("oid"))
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(IndexedRecord, "__init__", counting)
+        cells_before = index.n_cells
+        writes_before = storage.writes
+        # appends to the cells there are, splits the ones that overflow
+        # (each split deletes its parent cell), then deletes — through
+        # the index: the delete *request* is one record, at the edge
+        client.insert_many(
+            range(half, len(small_data)), small_data[half:], bulk_size=100
+        )
+        removed = [index.delete(oid, perm) for oid, perm in victims]
+        monkeypatch.undo()
+        assert constructed == []
+        assert index.n_cells > cells_before  # it did split
+        assert storage.writes > writes_before
+        assert removed == [True] * len(victims)
+        assert len(index) == len(small_data) - len(victims)
+        # and everything is where a search finds it
+        stored = sorted(
+            int(oid) for cell in storage.cells() for oid in storage.load(cell).oids
+        )
+        gone = {oid for oid, _perm in victims}
+        assert stored == [o for o in range(len(small_data)) if o not in gone]
+
+
 class TestMultipleMetrics:
     @pytest.mark.parametrize("distance", [L1Distance(), L2Distance()])
     def test_precise_knn_under_both_metrics(self, small_data, rng, distance):

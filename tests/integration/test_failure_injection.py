@@ -77,7 +77,7 @@ class TestDiskCorruption:
         must detect the tampering."""
         storage = approx_cloud.server.storage
         cell = next(iter(storage.cells()))
-        records = storage.load(cell)
+        records = storage.load(cell).to_records()
         broken = bytearray(records[0].payload)
         broken[20] ^= 0xFF
         records[0].payload = bytes(broken)

@@ -14,16 +14,17 @@ from pathlib import Path
 import numpy as np
 
 from repro import L1Distance, SimilarityCloud, Strategy
+from repro.core.records import RecordBatch
+from repro.mindex.index import MIndex
 from repro.storage.disk import DiskStorage
+from repro.storage.memory import MemoryStorage
 from repro.wire.scatter import read_stats_map
 
 TRACE = Path(__file__).parents[2] / "benchmarks" / "e2e" / "trace.py"
 
 
 def test_trace_targets_resolve_and_are_the_calls_made(tmp_path):
-    spec = importlib.util.spec_from_file_location("e2e_trace", TRACE)
-    trace = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(trace)
+    trace = _load_trace()
     for owner, attribute, label, _metric, _role in trace._targets():
         target = owner.__dict__[attribute]  # as Tracer.install() does
         assert callable(getattr(target, "__func__", target)), label
@@ -31,6 +32,7 @@ def test_trace_targets_resolve_and_are_the_calls_made(tmp_path):
     # and the search path goes through them: install the tracer the way
     # run.py does (before the deployment exists) and look at the spans
     data = np.random.default_rng(5).normal(size=(300, 6))
+    loner = np.full(6, 40.0)  # far from everything: a cell of its own
     tracer = trace.Tracer()
     tracer.install()
     try:
@@ -48,12 +50,20 @@ def test_trace_targets_resolve_and_are_the_calls_made(tmp_path):
                 strategy=strategy, seed=1, shards=shards, storage=storage,
             )
             try:
+                # the write side: bulks that append and split (300
+                # objects into buckets of 20), a delete that rewrites a
+                # cell and one that empties it, a drain that flushes
                 cloud.owner.outsource(range(len(data)), data)
+                writer = cloud.owner.client
+                assert writer.delete(7, data[7])
+                writer.insert_many([1000], loner[np.newaxis])
+                assert writer.delete(1000, loner)
                 client = cloud.new_client()
                 client.knn_search(data[0], 3, cand_size=30)
                 client.knn_batch(data[:4], 3, cand_size=30)
                 if strategy is Strategy.PRECISE:
                     client.range_search(data[0], 2.0)
+                assert cloud.drain()
             finally:
                 cloud.close()
     finally:
@@ -80,6 +90,24 @@ def test_trace_targets_resolve_and_are_the_calls_made(tmp_path):
         "MemoryStorage.load",
         "ShardRouter.call",
         "AesCipher.decrypt_many",
+        # the write side, client to chunk
+        "EncryptedClient.insert_many",
+        "EncryptedClient.delete",
+        "AesCipher.encrypt_many",
+        "RecordBatch.write_to",
+        "RecordBatch.read_from",
+        "MIndex.bulk_insert",
+        "MIndex.delete",
+        "DiskStorage.append_many",
+        "DiskStorage.save",
+        "DiskStorage.save_many",
+        "DiskStorage.delete",
+        "DiskStorage.flush",
+        "MemoryStorage.append_many",
+        "MemoryStorage.save",
+        "MemoryStorage.save_many",
+        "MemoryStorage.delete",
+        "MemoryStorage.flush",
     } <= seen
     # crypto.decrypt_us_per_candidate divides by len() of the tokens
     assert all(
@@ -87,6 +115,63 @@ def test_trace_targets_resolve_and_are_the_calls_made(tmp_path):
         for span in tracer.spans
         if span[trace.LABEL] == "AesCipher.decrypt_many"
     )
+
+
+def _load_trace():
+    spec = importlib.util.spec_from_file_location("e2e_trace", TRACE)
+    trace = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(trace)
+    return trace
+
+
+class _Recording:
+    """A storage backend that notes which of its attributes are used."""
+
+    def __init__(self, storage, used):
+        self._storage, self._used = storage, used
+
+    def __getattr__(self, name):
+        self._used.add(name)
+        return getattr(self._storage, name)
+
+
+def test_every_storage_call_of_the_write_path_is_a_traced_boundary(tmp_path):
+    """``storage.write_ms_per_op`` / ``read_ms_per_op`` are sums over the
+    storage methods the tracer wraps by name. Whatever the index calls
+    on its backend while inserting, splitting, deleting, bulk-loading,
+    dropping and rebuilding must therefore be one of those names (or
+    one of the three that touch no data): a write path that grew a new
+    storage method would move its time out of the layer unnoticed."""
+    trace = _load_trace()
+    rng = np.random.default_rng(11)
+    distances = rng.random((400, 6))
+    batch = RecordBatch(
+        np.arange(400), None, distances, [bytes(24)] * 400
+    )
+    for backend, make in (
+        (MemoryStorage, lambda name: MemoryStorage()),
+        (DiskStorage, lambda name: DiskStorage(tmp_path / name)),
+    ):
+        traced = {
+            attribute
+            for owner, attribute, *_rest in trace._targets()
+            if owner is backend
+        }
+        used: set[str] = set()
+        index = MIndex(6, 20, _Recording(make("grown"), used), max_level=4)
+        index.bulk_insert(batch.select(np.arange(300)))
+        assert index.n_cells > 1
+        for record in batch.select(np.arange(300, 310)).to_records():
+            index.insert(record)
+        permutations = batch.ensure_permutations()
+        assert index.delete(3, permutations[3])
+        assert index.drop_top_pivots({0, 1}) > 0
+        index.export_top_pivots({2})
+        index.rebuild_from_storage()
+        fresh = MIndex(6, 20, _Recording(make("loaded"), used), max_level=4)
+        fresh.bulk_load(batch)
+        assert used - {"batch", "cell_size", "cells"} <= traced, used - traced
+        assert {"append_many", "save", "save_many", "delete", "load"} <= used
 
 
 def test_benchmark_reads_three_kernel_counters_that_are_zero():

@@ -5,18 +5,21 @@ import json
 import struct
 import tracemalloc
 import zlib
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.records import IndexedRecord
+from repro.core.records import IndexedRecord, RecordBatch
 from repro.exceptions import ReproError, StorageError
 from repro.net.channel import InProcessChannel
 from repro.net.clock import SimulatedClock
+from repro.storage import chunks as chunks_module
 from repro.storage.chunks import (
     ChunkEntry,
+    build_chunks,
     decode_cell,
     decompress_chunk,
     frame_record,
@@ -269,9 +272,102 @@ def test_columnar_cell_equals_the_frame_decoder(
                     )
     # the frame-by-frame decoder ran only where the frames differ (or
     # carry no permutation, which no cell of an index does)
-    assert (disk.load(("c",))._records is None) == bool(
+    with mock.patch.object(
+        chunks_module, "parse_frames", wraps=parse_frames
+    ) as frame_by_frame:
+        disk.load(("c",))
+    assert (frame_by_frame.call_count == 0) == bool(
         one_shape and records and flags & 1
     )
+
+
+# ---------------------------------------------------------------------------
+# the two writers: one strided encode per group against frame by frame
+
+
+def _greedy_chunks(frames, chunk_raw_bytes):
+    """The chunking rule as a per-record loop — how ``build_chunks``
+    was written before it framed a group in one encode: a chunk closes
+    once it holds at least ``chunk_raw_bytes``. ``(raw, n_records)``
+    per chunk."""
+    chunks, group = [], []
+    for frame in frames:
+        group.append(frame)
+        if sum(map(len, group)) >= chunk_raw_bytes:
+            chunks.append((b"".join(group), len(group)))
+            group = []
+    if group:
+        chunks.append((b"".join(group), len(group)))
+    return chunks
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n_records=st.integers(min_value=1, max_value=40),
+    n_pivots=st.integers(min_value=1, max_value=8),
+    with_distances=st.booleans(),
+    payload_size=st.integers(min_value=0, max_value=64),
+    ragged=st.booleans(),
+    # where the chunk boundary falls: every record oversized, a group
+    # that ends exactly on it, one byte under, one over, or anywhere
+    records_per_chunk=st.integers(min_value=1, max_value=41),
+    boundary=st.sampled_from(["oversized", -1, 0, 1, "anywhere"]),
+    anywhere=st.integers(min_value=1, max_value=5000),
+    base_offset=st.integers(min_value=0, max_value=1 << 20),
+)
+def test_strided_and_per_record_writers_agree(
+    n_records, n_pivots, with_distances, payload_size, ragged,
+    records_per_chunk, boundary, anywhere, base_offset,
+):
+    """``build_chunks`` over a batch — uniform groups in one
+    structured-array encode, anything else frame by frame — writes
+    chunks that inflate to exactly the rows' ``frame_record`` bytes,
+    closed at the rows where the per-record greedy loop closes them,
+    whether it is handed the columns or the rows."""
+    rng = np.random.default_rng(n_records * 131 + n_pivots)
+    rows = [
+        IndexedRecord(
+            int(rng.integers(0, 2**63)) * 2 + position % 2,
+            rng.permutation(n_pivots).astype(np.int32),
+            rng.random(n_pivots) if with_distances else None,
+            rng.bytes(payload_size + (position % 3 if ragged else 0)),
+        )
+        for position in range(n_records)
+    ]
+    frames = [frame_record(row) for row in rows]
+    stride = len(frames[0])
+    chunk_raw_bytes = {
+        "oversized": 1,
+        "anywhere": anywhere,
+    }.get(boundary) or max(1, stride * records_per_chunk + boundary)
+    expected = _greedy_chunks(frames, chunk_raw_bytes)
+
+    batch = RecordBatch.of_cell(rows)
+    assert batch.rows is None  # columns alone: what an index stores
+    for source in (batch, rows, batch.select(np.arange(n_records))):
+        payload, entries = build_chunks(
+            source, base_offset=base_offset,
+            chunk_raw_bytes=chunk_raw_bytes, segment="seg_0.chk",
+        )
+        assert [
+            (entry.raw_size, entry.n_records) for entry in entries
+        ] == [(len(raw), count) for raw, count in expected]
+        offset = base_offset
+        for entry, (raw, _count) in zip(entries, expected):
+            assert entry.offset == offset and entry.segment == "seg_0.chk"
+            start = offset - base_offset
+            assert struct.unpack_from("<III", payload, start) == (
+                entry.comp_size, entry.raw_size, entry.n_records,
+            )
+            comp = payload[start + 12 : start + entry.size]
+            assert decompress_chunk(comp, entry) == raw
+            offset = entry.end
+        assert offset - base_offset == len(payload)
+    # and what was written reads back as the rows
+    raws = [raw for raw, _count in expected]
+    assert [r.to_bytes() for r in decode_cell(raws, n_records)] == [
+        row.to_bytes() for row in rows
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,9 @@ import pytest
 
 from repro.core.client import DataOwner, Strategy
 from repro.core.cloud import SimilarityCloud
+from repro.core.records import IndexedRecord, RecordBatch
 from repro.core.server import SimilarityCloudServer
-from repro.exceptions import ProtocolError, QueryError
+from repro.exceptions import ProtocolError, QueryError, ReproError
 from repro.metric.distances import L1Distance
 from repro.metric.space import MetricSpace
 from repro.net.channel import InProcessChannel
@@ -215,6 +216,67 @@ class TestServerValidation:
         writer.u32(0)
         with pytest.raises(ProtocolError):
             client.rpc.call("approx_knn", writer)
+
+    @pytest.mark.parametrize("strategy", [Strategy.APPROXIMATE, Strategy.PRECISE])
+    @pytest.mark.parametrize("method", ["insert_bulk", "insert", "delete"])
+    def test_a_row_that_is_no_permutation_is_refused_before_anything_changes(
+        self, strategy, method, small_data, queries
+    ):
+        """A bulk carrying ``[99, 1, 2, ...]`` as a permutation used to be
+        accepted (APPROXIMATE) or to die half-way (PRECISE) with the
+        tree already grown a cell ``(99,)``, after which every search
+        raised a stray ``IndexError``. It is refused, typed, with tree,
+        storage and record count as they were, and searches answer."""
+        cloud = SimilarityCloud.build(
+            small_data, distance=L1Distance(), n_pivots=8,
+            bucket_capacity=40, strategy=strategy, seed=7,
+        )
+        cloud.owner.outsource(range(len(small_data)), small_data)
+        index, storage = cloud.server.index, cloud.server.storage
+        client = cloud.new_client()
+
+        def state():
+            return (
+                len(index),
+                [(leaf.prefix, leaf.count, leaf.intervals)
+                 for leaf in index.tree.leaves()],
+                {cell: [r.to_bytes() for r in storage.load(cell)]
+                 for cell in sorted(storage.cells())},
+                client.knn_search(queries[0], 5, cand_size=60),
+            )
+
+        before = state()
+        good = np.argsort(np.abs(small_data[:3] - 1.0) @ np.ones((12, 8)), axis=1)
+        with_distances = strategy is Strategy.PRECISE
+        for bad_row in (
+            [99, 1, 2, 3, 4, 5, 6, 7],  # outside the pivots
+            [-1, 1, 2, 3, 4, 5, 6, 7],
+            [1, 1, 2, 3, 4, 5, 6, 7],  # inside them, twice
+        ):
+            permutations = good.astype(np.int32)
+            permutations[1] = bad_row
+            distances = np.ones((3, 8)) if with_distances else None
+            if method == "insert_bulk":
+                body = RecordBatch(
+                    [7000, 7001, 7002], permutations, distances, [b"t"] * 3
+                ).write_to(Writer())
+            else:
+                # the per-record requests: one bad record
+                record = IndexedRecord(
+                    7001, permutations[1], None if distances is None
+                    else distances[1], b"t",
+                )
+                body = Writer()
+                if method == "insert":
+                    body.u32(1)
+                record.write_to(body)
+            with pytest.raises(ReproError, match="permutation"):
+                client.rpc.call(method, body)
+            after = state()
+            assert after[:3] == before[:3]
+            assert [(h.oid, h.distance) for h in after[3]] == [
+                (h.oid, h.distance) for h in before[3]
+            ]
 
     def test_stats_handler(self, approx_cloud):
         client = approx_cloud.new_client()
