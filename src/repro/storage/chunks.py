@@ -1,13 +1,22 @@
-"""Compressed chunks, the cell decoder and the LRU block cache.
+"""Chunks, the cell encoder and decoder, and the LRU block cache.
 
-A cell's records live in independently ``zlib``-compressed *chunks*, so
-a point ``load`` decompresses only the chunks of that cell and an append
-compresses just the new group. A chunk is self-delimiting::
+A cell's records live in independent *chunks*, so a point ``load``
+reads only the chunks of that cell and an append writes just the new
+group. A chunk is self-delimiting::
 
     chunk := u32 comp_len | u32 raw_len | u32 n_records | zlib bytes
 
 ``raw`` is a concatenation of the usual length-prefixed record frames;
 a record never spans two chunks, so every chunk decodes independently.
+The zlib bytes are a stream of *stored* blocks (level 0): what a frame
+holds beside its oid and permutation is an AES-CTR token, which does
+not deflate — level 6 bought a ratio of 0.77–0.84 on a build's real
+chunk bytes for a third of the bulk's wall time, and inflating was over
+half of a range query's storage time (``docs/BENCHMARKS.md``, PR 24).
+The stream is kept for what else it gives: its Adler-32 turns a flipped
+byte into a :class:`StorageError`, and :func:`decompress_chunk` with its
+size bounds is the one reader of every chunk, stored by this code or
+deflated by an earlier commit, side by side in one cell or one segment.
 Chunks of many cells share one *segment* file — what one storage batch
 wrote, in the order it wrote it, then the batch's catalog as a trailer
 (:mod:`repro.storage.manifest`). Where a chunk lies is the catalog's
@@ -22,19 +31,22 @@ once, to convert a directory on open: :func:`read_file_header` and
 :func:`scan_chunks` are its no-manifest reader, :func:`encode_file_header`
 its writer (kept for the tests that build such a directory).
 
-:class:`BlockCache` is the byte-budgeted LRU of *decompressed* chunks —
-raw frame bytes, not decoded records — keyed by where the chunk lies,
-so a relocated chunk is re-keyed, not lost.
+:class:`BlockCache` is the byte-budgeted LRU of chunks' *raw* bytes —
+frame bytes out of the envelope and checked, not decoded records —
+keyed by where the chunk lies, so a relocated chunk is re-keyed, not
+lost.
 
-Frames are decoded a cell at a time (:func:`decode_cell`): when every
-frame of a cell has the shape of the first and carries a permutation —
-every cell of an index over equal-sized objects — its bytes are one
-fixed-stride table and the columns are strided views of it, each shape
-field of each frame checked against the first frame's before use; any
-other cell is decoded frame by frame by :func:`parse_frames`, the one
-per-record decoder. Sizes and counts that come from the chunk index
-are checked against the bytes present before anything is sized from
-them.
+Frames are written a group at a time and decoded a cell at a time, by
+the same rule in both directions. When every frame has the shape of the
+first and carries a permutation — every group and every cell of an
+index over equal-sized objects — the bytes are one fixed-stride table
+(:func:`_frame_dtype`): :func:`build_chunks` fills it from a batch's
+columns in one structured-array encode, :func:`decode_cell` takes the
+columns back as strided views of it, each shape field of each frame
+checked against the first frame's before use. Anything else goes frame
+by frame: :func:`frame_record` writes, :func:`parse_frames` reads.
+Sizes and counts that come from the chunk index are checked against the
+bytes present before anything is sized from them.
 """
 
 from __future__ import annotations
@@ -71,19 +83,20 @@ _LEN = struct.Struct("<I")
 _CHUNK_HEADER = struct.Struct("<III")  # comp_len, raw_len, n_records
 CHUNK_HEADER_SIZE = _CHUNK_HEADER.size
 
-#: target uncompressed bytes per chunk — small enough that a point
-#: lookup never decompresses much more than it needs, large enough for
-#: zlib to see real redundancy
+#: target raw bytes per chunk — small enough that a point lookup never
+#: reads and checks much more than it needs, large enough that the
+#: 12-byte header, the envelope's 11 and the chunk's catalog entry are
+#: noise beside it
 DEFAULT_CHUNK_RAW_BYTES = 64 * 1024
 
 
 @dataclass(frozen=True)
 class ChunkEntry:
-    """Location and shape of one compressed chunk inside a file."""
+    """Location and shape of one chunk inside a file."""
 
     offset: int  # file offset of the chunk header
-    comp_size: int  # compressed payload bytes (header excluded)
-    raw_size: int  # decompressed bytes
+    comp_size: int  # bytes of the zlib stream (header excluded)
+    raw_size: int  # frame bytes inside it
     n_records: int  # record frames inside
     segment: str = ""  # name of the file the chunk lies in
 
@@ -300,7 +313,8 @@ def build_chunks(
             int(np.searchsorted(ends, start + chunk_raw_bytes)), len(ends) - 1
         )
         end = int(ends[last])
-        comp = zlib.compress(raw[start:end])
+        # level 0, stored blocks: the envelope without the match search
+        comp = zlib.compress(raw[start:end], 0)
         pieces.append(
             _CHUNK_HEADER.pack(len(comp), end - start, last + 1 - row) + comp
         )
@@ -313,9 +327,10 @@ def build_chunks(
 
 
 def decompress_chunk(comp: bytes, entry: ChunkEntry) -> bytes:
-    """Decompress one chunk's payload into at most ``raw_size + 1``
-    bytes: a chunk that inflates past the size its index entry
-    promises, stops short of it, or leaves input behind is refused
+    """Inflate one chunk's zlib stream — stored blocks, or deflated
+    ones from an earlier commit — into at most ``raw_size + 1`` bytes:
+    a chunk that inflates past the size its index entry promises, stops
+    short of it, leaves input behind or fails its Adler-32 is refused
     before it can cost more memory than that."""
     inflater = zlib.decompressobj()
     try:
@@ -404,12 +419,13 @@ def scan_chunks(
 
 
 class BlockCache:
-    """Byte-budgeted LRU cache of decompressed chunks (raw frame bytes).
+    """Byte-budgeted LRU cache of chunks' raw frame bytes.
 
     Keys are ``(file name, offset)`` — where the chunk lies; values are
-    the chunk's raw frame bytes. The budget counts raw bytes, so the
-    cache's memory footprint is bounded regardless of compression
-    ratio. A zero budget disables caching (every lookup misses),
+    the chunk's raw frame bytes, read out of its zlib stream and
+    checked once. The budget counts raw bytes, so the cache's memory
+    footprint is bounded whether a chunk was stored or deflated. A
+    zero budget disables caching (every lookup misses),
     mirroring the client-side candidate cache's opt-out. Callers provide
     their own locking — :class:`~repro.storage.disk.DiskStorage`
     serializes all cache access under its accounting mutex.

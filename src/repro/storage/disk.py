@@ -2,8 +2,9 @@
 
 A storage directory holds ``manifest.json`` and *segment* files
 ``seg_<n>.chk``, nothing else. A segment is what one batch wrote: the
-compressed chunks (:mod:`repro.storage.chunks`) of every cell the batch
-touched, one after the other, then the batch's catalog as a trailer
+chunks (:mod:`repro.storage.chunks` — record frames in a zlib envelope
+of stored blocks) of every cell the batch touched, one after the
+other, then the batch's catalog as a trailer
 (:mod:`repro.storage.manifest`). A Voronoi cell's records are the chunks
 the catalog lists for it, in order, wherever they lie. Reopening
 restores the catalog from the manifest without touching a segment — so
@@ -21,8 +22,8 @@ cell's replacement chunks (the ones it had are dead from then on),
 synced, so the batch reads its own writes. The outermost scope exit
 
 1. *cleans*: every committed segment whose live chunks are under half
-   its bytes has them copied — compressed bytes, as they are — to the
-   open segment;
+   its bytes has them copied — chunk bytes, as they are, stored or
+   deflated by an earlier commit — to the open segment;
 2. *seals*: appends the post-batch catalog as the trailer and syncs the
    segment — the batch's one data ``fsync``;
 3. *commits*: writes ``manifest.json`` atomically;
@@ -56,8 +57,12 @@ with its version-1 manifest or, without, through the files' own headers
 — is converted there and then, in one batch that relocates its chunks
 as a cleaning pass would.
 
-Reads go through a byte-budgeted LRU :class:`BlockCache` of
-decompressed chunks keyed by where the chunk lies, with exact
+Writes take columns: ``append_many`` / ``save`` / ``save_many`` are
+handed a :class:`~repro.core.records.RecordBatch` (a record list is
+turned into one), framed a group at a time
+(:func:`~repro.storage.chunks.build_chunks`). Reads go through a
+byte-budgeted LRU :class:`BlockCache` of chunks' raw bytes — out of the
+envelope, Adler-32 checked — keyed by where the chunk lies, with exact
 ``block_cache_hits`` / ``block_cache_misses`` / ``chunks_decompressed``
 counters next to the classic I/O accounting. A read hands a cell back
 as columns — one decode per cell over its chunks' bytes end to end
@@ -122,7 +127,7 @@ __all__ = ["DEFAULT_CACHE_BYTES", "DiskStorage"]
 
 _LOG = logging.getLogger("repro.storage")
 
-#: default byte budget of the decompressed-chunk LRU cache
+#: default byte budget of the raw-chunk LRU cache
 DEFAULT_CACHE_BYTES = 16 * 1024 * 1024
 
 
@@ -159,7 +164,7 @@ class _Segment:
 
 
 class DiskStorage:
-    """Chunk-compressed, manifest-backed disk storage with a block cache.
+    """Chunked, manifest-backed disk storage with a block cache.
 
     Parameters
     ----------
@@ -168,9 +173,9 @@ class DiskStorage:
         chunk indexes restored) if it already holds a manifest or
         data files.
     chunk_raw_bytes:
-        Target uncompressed bytes per chunk (~64 KiB default).
+        Target raw (frame) bytes per chunk (~64 KiB default).
     cache_bytes:
-        Byte budget of the decompressed-chunk LRU cache; ``0`` disables
+        Byte budget of the raw-chunk LRU cache; ``0`` disables
         caching (every chunk access is a counted miss).
     """
 
@@ -309,8 +314,8 @@ class DiskStorage:
         """Read back the records of a cell, as columns (an empty batch
         if absent).
 
-        Only the cell's own chunks are decompressed, and of those only
-        the ones not already in the block cache; a load of an absent
+        Only the cell's own chunks are read and inflated, and of those
+        only the ones not already in the block cache; a load of an absent
         cell touches no disk and charges nothing. The cell's frames are
         decoded once, over its chunks' raw bytes end to end: a search
         reads the columns and no record object is built;

@@ -6,6 +6,7 @@ import logging
 import os
 import shutil
 import threading
+import zlib
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ import pytest
 from repro.core.records import IndexedRecord
 from repro.exceptions import StorageError
 from repro.mindex.index import MIndex
+from repro.storage import chunks as chunks_module
 from repro.storage.chunks import (
     BlockCache,
     build_chunks,
@@ -414,17 +416,176 @@ class TestChunkFormat:
         storage.delete((1,))
         assert storage.chunks == 1
 
-    def test_compression_shrinks_redundant_payloads(self, tmp_path):
-        storage = DiskStorage(tmp_path / "cells")
-        records = [
-            IndexedRecord(
-                i, np.arange(4, dtype=np.int32), None, b"abc123" * 400
-            )
-            for i in range(30)
+
+class _Deflating:
+    """``zlib`` as :mod:`repro.storage.chunks` sees it, with chunks
+    deflated at the default level — how every commit before stored
+    blocks wrote them."""
+
+    def __getattr__(self, name):
+        return getattr(zlib, name)
+
+    @staticmethod
+    def compress(data, _level):
+        return zlib.compress(data)
+
+
+class TestChunkEnvelope:
+    """A chunk is a zlib stream of *stored* blocks: cipher tokens do not
+    deflate, so none is tried. The envelope is what it was — one reader,
+    its size bounds and the Adler-32 — whichever way a chunk was
+    written."""
+
+    @staticmethod
+    def _squeezable(oid, size=300):
+        return IndexedRecord(
+            oid, np.roll(np.arange(4, dtype=np.int32), oid), None,
+            bytes([oid % 251]) * size,
+        )
+
+    @staticmethod
+    def _snapshot(storage):
+        return {
+            cell: [r.to_bytes() for r in storage.load(cell)]
+            for cell in sorted(storage.cells())
+        }
+
+    @staticmethod
+    def _files(directory):
+        return {
+            path.name: path.read_bytes()
+            for path in directory.iterdir()
+            if path.name != "manifest.json"
+        }
+
+    def test_deflated_and_stored_chunks_live_side_by_side(
+        self, tmp_path, monkeypatch
+    ):
+        directory = tmp_path / "cells"
+        cells = {
+            (cell,): [self._squeezable(10 * cell + i) for i in range(8)]
+            for cell in range(3)
+        }
+        with monkeypatch.context() as patch:
+            patch.setattr(chunks_module, "zlib", _Deflating())
+            DiskStorage(directory, chunk_raw_bytes=1000).save_many(cells)
+        written = self._files(directory)
+        (old_segment,) = written
+        expected = {
+            cell: [r.to_bytes() for r in records]
+            for cell, records in cells.items()
+        }
+
+        # it opens and loads as it is: nothing is rewritten for being
+        # deflated
+        storage = DiskStorage(directory, chunk_raw_bytes=1000)
+        deflated = list(storage._catalog[(0,)].chunks)
+        assert len(deflated) > 1
+        assert all(c.comp_size < c.raw_size // 2 for c in deflated)
+        assert self._snapshot(storage) == expected
+        assert self._files(directory) == written
+
+        # an append adds stored chunks to the same cell
+        extra = [self._squeezable(100 + i) for i in range(4)]
+        storage.append_many((0,), extra)
+        expected[(0,)] += [r.to_bytes() for r in extra]
+        chunks = storage._catalog[(0,)].chunks
+        assert chunks[: len(deflated)] == deflated
+        stored = chunks[len(deflated):]
+        assert stored and all(c.comp_size > c.raw_size for c in stored)
+        assert self._snapshot(storage) == expected
+        assert self._files(directory)[old_segment] == written[old_segment]
+
+        # a cleaning pass: cells 1 and 2 are replaced, the old segment
+        # is mostly dead, and cell 0's deflated chunks move — verbatim —
+        # into the segment the stored ones are being written to
+        for cell in ((1,), (2,)):
+            cells[cell] = [self._squeezable(200 + cell[0])]
+            storage.save(cell, cells[cell])
+            expected[cell] = [r.to_bytes() for r in cells[cell]]
+        assert old_segment not in self._files(directory)
+        moved = storage._catalog[(0,)].chunks[: len(deflated)]
+        assert [(c.comp_size, c.raw_size, c.n_records) for c in moved] == [
+            (c.comp_size, c.raw_size, c.n_records) for c in deflated
         ]
-        storage.save((1,), records)
-        raw = sum(r.wire_size for r in records)
-        assert storage.bytes_written < raw / 2
+        (newest,) = {c.segment for c in moved}
+        assert storage._catalog[(2,)].chunks[0].segment == newest
+        blob = self._files(directory)[newest]
+        for now, was in zip(moved, deflated):
+            assert (
+                blob[now.offset : now.end]
+                == written[old_segment][was.offset : was.end]
+            )
+        for opened in (storage, DiskStorage(directory)):
+            assert self._snapshot(opened) == expected
+
+    #: where the parts of a one-block stored stream lie in a chunk's
+    #: zlib bytes (``n`` is their length)
+    REGIONS = {
+        "zlib header": lambda n: range(0, 2),
+        "stored-block header": lambda n: range(2, 7),
+        "body": lambda n: range(7, n - 4),
+        "adler32": lambda n: range(n - 4, n),
+    }
+
+    @pytest.mark.parametrize("region", REGIONS)
+    def test_any_flipped_byte_of_a_stored_chunk_is_a_storage_error(
+        self, tmp_path, region
+    ):
+        directory = tmp_path / "cells"
+        records = [_record(i) for i in range(6)]
+        DiskStorage(directory).save((1,), records)
+        (chunk,) = DiskStorage(directory)._catalog[(1,)].chunks
+        path = directory / chunk.segment
+        pristine = path.read_bytes()
+        start = chunk.offset + 12
+        for position in self.REGIONS[region](chunk.comp_size):
+            for mask in (0x01, 0x10, 0x80, 0xFF):
+                damaged = bytearray(pristine)
+                damaged[start + position] ^= mask
+                path.write_bytes(damaged)
+                try:
+                    loaded = DiskStorage(directory, cache_bytes=0).load((1,))
+                except StorageError:
+                    continue
+                # never wrong records: the one damage that is not an
+                # error is to the five bits after BFINAL and BTYPE,
+                # which a stored block pads with and no inflater reads
+                assert position == 2 and mask & 0x07 == 0
+                assert [r.to_bytes() for r in loaded] == [
+                    r.to_bytes() for r in records
+                ]
+        path.write_bytes(pristine)
+        assert [r.oid for r in DiskStorage(directory).load((1,))] == list(
+            range(6)
+        )
+
+    def test_the_envelope_costs_a_few_bytes_per_64_kib(self, tmp_path):
+        """2 bytes of zlib header, 5 per stored block (of at most
+        65 535 bytes), 4 of Adler-32."""
+        rng = np.random.default_rng(3)
+
+        def record(oid, size):
+            return IndexedRecord(
+                oid, rng.permutation(4).astype(np.int32), None, rng.bytes(size)
+            )
+
+        storage = DiskStorage(tmp_path / "cells")
+        storage.save((1,), [record(i, 288) for i in range(500)])
+        storage.save((2,), [record(2, 70_000), record(3, 140_000)])
+        storage.append((2,), record(4, 1))
+        chunks = [
+            chunk
+            for entry in storage._catalog.values()
+            for chunk in entry.chunks
+        ]
+        assert len(chunks) > 5
+        for chunk in chunks:
+            overhead = chunk.comp_size - chunk.raw_size
+            assert 11 <= overhead <= 16 + chunk.raw_size // 4096
+            if chunk.raw_size <= 60_000:
+                assert overhead == 11
+        assert storage.bytes_written == sum(chunk.size for chunk in chunks)
 
 
 class TestBlockCache:
