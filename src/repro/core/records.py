@@ -431,6 +431,8 @@ class RecordBatch(_RecordSequence):
             (self.permutations, other.permutations),
             (self.distances, other.distances),
         )
+        # columns join where both batches have the same ones at the
+        # same width (np.shape(None) is ()); otherwise the rows do
         if self.rows is not None or other.rows is not None or any(
             np.shape(mine)[1:] != np.shape(theirs)[1:] for mine, theirs in pairs
         ):

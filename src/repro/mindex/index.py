@@ -347,8 +347,9 @@ class MIndex:
         else:
             self.storage.delete(leaf.prefix)
         leaf.rebuild_from(remaining)
-        self._n_records -= len(cell) - len(remaining)
-        return len(cell) - len(remaining)
+        removed = len(cell) - len(remaining)
+        self._n_records -= removed
+        return removed
 
     @_one_batch
     def _split(self, leaf: LeafCell) -> None:

@@ -241,11 +241,12 @@ def decode_cell(chunks: list[bytes], n_records: int) -> RecordBatch:
 # -- chunks ------------------------------------------------------------
 
 
-def _uniform_frames(batch: RecordBatch) -> tuple[bytes, int] | None:
-    """The frames of ``batch`` end to end and the size of one, from one
-    structured-array encode — the mirror of :func:`_uniform_table`, over
-    the same :func:`_frame_dtype` — or None when the batch is not a
-    table: no permutation column, or payloads of several sizes."""
+def _uniform_frames(batch: RecordBatch) -> tuple[np.ndarray, int] | None:
+    """The frames of ``batch`` end to end, as a byte array, and the
+    size of one, from one structured-array encode — the mirror of
+    :func:`_uniform_table`, over the same :func:`_frame_dtype` — or None
+    when the batch is not a table: no permutation column, or payloads
+    of several sizes."""
     permutations, distances = batch.permutations, batch.distances
     payloads = batch.payloads.matrix
     if permutations is None or payloads is None:
@@ -267,7 +268,7 @@ def _uniform_frames(batch: RecordBatch) -> tuple[bytes, int] | None:
         table["distances"] = distances
     table["payload_size"] = payloads.shape[1]
     table["payload"] = payloads
-    return table.tobytes(), table.itemsize
+    return table.view(np.uint8), table.itemsize
 
 
 def build_chunks(
@@ -315,12 +316,9 @@ def build_chunks(
         end = int(ends[last])
         # level 0, stored blocks: the envelope without the match search
         comp = zlib.compress(raw[start:end], 0)
-        pieces.append(
-            _CHUNK_HEADER.pack(len(comp), end - start, last + 1 - row) + comp
-        )
-        entries.append(
-            ChunkEntry(offset, len(comp), end - start, last + 1 - row, segment)
-        )
+        shape = len(comp), end - start, last + 1 - row
+        pieces += (_CHUNK_HEADER.pack(*shape), comp)
+        entries.append(ChunkEntry(offset, *shape, segment))
         offset += _CHUNK_HEADER.size + len(comp)
         row, start = last + 1, end
     return b"".join(pieces), entries
