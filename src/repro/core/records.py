@@ -276,17 +276,6 @@ class RecordBatch(_RecordSequence):
         return int(self.oids.shape[0])
 
     @property
-    def n_pivots(self) -> int:
-        """Number of pivots the batch was described against."""
-        matrix = (
-            self.permutations
-            if self.permutations is not None
-            else self.distances
-        )
-        assert matrix is not None
-        return int(matrix.shape[1])
-
-    @property
     def wire_size(self) -> int:
         """What the records' standalone encodings add up to, in bytes
         (:attr:`IndexedRecord.wire_size`, summed without the records)."""

@@ -264,9 +264,10 @@ class MIndex:
         )
 
     def _check_permutations(self, matrix: np.ndarray, error) -> None:
-        """Every row of ``matrix`` must be a permutation of this
-        index's pivots: a stray element would grow the tree a cell no
-        search can rank and break every later traversal."""
+        """Every row of ``matrix`` — of a bulk, a delete or a query
+        batch — must be a permutation of this index's pivots: a stray
+        element in a bulk would grow the tree a cell no search can rank
+        and break every later traversal."""
         if matrix.ndim != 2 or matrix.shape[1] != self.n_pivots:
             raise error(
                 f"permutations of shape {matrix.shape} do not match an "
@@ -592,11 +593,9 @@ class MIndex:
         :meth:`approx_knn_candidates_batch`.
         """
         perms = np.asarray(query_permutations, dtype=np.int64)
-        if perms.ndim != 2 or perms.shape[1] != self.n_pivots:
-            raise QueryError(
-                f"query permutations must have shape (batch, "
-                f"{self.n_pivots}), got {perms.shape}"
-            )
+        # (a row that is no permutation would leave put_along_axis
+        # below uninitialized rank slots)
+        self._check_permutations(perms, QueryError)
         if cand_size <= 0:
             raise QueryError(f"cand_size must be positive, got {cand_size}")
         if max_cells is not None and max_cells <= 0:
@@ -605,16 +604,7 @@ class MIndex:
         visited = CellRecords([])
         if n_queries == 0:
             return visited, []
-        # each row must be a permutation of 0..n_pivots-1, or
-        # put_along_axis below would leave uninitialized rank slots
         expected = np.arange(self.n_pivots, dtype=np.int64)
-        if not np.array_equal(
-            np.sort(perms, axis=1), np.broadcast_to(expected, perms.shape)
-        ):
-            raise QueryError(
-                f"every query row must be a permutation of "
-                f"0..{self.n_pivots - 1}"
-            )
         # inverse permutations, one row per query
         ranks = np.empty_like(perms)
         np.put_along_axis(
