@@ -36,7 +36,7 @@ from repro.cluster import ProcessShardCluster
 from repro.core.records import RecordBatch
 from repro.metric.permutations import pivot_permutations
 from repro.wire.encoding import Writer
-from repro.wire.scatter import candidate_tokens, read_candidate_lists
+from repro.wire.scatter import read_candidate_lists
 
 N_RECORDS = int(os.environ.get("REPRO_SHARD_N", "4000"))
 N_QUERIES = int(os.environ.get("REPRO_SHARD_QUERIES", "64"))
@@ -87,7 +87,7 @@ def _read_lists(reader):
     per query."""
     table, rows_per_query = read_candidate_lists(reader)
     return [
-        list(zip(table[0][rows].tolist(), candidate_tokens(table, rows)))
+        list(zip(table[0][rows].tolist(), table.payloads.tolist(rows)))
         for rows in rows_per_query
     ]
 

@@ -22,7 +22,7 @@ from repro.metric.strings import GenericMetricSpace, levenshtein
 from repro.net.channel import InProcessChannel
 from repro.net.rpc import RpcClient
 from repro.wire.encoding import Writer
-from repro.wire.scatter import candidate_tokens, read_candidate_table
+from repro.wire.scatter import read_candidate_table
 
 rng = np.random.default_rng(5)
 
@@ -83,7 +83,7 @@ def fuzzy_lookup(query: str, k: int = 5, cand_size: int = 60):
     candidates = read_candidate_table(rpc.call("approx_knn", request))
     words = [
         token.decode("utf-8")
-        for token in cipher.decrypt_many(candidate_tokens(candidates))
+        for token in cipher.decrypt_many(candidates.payloads.tolist())
     ]
     ranked = sorted(
         zip(words, space.d_batch(query, words)), key=lambda wd: (wd[1], wd[0])

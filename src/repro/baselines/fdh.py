@@ -30,14 +30,14 @@ from repro.core.costs import (
     CostRecorder,
     CostReport,
 )
-from repro.core.records import payload_to_vector, vector_to_payload
+from repro.core.records import rows_to_vectors
 from repro.crypto.cipher import AesCipher
 from repro.exceptions import QueryError
 from repro.metric.space import MetricSpace
 from repro.net.channel import InProcessChannel
 from repro.net.clock import Clock
 from repro.net.rpc import RpcClient, RpcDispatcher
-from repro.wire.encoding import Reader, Writer
+from repro.wire.encoding import BlobColumn, Reader, Writer
 
 __all__ = ["FdhServer", "FdhClient", "build_fdh", "select_anchors"]
 
@@ -207,12 +207,8 @@ class FdhClient:
                         for position in range(start, stop)
                     ]
                 with self.costs.time(ENCRYPTION):
-                    tokens = self.cipher.encrypt_many(
-                        [
-                            vector_to_payload(vectors[position])
-                            for position in range(start, stop)
-                        ]
-                    )
+                    rows = np.ascontiguousarray(vectors[start:stop], dtype="<f8")
+                    tokens = self.cipher.encrypt_many(rows.view(np.uint8))
                 writer = Writer()
                 writer.u32(stop - start)
                 for position, hash_bits, token in zip(
@@ -254,9 +250,8 @@ class FdhClient:
             if not tokens:
                 return []
             with self.costs.time(DECRYPTION):
-                plaintexts = self.cipher.decrypt_many(tokens)
-                candidates = np.stack(
-                    [payload_to_vector(p) for p in plaintexts]
+                candidates = rows_to_vectors(
+                    self.cipher.decrypt_many(BlobColumn.of(tokens).as_matrix())
                 )
             with self.costs.time(DISTANCE):
                 distances = self.space.d_batch(query, candidates)

@@ -24,7 +24,7 @@ from repro.core.records import (
     CellRecords,
     IndexedRecord,
     RecordBatch,
-    region_to_matrix,
+    rows_to_vectors,
     vector_to_payload,
 )
 from repro.exceptions import QueryError
@@ -207,8 +207,11 @@ class PlainServer:
         if not len(candidates):
             return []
         # the candidates arrive as columns and stay columns, as on the
-        # encrypted client: one matrix out of the payload region
-        vectors = region_to_matrix(*candidates.packed_payloads())
+        # encrypted client: one matrix gathered out of the cells' payloads
+        payloads = [cell.payloads for cell in candidates.cells]
+        vectors = rows_to_vectors(
+            BlobColumn.gathered(payloads, candidates.rows).as_matrix()
+        )
         with self.costs.time(DISTANCE):
             distances = self.space.d_batch(query, vectors)
         hits = [

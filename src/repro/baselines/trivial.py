@@ -22,14 +22,14 @@ from repro.core.costs import (
     CostRecorder,
     CostReport,
 )
-from repro.core.records import payload_to_vector, vector_to_payload
+from repro.core.records import rows_to_vectors
 from repro.crypto.keys import SecretKey
 from repro.exceptions import QueryError
 from repro.metric.space import MetricSpace
 from repro.net.channel import InProcessChannel
 from repro.net.clock import Clock
 from repro.net.rpc import RpcClient, RpcDispatcher
-from repro.wire.encoding import Reader, Writer
+from repro.wire.encoding import BlobColumn, Reader, Writer
 
 __all__ = ["TrivialServer", "TrivialClient", "build_trivial"]
 
@@ -106,11 +106,9 @@ class TrivialClient:
             stop = min(start + bulk_size, len(oids))
             with self.costs.time(CLIENT):
                 with self.costs.time(ENCRYPTION):
+                    rows = np.ascontiguousarray(vectors[start:stop], dtype="<f8")
                     tokens = self.secret_key.cipher.encrypt_many(
-                        [
-                            vector_to_payload(vectors[position])
-                            for position in range(start, stop)
-                        ]
+                        rows.view(np.uint8)
                     )
                 writer = Writer()
                 writer.u32(stop - start)
@@ -215,8 +213,11 @@ class TrivialClient:
             if not tokens:
                 return [], None
             with self.costs.time(DECRYPTION):
-                plaintexts = self.secret_key.cipher.decrypt_many(tokens)
-                vectors = np.stack([payload_to_vector(p) for p in plaintexts])
+                vectors = rows_to_vectors(
+                    self.secret_key.cipher.decrypt_many(
+                        BlobColumn.of(tokens).as_matrix()
+                    )
+                )
         return oids, vectors
 
     def report(self) -> CostReport:

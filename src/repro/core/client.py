@@ -63,20 +63,15 @@ from repro.core.costs import (
     CostRecorder,
     CostReport,
 )
-from repro.core.records import (
-    IndexedRecord,
-    RecordBatch,
-    payloads_to_matrix,
-    vector_to_payload,
-)
+from repro.core.records import IndexedRecord, RecordBatch, rows_to_vectors
 from repro.crypto.keys import SecretKey
 from repro.crypto.ope import OrderPreservingEncryption
 from repro.exceptions import QueryError
 from repro.metric.permutations import pivot_permutation, pivot_permutations
 from repro.metric.space import MetricSpace
 from repro.net.rpc import RpcClient
-from repro.wire.encoding import Reader, Writer
-from repro.wire.scatter import candidate_tokens, read_candidate_lists
+from repro.wire.encoding import BlobColumn, Reader, Writer
+from repro.wire.scatter import read_candidate_lists
 from repro.wire.search import KNN, RANGE, RANGE_TRANSFORMED
 
 __all__ = ["Strategy", "SearchHit", "EncryptedClient", "DataOwner"]
@@ -119,10 +114,6 @@ class _CandidateCache:
     def invalidate(self, oid: int) -> None:
         """Drop one record's entry (after a delete)."""
         self._entries.pop(oid, None)
-
-    def clear(self) -> None:
-        """Drop all entries."""
-        self._entries.clear()
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -280,19 +271,19 @@ class EncryptedClient:
         All object–pivot distances come out of a single
         :meth:`MetricSpace.d_pairwise` matrix call (rows bit-identical
         to per-object ``d_batch``), the OPE transform and the pivot
-        permutations are applied to the whole matrix at once, and the
-        bulk is serialized as one columnar
-        :class:`~repro.core.records.RecordBatch` instead of per-record
-        encodings.
+        permutations are applied to the whole matrix at once, the
+        vectors' ``float64`` bytes are encrypted as one matrix whose
+        token matrix is the payload column, and the bulk is serialized
+        as one columnar :class:`~repro.core.records.RecordBatch` instead
+        of per-record encodings.
         """
         pivots = self.secret_key.pivots
         matrix = np.asarray(vectors, dtype=np.float64)
         with self.costs.time(DISTANCE):
             distance_matrix = self.space.d_pairwise(matrix, pivots)
+        rows = np.ascontiguousarray(matrix, dtype="<f8").view(np.uint8)
         with self.costs.time(ENCRYPTION):
-            payloads = self.secret_key.cipher.encrypt_many(
-                [vector_to_payload(row) for row in matrix]
-            )
+            payloads = BlobColumn(self.secret_key.cipher.encrypt_many(rows))
         if self.strategy is Strategy.TRANSFORMED:
             with self.costs.time(ENCRYPTION):
                 # a strictly monotone transform preserves the sort
@@ -549,48 +540,37 @@ class EncryptedClient:
     # ------------------------------------------------------------------
 
     def _decrypt_candidates(
-        self, oids: np.ndarray, payloads: list[bytes]
+        self, oids: np.ndarray, tokens: np.ndarray
     ) -> np.ndarray:
-        """The ``(n, dim)`` plaintext matrix of ``n >= 1`` candidates.
+        """The ``(n, dim)`` plaintext matrix of ``n >= 1`` candidates,
+        given as their ``(n, width)`` token matrix.
 
-        The tokens are decrypted in one vectorized AES call and decoded
-        as one matrix. With the LRU cache on, only its misses are
-        decrypted (and charged to decryption time) and its hits are
-        scattered into the same matrix; hit/miss counters record exactly
-        how many candidates skipped decryption.
+        The token matrix is decrypted in one vectorized AES call and the
+        plaintext matrix read as ``float64``. With the LRU cache on, the
+        tokens' bytes key its lookups, only its misses are decrypted
+        (and charged to decryption time) and its hits are scattered into
+        the same matrix; hit/miss counters record exactly how many
+        candidates skipped decryption.
         """
         if self.cache is None:
             with self.costs.time(DECRYPTION):
-                plaintexts = self.secret_key.cipher.decrypt_many(payloads)
-            return payloads_to_matrix(plaintexts)
+                plaintexts = self.secret_key.cipher.decrypt_many(tokens)
+            return rows_to_vectors(plaintexts)
+        payloads = BlobColumn(tokens).tolist()
         oids = oids.tolist()
-        cached: dict[int, np.ndarray] = {}
-        for position, (oid, payload) in enumerate(zip(oids, payloads)):
-            vector = self.cache.get(oid, payload)
-            if vector is not None:
-                cached[position] = vector
-        self.costs.add_count(CACHE_HITS, len(cached))
-        self.costs.add_count(CACHE_MISSES, len(payloads) - len(cached))
-        misses = [p for p in range(len(payloads)) if p not in cached]
+        vectors = [
+            self.cache.get(oid, payload) for oid, payload in zip(oids, payloads)
+        ]
+        misses = [row for row, vector in enumerate(vectors) if vector is None]
+        self.costs.add_count(CACHE_HITS, len(vectors) - len(misses))
+        self.costs.add_count(CACHE_MISSES, len(misses))
         if misses:
             with self.costs.time(DECRYPTION):
-                plaintexts = self.secret_key.cipher.decrypt_many(
-                    [payloads[position] for position in misses]
-                )
-            matrix = payloads_to_matrix(plaintexts)
-        if cached:
-            hit = next(iter(cached.values()))
-            merged = np.empty((len(payloads), hit.shape[0]))
-            for position, vector in cached.items():
-                merged[position] = vector
-            if misses:
-                merged[misses] = matrix
-            matrix = merged
-        for position in misses:
-            self.cache.put(
-                oids[position], payloads[position], matrix[position].copy()
-            )
-        return matrix
+                plaintexts = self.secret_key.cipher.decrypt_many(tokens[misses])
+            for row, vector in zip(misses, rows_to_vectors(plaintexts)):
+                vectors[row] = vector
+                self.cache.put(oids[row], payloads[row], vector.copy())
+        return np.stack(vectors)
 
     def _select(
         self,
@@ -633,9 +613,11 @@ class EncryptedClient:
         The response is a table of unique candidates — an oid column
         and one region of payload bytes — with one list of table rows
         per query in rank order (a ``single`` response is the table
-        alone: one list, every row). The union of all refined heads is
-        cut out of the region and decrypted in a single pass; each
-        query then selects its hits from its own candidate rows.
+        alone: one list, every row). The token matrix of the union of
+        all refined heads is gathered out of the region and decrypted in
+        a single pass (tokens of different sizes are a
+        :class:`~repro.exceptions.ProtocolError`); each query then
+        selects its hits from its own candidate rows.
         """
         with self.costs.time(CLIENT):
             table, index_lists = read_candidate_lists(reader, single=single)
@@ -655,7 +637,8 @@ class EncryptedClient:
             row_of[needed] = np.arange(len(needed))
             if len(needed):
                 vectors = self._decrypt_candidates(
-                    oids[needed], candidate_tokens(table, needed)
+                    oids[needed],
+                    BlobColumn.gathered([table.payloads], needed).as_matrix(),
                 )
             results: list[list[SearchHit]] = []
             for query, indices, head in zip(queries, index_lists, heads):

@@ -47,9 +47,7 @@ __all__ = [
     "IndexedRecord",
     "RecordBatch",
     "vector_to_payload",
-    "payload_to_vector",
-    "payloads_to_matrix",
-    "region_to_matrix",
+    "rows_to_vectors",
 ]
 
 
@@ -523,10 +521,6 @@ class CellRecords(_RecordSequence):
         oids = oid_column(self.cells)
         return oids if self.rows is None else oids[self.rows]
 
-    def packed_payloads(self) -> tuple[np.ndarray, np.ndarray]:
-        """The payloads' lengths and their bytes copied end to end."""
-        return pack_blobs([cell.payloads for cell in self.cells], self.rows)
-
     def __len__(self) -> int:
         return self._stored if self.rows is None else len(self.rows)
 
@@ -552,37 +546,14 @@ def vector_to_payload(vector: np.ndarray) -> bytes:
     return np.ascontiguousarray(vector, dtype="<f8").tobytes()
 
 
-def _check_vector_bytes(length: int) -> None:
-    if length % 8 != 0 or length == 0:
+def rows_to_vectors(rows: np.ndarray) -> np.ndarray:
+    """Decode an ``(n, width)`` uint8 matrix of plaintext-vector
+    payloads (what :func:`vector_to_payload` makes), one a row, as the
+    ``(n, width // 8)`` float64 matrix (on little-endian hosts a view of
+    its bytes)."""
+    width = rows.shape[1]
+    if width % 8 != 0 or width == 0:
         raise ProtocolError(
-            f"plain payload of {length} bytes is not a float64 vector"
+            f"plain payload of {width} bytes is not a float64 vector"
         )
-
-
-def payload_to_vector(payload: bytes) -> np.ndarray:
-    """Decode a plaintext-vector payload."""
-    _check_vector_bytes(len(payload))
-    return np.frombuffer(payload, dtype="<f8").astype(np.float64)
-
-
-def payloads_to_matrix(payloads: list[bytes]) -> np.ndarray:
-    """Decode equal-length plaintext-vector payloads as one ``(n, dim)``
-    matrix (on little-endian hosts a read-only view of their bytes)."""
-    return region_to_matrix(
-        np.fromiter(map(len, payloads), np.int64, len(payloads)),
-        b"".join(payloads),
-    )
-
-
-def region_to_matrix(lengths: np.ndarray, region) -> np.ndarray:
-    """:func:`payloads_to_matrix` for payloads already end to end in
-    ``region`` (what :meth:`CellRecords.packed_payloads` returns)."""
-    sizes = np.unique(lengths).tolist()
-    for size in sizes:
-        _check_vector_bytes(size)
-    if len(sizes) != 1:
-        raise ProtocolError(
-            f"plain payloads of {sizes} bytes do not form a matrix"
-        )
-    flat = np.frombuffer(region, dtype="<f8")
-    return flat.reshape(len(lengths), -1).astype(np.float64, copy=False)
+    return np.ascontiguousarray(rows).view("<f8").astype(np.float64, copy=False)

@@ -16,6 +16,13 @@ bit") drives the whole layer. Wire format of a token:
 
 The 32-byte overhead per object is what the communication-cost accounting
 sees for each encrypted candidate.
+
+A batch is a matrix: messages of one length are the rows of a uint8
+matrix and so are their tokens, 32 bytes wider. Per batch the only loop
+over tokens is the keyed HMAC's, over rows of one buffer; the counter
+blocks of every token are encrypted in one pass. A list of ``bytes`` of
+any lengths is a batch too, sent through the same path one length at a
+time.
 """
 
 from __future__ import annotations
@@ -25,8 +32,14 @@ import hmac
 import os
 from typing import Callable
 
+import numpy as np
+
 from repro.crypto.aes import AesKey
-from repro.crypto.modes import ctr_transform_many
+from repro.crypto.modes import (
+    ctr_transform_rows,
+    rows_by_length,
+    rows_in_order,
+)
 from repro.exceptions import AuthenticationError, CryptoError, KeyError_
 
 __all__ = ["AesCipher"]
@@ -84,61 +97,49 @@ class AesCipher:
         batch of one)."""
         return self.encrypt_many([plaintext])[0]
 
-    def encrypt_many(self, plaintexts: list[bytes]) -> list[bytes]:
+    def encrypt_many(self, plaintexts):
         """Encrypt many messages with one vectorized AES pass.
 
-        Nonces are drawn one per message, in order, so the tokens are
-        those of ``[self.encrypt(p) for p in plaintexts]`` — but the
-        per-message AES overhead is amortized, which is what bulk insert
-        and candidate-set decryption hinge on. The whole batch is one
-        packed buffer end to end: every message's counter blocks go
-        through a single :func:`encrypt_blocks` call (block-range
-        sliced across the kernel scheduler when enabled) and the
-        keystream is applied by one XOR, not a Python loop of
-        per-plaintext passes.
+        ``plaintexts`` is the ``(n, length)`` uint8 matrix of ``n``
+        messages of one length, and the tokens come back as the ``(n,
+        length + 32)`` matrix; or it is a list of ``bytes`` of any
+        lengths, and the tokens come back as a list. Nonces are drawn
+        one per message, in order, so the tokens are those of
+        ``[self.encrypt(p) for p in plaintexts]`` — but the counter
+        blocks of all messages of one length go through one
+        :func:`~repro.crypto.modes.ctr_transform_rows` call, and the
+        tags are the only loop over messages.
         """
-        nonces = []
-        for plaintext in plaintexts:
-            if not isinstance(plaintext, (bytes, bytearray)):
-                raise CryptoError("plaintext must be bytes")
-            nonce = self._nonce_factory()
-            if len(nonce) != _NONCE_SIZE:
-                raise CryptoError(
-                    f"nonce factory must return {_NONCE_SIZE} bytes, "
-                    f"got {len(nonce)}"
-                )
-            nonces.append(nonce)
-        ciphertexts = ctr_transform_many(
-            self._aes, nonces, [bytes(p) for p in plaintexts]
+        nonces = [self._nonce_factory() for _ in range(len(plaintexts))]
+        if any(len(nonce) != _NONCE_SIZE for nonce in nonces):
+            raise CryptoError(f"nonce factory must return {_NONCE_SIZE} bytes")
+        nonces = np.frombuffer(b"".join(nonces), dtype=np.uint8)
+        nonces = nonces.reshape(-1, _NONCE_SIZE)
+        return rows_in_order(
+            plaintexts,
+            [
+                (chosen, self._seal(nonces[chosen], rows))
+                for chosen, rows in rows_by_length(plaintexts, "plaintext")
+            ],
         )
-        tokens = []
-        for nonce, ciphertext in zip(nonces, ciphertexts):
-            body = nonce + ciphertext
-            tokens.append(body + self._tag(body))
-        return tokens
 
-    def decrypt_many(self, tokens: list[bytes]) -> list[bytes]:
+    def decrypt_many(self, tokens):
         """Verify and decrypt many tokens with one vectorized AES pass.
 
-        Every tag is checked *before* any keystream is produced; a
-        single bad token fails the whole batch with
-        :class:`AuthenticationError`.
+        ``tokens`` is the ``(n, width)`` uint8 token matrix, and the
+        plaintexts come back as the ``(n, width - 32)`` matrix; or it is
+        a list of ``bytes`` tokens, and they come back as a list. Every
+        tag of the batch is checked, on a private copy of the tokens,
+        *before* any keystream is produced; a single bad token fails the
+        whole batch with :class:`AuthenticationError`.
         """
-        nonces: list[bytes] = []
-        ciphertexts: list[bytes] = []
-        for token in tokens:
-            if not isinstance(token, (bytes, bytearray)):
-                raise CryptoError("token must be bytes")
-            token = bytes(token)
-            if len(token) < _NONCE_SIZE + _TAG_SIZE:
-                raise AuthenticationError("token too short to be valid")
-            if not hmac.compare_digest(
-                token[-_TAG_SIZE:], self._tag(token[:-_TAG_SIZE])
-            ):
-                raise AuthenticationError("ciphertext failed integrity check")
-            nonces.append(token[:_NONCE_SIZE])
-            ciphertexts.append(token[_NONCE_SIZE:-_TAG_SIZE])
-        return ctr_transform_many(self._aes, nonces, ciphertexts)
+        verified = [
+            (chosen, self._verified(rows))
+            for chosen, rows in rows_by_length(tokens, "token")
+        ]
+        return rows_in_order(
+            tokens, [(chosen, self._open(rows)) for chosen, rows in verified]
+        )
 
     def decrypt(self, token: bytes) -> bytes:
         """Verify and decrypt a token produced by :meth:`encrypt`.
@@ -155,6 +156,49 @@ class AesCipher:
         return plaintext_size + self.overhead
 
     # -- internals ---------------------------------------------------------
+
+    def _seal(self, nonces: np.ndarray, plaintexts: np.ndarray) -> np.ndarray:
+        """The token matrix of a plaintext matrix under a nonce column."""
+        count, length = plaintexts.shape
+        tokens = np.empty((count, length + self.overhead), dtype=np.uint8)
+        tokens[:, :_NONCE_SIZE] = nonces
+        tokens[:, _NONCE_SIZE:-_TAG_SIZE] = ctr_transform_rows(
+            self._aes, nonces, plaintexts
+        )
+        tokens[:, -_TAG_SIZE:] = np.frombuffer(
+            b"".join(self._tags(tokens)), dtype=np.uint8
+        ).reshape(count, _TAG_SIZE)
+        return tokens
+
+    def _verified(self, tokens: np.ndarray) -> np.ndarray:
+        """A private copy of a token matrix, every tag in it checked with
+        :func:`hmac.compare_digest`."""
+        tokens = np.array(tokens, order="C")
+        if tokens.shape[1] < self.overhead:
+            raise AuthenticationError("token too short to be valid")
+        given = tokens[:, -_TAG_SIZE:].tobytes()
+        compare = hmac.compare_digest
+        starts = range(0, len(given), _TAG_SIZE)
+        for start, tag in zip(starts, self._tags(tokens)):
+            if not compare(tag, given[start : start + _TAG_SIZE]):
+                raise AuthenticationError("ciphertext failed integrity check")
+        return tokens
+
+    def _open(self, tokens: np.ndarray) -> np.ndarray:
+        """The plaintext matrix of a verified token matrix."""
+        nonces, ciphertexts = tokens[:, :_NONCE_SIZE], tokens[:, _NONCE_SIZE:]
+        return ctr_transform_rows(self._aes, nonces, ciphertexts[:, :-_TAG_SIZE])
+
+    def _tags(self, tokens: np.ndarray) -> list[bytes]:
+        """The tag of every row of a C-contiguous token matrix, each over
+        the row's ``nonce || ciphertext``."""
+        width = tokens.shape[1]
+        rows = memoryview(tokens.reshape(-1))
+        tag = self._tag
+        return [
+            tag(rows[start : start + width - _TAG_SIZE])
+            for start in range(0, len(rows), width)
+        ]
 
     def _tag(self, data: bytes) -> bytes:
         inner = self._mac_inner.copy()
@@ -173,4 +217,3 @@ class AesCipher:
 
     def __hash__(self) -> int:
         return hash(hashlib.sha256(b"repro.id\x00" + self._master_key).digest())
-

@@ -2,11 +2,13 @@
 
 ECB and CBC operate on PKCS#7-padded input; CTR is a stream mode
 (ciphertext length == plaintext length) and is the mode the Encrypted
-M-Index uses for object payloads. The CTR keystream is produced through
-the vectorized block-encryption path, so encrypting a large payload costs
-one numpy pass instead of a Python loop per block; there is one CTR
-implementation, :func:`ctr_transform_many`, and the single-message
-functions are its one-message view.
+M-Index uses for object payloads. There is one CTR implementation,
+:func:`ctr_transform_rows`: messages of one length are the rows of a
+matrix, their counter blocks come from the nonce column in one step,
+are encrypted in one vectorized AES pass and applied by one XOR.
+:func:`ctr_transform_many` sends a list of messages of any lengths
+through it, one length at a time (:func:`rows_by_length`), and the
+single-message functions are its one-message view.
 
 ECB is provided for completeness and test vectors only — it leaks equal
 blocks and must not be used for object payloads.
@@ -28,6 +30,9 @@ __all__ = [
     "ctr_keystream",
     "ctr_transform",
     "ctr_transform_many",
+    "ctr_transform_rows",
+    "rows_by_length",
+    "rows_in_order",
 ]
 
 
@@ -77,42 +82,35 @@ def cbc_decrypt(key: AesKey, ciphertext: bytes, iv: bytes) -> bytes:
     return (decrypted ^ previous).tobytes()
 
 
-def _counter_blocks_many(
-    nonces: list[bytes], blocks_per: np.ndarray
-) -> np.ndarray:
-    """Counter blocks of many messages, one message after another.
+def _counter_blocks_rows(nonces: np.ndarray, n_blocks: int) -> np.ndarray:
+    """The counter blocks of ``n`` messages of ``n_blocks`` blocks each,
+    one message after another.
 
     Message ``i`` contributes the big-endian 128-bit counters
-    ``nonces[i], nonces[i] + 1, ...`` (``blocks_per[i]`` of them, NIST
-    SP 800-38A style). The counters are built as two big-endian 64-bit
-    columns whose bytes *are* the blocks; a message whose low half
-    could wrap (astronomically rare under random nonces) sends the call
-    to exact big-integer arithmetic instead.
+    ``nonces[i], nonces[i] + 1, ...`` (NIST SP 800-38A style). The
+    counters are two big-endian 64-bit columns whose bytes *are* the
+    blocks, the block offsets added to every low half in one broadcast
+    step. Where a low half could wrap (astronomically rare under random
+    nonces) the wrapped counters carry into their high halves, so the
+    arithmetic is exact modulo 2^128.
     """
-    halves = np.frombuffer(b"".join(nonces), dtype=">u8").reshape(-1, 2)
-    longest = int(blocks_per.max(initial=0))
-    if np.any(halves[:, 1] > np.uint64(0xFFFFFFFFFFFFFFFF - longest)):
-        mask = (1 << 128) - 1
-        exact = b"".join(
-            ((int.from_bytes(nonce, "big") + i) & mask).to_bytes(16, "big")
-            for nonce, n_blocks in zip(nonces, blocks_per)
-            for i in range(n_blocks)
-        )
-        return np.frombuffer(exact, dtype=np.uint8).reshape(-1, BLOCK_SIZE)
-    # Each message's start repeated for its block count, plus the
-    # within-message block offsets added to the low half.
-    counters = np.repeat(halves, blocks_per, axis=0)
-    first = np.cumsum(blocks_per) - blocks_per
-    offsets = np.arange(counters.shape[0]) - np.repeat(first, blocks_per)
-    counters[:, 1] += offsets.astype(np.uint64)
-    return counters.view(np.uint8)
+    halves = np.ascontiguousarray(nonces, dtype=np.uint8).view(">u8")
+    steps = np.arange(n_blocks, dtype=np.uint64)
+    counters = np.empty((halves.shape[0], n_blocks, 2), dtype=">u8")
+    counters[:, :, 0] = halves[:, :1]
+    np.add(halves[:, 1:], steps, out=counters[:, :, 1])
+    if n_blocks > 1 and np.any(halves[:, 1] > np.uint64(2**64 - n_blocks)):
+        counters[:, :, 0] += counters[:, :, 1] < steps
+    return counters.view(np.uint8).reshape(-1, BLOCK_SIZE)
 
 
 def counter_blocks(start: int, n_blocks: int) -> np.ndarray:
     """Big-endian 16-byte counter blocks ``start .. start + n_blocks - 1``
     (modulo 2^128)."""
     nonce = (start & ((1 << 128) - 1)).to_bytes(BLOCK_SIZE, "big")
-    return _counter_blocks_many([nonce], np.array([n_blocks]))
+    return _counter_blocks_rows(
+        np.frombuffer(nonce, dtype=np.uint8).reshape(1, -1), n_blocks
+    )
 
 
 def ctr_keystream(key: AesKey, nonce: bytes, length: int) -> np.ndarray:
@@ -134,42 +132,84 @@ def ctr_transform(key: AesKey, nonce: bytes, data: bytes) -> bytes:
     return ctr_transform_many(key, [nonce], [data])[0]
 
 
+def ctr_transform_rows(
+    key: AesKey, nonces: np.ndarray, data: np.ndarray
+) -> np.ndarray:
+    """CTR-transform ``n`` messages of one length in one vectorized pass.
+
+    ``nonces`` is the ``(n, 16)`` uint8 matrix of initial counter blocks
+    and ``data`` the ``(n, length)`` uint8 matrix of the messages, one a
+    row (either may be a column slice of a wider matrix); the result is
+    a new ``(n, length)`` matrix. The counter blocks of every message
+    are encrypted as one matrix and the keystream is applied by one XOR.
+    This is the path behind :class:`repro.crypto.cipher.AesCipher`.
+    """
+    count, length = data.shape
+    if nonces.shape != (count, BLOCK_SIZE):
+        raise CryptoError(f"got nonces {nonces.shape} for {count} messages")
+    n_blocks = -(-length // BLOCK_SIZE)
+    stream = encrypt_blocks(key, _counter_blocks_rows(nonces, n_blocks))
+    return np.bitwise_xor(
+        data, stream.reshape(count, n_blocks * BLOCK_SIZE)[:, :length]
+    )
+
+
+def rows_by_length(messages, what: str) -> list:
+    """A batch as ``(positions, matrix)`` groups of messages of one
+    length: a uint8 matrix is one group, its rows in order; a list of
+    ``bytes`` of any lengths is one ``(count, length)`` matrix per length
+    (a new buffer, read-only), lengths in order of first appearance,
+    each with the positions its rows had in the list."""
+    if isinstance(messages, np.ndarray):
+        return [(slice(None), messages)]
+    positions: dict[int, list[int]] = {}
+    for position, message in enumerate(messages):
+        if not isinstance(message, (bytes, bytearray)):
+            raise CryptoError(f"{what} must be bytes")
+        positions.setdefault(len(message), []).append(position)
+    return [
+        (
+            chosen,
+            np.frombuffer(
+                b"".join([messages[position] for position in chosen]),
+                dtype=np.uint8,
+            ).reshape(len(chosen), length),
+        )
+        for length, chosen in positions.items()
+    ]
+
+
+def rows_in_order(messages, groups: list):
+    """The inverse of :func:`rows_by_length` for the results of a
+    batch's groups: the one matrix of a matrix batch; for a list, the
+    rows of every ``(positions, matrix)`` group as ``bytes``, back in
+    their positions."""
+    if isinstance(messages, np.ndarray):
+        return groups[0][1]
+    results = [b""] * len(messages)
+    for chosen, matrix in groups:
+        data, length = matrix.tobytes(), matrix.shape[1]
+        for row, position in enumerate(chosen):
+            results[position] = data[row * length : (row + 1) * length]
+    return results
+
+
 def ctr_transform_many(
     key: AesKey, nonces: list[bytes], datas: list[bytes]
 ) -> list[bytes]:
-    """CTR-transform many messages in one vectorized AES pass.
-
-    This is the path behind :class:`repro.crypto.cipher.AesCipher`: the
-    counter blocks of *all* messages are built and encrypted as one
-    matrix, amortizing the per-call numpy overhead that dominates
-    small-message CTR, and the keystream is applied by one XOR over the
-    messages laid out block-aligned (each padded to whole blocks, so
-    message and keystream offsets coincide); the results are slices of
-    that one buffer.
-    """
+    """CTR-transform a list of messages of any lengths: the messages of
+    each length go through :func:`ctr_transform_rows` as one matrix."""
     if len(nonces) != len(datas):
         raise CryptoError(
             f"got {len(nonces)} nonces for {len(datas)} messages"
         )
-    for nonce in nonces:
-        if len(nonce) != BLOCK_SIZE:
-            raise CryptoError(
-                f"nonce must be {BLOCK_SIZE} bytes, got {len(nonce)}"
-            )
-    sizes = [-(-len(data) // BLOCK_SIZE) * BLOCK_SIZE for data in datas]
-    counters = _counter_blocks_many(
-        nonces, np.array(sizes, dtype=np.int64) // BLOCK_SIZE
+    if any(len(nonce) != BLOCK_SIZE for nonce in nonces):
+        raise CryptoError(f"a nonce must be {BLOCK_SIZE} bytes")
+    column = np.frombuffer(b"".join(nonces), np.uint8).reshape(-1, BLOCK_SIZE)
+    return rows_in_order(
+        datas,
+        [
+            (chosen, ctr_transform_rows(key, column[chosen], rows))
+            for chosen, rows in rows_by_length(datas, "data")
+        ],
     )
-    if counters.shape[0] == 0:
-        return [b"" for _ in datas]
-    stream = encrypt_blocks(key, counters).reshape(-1)
-    aligned = b"".join(
-        [data.ljust(size, b"\0") for data, size in zip(datas, sizes)]
-    )
-    xored = (np.frombuffer(aligned, dtype=np.uint8) ^ stream).tobytes()
-    messages = []
-    start = 0
-    for data, size in zip(datas, sizes):
-        messages.append(xored[start : start + len(data)])
-        start += size
-    return messages

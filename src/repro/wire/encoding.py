@@ -393,6 +393,14 @@ class BlobColumn:
             return self.matrix.shape[0]
         return self.offsets.shape[0] - 1
 
+    def as_matrix(self) -> np.ndarray:
+        """The ``(n, width)`` matrix of a regular column (cipher tokens
+        of one index); :class:`ProtocolError` for any other column."""
+        if self.matrix is None:
+            sizes = np.unique(self.lengths).tolist()
+            raise ProtocolError(f"blobs of {sizes} bytes do not form a matrix")
+        return self.matrix
+
     @property
     def lengths(self) -> np.ndarray:
         """The blobs' sizes, one int64 each."""

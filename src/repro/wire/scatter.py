@@ -12,11 +12,10 @@ inserts)::
 :func:`read_candidate_table` hands it back as a
 :class:`CandidateTable` — the oid column and the payloads as a
 :class:`~repro.wire.encoding.BlobColumn`, a view of the message —
-without building anything per record; only the client cuts ``bytes``
-tokens out of the region (:func:`candidate_tokens`), and only for the
-candidates it decrypts. A *ragged column* (one variable-length list of
-integers per query or per group) is a column of sizes plus the values
-end to end. On top of these:
+without building anything per record; the client gathers the token
+matrix of the candidates it decrypts out of the region. A *ragged
+column* (one variable-length list of integers per query or per group)
+is a column of sizes plus the values end to end. On top of these:
 
 * a single-query response (``approx_knn``, ``range``,
   ``range_transformed``) is one table, in rank order;
@@ -65,7 +64,6 @@ from repro.wire.encoding import BlobColumn, Reader, Writer, pack_blobs
 
 __all__ = [
     "CandidateTable",
-    "candidate_tokens",
     "oid_column",
     "per_query",
     "read_candidate_lists",
@@ -110,15 +108,6 @@ def read_candidate_table(reader: Reader) -> CandidateTable:
             f"{offsets.shape[0] - 1} payloads"
         )
     return CandidateTable(oids, BlobColumn.packed(offsets, region))
-
-
-def candidate_tokens(
-    table: CandidateTable, rows=slice(None)
-) -> list[bytes]:
-    """The payloads of ``rows`` of a candidate table (an index array or
-    a slice; all of it by default) cut out of the region as ``bytes``,
-    in that order."""
-    return table.payloads.tolist(rows)
 
 
 def oid_column(tables: list) -> np.ndarray:

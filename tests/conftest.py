@@ -25,7 +25,7 @@ from repro.wire.frames import (
     FrameHeader,
     encode_frame,
 )
-from repro.wire.scatter import candidate_tokens, read_candidate_lists
+from repro.wire.scatter import read_candidate_lists
 
 
 @pytest.fixture
@@ -91,7 +91,7 @@ def candidate_lists(reader) -> list[list[tuple[int, bytes]]]:
     through the one reader of that layout."""
     table, rows_per_query = read_candidate_lists(reader)
     return [
-        list(zip(table[0][rows].tolist(), candidate_tokens(table, rows)))
+        list(zip(table[0][rows].tolist(), table.payloads.tolist(rows)))
         for rows in rows_per_query
     ]
 

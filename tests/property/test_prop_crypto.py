@@ -14,6 +14,7 @@ from repro.crypto.modes import (
     cbc_encrypt,
     ctr_transform,
     ctr_transform_many,
+    ctr_transform_rows,
 )
 from repro.crypto.padding import pkcs7_pad, pkcs7_unpad
 
@@ -52,18 +53,44 @@ def test_ctr_roundtrip_any_length(key, nonce, message):
     assert ctr_transform(aes, nonce, ct) == message
 
 
+#: initial counters, some with a low half within 16 of wrapping
+counters = st.integers(0, 2**128 - 1) | st.builds(
+    lambda high, below: (high << 64) | (2**64 - 1 - below),
+    st.integers(0, 2**64 - 1),
+    st.integers(0, 16),
+)
+#: a matrix of messages of one length: empty, sub-block or multi-block
+widths = st.sampled_from([0, 1, 15, 16, 17, 96, 300])
+
+
+def _matrix(data, rows, width):
+    return np.frombuffer(
+        data.draw(st.binary(min_size=rows * width, max_size=rows * width)),
+        dtype=np.uint8,
+    ).reshape(rows, width)
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     key=keys,
-    parts=st.lists(st.tuples(nonces, messages), min_size=0, max_size=8),
+    parts=st.lists(st.tuples(counters, messages), min_size=0, max_size=8),
+    width=widths,
+    data=st.data(),
 )
-def test_ctr_many_equals_singles(key, parts):
+def test_ctr_many_equals_singles(key, parts, width, data):
+    """A list of messages of any lengths, and a matrix of messages of one
+    length through the one CTR routine, equal per-message CTR."""
     aes = AesKey(key)
-    bulk = ctr_transform_many(
-        aes, [n for n, _ in parts], [m for _, m in parts]
-    )
-    singles = [ctr_transform(aes, n, m) for n, m in parts]
+    starts = [n.to_bytes(16, "big") for n, _ in parts]
+    bulk = ctr_transform_many(aes, starts, [m for _, m in parts])
+    singles = [ctr_transform(aes, n, m) for n, (_, m) in zip(starts, parts)]
     assert bulk == singles
+    matrix = _matrix(data, len(parts), width)
+    column = np.frombuffer(b"".join(starts), dtype=np.uint8).reshape(-1, 16)
+    rows = ctr_transform_rows(aes, column, matrix)
+    assert [row.tobytes() for row in rows] == [
+        ctr_transform(aes, n, row.tobytes()) for n, row in zip(starts, matrix)
+    ]
 
 
 @settings(max_examples=50, deadline=None)
@@ -92,14 +119,46 @@ def test_authenticated_cipher_roundtrip(key, message):
     assert cipher.decrypt(token) == message
 
 
+def _drawn_nonces(values):
+    supply = iter([value.to_bytes(16, "big") for value in values])
+    return lambda: next(supply)
+
+
 @settings(max_examples=25, deadline=None)
-@given(key=keys, batch=st.lists(messages, min_size=0, max_size=10))
-def test_batch_cipher_equals_singles(key, batch):
-    cipher = AesCipher(key)
-    tokens = cipher.encrypt_many(batch)
-    assert cipher.decrypt_many(tokens) == batch
-    for token, message in zip(tokens, batch):
-        assert cipher.decrypt(token) == message
+@given(
+    key=keys,
+    batch=st.lists(messages, min_size=0, max_size=10),
+    rows=st.integers(0, 8),
+    width=widths,
+    data=st.data(),
+)
+def test_batch_cipher_equals_singles(key, batch, rows, width, data):
+    """A list of messages of any lengths and a matrix of messages of one
+    length, under nonces that may sit just below a low-half wrap, give
+    the tokens and plaintexts of per-message encrypt / decrypt."""
+    matrix = _matrix(data, rows, width)
+    for sent, messages_of in (
+        (batch, list(batch)),
+        (matrix, [row.tobytes() for row in matrix]),
+    ):
+        values = data.draw(
+            st.lists(counters, min_size=len(messages_of), max_size=len(messages_of))
+        )
+        tokens = AesCipher(key, nonce_factory=_drawn_nonces(values)).encrypt_many(
+            sent
+        )
+        one_by_one = AesCipher(key, nonce_factory=_drawn_nonces(values))
+        expected = [one_by_one.encrypt(message) for message in messages_of]
+        cipher = AesCipher(key)
+        if isinstance(sent, np.ndarray):
+            assert tokens.shape == (rows, width + cipher.overhead)
+            assert [token.tobytes() for token in tokens] == expected
+            assert np.array_equal(cipher.decrypt_many(tokens), matrix)
+        else:
+            assert tokens == expected
+            assert cipher.decrypt_many(tokens) == batch
+        for token, message in zip(expected, messages_of):
+            assert cipher.decrypt(token) == message
 
 
 @settings(max_examples=40, deadline=None)

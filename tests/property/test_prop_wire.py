@@ -15,7 +15,6 @@ from repro.exceptions import ProtocolError, QueryError
 from repro.wire.encoding import BlobColumn, Reader, Writer
 from repro.wire.scatter import (
     CandidateTable,
-    candidate_tokens,
     read_candidate_lists,
     read_candidate_table,
     read_knn_scatter_response,
@@ -183,7 +182,7 @@ def test_candidate_table_roundtrip(records, data):
     table = read_candidate_table(reader)
     reader.expect_end()
     assert table[0].tolist() == [record.oid for record in records]
-    assert candidate_tokens(table) == [record.payload for record in records]
+    assert table.payloads.tolist() == [record.payload for record in records]
     rows = np.asarray(
         data.draw(
             st.lists(st.integers(0, max(0, len(records) - 1)), max_size=20)
@@ -195,7 +194,7 @@ def test_candidate_table_roundtrip(records, data):
     picked = write_candidates([table], rows).getvalue()
     assert picked == write_candidates(_tables(records), rows).getvalue()
     assert picked == write_candidates(_tables(records, cuts), rows).getvalue()
-    assert candidate_tokens(read_candidate_table(Reader(picked))) == [
+    assert read_candidate_table(Reader(picked)).payloads.tolist() == [
         records[row].payload for row in rows
     ]
 
@@ -315,7 +314,7 @@ def _responses(rng, n_queries):
         reader = Reader(message)
         table = read_candidate_table(reader)
         reader.expect_end()
-        return candidate_tokens(table)
+        return table.payloads.tolist()
 
     records = _tables(records, cuts=[len(records) // 2])
     return [

@@ -263,10 +263,10 @@ class TestBatchAuthentication:
 
         cipher, _messages, tokens = batch
         calls = []
-        real = cipher_module.ctr_transform_many
+        real = cipher_module.ctr_transform_rows
         monkeypatch.setattr(
             cipher_module,
-            "ctr_transform_many",
+            "ctr_transform_rows",
             lambda *args: calls.append(len(args[1])) or real(*args),
         )
         tampered = list(tokens)

@@ -6,13 +6,12 @@ import pytest
 from repro.core.records import (
     IndexedRecord,
     RecordBatch,
-    payload_to_vector,
-    payloads_to_matrix,
+    rows_to_vectors,
     vector_to_payload,
 )
 from repro.metric.permutations import pivot_permutation
 from repro.exceptions import ProtocolError
-from repro.wire.encoding import Reader, Writer
+from repro.wire.encoding import BlobColumn, Reader, Writer
 
 
 def _perm(n=5):
@@ -110,28 +109,33 @@ class TestRecordSerialization:
         assert [r.oid for r in restored] == [0, 1, 2, 3, 4]
 
 
+def _one_row(payload: bytes) -> np.ndarray:
+    """A payload as the one row of a matrix, the decoder's input."""
+    return np.frombuffer(payload, dtype=np.uint8).reshape(1, -1)
+
+
 class TestVectorPayloads:
     def test_roundtrip(self, rng):
         vector = rng.normal(size=17)
         np.testing.assert_array_equal(
-            payload_to_vector(vector_to_payload(vector)), vector
+            rows_to_vectors(_one_row(vector_to_payload(vector)))[0], vector
         )
 
     def test_invalid_length_rejected(self):
         with pytest.raises(ProtocolError):
-            payload_to_vector(b"12345")
+            rows_to_vectors(_one_row(b"12345"))
 
     def test_empty_rejected(self):
         with pytest.raises(ProtocolError):
-            payload_to_vector(b"")
+            rows_to_vectors(_one_row(b""))
 
     def test_matrix_rows_are_the_per_payload_vectors(self, rng):
         vectors = rng.normal(size=(9, 17))
         payloads = [vector_to_payload(row) for row in vectors]
-        matrix = payloads_to_matrix(payloads)
+        matrix = rows_to_vectors(BlobColumn.of(payloads).as_matrix())
         assert matrix.shape == (9, 17) and matrix.dtype == np.float64
         for row, payload in zip(matrix, payloads):
-            np.testing.assert_array_equal(row, payload_to_vector(payload))
+            np.testing.assert_array_equal(row, rows_to_vectors(_one_row(payload))[0])
 
     @pytest.mark.parametrize(
         "payloads",
@@ -143,7 +147,7 @@ class TestVectorPayloads:
     )
     def test_matrix_keeps_the_length_checks(self, payloads):
         with pytest.raises(ProtocolError):
-            payloads_to_matrix(payloads)
+            rows_to_vectors(BlobColumn.of(payloads).as_matrix())
 
 
 class TestRecordBatch:

@@ -32,7 +32,6 @@ from repro.net.rpc import RpcClient
 from repro.wire.encoding import BlobColumn, Reader, Writer
 from repro.wire.scatter import (
     CandidateTable,
-    candidate_tokens,
     read_candidate_lists,
     read_candidate_table,
     read_knn_scatter_response,
@@ -212,7 +211,7 @@ def _reference_knn_merge(shard_payloads, n_queries, cand_size, max_cells):
             if max_cells is not None and cells_accessed >= max_cells:
                 break
             cells_accessed += 1
-            tokens = candidate_tokens(table, rows)
+            tokens = table.payloads.tolist(rows)
             for row, score, token in zip(rows, scores, tokens):
                 oid = int(table[0][row])
                 if oid not in seen:
@@ -235,7 +234,7 @@ def _reference_range_merge(shard_payloads, n_queries):
         seen = set()
         candidates = []
         for _top_pivot, _shard, rows, table in tagged:
-            for row, token in zip(rows, candidate_tokens(table, rows)):
+            for row, token in zip(rows, table.payloads.tolist(rows)):
                 oid = int(table[0][row])
                 if oid not in seen:
                     seen.add(oid)
@@ -321,7 +320,7 @@ def _read_candidates(reader):
     """A single-query response as [(oid, payload)] in rank order."""
     table = read_candidate_table(reader)
     reader.expect_end()
-    return list(zip(table[0].tolist(), candidate_tokens(table)))
+    return list(zip(table[0].tolist(), table.payloads.tolist()))
 
 
 def _same_bytes(routed, single, method, body):

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from repro.core.records import IndexedRecord, RecordBatch
-from repro.exceptions import ProtocolError
+from repro.exceptions import AuthenticationError, ProtocolError
 from repro.wire.encoding import BlobColumn, Reader, Writer, pack_blobs
 from repro.wire.scatter import (
-    candidate_tokens,
+    CandidateTable,
     read_candidate_lists,
     read_candidate_table,
     write_candidate_lists,
@@ -348,7 +348,7 @@ class TestCandidateTable:
         table = read_candidate_table(reader)
         reader.expect_end()
         assert table[0].tolist() == [42, 2**64 - 1, 7]
-        assert candidate_tokens(table) == [b"token-bytes", b"", b"0123456789"]
+        assert table.payloads.tolist() == [b"token-bytes", b"", b"0123456789"]
 
     def test_wire_size_exact(self):
         # two count prefixes, then 8 bytes of oid and 4 of length a
@@ -399,3 +399,110 @@ class TestCandidateTable:
         )
         with pytest.raises(ProtocolError, match="2 oids and 1 payloads"):
             read_candidate_table(Reader(encoded))
+
+
+class _Answering:
+    """Stands in for a client's RPC layer: every call is answered with
+    one response body."""
+
+    def __init__(self, body: bytes) -> None:
+        self.body = body
+
+    def call(self, method, body=b""):
+        return Reader(self.body)
+
+
+def _forged_among_600(cipher, rng):
+    tokens = cipher.encrypt_many(
+        [row.tobytes() for row in rng.normal(size=(600, 12))]
+    )
+    forged = bytearray(tokens[417])
+    forged[-3] ^= 0x10
+    tokens[417] = bytes(forged)
+    return tokens
+
+
+class TestHostileCandidateTables:
+    """Candidate tables a server could answer a k-NN search with that no
+    index of 12-d vectors holds, through the client's whole refinement:
+    each ends ``knn_search`` and ``knn_batch`` with a typed error and no
+    hit built — and a forged tag with no keystream computed."""
+
+    #: case -> (the table's tokens for a cipher and a generator, error)
+    CASES = {
+        "narrower than nonce and tag": (
+            lambda cipher, rng: [rng.bytes(20)] * 6,
+            AuthenticationError,
+        ),
+        "empty plaintexts": (
+            lambda cipher, rng: cipher.encrypt_many([b""] * 6),
+            ProtocolError,
+        ),
+        "plaintexts not a multiple of 8": (
+            lambda cipher, rng: cipher.encrypt_many([rng.bytes(92)] * 6),
+            ProtocolError,
+        ),
+        "ragged widths": (
+            lambda cipher, rng: cipher.encrypt_many(
+                [rng.bytes(96)] * 4 + [rng.bytes(88)] * 2
+            ),
+            ProtocolError,
+        ),
+        "one forged tag among 600": (_forged_among_600, AuthenticationError),
+        "untampered": (
+            lambda cipher, rng: cipher.encrypt_many(
+                [row.tobytes() for row in rng.normal(size=(600, 12))]
+            ),
+            None,
+        ),
+    }
+
+    @pytest.mark.parametrize("single", [True, False])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_refused_typed_before_any_hit(
+        self, approx_cloud, queries, monkeypatch, case, single
+    ):
+        from repro.core import client as client_module
+        from repro.crypto import cipher as cipher_module
+
+        make, error = self.CASES[case]
+        client = approx_cloud.new_client()
+        tokens = make(client.secret_key.cipher, np.random.default_rng(3))
+        table = [
+            CandidateTable(
+                np.arange(len(tokens), dtype=np.uint64), BlobColumn.of(tokens)
+            )
+        ]
+        rows = np.arange(len(tokens))
+        if single:
+            client.rpc = _Answering(write_candidates(table).getvalue())
+            search = lambda: client.knn_search(  # noqa: E731
+                queries[0], 5, cand_size=len(tokens)
+            )
+        else:
+            client.rpc = _Answering(
+                write_candidate_lists(table, [rows, rows[::-1]]).getvalue()
+            )
+            search = lambda: client.knn_batch(  # noqa: E731
+                queries[:2], 5, cand_size=len(tokens)
+            )
+        built, keystreams = [], []
+        monkeypatch.setattr(
+            client_module, "SearchHit", lambda *args: built.append(args)
+        )
+        real = cipher_module.ctr_transform_rows
+        monkeypatch.setattr(
+            cipher_module,
+            "ctr_transform_rows",
+            lambda *args: keystreams.append(len(args[1])) or real(*args),
+        )
+        if error is None:
+            search()
+            assert len(built) == 5 * (1 if single else 2)
+            assert keystreams == [600]
+            return
+        with pytest.raises(error):
+            search()
+        assert built == []
+        if error is AuthenticationError:
+            assert keystreams == []
