@@ -281,8 +281,8 @@ class EncryptedClient:
         matrix = np.asarray(vectors, dtype=np.float64)
         with self.costs.time(DISTANCE):
             distance_matrix = self.space.d_pairwise(matrix, pivots)
-        rows = np.ascontiguousarray(matrix, dtype="<f8").view(np.uint8)
         with self.costs.time(ENCRYPTION):
+            rows = np.ascontiguousarray(matrix, dtype="<f8").view(np.uint8)
             payloads = BlobColumn(self.secret_key.cipher.encrypt_many(rows))
         if self.strategy is Strategy.TRANSFORMED:
             with self.costs.time(ENCRYPTION):
@@ -548,9 +548,9 @@ class EncryptedClient:
         The token matrix is decrypted in one vectorized AES call and the
         plaintext matrix read as ``float64``. With the LRU cache on, the
         tokens' bytes key its lookups, only its misses are decrypted
-        (and charged to decryption time) and its hits are scattered into
-        the same matrix; hit/miss counters record exactly how many
-        candidates skipped decryption.
+        (and charged to decryption time), and hits and decrypted misses
+        are stacked into one matrix; hit/miss counters record exactly
+        how many candidates skipped decryption.
         """
         if self.cache is None:
             with self.costs.time(DECRYPTION):

@@ -18,10 +18,11 @@ The 32-byte overhead per object is what the communication-cost accounting
 sees for each encrypted candidate.
 
 A batch is a matrix: messages of one length are the rows of a uint8
-matrix and so are their tokens, 32 bytes wider. Per batch the only loop
-over tokens is the keyed HMAC's, over rows of one buffer; the counter
-blocks of every token are encrypted in one pass. A list of ``bytes`` of
-any lengths is a batch too, sent through the same path one length at a
+matrix and so are their tokens, 32 bytes wider. Per batch the only
+per-token Python is the keyed HMAC over rows of one buffer (and, to
+encrypt, one call of the nonce factory per message); the counter blocks
+of every token are encrypted in one pass. A list of ``bytes`` of any
+lengths is a batch too, sent through the same path one length at a
 time.
 """
 
@@ -110,10 +111,10 @@ class AesCipher:
         :func:`~repro.crypto.modes.ctr_transform_rows` call, and the
         tags are the only loop over messages.
         """
-        nonces = [self._nonce_factory() for _ in range(len(plaintexts))]
-        if any(len(nonce) != _NONCE_SIZE for nonce in nonces):
+        drawn = [self._nonce_factory() for _ in range(len(plaintexts))]
+        if any(len(nonce) != _NONCE_SIZE for nonce in drawn):
             raise CryptoError(f"nonce factory must return {_NONCE_SIZE} bytes")
-        nonces = np.frombuffer(b"".join(nonces), dtype=np.uint8)
+        nonces = np.frombuffer(b"".join(drawn), dtype=np.uint8)
         nonces = nonces.reshape(-1, _NONCE_SIZE)
         return rows_in_order(
             plaintexts,
