@@ -102,9 +102,11 @@ class _RecordingChannel:
 
 
 def test_figure4_insert_flow(yeast, benchmark):
-    """The insert request (Figure 4) carries permutation + ciphertext
-    only — no plaintext, no distances under the approximate strategy."""
+    """The bulk insert request (Figure 4) carries permutations and
+    ciphertexts only — no plaintext, no distances under the approximate
+    strategy."""
     from repro.core.cloud import SimilarityCloud
+    from repro.core.records import RecordBatch
 
     cloud = SimilarityCloud.build(
         yeast.vectors, distance=yeast.distance, n_pivots=yeast.n_pivots,
@@ -118,20 +120,17 @@ def test_figure4_insert_flow(yeast, benchmark):
     assert len(recorder.traffic) == 1
     request, _response = recorder.traffic[0]
     reader = Reader(request)
-    assert reader.string() == "insert"
+    assert reader.string() == "insert_bulk"
     body = Reader(reader.blob())
-    count = body.u32()
-    assert count == 100
-    from repro.core.records import IndexedRecord
-
-    for position in range(count):
-        record = IndexedRecord.read_from(body)
-        assert record.permutation is not None     # pivot permutation ✔
-        assert record.distances is None           # no distances ✔
-        plaintext = np.ascontiguousarray(
-            yeast.vectors[position], dtype="<f8"
-        ).tobytes()
-        assert plaintext not in record.payload    # encrypted ✔
+    batch = RecordBatch.read_from(body)
+    body.expect_end()
+    assert len(batch) == 100
+    assert batch.permutations.shape == (100, yeast.n_pivots)  # permutations ✔
+    assert batch.distances is None                            # no distances ✔
+    payloads = b"".join(batch.payloads.tolist())
+    for vector in yeast.vectors[:100]:
+        plaintext = np.ascontiguousarray(vector, dtype="<f8").tobytes()
+        assert plaintext not in payloads                      # encrypted ✔
     save_result(
         "figure4_insert_flow",
         "Figure 4 (verified flow): one bulk insert carried 100 records "

@@ -90,11 +90,6 @@ class IndexedRecord:
         self.payload = bytes(self.payload)
 
     @property
-    def has_distances(self) -> bool:
-        """True when the precise strategy stored pivot distances."""
-        return self.distances is not None
-
-    @property
     def n_pivots(self) -> int:
         """Number of pivots this record was described against."""
         if self.permutation is not None:

@@ -1,9 +1,8 @@
-"""Cryptographic substrate, implemented from scratch.
+"""Cryptographic substrate.
 
-* :mod:`repro.crypto.aes` — the FIPS-197 AES block cipher (128/192/256-bit
-  keys), with a numpy-vectorized multi-block fast path,
-* :mod:`repro.crypto.padding` — PKCS#7,
-* :mod:`repro.crypto.modes` — ECB, CBC and CTR modes of operation,
+* :mod:`repro.crypto.modes` — CTR mode over OpenSSL's AES (through
+  ``cryptography``): the counter blocks of a batch in NumPy, one AES
+  call, one XOR,
 * :mod:`repro.crypto.cipher` — :class:`AesCipher`, the authenticated
   (encrypt-then-MAC) symmetric cipher the Encrypted M-Index uses,
 * :mod:`repro.crypto.keys` — :class:`SecretKey`, the paper's secret key:
@@ -11,37 +10,16 @@
 * :mod:`repro.crypto.ope` — order-preserving encryption, the primitive
   behind the MPT baseline of Yiu et al.
 
-The AES implementation is validated against the official FIPS-197 /
-NIST SP 800-38A test vectors in the test suite.
+The test suite pins CTR to the FIPS-197 and NIST SP 800-38A vectors and
+the token format to recorded bytes.
 """
 
-from repro.crypto.aes import AesKey, decrypt_block, encrypt_block
 from repro.crypto.cipher import AesCipher
 from repro.crypto.keys import SecretKey
-from repro.crypto.modes import (
-    cbc_decrypt,
-    cbc_encrypt,
-    ctr_keystream,
-    ctr_transform,
-    ecb_decrypt,
-    ecb_encrypt,
-)
 from repro.crypto.ope import OrderPreservingEncryption
-from repro.crypto.padding import pkcs7_pad, pkcs7_unpad
 
 __all__ = [
     "AesCipher",
-    "AesKey",
     "OrderPreservingEncryption",
     "SecretKey",
-    "cbc_decrypt",
-    "cbc_encrypt",
-    "ctr_keystream",
-    "ctr_transform",
-    "decrypt_block",
-    "ecb_decrypt",
-    "ecb_encrypt",
-    "encrypt_block",
-    "pkcs7_pad",
-    "pkcs7_unpad",
 ]

@@ -2,11 +2,12 @@
 
 :class:`AesCipher` is an encrypt-then-MAC construction:
 
-* payloads are encrypted with **AES-CTR** under an encryption subkey,
-* a 16-byte truncated **HMAC-SHA256** tag (stdlib ``hashlib``; the AES
-  core itself is ours) under an independent MAC subkey authenticates
-  ``nonce || ciphertext``. The MAC is keyed once per cipher: the two
-  SHA-256 states that have absorbed the key pads are copied per token.
+* payloads are encrypted with **AES-CTR** (OpenSSL's AES through
+  ``cryptography``) under an encryption subkey,
+* a 16-byte truncated **HMAC-SHA256** tag (stdlib ``hashlib``) under
+  an independent MAC subkey authenticates ``nonce || ciphertext``. The
+  MAC is keyed once per cipher: the two SHA-256 states that have
+  absorbed the key pads are copied per token.
 
 Both subkeys are derived from the user key with a domain-separated
 SHA-256 expansion, so a single 128-bit key (the paper's "AES key, 128
@@ -21,8 +22,8 @@ A batch is a matrix: messages of one length are the rows of a uint8
 matrix and so are their tokens, 32 bytes wider. Per batch the only
 per-token Python is the keyed HMAC over rows of one buffer (and, to
 encrypt, one call of the nonce factory per message); the counter blocks
-of every token are encrypted in one pass. A list of ``bytes`` of any
-lengths is a batch too, sent through the same path one length at a
+of every token are encrypted by one AES call. A list of ``bytes`` of
+any lengths is a batch too, sent through the same path one length at a
 time.
 """
 
@@ -35,7 +36,6 @@ from typing import Callable
 
 import numpy as np
 
-from repro.crypto.aes import AesKey
 from repro.crypto.modes import (
     ctr_transform_rows,
     rows_by_length,
@@ -83,7 +83,7 @@ class AesCipher:
         mac_key = mac_key.ljust(hashlib.sha256().block_size, b"\0")
         self._mac_inner = hashlib.sha256(bytes(b ^ 0x36 for b in mac_key))
         self._mac_outer = hashlib.sha256(bytes(b ^ 0x5C for b in mac_key))
-        self._aes = AesKey(enc_key)
+        self._enc_key = enc_key
         self._nonce_factory = nonce_factory or (lambda: os.urandom(_NONCE_SIZE))
 
     # -- public API ------------------------------------------------------
@@ -99,7 +99,7 @@ class AesCipher:
         return self.encrypt_many([plaintext])[0]
 
     def encrypt_many(self, plaintexts):
-        """Encrypt many messages with one vectorized AES pass.
+        """Encrypt many messages with one AES pass.
 
         ``plaintexts`` is the ``(n, length)`` uint8 matrix of ``n``
         messages of one length, and the tokens come back as the ``(n,
@@ -125,7 +125,7 @@ class AesCipher:
         )
 
     def decrypt_many(self, tokens):
-        """Verify and decrypt many tokens with one vectorized AES pass.
+        """Verify and decrypt many tokens with one AES pass.
 
         ``tokens`` is the ``(n, width)`` uint8 token matrix, and the
         plaintexts come back as the ``(n, width - 32)`` matrix; or it is
@@ -164,7 +164,7 @@ class AesCipher:
         tokens = np.empty((count, length + self.overhead), dtype=np.uint8)
         tokens[:, :_NONCE_SIZE] = nonces
         tokens[:, _NONCE_SIZE:-_TAG_SIZE] = ctr_transform_rows(
-            self._aes, nonces, plaintexts
+            self._enc_key, nonces, plaintexts
         )
         tokens[:, -_TAG_SIZE:] = np.frombuffer(
             b"".join(self._tags(tokens)), dtype=np.uint8
@@ -188,7 +188,9 @@ class AesCipher:
     def _open(self, tokens: np.ndarray) -> np.ndarray:
         """The plaintext matrix of a verified token matrix."""
         nonces, ciphertexts = tokens[:, :_NONCE_SIZE], tokens[:, _NONCE_SIZE:]
-        return ctr_transform_rows(self._aes, nonces, ciphertexts[:, :-_TAG_SIZE])
+        return ctr_transform_rows(
+            self._enc_key, nonces, ciphertexts[:, :-_TAG_SIZE]
+        )
 
     def _tags(self, tokens: np.ndarray) -> list[bytes]:
         """The tag of every row of a C-contiguous token matrix, each over

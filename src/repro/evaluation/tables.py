@@ -152,26 +152,3 @@ def format_search_table(
         )
     )
     return format_matrix(title, labels, body, row_header="Candidate set size")
-
-
-def format_single_column_table(
-    title: str, report: CostReport, *, recall_value: float | None = None
-) -> str:
-    """Table 9 layout: one configuration, measures in ms, plus recall."""
-    rows: list[tuple[str, list[str]]] = [
-        ("Client time [ms]", [_milliseconds(report.client_time)]),
-        ("Decryption time [ms]", [_milliseconds(report.decryption_time)]),
-        ("Dist. comp. time [ms]", [_milliseconds(report.distance_time)]),
-        ("Server time [ms]", [_milliseconds(report.server_time)]),
-        (
-            "Communication time [ms]",
-            [_milliseconds(report.communication_time)],
-        ),
-        ("Overall time [ms]", [_milliseconds(report.overall_time)]),
-    ]
-    if recall_value is not None:
-        rows.append(("Recall [%]", [f"{recall_value:.1f}"]))
-    rows.append(
-        ("Communication cost [kB]", [f"{report.communication_kb:.3f}"])
-    )
-    return format_matrix(title, ["value"], rows)

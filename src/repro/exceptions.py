@@ -38,10 +38,6 @@ class KeyError_(CryptoError):
     """
 
 
-class PaddingError(CryptoError):
-    """PKCS#7 unpadding encountered corrupt padding bytes."""
-
-
 class AuthenticationError(CryptoError):
     """Ciphertext failed its integrity check (HMAC mismatch).
 
@@ -127,10 +123,6 @@ class ShardUnavailableError(ChannelError):
 
 class QueryError(ReproError):
     """A similarity query was malformed (e.g. negative radius, k < 1)."""
-
-
-class AuthorizationError(ReproError):
-    """An operation requiring the secret key was attempted without one."""
 
 
 class DatasetError(ReproError):

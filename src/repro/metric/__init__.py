@@ -1,18 +1,16 @@
-"""Metric-space substrate: distances, pivots, permutations, filtering.
+"""Metric-space substrate: distances, pivots, permutations.
 
 This package provides everything the M-Index family of structures needs
 from the underlying metric space ``(D, d)``:
 
 * :mod:`repro.metric.distances` — distance functions (L1, L2, general Lp,
-  Chebyshev, cosine, Canberra, quadratic form and weighted combinations in
-  the style of the CoPhIR MPEG-7 metric),
+  Chebyshev, cosine, Canberra and weighted combinations in the style of
+  the CoPhIR MPEG-7 metric),
 * :mod:`repro.metric.space` — :class:`MetricSpace` with distance-call
   accounting and metric-postulate validation,
 * :mod:`repro.metric.pivots` — pivot (reference object) selection,
 * :mod:`repro.metric.permutations` — pivot permutations as defined in §4.1
-  of the paper, permutation prefixes and rank-correlation measures,
-* :mod:`repro.metric.filtering` — metric lower/upper bounds used by the
-  M-Index pruning and pivot-filtering rules.
+  of the paper and the cell promise of the approximate search.
 """
 
 from repro.metric.distances import (
@@ -25,24 +23,13 @@ from repro.metric.distances import (
     L2Distance,
     ManhattanDistance,
     MinkowskiDistance,
-    QuadraticFormDistance,
     WeightedCombination,
     get_distance,
 )
-from repro.metric.filtering import (
-    pivot_filter_lower_bound,
-    pivot_filter_lower_bounds,
-    pivot_filter_upper_bound,
-    pivot_filter_upper_bounds,
-)
 from repro.metric.permutations import (
-    kendall_tau,
-    permutation_prefix,
     pivot_permutation,
     pivot_permutations,
     prefix_promise,
-    spearman_footrule,
-    spearman_rho,
 )
 from repro.metric.pivots import select_pivots
 from repro.metric.space import MetricSpace, check_metric_postulates
@@ -60,21 +47,12 @@ __all__ = [
     "ManhattanDistance",
     "MetricSpace",
     "MinkowskiDistance",
-    "QuadraticFormDistance",
     "WeightedCombination",
     "check_metric_postulates",
     "get_distance",
-    "kendall_tau",
     "levenshtein",
-    "permutation_prefix",
-    "pivot_filter_lower_bound",
-    "pivot_filter_lower_bounds",
-    "pivot_filter_upper_bound",
-    "pivot_filter_upper_bounds",
     "pivot_permutation",
     "pivot_permutations",
     "prefix_promise",
     "select_pivots",
-    "spearman_footrule",
-    "spearman_rho",
 ]

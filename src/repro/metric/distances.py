@@ -38,7 +38,6 @@ __all__ = [
     "ChebyshevDistance",
     "CosineDistance",
     "CanberraDistance",
-    "QuadraticFormDistance",
     "WeightedCombination",
     "get_distance",
 ]
@@ -297,40 +296,6 @@ class CanberraDistance(Distance):
         with np.errstate(invalid="ignore", divide="ignore"):
             terms = np.where(denom > 0.0, num / denom, 0.0)
         return terms.sum(axis=2)
-
-
-class QuadraticFormDistance(Distance):
-    """Quadratic-form distance ``sqrt((x-y)' A (x-y))`` for a symmetric
-    positive-definite matrix ``A``.
-
-    This is the family MPEG-7 color descriptors are compared with; we use
-    it inside :class:`WeightedCombination` for the CoPhIR-like metric.
-    """
-
-    name = "qf"
-    relative_cost = 8.0
-
-    def __init__(self, matrix: np.ndarray) -> None:
-        a = np.asarray(matrix, dtype=np.float64)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise MetricError("quadratic form matrix must be square")
-        if not np.allclose(a, a.T):
-            raise MetricError("quadratic form matrix must be symmetric")
-        eigvals = np.linalg.eigvalsh(a)
-        if np.any(eigvals <= 0):
-            raise MetricError("quadratic form matrix must be positive definite")
-        self.matrix = a
-
-    def _pair(self, x: np.ndarray, y: np.ndarray) -> float:
-        diff = x - y
-        return float(np.sqrt(diff @ self.matrix @ diff))
-
-    def _batch(self, q: np.ndarray, xs: np.ndarray) -> np.ndarray:
-        diff = xs - q
-        return np.sqrt(np.einsum("ij,jk,ik->i", diff, self.matrix, diff))
-
-    def _key(self) -> tuple:
-        return (self.matrix.tobytes(),)
 
 
 class WeightedCombination(Distance):

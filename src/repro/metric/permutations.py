@@ -1,4 +1,4 @@
-"""Pivot permutations (§4.1 of the paper) and rank-correlation measures.
+"""Pivot permutations (§4.1 of the paper) and the cell promise.
 
 For an object ``o`` and pivots ``p_1 .. p_n``, the pivot permutation is
 the sequence of pivot *indices* ordered by increasing distance to ``o``,
@@ -9,8 +9,8 @@ with ties broken by pivot index — exactly the paper's definition:
 
 Permutations are represented as ``int32`` numpy arrays where
 ``perm[rank] = pivot_index``. The *inverse* permutation maps
-``pivot_index -> rank`` and is what the rank-correlation measures and the
-M-Index cell-promise computation consume.
+``pivot_index -> rank`` and is what the M-Index cell-promise computation
+consumes.
 """
 
 from __future__ import annotations
@@ -22,11 +22,7 @@ from repro.exceptions import PivotError
 __all__ = [
     "pivot_permutation",
     "pivot_permutations",
-    "permutation_prefix",
     "inverse_permutation",
-    "spearman_footrule",
-    "spearman_rho",
-    "kendall_tau",
     "prefix_promise",
 ]
 
@@ -55,20 +51,6 @@ def pivot_permutations(distance_matrix: np.ndarray) -> np.ndarray:
     return np.argsort(m, axis=1, kind="stable").astype(np.int32)
 
 
-def permutation_prefix(permutation: np.ndarray, length: int) -> tuple[int, ...]:
-    """First ``length`` entries of a permutation, as a hashable tuple.
-
-    The M-Index uses these prefixes as Voronoi-cell identifiers.
-    """
-    perm = np.asarray(permutation)
-    if length <= 0 or length > perm.shape[0]:
-        raise PivotError(
-            f"prefix length {length} out of range for permutation of "
-            f"size {perm.shape[0]}"
-        )
-    return tuple(int(x) for x in perm[:length])
-
-
 def inverse_permutation(permutation: np.ndarray) -> np.ndarray:
     """Inverse permutation: ``inv[pivot_index] = rank``."""
     perm = np.asarray(permutation, dtype=np.int64)
@@ -76,31 +58,6 @@ def inverse_permutation(permutation: np.ndarray) -> np.ndarray:
     inv = np.empty_like(perm)
     inv[perm] = np.arange(perm.shape[0], dtype=np.int64)
     return inv.astype(np.int32)
-
-
-def spearman_footrule(a: np.ndarray, b: np.ndarray) -> int:
-    """Spearman footrule: total displacement between two permutations."""
-    inv_a, inv_b = _inverses(a, b)
-    return int(np.abs(inv_a - inv_b).sum())
-
-
-def spearman_rho(a: np.ndarray, b: np.ndarray) -> float:
-    """Spearman rho distance: L2 norm of rank displacements."""
-    inv_a, inv_b = _inverses(a, b)
-    diff = (inv_a - inv_b).astype(np.float64)
-    return float(np.sqrt(np.dot(diff, diff)))
-
-
-def kendall_tau(a: np.ndarray, b: np.ndarray) -> int:
-    """Kendall tau distance: number of discordant pairs (O(n^2) exact)."""
-    inv_a, inv_b = _inverses(a, b)
-    n = inv_a.shape[0]
-    discordant = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            if (inv_a[i] - inv_a[j]) * (inv_b[i] - inv_b[j]) < 0:
-                discordant += 1
-    return discordant
 
 
 def prefix_promise(
@@ -149,12 +106,3 @@ def _validate(perm: np.ndarray) -> None:
             raise PivotError(f"not a permutation of 0..{n - 1}: {perm}")
         seen[value] = True
 
-
-def _inverses(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    a = np.asarray(a, dtype=np.int64)
-    b = np.asarray(b, dtype=np.int64)
-    if a.shape != b.shape:
-        raise PivotError(
-            f"permutation size mismatch: {a.shape} vs {b.shape}"
-        )
-    return inverse_permutation(a), inverse_permutation(b)

@@ -18,7 +18,7 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.core.records import IndexedRecord, RecordBatch
+from repro.core.records import RecordBatch
 from repro.exceptions import IndexError_
 
 __all__ = ["LeafCell", "InternalCell", "CellTree"]
@@ -44,13 +44,6 @@ class LeafCell:
     def level(self) -> int:
         """Depth of the leaf (== prefix length)."""
         return len(self.prefix)
-
-    def note_record(self, record: IndexedRecord) -> None:
-        """Update count and distance intervals for an arriving record."""
-        distances = record.distances
-        self.note_records(
-            1, None if distances is None else distances[np.newaxis]
-        )
 
     def note_records(self, count: int, distances: np.ndarray | None) -> None:
         """Count ``count`` arriving records and widen the intervals by

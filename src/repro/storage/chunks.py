@@ -476,10 +476,5 @@ class BlockCache:
                 for key, raw in self._entries.items()
             )
 
-    @property
-    def used_bytes(self) -> int:
-        """Raw bytes currently held."""
-        return self._used
-
     def __len__(self) -> int:
         return len(self._entries)

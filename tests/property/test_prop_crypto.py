@@ -7,50 +7,36 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto.aes import AesKey, decrypt_block, encrypt_block
 from repro.crypto.cipher import AesCipher
 from repro.crypto.modes import (
-    cbc_decrypt,
-    cbc_encrypt,
-    ctr_transform,
-    ctr_transform_many,
+    _counter_blocks_rows,
     ctr_transform_rows,
+    rows_by_length,
+    rows_in_order,
 )
-from repro.crypto.padding import pkcs7_pad, pkcs7_unpad
 
 keys = st.binary(min_size=16, max_size=16) | st.binary(
     min_size=32, max_size=32
 )
-blocks = st.binary(min_size=16, max_size=16)
 messages = st.binary(min_size=0, max_size=300)
 nonces = st.binary(min_size=16, max_size=16)
 
 
-@settings(max_examples=50, deadline=None)
-@given(key=keys, block=blocks)
-def test_block_cipher_roundtrip(key, block):
-    aes = AesKey(key)
-    assert decrypt_block(aes, encrypt_block(aes, block)) == block
-
-
-@settings(max_examples=50, deadline=None)
-@given(key=keys, block=blocks)
-def test_block_cipher_is_not_identity(key, block):
-    aes = AesKey(key)
-    ct = encrypt_block(aes, block)
-    assert len(ct) == 16
-    # AES has no fixed points for practical purposes; identity would be
-    # a catastrophic implementation bug (e.g. missing rounds)
-    assert ct != block
+def _ctr(key, nonce, message):
+    """One message through the one CTR routine as a one-row matrix."""
+    return ctr_transform_rows(
+        key,
+        np.frombuffer(nonce, dtype=np.uint8).reshape(1, 16),
+        np.frombuffer(message, dtype=np.uint8).reshape(1, -1),
+    ).tobytes()
 
 
 @settings(max_examples=50, deadline=None)
 @given(key=keys, nonce=nonces, message=messages)
 def test_ctr_roundtrip_any_length(key, nonce, message):
-    aes = AesKey(key)
-    ct = ctr_transform(aes, nonce, message)
+    ct = _ctr(key, nonce, message)
     assert len(ct) == len(message)
-    assert ctr_transform(aes, nonce, ct) == message
+    assert _ctr(key, nonce, ct) == message
 
 
 #: initial counters, some with a low half within 16 of wrapping
@@ -78,36 +64,48 @@ def _matrix(data, rows, width):
     data=st.data(),
 )
 def test_ctr_many_equals_singles(key, parts, width, data):
-    """A list of messages of any lengths, and a matrix of messages of one
-    length through the one CTR routine, equal per-message CTR."""
-    aes = AesKey(key)
+    """A list of messages of any lengths, one length at a time, and a
+    matrix of messages of one length through the one CTR routine, equal
+    per-message CTR."""
     starts = [n.to_bytes(16, "big") for n, _ in parts]
-    bulk = ctr_transform_many(aes, starts, [m for _, m in parts])
-    singles = [ctr_transform(aes, n, m) for n, (_, m) in zip(starts, parts)]
-    assert bulk == singles
-    matrix = _matrix(data, len(parts), width)
     column = np.frombuffer(b"".join(starts), dtype=np.uint8).reshape(-1, 16)
-    rows = ctr_transform_rows(aes, column, matrix)
+    datas = [m for _, m in parts]
+    bulk = rows_in_order(
+        datas,
+        [
+            (chosen, ctr_transform_rows(key, column[chosen], rows))
+            for chosen, rows in rows_by_length(datas, "data")
+        ],
+    )
+    assert bulk == [_ctr(key, n, m) for n, m in zip(starts, datas)]
+    matrix = _matrix(data, len(parts), width)
+    rows = ctr_transform_rows(key, column, matrix)
     assert [row.tobytes() for row in rows] == [
-        ctr_transform(aes, n, row.tobytes()) for n, row in zip(starts, matrix)
+        _ctr(key, n, row.tobytes()) for n, row in zip(starts, matrix)
     ]
 
 
 @settings(max_examples=50, deadline=None)
-@given(key=keys, iv=nonces, message=messages)
-def test_cbc_roundtrip_with_padding(key, iv, message):
-    aes = AesKey(key)
-    ct = cbc_encrypt(aes, pkcs7_pad(message), iv)
-    assert pkcs7_unpad(cbc_decrypt(aes, ct, iv)) == message
+@given(start=counters, n_blocks=st.integers(0, 40))
+def test_counter_blocks_are_exact_mod_2_128(start, n_blocks):
+    nonce = np.frombuffer(start.to_bytes(16, "big"), dtype=np.uint8)
+    blocks = _counter_blocks_rows(nonce.reshape(1, 16), n_blocks)
+    assert [row.tobytes() for row in blocks] == [
+        ((start + step) % 2**128).to_bytes(16, "big")
+        for step in range(n_blocks)
+    ]
 
 
-@settings(max_examples=100, deadline=None)
-@given(message=messages, block_size=st.integers(min_value=1, max_value=255))
-def test_pkcs7_roundtrip(message, block_size):
-    padded = pkcs7_pad(message, block_size)
-    assert len(padded) % block_size == 0
-    assert len(padded) > len(message)
-    assert pkcs7_unpad(padded, block_size) == message
+@settings(max_examples=50, deadline=None)
+@given(key=keys, first=counters, second=counters)
+def test_distinct_counters_give_distinct_keystream_blocks(key, first, second):
+    """AES is a permutation of blocks: one key never maps two counter
+    blocks to one keystream block."""
+    streams = [
+        _ctr(key, start.to_bytes(16, "big"), bytes(16))
+        for start in (first, second)
+    ]
+    assert (streams[0] == streams[1]) is (first == second)
 
 
 @settings(max_examples=40, deadline=None)

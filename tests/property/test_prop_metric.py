@@ -1,5 +1,5 @@
-"""Property-based tests for the metric substrate: permutations,
-filtering bounds and distances."""
+"""Property-based tests for the metric substrate: permutations and
+distances."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -12,16 +12,7 @@ from repro.metric.distances import (
     L2Distance,
     MinkowskiDistance,
 )
-from repro.metric.filtering import (
-    pivot_filter_lower_bound,
-    pivot_filter_upper_bound,
-)
-from repro.metric.permutations import (
-    inverse_permutation,
-    kendall_tau,
-    pivot_permutation,
-    spearman_footrule,
-)
+from repro.metric.permutations import inverse_permutation, pivot_permutation
 
 finite_floats = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
@@ -79,38 +70,3 @@ def test_inverse_permutation_property(seed):
     identity = np.arange(10)
     np.testing.assert_array_equal(inv[perm], identity)
     np.testing.assert_array_equal(perm[inv], identity)
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    seed_a=st.integers(min_value=0, max_value=2**16),
-    seed_b=st.integers(min_value=0, max_value=2**16),
-    seed_c=st.integers(min_value=0, max_value=2**16),
-)
-def test_rank_distances_are_metrics_on_permutations(seed_a, seed_b, seed_c):
-    a = np.random.default_rng(seed_a).permutation(7)
-    b = np.random.default_rng(seed_b).permutation(7)
-    c = np.random.default_rng(seed_c).permutation(7)
-    for measure in (spearman_footrule, kendall_tau):
-        assert measure(a, a) == 0
-        assert measure(a, b) == measure(b, a)
-        assert measure(a, b) <= measure(a, c) + measure(c, b)
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    q=vectors(5),
-    o=vectors(5),
-    pivot_seed=st.integers(min_value=0, max_value=2**32 - 1),
-)
-def test_pivot_filter_bounds_bracket_true_distance(q, o, pivot_seed):
-    d = L1Distance()
-    pivots = np.random.default_rng(pivot_seed).normal(
-        scale=1e3, size=(6, 5)
-    )
-    q_dists = np.array([d(q, p) for p in pivots])
-    o_dists = np.array([d(o, p) for p in pivots])
-    true = d(q, o)
-    tolerance = 1e-9 * max(1.0, true)
-    assert pivot_filter_lower_bound(q_dists, o_dists) <= true + tolerance
-    assert pivot_filter_upper_bound(q_dists, o_dists) >= true - tolerance

@@ -14,25 +14,32 @@ def _record(oid: int, permutation, distances=None) -> IndexedRecord:
     )
 
 
+def _note(leaf: LeafCell, distances=None) -> None:
+    """One arriving record, as a batch of one row."""
+    leaf.note_records(
+        1, None if distances is None else np.array([distances], dtype=float)
+    )
+
+
 class TestLeafCell:
-    def test_note_record_updates_count(self):
+    def test_note_records_updates_count(self):
         leaf = LeafCell((0,))
-        leaf.note_record(_record(1, [0, 1, 2], np.array([1.0, 2.0, 3.0])))
+        _note(leaf, [1.0, 2.0, 3.0])
         assert leaf.count == 1
 
     def test_intervals_track_prefix_pivot_distances(self):
         leaf = LeafCell((2,))
-        leaf.note_record(_record(1, [2, 0, 1], np.array([5.0, 6.0, 1.0])))
-        leaf.note_record(_record(2, [2, 1, 0], np.array([9.0, 8.0, 3.0])))
+        _note(leaf, [5.0, 6.0, 1.0])
+        _note(leaf, [9.0, 8.0, 3.0])
         assert leaf.intervals == [[1.0, 3.0]]
 
     def test_record_without_distances_disables_intervals(self):
         leaf = LeafCell((0,))
-        leaf.note_record(_record(1, [0, 1], np.array([1.0, 2.0])))
-        leaf.note_record(_record(2, [0, 1]))
+        _note(leaf, [1.0, 2.0])
+        _note(leaf)
         assert leaf.intervals is None
         # further records are fine
-        leaf.note_record(_record(3, [0, 1], np.array([0.5, 2.0])))
+        _note(leaf, [0.5, 2.0])
         assert leaf.count == 3
 
     def test_rebuild_from(self):
@@ -133,7 +140,7 @@ class TestCellTree:
 
     def test_records_and_depth_statistics(self):
         tree = CellTree(3, 2)
-        tree.root.note_record(_record(1, [0, 1, 2]))
+        _note(tree.root)
         assert tree.n_records == 1
         assert tree.depth == 0
         tree.split_leaf(tree.root, [_record(1, [0, 1, 2])])

@@ -4,9 +4,11 @@ import hashlib
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from repro.crypto.cipher import AesCipher
+from repro.crypto.modes import ctr_transform_rows
 from repro.exceptions import AuthenticationError, CryptoError, KeyError_
 
 
@@ -24,9 +26,18 @@ class TestConstruction:
         with pytest.raises(KeyError_):
             AesCipher(bytes(20))
 
+    @pytest.mark.parametrize("size", [0, 1, 8, 15, 17, 23, 25, 31, 33, 64])
+    def test_rejects_every_non_aes_key_length(self, size):
+        with pytest.raises(KeyError_):
+            AesCipher(bytes(size))
+
     def test_rejects_non_bytes_key(self):
         with pytest.raises(KeyError_):
             AesCipher("not-bytes" * 2)
+
+    def test_bytearray_key_is_the_same_key(self):
+        token = AesCipher(bytearray(range(16))).encrypt(b"message")
+        assert AesCipher(bytes(range(16))).decrypt(token) == b"message"
 
     def test_repr_hides_key(self):
         assert "00" not in repr(AesCipher(bytes(16)))
@@ -142,7 +153,7 @@ class TestBatchApis:
         """The packed single-pass batch equals the one-at-a-time loop.
 
         With the same injected nonce sequence, encrypt_many's packed
-        buffer (one encrypt_blocks call, one gathered XOR) must produce
+        buffer (one AES call, one gathered XOR) must produce
         byte-for-byte the tokens of a per-plaintext encrypt loop —
         including empty, sub-block, exact-block and multi-block sizes.
         """
@@ -165,19 +176,54 @@ class TestBatchApis:
         loop = [loop_cipher.encrypt(m) for m in messages]
         assert batch == loop
 
-    def test_ctr_transform_many_identical_to_loop(self):
-        from repro.crypto.aes import AesKey
-        from repro.crypto.modes import ctr_transform, ctr_transform_many
-
-        key = AesKey(bytes(range(32)))
-        nonces = [n.to_bytes(16, "big") for n in (7, 2**64 - 1, 0, 123)]
+    def test_decrypt_many_identical_to_loop(self):
+        """A list of tokens of mixed lengths, under nonces at and around
+        a low-half wrap, decrypts to what a per-token loop gives."""
+        values = iter((7, 2**64 - 1, 0, 123))
+        cipher = AesCipher(
+            bytes(range(32)),
+            nonce_factory=lambda: next(values).to_bytes(16, "big"),
+        )
         datas = [b"", b"abc", b"z" * 16, b"packed" * 40]
-        batch = ctr_transform_many(key, nonces, datas)
-        loop = [
-            ctr_transform(key, nonce, data)
-            for nonce, data in zip(nonces, datas)
+        tokens = cipher.encrypt_many(datas)
+        assert cipher.decrypt_many(tokens) == [
+            cipher.decrypt(token) for token in tokens
         ]
-        assert batch == loop
+        assert cipher.decrypt_many(tokens) == datas
+
+    @pytest.mark.parametrize("key_bytes", [16, 24, 32])
+    @pytest.mark.parametrize("width", [0, 1, 16, 250])
+    def test_matrix_batch_round_trips(self, rng, key_bytes, width):
+        """A plaintext matrix comes back as a token matrix 32 bytes
+        wider whose rows are the per-message tokens."""
+        cipher = AesCipher(
+            bytes(range(key_bytes)), nonce_factory=_counting_nonces()
+        )
+        plaintexts = rng.integers(0, 256, (6, width), dtype=np.uint8)
+        tokens = cipher.encrypt_many(plaintexts)
+        assert tokens.shape == (6, width + cipher.overhead)
+        assert [cipher.decrypt(row.tobytes()) for row in tokens] == [
+            row.tobytes() for row in plaintexts
+        ]
+        assert np.array_equal(cipher.decrypt_many(tokens), plaintexts)
+
+    def test_matrix_narrower_than_the_overhead_rejected(self):
+        cipher = AesCipher(bytes(16))
+        with pytest.raises(AuthenticationError):
+            cipher.decrypt_many(np.zeros((3, 31), dtype=np.uint8))
+
+    def test_nonce_factory_must_return_16_bytes(self):
+        cipher = AesCipher(bytes(16), nonce_factory=lambda: bytes(15))
+        with pytest.raises(CryptoError):
+            cipher.encrypt_many([b"a", b"b"])
+
+    def test_batches_do_not_write_their_inputs(self, rng):
+        cipher = AesCipher(bytes(16))
+        plaintexts = rng.integers(0, 256, (5, 40), dtype=np.uint8)
+        plaintexts.flags.writeable = False
+        tokens = cipher.encrypt_many(plaintexts)
+        tokens.flags.writeable = False
+        assert np.array_equal(cipher.decrypt_many(tokens), plaintexts)
 
 
 def _wrapping_nonces():
@@ -293,13 +339,50 @@ class TestBatchAuthentication:
 
 
 class TestAgainstIndependentAes:
-    """Optional cross-check with the ``cryptography`` package (not a
-    dependency of this repository; skipped where it is absent)."""
+    """Known answers: the block cipher behind CTR is FIPS-197 AES, and a
+    token is ``cryptography``'s AES-CTR plus a truncated HMAC."""
+
+    _PLAINTEXT = bytes.fromhex("00112233445566778899aabbccddeeff")
+    _FIPS_197_APPENDIX_C = {
+        16: "69c4e0d86a7b0430d8cdb78070b4c55a",
+        24: "dda97ca4864cdfe06eaf70a0ec0d7191",
+        32: "8ea2b7ca516745bfeafc49904b496089",
+    }
+
+    @pytest.mark.parametrize("key_bytes", [16, 24, 32])
+    def test_fips_197_appendix_c(self, key_bytes):
+        """With the plaintext as the nonce and 16 zero bytes as the
+        data, CTR's output is the first counter block's encryption."""
+        nonce = np.frombuffer(self._PLAINTEXT, dtype=np.uint8).reshape(1, 16)
+        block = ctr_transform_rows(
+            bytes(range(key_bytes)), nonce, np.zeros((1, 16), dtype=np.uint8)
+        )
+        assert block.tobytes().hex() == self._FIPS_197_APPENDIX_C[key_bytes]
+
+    def test_sp800_38a_f51_ctr_aes128(self):
+        key = bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c")
+        nonce = bytes.fromhex("f0f1f2f3f4f5f6f7f8f9fafbfcfdfeff")
+        plaintext = bytes.fromhex(
+            "6bc1bee22e409f96e93d7e117393172a"
+            "ae2d8a571e03ac9c9eb76fac45af8e51"
+            "30c81c46a35ce411e5fbc1191a0a52ef"
+            "f69f2445df4f9b17ad2b417be66c3710"
+        )
+        out = ctr_transform_rows(
+            key,
+            np.frombuffer(nonce, dtype=np.uint8).reshape(1, 16),
+            np.frombuffer(plaintext, dtype=np.uint8).reshape(1, -1),
+        )
+        assert out.tobytes().hex() == (
+            "874d6191b620e3261bef6864990db6ce"
+            "9806f66b7970fdff8617187bb9fffdff"
+            "5ae4df3edbd5d35e5b4f09020db03eab"
+            "1e031dda2fbe03d1792170a0f3009cee"
+        )
 
     def test_token_is_aes_ctr_plus_truncated_hmac(self):
         import hmac
 
-        pytest.importorskip("cryptography")
         from cryptography.hazmat.primitives.ciphers import (
             Cipher,
             algorithms,

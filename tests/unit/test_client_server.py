@@ -65,7 +65,7 @@ class TestInsertPath:
             stored = cloud.server.storage.load(
                 next(iter(cloud.server.storage.cells()))
             )
-            assert stored[0].has_distances is has_distances
+            assert (stored[0].distances is not None) is has_distances
 
 
 class TestSearchPath:

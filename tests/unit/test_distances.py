@@ -12,7 +12,6 @@ from repro.metric.distances import (
     L1Distance,
     L2Distance,
     MinkowskiDistance,
-    QuadraticFormDistance,
     WeightedCombination,
     get_distance,
 )
@@ -154,34 +153,6 @@ class TestCanberra:
         np.testing.assert_allclose(d.batch(q, xs), [d(q, x) for x in xs])
 
 
-class TestQuadraticForm:
-    def test_identity_matrix_is_l2(self):
-        rng = np.random.default_rng(8)
-        d = QuadraticFormDistance(np.eye(4))
-        x, y = rng.normal(size=4), rng.normal(size=4)
-        assert d(x, y) == pytest.approx(L2Distance()(x, y))
-
-    def test_rejects_asymmetric(self):
-        m = np.array([[1.0, 0.5], [0.0, 1.0]])
-        with pytest.raises(MetricError):
-            QuadraticFormDistance(m)
-
-    def test_rejects_non_positive_definite(self):
-        with pytest.raises(MetricError):
-            QuadraticFormDistance(np.array([[1.0, 0.0], [0.0, -1.0]]))
-
-    def test_batch_matches_pairwise(self):
-        rng = np.random.default_rng(9)
-        a = rng.normal(size=(3, 3))
-        matrix = a @ a.T + 3 * np.eye(3)
-        d = QuadraticFormDistance(matrix)
-        q = rng.normal(size=3)
-        xs = rng.normal(size=(8, 3))
-        np.testing.assert_allclose(
-            d.batch(q, xs), [d(q, x) for x in xs], rtol=1e-10
-        )
-
-
 class TestWeightedCombination:
     def test_weighted_sum_of_blocks(self):
         d = WeightedCombination(
@@ -222,7 +193,6 @@ class TestWeightedCombination:
 
 
 def _every_distance(dim):
-    a = np.random.default_rng(11).normal(size=(dim, dim))
     return [
         L1Distance(),
         L2Distance(),
@@ -230,7 +200,6 @@ def _every_distance(dim):
         ChebyshevDistance(),
         CosineDistance(),
         CanberraDistance(),
-        QuadraticFormDistance(a @ a.T + dim * np.eye(dim)),
         WeightedCombination(
             [(L1Distance(), 0, 6, 1.5), (L2Distance(), 6, dim, 0.5)]
         ),

@@ -18,7 +18,6 @@ from repro.evaluation.tables import (
     format_construction_table,
     format_matrix,
     format_search_table,
-    format_single_column_table,
 )
 from repro.exceptions import EvaluationError
 from repro.metric.distances import L1Distance
@@ -157,10 +156,3 @@ class TestTables:
         assert "Candidate set size" in text
         assert "Recall [%]" in text
         assert "1.000" in text and "2.000" in text
-
-    def test_single_column_table(self):
-        text = format_single_column_table(
-            "T9", CostReport(client_time=0.5e-3), recall_value=94.0
-        )
-        assert "Client time [ms]" in text
-        assert "94.0" in text

@@ -17,7 +17,6 @@ class TestExceptionHierarchy:
                     assert issubclass(obj, exceptions.ReproError), name
 
     def test_domain_parents(self):
-        assert issubclass(exceptions.PaddingError, exceptions.CryptoError)
         assert issubclass(
             exceptions.AuthenticationError, exceptions.CryptoError
         )

@@ -6,13 +6,9 @@ import pytest
 from repro.exceptions import PivotError
 from repro.metric.permutations import (
     inverse_permutation,
-    kendall_tau,
-    permutation_prefix,
     pivot_permutation,
     pivot_permutations,
     prefix_promise,
-    spearman_footrule,
-    spearman_rho,
 )
 
 
@@ -41,23 +37,6 @@ class TestPivotPermutation:
         assert pivot_permutation(np.array([1.0, 0.5])).dtype == np.int32
 
 
-class TestPrefix:
-    def test_prefix_extraction(self):
-        perm = np.array([4, 2, 0, 1, 3])
-        assert permutation_prefix(perm, 2) == (4, 2)
-
-    def test_full_length_allowed(self):
-        perm = np.array([1, 0])
-        assert permutation_prefix(perm, 2) == (1, 0)
-
-    def test_invalid_length_rejected(self):
-        perm = np.array([1, 0])
-        with pytest.raises(PivotError):
-            permutation_prefix(perm, 0)
-        with pytest.raises(PivotError):
-            permutation_prefix(perm, 3)
-
-
 class TestInverse:
     def test_inverse_roundtrip(self):
         rng = np.random.default_rng(1)
@@ -72,47 +51,6 @@ class TestInverse:
             inverse_permutation(np.array([0, 0, 1]))
         with pytest.raises(PivotError):
             inverse_permutation(np.array([0, 3]))
-
-
-class TestRankCorrelation:
-    def test_footrule_identity_zero(self):
-        perm = np.array([2, 0, 1])
-        assert spearman_footrule(perm, perm) == 0
-
-    def test_footrule_known_value(self):
-        a = np.array([0, 1, 2])
-        b = np.array([2, 1, 0])
-        # displacements of pivots 0 and 2 are 2 each
-        assert spearman_footrule(a, b) == 4
-
-    def test_rho_identity_zero(self):
-        perm = np.array([1, 2, 0])
-        assert spearman_rho(perm, perm) == 0.0
-
-    def test_rho_known_value(self):
-        a = np.array([0, 1, 2])
-        b = np.array([2, 1, 0])
-        assert spearman_rho(a, b) == pytest.approx(np.sqrt(8.0))
-
-    def test_kendall_identity_zero(self):
-        perm = np.array([3, 1, 0, 2])
-        assert kendall_tau(perm, perm) == 0
-
-    def test_kendall_reverse_is_max(self):
-        a = np.array([0, 1, 2, 3])
-        b = np.array([3, 2, 1, 0])
-        assert kendall_tau(a, b) == 6  # all C(4,2) pairs discordant
-
-    def test_symmetry(self):
-        rng = np.random.default_rng(2)
-        a = rng.permutation(7)
-        b = rng.permutation(7)
-        assert spearman_footrule(a, b) == spearman_footrule(b, a)
-        assert kendall_tau(a, b) == kendall_tau(b, a)
-
-    def test_size_mismatch_rejected(self):
-        with pytest.raises(PivotError):
-            spearman_footrule(np.array([0, 1]), np.array([0, 1, 2]))
 
 
 class TestPrefixPromise:

@@ -21,12 +21,12 @@ def _perm(n=5):
 class TestIndexedRecord:
     def test_permutation_only(self):
         record = IndexedRecord(1, _perm(), None, b"payload")
-        assert record.has_distances is False
+        assert record.distances is None
         assert record.n_pivots == 5
 
     def test_distances_only(self):
         record = IndexedRecord(2, None, np.array([3.0, 1.0, 2.0]), b"x")
-        assert record.has_distances is True
+        assert record.distances is not None
         assert record.n_pivots == 3
 
     def test_ensure_permutation_derives_from_distances(self):

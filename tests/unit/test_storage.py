@@ -597,7 +597,7 @@ class TestBlockCache:
         cache.put("f", 2, b"c" * 40)  # evicts ordinal 1 (LRU)
         assert cache.get("f", 1) is None
         assert cache.get("f", 0) is not None
-        assert cache.used_bytes == 80
+        assert cache._used == 80
 
     def test_zero_budget_disables(self):
         cache = BlockCache(0)
@@ -618,14 +618,14 @@ class TestBlockCache:
         cache.discard("f", 0)
         cache.discard("f", 1)  # not cached: nothing to do
         assert cache.get("f", 0) is None
-        assert cache.used_bytes == 4
+        assert cache._used == 4
         # a relocated chunk keeps its bytes and its place in the
         # eviction order: ("g", 0) is still the least recently used
         cache.rekey({("g", 0): ("h", 5), ("f", 0): ("h", 9)})
         assert cache.get("g", 0) is None and cache.get("h", 9) is None
         assert list(cache._entries) == [("h", 5), ("g", 7)]
         assert cache.get("h", 5) == b"bb"
-        assert cache.used_bytes == 4
+        assert cache._used == 4
 
     def test_disk_counters_are_exact(self, tmp_path):
         storage = DiskStorage(tmp_path / "cells", chunk_raw_bytes=64)
