@@ -14,7 +14,7 @@ ever seeing a single character.
 
 import numpy as np
 
-from repro.core.records import IndexedRecord
+from repro.core.records import RecordBatch
 from repro.core.server import SimilarityCloudServer
 from repro.crypto.cipher import AesCipher
 from repro.metric.permutations import pivot_permutation
@@ -58,15 +58,17 @@ cipher = AesCipher(rng.integers(0, 256, 16, dtype=np.uint8).tobytes())
 server = SimilarityCloudServer(n_pivots, bucket_capacity=40)
 rpc = RpcClient(InProcessChannel(server.handle))
 
-# -- construction: permutation + ciphertext per word -----------------------
-writer = Writer()
-writer.u32(len(vocabulary))
+# -- construction: one bulk of permutations + ciphertexts ------------------
+# words differ in length, so do their tokens: the batch's payload column
+# is ragged, the permutation column one matrix
+permutations = np.stack(
+    [pivot_permutation(space.d_batch(w, pivot_words)) for w in vocabulary]
+)
 tokens = cipher.encrypt_many([w.encode("utf-8") for w in vocabulary])
-for oid, (word, token) in enumerate(zip(vocabulary, tokens)):
-    distances = space.d_batch(word, pivot_words)
-    record = IndexedRecord(oid, pivot_permutation(distances), None, token)
-    record.write_to(writer)
-total = rpc.call("insert", writer).u64()
+batch = RecordBatch(
+    np.arange(len(vocabulary), dtype=np.uint64), permutations, None, tokens
+)
+total = rpc.call("insert_bulk", batch.write_to(Writer())).u64()
 print(f"outsourced {total} encrypted words into "
       f"{server.index.n_cells} cells "
       f"({space.distance_count} edit-distance evaluations, all client-side)")

@@ -97,7 +97,7 @@ class FdhServer:
     def __init__(self, *, clock: Clock | None = None) -> None:
         self._buckets: dict[int, list[tuple[int, bytes]]] = {}
         self.dispatcher = RpcDispatcher(clock=clock)
-        self.dispatcher.register("fdh_insert", self._handle_insert)
+        self.dispatcher.register("fdh_insert", self._handle_fdh_insert)
         self.dispatcher.register("fdh_candidates", self._handle_candidates)
 
     def handle(self, request: bytes) -> bytes:
@@ -116,7 +116,7 @@ class FdhServer:
     def __len__(self) -> int:
         return sum(len(bucket) for bucket in self._buckets.values())
 
-    def _handle_insert(self, body: Reader) -> Writer:
+    def _handle_fdh_insert(self, body: Reader) -> Writer:
         count = body.u32()
         for _ in range(count):
             oid = body.u64()

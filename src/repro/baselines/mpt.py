@@ -63,7 +63,7 @@ class MptServer:
         self._rows: list[np.ndarray] = []
         self._matrix: np.ndarray | None = None
         self.dispatcher = RpcDispatcher(clock=clock)
-        self.dispatcher.register("mpt_insert", self._handle_insert)
+        self.dispatcher.register("mpt_insert", self._handle_mpt_insert)
         self.dispatcher.register("mpt_range", self._handle_range)
 
     def handle(self, request: bytes) -> bytes:
@@ -82,7 +82,7 @@ class MptServer:
     def __len__(self) -> int:
         return len(self._oids)
 
-    def _handle_insert(self, body: Reader) -> Writer:
+    def _handle_mpt_insert(self, body: Reader) -> Writer:
         count = body.u32()
         for _ in range(count):
             oid = body.u64()

@@ -77,9 +77,9 @@ class PlainServer:
         self.costs = CostRecorder()
         self._mutex = threading.Lock()
         self.dispatcher = RpcDispatcher(clock=clock)
-        self.dispatcher.register("insert_plain", self._handle_insert)
+        self.dispatcher.register("insert_plain", self._handle_insert_plain)
         self.dispatcher.register(
-            "insert_plain_bulk", self._handle_insert_bulk
+            "insert_plain_bulk", self._handle_insert_plain_bulk
         )
         self.dispatcher.register("knn_plain", self._handle_knn)
         self.dispatcher.register("range_plain", self._handle_range)
@@ -108,7 +108,7 @@ class PlainServer:
 
     # -- handlers ------------------------------------------------------------
 
-    def _handle_insert(self, body: Reader) -> Writer:
+    def _handle_insert_plain(self, body: Reader) -> Writer:
         count = body.u32()
         dim = self.pivots.shape[1]
         with self._mutex:
@@ -132,7 +132,7 @@ class PlainServer:
             body.expect_end()
             return Writer().u64(len(self.index))
 
-    def _handle_insert_bulk(self, body: Reader) -> Writer:
+    def _handle_insert_plain_bulk(self, body: Reader) -> Writer:
         oids = body.u64_array()
         vectors = body.f64_matrix()
         body.expect_end()

@@ -39,10 +39,11 @@ shard always fails the write.
 
 **Rebalance.** :meth:`ShardRouter.rebalance` moves a set of top-level
 pivots between live shards with zero record loss: ``export_cells`` on
-the source (response body == the ``insert`` request body), replay on
-the target, ``drop_cells`` on the source — copy before delete, so a
-crash between the steps leaves duplicates, which the merge suppresses
-by oid, rather than losing records.
+the source (response body == an ``insert_bulk`` request body), that
+body forwarded verbatim to the target — one bulk, one storage commit —
+and ``drop_cells`` on the source: copy before delete, so a crash
+between the steps leaves duplicates, which the merge suppresses by oid,
+rather than losing records.
 """
 
 from __future__ import annotations
@@ -579,34 +580,6 @@ class ShardRouter:
 
     # -- mutations ----------------------------------------------------------
 
-    def _call_insert(self, data: bytes, deadline: float | None) -> Reader:
-        reader = Reader(data)
-        count = reader.u32()
-        records = [IndexedRecord.read_from(reader) for _ in range(count)]
-        reader.expect_end()
-        groups: dict[int, list[IndexedRecord]] = {
-            shard: [] for shard in range(self.n_shards)
-        }
-        for record in records:
-            shard = self.shard_map.shard_of(
-                int(record.ensure_permutation()[0])
-            )
-            groups[shard].append(record)
-        per_shard: dict[int, bytes] = {}
-        for shard, group in groups.items():
-            writer = Writer()
-            writer.u32(len(group))
-            for record in group:
-                record.write_to(writer)
-            per_shard[shard] = writer.getvalue()
-        # every shard answers with its record count, so the summed
-        # response equals the single server's post-insert total
-        responses = self._scatter(
-            "insert", per_shard, deadline, strict=True
-        )
-        total = sum(response.u64() for _shard, response in responses)
-        return Reader(Writer().u64(total).getvalue())
-
     def _call_insert_bulk(
         self, data: bytes, deadline: float | None
     ) -> Reader:
@@ -753,8 +726,9 @@ class ShardRouter:
         """Move the given top-level pivots to shard ``target``.
 
         Copy-before-delete per source shard: export the range (the
-        export body replays verbatim as an ``insert``), land it on the
-        target, then drop it from the source and update the shard map.
+        export body is forwarded verbatim as an ``insert_bulk``; a range
+        without records has nothing to copy), land it on the target,
+        then drop it from the source and update the shard map.
         A failure leaves at worst a duplicated range — the merges
         suppress duplicate oids — never a lost one. Returns the number
         of records moved. All involved shards must be reachable
@@ -779,19 +753,12 @@ class ShardRouter:
             try:
                 exported = self.shard_clients[source].call(
                     "export_cells", pivot_body, deadline=deadline
-                )
-                count = exported.u32()
-                records = [
-                    IndexedRecord.read_from(exported) for _ in range(count)
-                ]
-                exported.expect_end()
-                insert_writer = Writer()
-                insert_writer.u32(count)
-                for record in records:
-                    record.write_to(insert_writer)
-                self.shard_clients[target].call(
-                    "insert", insert_writer.getvalue(), deadline=deadline
-                )
+                ).rest()
+                count = Reader(exported).u32()
+                if count:
+                    self.shard_clients[target].call(
+                        "insert_bulk", exported, deadline=deadline
+                    )
                 self.shard_clients[source].call(
                     "drop_cells", pivot_body, deadline=deadline
                 )

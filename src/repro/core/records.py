@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.exceptions import ProtocolError
+from repro.exceptions import ProtocolError, StorageError
 from repro.metric.permutations import pivot_permutation, pivot_permutations
 from repro.wire.encoding import BlobColumn, Reader, Writer, pack_blobs
 from repro.wire.scatter import oid_column
@@ -46,6 +46,7 @@ __all__ = [
     "CellRecords",
     "IndexedRecord",
     "RecordBatch",
+    "stored_cell",
     "vector_to_payload",
     "rows_to_vectors",
 ]
@@ -163,6 +164,15 @@ class IndexedRecord:
         return size
 
 
+def _representation(record: IndexedRecord) -> tuple:
+    """The length of each of ``record``'s arrays, None where it has
+    none: records batch into columns iff theirs are equal."""
+    return tuple(
+        None if array is None else array.shape[0]
+        for array in (record.permutation, record.distances)
+    )
+
+
 class _RecordSequence:
     """Reads a columnar holder as the list of its records — iteration
     and ``==`` against a list go through its ``to_records()`` — for
@@ -210,10 +220,6 @@ class RecordBatch(_RecordSequence):
     permutations: np.ndarray | None
     distances: np.ndarray | None
     payloads: BlobColumn
-
-    #: the records themselves, kept only where the columns would not
-    #: give them back (:meth:`of_cell`) — never for what an index stores
-    rows = None
 
     def __post_init__(self) -> None:
         self.oids = np.ascontiguousarray(self.oids, dtype=np.uint64)
@@ -272,8 +278,6 @@ class RecordBatch(_RecordSequence):
     def wire_size(self) -> int:
         """What the records' standalone encodings add up to, in bytes
         (:attr:`IndexedRecord.wire_size`, summed without the records)."""
-        if self.rows is not None:
-            return sum(record.wire_size for record in self.rows)
         each = 8 + 1 + 4
         if self.permutations is not None:
             each += 4 + 4 * self.permutations.shape[1]
@@ -341,25 +345,31 @@ class RecordBatch(_RecordSequence):
         the index or to a storage backend become a batch (a batch is
         returned as it is).
 
-        The storage contract lets a cell hold any records, so a matrix
-        column exists only where every record has that array at one
-        length, and payloads of any sizes are copied end to end. Where
-        the columns would not give the records back — no permutation
-        column, or distances only some of them carry — the records are
-        kept too, as :attr:`rows`.
+        The records must share one representation — the same arrays,
+        at the same lengths — or :class:`ProtocolError`; their payloads
+        may be of any sizes, copied end to end. No record makes the
+        empty batch, whose representation is an empty permutation
+        column.
         """
         if isinstance(records, cls):
             return records
         records = list(records)
+        if not records:
+            return cls.from_columns(
+                np.empty(0, np.uint64),
+                np.empty((0, 0), np.int32),
+                None,
+                BlobColumn.of([]),
+            )
+        if 1 != len({_representation(record) for record in records}):
+            raise ProtocolError(
+                "record batch requires a homogeneous representation"
+            )
 
         def matrix(arrays: list) -> np.ndarray | None:
-            if not arrays or any(array is None for array in arrays):
-                return None
-            if len({array.shape[0] for array in arrays}) != 1:
-                return None
-            return np.stack(arrays)
+            return None if arrays[0] is None else np.stack(arrays)
 
-        batch = cls.from_columns(
+        return cls.from_columns(
             np.fromiter(
                 (record.oid for record in records), np.uint64, len(records)
             ),
@@ -367,37 +377,20 @@ class RecordBatch(_RecordSequence):
             matrix([record.distances for record in records]),
             BlobColumn.of([record.payload for record in records]),
         )
-        if batch.permutations is None or (
-            batch.distances is None
-            and any(record.distances is not None for record in records)
-        ):
-            batch.rows = records
-        return batch
 
     @classmethod
     def from_records(
         cls, records: "list[IndexedRecord] | RecordBatch"
     ) -> "RecordBatch":
-        """Columnar view of a homogeneous row-wise record list."""
+        """Columnar view of a non-empty homogeneous record list."""
         batch = cls.of_cell(records)
         if not len(batch):
             raise ProtocolError("record batch must not be empty")
-        if batch.rows is not None and 1 != len(
-            {
-                (r.permutation is None, r.distances is None, r.n_pivots)
-                for r in batch.rows
-            }
-        ):
-            raise ProtocolError(
-                "record batch requires a homogeneous representation"
-            )
         return batch
 
     def select(self, rows: np.ndarray) -> "RecordBatch":
         """Records ``rows`` (an index array) of this batch, in that
         order, as a batch of their own."""
-        if self.rows is not None:
-            return self.of_cell([self.rows[row] for row in rows.tolist()])
         return self.from_columns(
             self.oids[rows],
             None if self.permutations is None else self.permutations[rows],
@@ -405,27 +398,28 @@ class RecordBatch(_RecordSequence):
             BlobColumn.gathered([self.payloads], rows),
         )
 
-    def extended(self, other: "RecordBatch") -> "RecordBatch":
-        """This batch with the records of ``other`` after its own."""
-        if not len(self):
-            return other
-        pairs = (
-            (self.permutations, other.permutations),
-            (self.distances, other.distances),
-        )
-        # columns join where both batches have the same ones at the
-        # same width (np.shape(None) is ()); otherwise the rows do
-        if self.rows is not None or other.rows is not None or any(
-            np.shape(mine)[1:] != np.shape(theirs)[1:] for mine, theirs in pairs
-        ):
-            return self.of_cell(self.to_records() + other.to_records())
-        return self.from_columns(
-            np.concatenate((self.oids, other.oids)),
-            *(
-                None if mine is None else np.concatenate((mine, theirs))
-                for mine, theirs in pairs
-            ),
-            BlobColumn.gathered([self.payloads, other.payloads]),
+    @classmethod
+    def joined(cls, batches: "list[RecordBatch]") -> "RecordBatch":
+        """The records of ``batches`` end to end, as one batch; they
+        must share one representation, or :class:`ProtocolError`."""
+        batches = [batch for batch in batches if len(batch)]
+        if len(batches) < 2:
+            return batches[0] if batches else cls.of_cell([])
+        columns = []
+        for name in ("permutations", "distances"):
+            matrices = [getattr(batch, name) for batch in batches]
+            # the same columns at the same widths (np.shape(None) is ())
+            if len({np.shape(matrix)[1:] for matrix in matrices}) != 1:
+                raise ProtocolError(
+                    "record batch requires a homogeneous representation"
+                )
+            columns.append(
+                None if matrices[0] is None else np.concatenate(matrices)
+            )
+        return cls.from_columns(
+            np.concatenate([batch.oids for batch in batches]),
+            *columns,
+            BlobColumn.gathered([batch.payloads for batch in batches]),
         )
 
     def ensure_permutations(self) -> np.ndarray:
@@ -439,17 +433,11 @@ class RecordBatch(_RecordSequence):
         """
         if self.permutations is not None:
             return self.permutations
-        if self.distances is None:
-            raise ProtocolError(
-                "the records of this cell do not share one representation"
-            )
         return pivot_permutations(self.distances)
 
     def to_records(self) -> list[IndexedRecord]:
         """Row-wise records, any missing permutations derived in one
         call (:meth:`ensure_permutations`)."""
-        if self.rows is not None:
-            return list(self.rows)
         permutations = self.ensure_permutations()
         distances = self.distances
         return [
@@ -465,8 +453,6 @@ class RecordBatch(_RecordSequence):
         ]
 
     def __getitem__(self, index):
-        if self.rows is not None:
-            return self.rows[index]
         if isinstance(index, slice):
             return self.to_records()[index]
         distances = self.distances
@@ -476,6 +462,20 @@ class RecordBatch(_RecordSequence):
             None if distances is None else distances[index],
             self.payloads[index],
         )
+
+
+def stored_cell(records: "list[IndexedRecord] | RecordBatch") -> RecordBatch:
+    """``records`` as the columns a storage backend keeps of a cell
+    (:meth:`RecordBatch.of_cell`). A stored row carries its permutation
+    row — every cell an index writes does — so a batch without the
+    permutation column is a :class:`StorageError`."""
+    batch = RecordBatch.of_cell(records)
+    if batch.permutations is None:
+        raise StorageError(
+            "a stored record must carry its permutation row, not only "
+            "pivot distances"
+        )
+    return batch
 
 
 class CellRecords(_RecordSequence):

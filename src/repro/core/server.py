@@ -8,15 +8,15 @@ permutations (or object–pivot distances under the precise strategy).
 
 The server exposes these RPC methods:
 
-``insert`` / ``insert_bulk`` / ``delete``
+``insert_bulk`` / ``delete``
     Index maintenance (Algorithm 1's server part: locate the cell tree
-    leaf, store, split if needed). ``insert`` takes per-record wire
-    encodings; ``insert_bulk`` takes one columnar
+    leaf, store, split if needed). ``insert_bulk`` takes one columnar
     :class:`~repro.core.records.RecordBatch`, handed to
     :meth:`MIndex.bulk_insert` as it was decoded — missing permutations
     are derived for the whole batch in one vectorized call and each
     touched cell receives its rows of the batch in one storage write,
-    no object built per record. Both produce identical indexes. Writers —
+    no object built per record; a batch of one record is how one object
+    is inserted. ``delete`` takes one record's wire encoding. Writers —
     they take the exclusive side of the server's read–write lock.
 ``range`` / ``range_transformed`` / ``approx_knn``
     The three searches, one query each. ``range`` is Algorithm 3 —
@@ -55,9 +55,9 @@ The server exposes these RPC methods:
     form, write the answer in that form.
 ``export_cells`` / ``drop_cells`` / ``dump_cells``
     Rebalance and diagnostics surface: ``export_cells`` returns every
-    record of a set of top-level pivots in the ``insert`` request
-    format (so a rebalance replays it verbatim on the receiving
-    shard), ``drop_cells`` removes them, and ``dump_cells``
+    record of a set of top-level pivots as one ``RecordBatch`` — an
+    ``insert_bulk`` request body, so a rebalance forwards it verbatim to
+    the receiving shard — ``drop_cells`` removes them, and ``dump_cells``
     fingerprints cell-tree contents for equivalence benches.
 ``stats``
     Index statistics (diagnostics; not part of any measured phase),
@@ -71,8 +71,8 @@ The server exposes these RPC methods:
 Concurrency: searches are read-only, so all search handlers take the
 shared side of a :class:`~repro.core.locks.ReadWriteLock` and may run
 concurrently (the socket transport's handler pool);
-``insert``/``delete`` serialize exclusively so no reader can observe a
-half-split cell tree.
+``insert_bulk``/``delete`` serialize exclusively so no reader can
+observe a half-split cell tree.
 """
 
 from __future__ import annotations
@@ -181,10 +181,9 @@ class SimilarityCloudServer:
         self.index = MIndex(
             n_pivots, bucket_capacity, self.storage, max_level=max_level
         )
-        # searches share the lock; insert/delete take it exclusively
+        # searches share the lock; inserts and deletes take it exclusively
         self._lock = ReadWriteLock()
         self.dispatcher = RpcDispatcher(clock=clock)
-        self.dispatcher.register("insert", self._handle_insert)
         self.dispatcher.register("insert_bulk", self._handle_insert_bulk)
         self.dispatcher.register("delete", self._handle_delete)
         for search in _INDEX_METHODS:
@@ -275,19 +274,6 @@ class SimilarityCloudServer:
 
     # -- handlers ------------------------------------------------------------
 
-    def _handle_insert(self, body: Reader) -> Writer:
-        count = body.u32()
-        records = []
-        for _ in range(count):
-            record = IndexedRecord.read_from(body)
-            record.ensure_permutation()
-            records.append(record)
-        body.expect_end()
-        with self._lock.write():
-            for record in records:
-                self.index.insert(record)
-            return Writer().u64(len(self.index))
-
     def _handle_insert_bulk(self, body: Reader) -> Writer:
         batch = RecordBatch.read_from(body)
         body.expect_end()
@@ -308,16 +294,12 @@ class SimilarityCloudServer:
         pivots = body.i32_array()
         body.expect_end()
         with self._lock.read():
-            records = self.index.export_top_pivots(
+            batch = self.index.export_top_pivots(
                 {int(pivot) for pivot in pivots}
             )
-        # response body == the ``insert`` request body, so a rebalance
-        # replays the export verbatim on the receiving shard
-        writer = Writer()
-        writer.u32(len(records))
-        for record in records:
-            record.write_to(writer)
-        return writer
+        # response body == an ``insert_bulk`` request body (unless it
+        # holds no record), so a rebalance forwards the export verbatim
+        return batch.write_to(Writer())
 
     def _handle_drop_cells(self, body: Reader) -> Writer:
         pivots = body.i32_array()

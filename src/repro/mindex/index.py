@@ -126,6 +126,9 @@ class MIndex:
         self.storage = storage
         self.tree = CellTree(self.n_pivots, min(max_level, self.n_pivots))
         self._n_records = 0
+        #: whether the records held carry pivot distances — one
+        #: representation for all, as the rows of a stored cell share one
+        self._with_distances = False
 
     # ------------------------------------------------------------------
     # insertion
@@ -253,12 +256,22 @@ class MIndex:
         """``records`` as a batch this index can take, before anything
         is changed for it: a permutation column (derived once from the
         distances where only those travelled) over this index's pivots,
-        every row of it a permutation."""
+        every row of it a permutation, and distances iff the records
+        the index holds have them."""
         if not len(records):
             return RecordBatch.of_cell([])
         batch = RecordBatch.from_records(records)
         permutations = batch.ensure_permutations()
         self._check_permutations(permutations, IndexError_)
+        with_distances = batch.distances is not None
+        if self._n_records and with_distances != self._with_distances:
+            raise IndexError_(
+                "the index holds records "
+                f"{'with' if self._with_distances else 'without'} pivot "
+                "distances; a bulk of the other representation would mix "
+                "both in its cells"
+            )
+        self._with_distances = with_distances
         return RecordBatch.from_columns(
             batch.oids, permutations, batch.distances, batch.payloads
         )
@@ -313,8 +326,10 @@ class MIndex:
             if self.storage.cell_size(prefix) == 0:
                 continue
             leaf = self.tree.ensure_leaf(tuple(prefix))
-            leaf.rebuild_from(self.storage.load(prefix))
+            cell = self.storage.load(prefix)
+            leaf.rebuild_from(cell)
             self._n_records += leaf.count
+            self._with_distances = cell.distances is not None
         return self._n_records
 
     # ------------------------------------------------------------------
@@ -953,29 +968,30 @@ class MIndex:
     # rebalance surface
     # ------------------------------------------------------------------
 
-    def export_top_pivots(self, pivots: set[int]) -> list[IndexedRecord]:
+    def export_top_pivots(self, pivots: set[int]) -> RecordBatch:
         """All records whose top-level permutation element is in
-        ``pivots``, for handing a prefix range to another shard.
+        ``pivots``, as one batch, for handing a prefix range to another
+        shard.
 
-        Read-only; the records come back in lexicographic leaf order
-        (within a leaf, storage order), ready to be replayed through an
-        ``insert`` on the receiving shard.
+        Read-only; the records come in lexicographic leaf order (within
+        a leaf, storage order), so one :meth:`bulk_insert` of the batch
+        on the receiving shard places them as a per-record replay would.
         """
         wanted = {int(pivot) for pivot in pivots}
-        exported: list[IndexedRecord] = []
+        cells = []
         for leaf in self.tree.leaves():
             if leaf.count == 0:
                 continue
             if leaf.prefix:
                 if leaf.prefix[0] in wanted:
-                    exported.extend(self.storage.load(leaf.prefix).to_records())
-            else:
-                exported.extend(
-                    record
-                    for record in self.storage.load(leaf.prefix).to_records()
-                    if int(record.ensure_permutation()[0]) in wanted
-                )
-        return exported
+                    cells.append(self.storage.load(leaf.prefix))
+                continue
+            cell = self.storage.load(leaf.prefix)
+            tops = cell.ensure_permutations()[:, 0]
+            cells.append(
+                cell.select(np.flatnonzero(np.isin(tops, list(wanted))))
+            )
+        return RecordBatch.joined(cells)
 
     @_one_batch
     def drop_top_pivots(self, pivots: set[int]) -> int:

@@ -73,9 +73,7 @@ __all__ = [
 #: methods that change server state; they always travel with an
 #: idempotency key so a retry can never double-apply (``drop_cells`` —
 #: the destructive half of a shard rebalance — included)
-MUTATING_METHODS = frozenset(
-    {"insert", "insert_bulk", "delete", "drop_cells"}
-)
+MUTATING_METHODS = frozenset({"insert_bulk", "delete", "drop_cells"})
 
 #: methods safe to resend without a key (answers are pure functions of
 #: the index state; re-executing one is harmless): every search in

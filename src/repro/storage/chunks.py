@@ -25,26 +25,23 @@ sizes, and nothing in a segment's data region says which cell a chunk
 belongs to (CoZip's layout: the index is written after the data, not
 repeated in local headers).
 
-The directory format before segments — one file per cell, a header
-carrying the cell id and then that cell's chunks — is still *read*,
-once, to convert a directory on open: :func:`read_file_header` and
-:func:`scan_chunks` are its no-manifest reader, :func:`encode_file_header`
-its writer (kept for the tests that build such a directory).
-
 :class:`BlockCache` is the byte-budgeted LRU of chunks' *raw* bytes —
 frame bytes out of the envelope and checked, not decoded records —
 keyed by where the chunk lies, so a relocated chunk is re-keyed, not
 lost.
 
 Frames are written a group at a time and decoded a cell at a time, by
-the same rule in both directions. When every frame has the shape of the
-first and carries a permutation — every group and every cell of an
-index over equal-sized objects — the bytes are one fixed-stride table
-(:func:`_frame_dtype`): :func:`build_chunks` fills it from a batch's
-columns in one structured-array encode, :func:`decode_cell` takes the
-columns back as strided views of it, each shape field of each frame
-checked against the first frame's before use. Anything else goes frame
-by frame: :func:`frame_record` writes, :func:`parse_frames` reads.
+the same rule in both directions. Every stored record carries its
+permutation row and the records of a cell share one representation
+(:func:`~repro.core.records.stored_cell`), so frames differ at most in
+their payload sizes. When every frame has the shape of the first —
+every group and every cell of an index over equal-sized objects — the
+bytes are one fixed-stride table (:func:`_frame_dtype`):
+:func:`build_chunks` fills it from a batch's columns in one
+structured-array encode, :func:`decode_cell` takes the columns back as
+strided views of it, each shape field of each frame checked against the
+first frame's before use. Payloads of several sizes go frame by frame:
+:func:`frame_record` writes, :func:`parse_frames` reads.
 Sizes and counts that come from the chunk index are checked against the
 bytes present before anything is sized from them.
 """
@@ -60,7 +57,7 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.core.records import IndexedRecord, RecordBatch
+from repro.core.records import IndexedRecord, RecordBatch, stored_cell
 from repro.exceptions import StorageError
 from repro.wire.encoding import BlobColumn
 
@@ -72,11 +69,8 @@ __all__ = [
     "build_chunks",
     "decode_cell",
     "decompress_chunk",
-    "encode_file_header",
     "frame_record",
     "parse_frames",
-    "read_file_header",
-    "scan_chunks",
 ]
 
 _LEN = struct.Struct("<I")
@@ -176,9 +170,8 @@ def _uniform_table(raw: bytes, n_records: int) -> np.ndarray | None:
         return None
     flags = raw[12]
     if flags not in (1, 3):
-        # no permutation column (or no valid flags): the index stores
-        # none of these, and a batch would hand such records back with
-        # permutations derived, which is not what the frames say
+        # no permutation (or no valid flags): not a cell a backend
+        # stores, which the frame-by-frame path refuses
         return None
     shape = {"size": stride - _LEN.size, "flags": flags}
     offset = 13
@@ -214,7 +207,8 @@ def decode_cell(chunks: list[bytes], n_records: int) -> RecordBatch:
     ``n_records`` comes from the chunk index, so it is held against the
     bytes before use: more records than the bytes could frame is a
     :class:`StorageError`, and so is a frame-by-frame decode that finds
-    another number.
+    another number, or records no backend stores
+    (:func:`~repro.core.records.stored_cell`).
     """
     raw = chunks[0] if len(chunks) == 1 else b"".join(chunks)
     if n_records * _MIN_FRAME_BYTES > len(raw):
@@ -235,7 +229,7 @@ def decode_cell(chunks: list[bytes], n_records: int) -> RecordBatch:
             f"chunk index promises {n_records} records, the cell "
             f"frames {len(records)}"
         )
-    return RecordBatch.of_cell(records)
+    return stored_cell(records)
 
 
 # -- chunks ------------------------------------------------------------
@@ -245,11 +239,10 @@ def _uniform_frames(batch: RecordBatch) -> tuple[np.ndarray, int] | None:
     """The frames of ``batch`` end to end, as a byte array, and the
     size of one, from one structured-array encode — the mirror of
     :func:`_uniform_table`, over the same :func:`_frame_dtype` — or None
-    when the batch is not a table: no permutation column, or payloads
-    of several sizes."""
+    when the batch is not a table: payloads of several sizes."""
     permutations, distances = batch.permutations, batch.distances
     payloads = batch.payloads.matrix
-    if permutations is None or payloads is None:
+    if payloads is None:
         return None
     n_distances = 0 if distances is None else distances.shape[1]
     table = np.empty(
@@ -278,10 +271,11 @@ def build_chunks(
     chunk_raw_bytes: int = DEFAULT_CHUNK_RAW_BYTES,
     segment: str = "",
 ) -> tuple[bytes, list[ChunkEntry]]:
-    """Frame ``records`` into chunk bytes starting at ``base_offset``
-    of the file ``segment``.
+    """Frame ``records`` — a batch, or a list turned into one, that a
+    backend stores (:func:`~repro.core.records.stored_cell`) — into
+    chunk bytes starting at ``base_offset`` of the file ``segment``.
 
-    A group whose frames are one shape — every group an index over
+    A group whose payloads are one size — every group an index over
     equal-sized objects writes — is framed in one strided encode;
     any other frame by frame (:func:`frame_record`). Frames are packed
     greedily: a chunk closes once it holds at least ``chunk_raw_bytes``
@@ -294,7 +288,7 @@ def build_chunks(
         raise StorageError(
             f"chunk size must be positive, got {chunk_raw_bytes}"
         )
-    batch = RecordBatch.of_cell(records)
+    batch = stored_cell(records)
     uniform = _uniform_frames(batch) if len(batch) else None
     if uniform is not None:
         raw, stride = uniform
@@ -348,69 +342,6 @@ def decompress_chunk(comp: bytes, entry: ChunkEntry) -> bytes:
             f"{len(inflater.unused_data)} bytes past its compressed stream"
         )
     return raw
-
-
-# -- per-cell files: the directory format before segments --------------
-
-#: first bytes of a per-cell file, then its format version byte
-_PER_CELL_MAGIC = b"RXCF"
-_PER_CELL_VERSION = 2
-
-
-def encode_file_header(id_json: bytes) -> bytes:
-    """Header bytes for a per-cell file carrying ``id_json``."""
-    return (
-        _PER_CELL_MAGIC
-        + bytes([_PER_CELL_VERSION])
-        + _LEN.pack(len(id_json))
-        + id_json
-    )
-
-
-def read_file_header(blob: bytes) -> tuple[bytes, int]:
-    """(cell id JSON, header length) of a per-cell file's first bytes."""
-    base = len(_PER_CELL_MAGIC)
-    if blob[:base] != _PER_CELL_MAGIC:
-        raise StorageError("not a per-cell chunk file (bad magic)")
-    if len(blob) < base + 1 + _LEN.size:
-        raise StorageError("per-cell chunk file truncated (header)")
-    version = blob[base]
-    if version != _PER_CELL_VERSION:
-        raise StorageError(
-            f"unsupported cell file format version {version}"
-        )
-    (id_len,) = _LEN.unpack_from(blob, base + 1)
-    header_len = base + 1 + _LEN.size + id_len
-    if len(blob) < header_len:
-        raise StorageError("per-cell chunk file truncated (cell id)")
-    id_json = blob[base + 1 + _LEN.size : header_len]
-    return id_json, header_len
-
-
-def scan_chunks(
-    blob: bytes, start: int, segment: str = ""
-) -> tuple[list[ChunkEntry], int]:
-    """A per-cell file's chunk index, by walking chunk headers from
-    ``start`` (no manifest, no decompression). That format appended in
-    place, so a crash could tear a tail: scanning stops at the last
-    complete chunk and returns the offset one past it."""
-    entries: list[ChunkEntry] = []
-    offset = start
-    total = len(blob)
-    while offset < total:
-        if offset + _CHUNK_HEADER.size > total:
-            break  # torn chunk header
-        comp_len, raw_len, n_records = _CHUNK_HEADER.unpack_from(
-            blob, offset
-        )
-        if offset + _CHUNK_HEADER.size + comp_len > total:
-            break  # torn chunk body
-        entries.append(
-            ChunkEntry(offset, comp_len, raw_len, n_records, segment)
-        )
-        offset += _CHUNK_HEADER.size + comp_len
-    end = entries[-1].end if entries else start
-    return entries, end
 
 
 # -- the block cache ----------------------------------------------------

@@ -46,16 +46,14 @@ most twice its live chunk bytes plus one segment. Catalog trailers count
 as dead bytes, which is what folds a run of small batches into one
 file. The price is bytes copied (``docs/BENCHMARKS.md``, PR 23).
 
-Reopen order: a ``cell_<sha1>.bin`` file (the seed's format) refuses the
-directory before anything is touched; ``manifest.json`` is parsed and
-every segment it names held against the file system; if it is missing
-or unacceptable, the trailer of the highest-numbered segment that has a
+Reopen order: a file of an earlier format refuses the directory before
+anything is touched — any ``cell_*`` file (the seed's
+``cell_<sha1>.bin``, or the per-cell format's ``cell_<digest>.g<k>.chk``)
+or a version-1 manifest; ``manifest.json`` is parsed and every segment
+it names held against the file system; if it is missing or
+unacceptable, the trailer of the highest-numbered segment that has a
 valid one is the catalog (``manifest_fallback``); then stray ``*.tmp``
-files and data files the catalog does not name are removed. A directory
-in the previous format — one ``cell_<digest>.g<k>.chk`` file per cell,
-with its version-1 manifest or, without, through the files' own headers
-— is converted there and then, in one batch that relocates its chunks
-as a cleaning pass would.
+files and segments the catalog does not name are removed.
 
 Writes take columns: ``append_many`` / ``save`` / ``save_many`` are
 handed a :class:`~repro.core.records.RecordBatch` (a record list is
@@ -70,7 +68,7 @@ as columns — one decode per cell over its chunks' bytes end to end
 
 Transitions are logged on ``repro.storage`` (``event`` and its numbers
 as ``extra`` fields): ``batch_commit`` at DEBUG; ``segment_cleaned``,
-``segment_removed``, ``directory_upgraded`` and what a reopen repaired
+``segment_removed`` and what a reopen repaired
 (``tmp_removed``, ``orphan_removed``) at INFO; ``manifest_fallback`` at
 WARNING. A clean reopen logs nothing.
 
@@ -95,7 +93,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Hashable, Iterator, Mapping
 
-from repro.core.records import IndexedRecord, RecordBatch
+from repro.core.records import IndexedRecord, RecordBatch, stored_cell
 from repro.exceptions import StorageError
 from repro.storage.chunks import (
     CHUNK_HEADER_SIZE,
@@ -105,16 +103,12 @@ from repro.storage.chunks import (
     build_chunks,
     decode_cell,
     decompress_chunk,
-    read_file_header,
-    scan_chunks,
 )
 from repro.storage.manifest import (
     MANIFEST_NAME,
-    PER_CELL_NAME,
     SEGMENT_NAME,
     CellEntry,
     atomic_write_bytes,
-    decode_cell_id,
     encode_cell_id,
     parse_manifest,
     read_trailer,
@@ -138,6 +132,32 @@ def _event(level: int, event: str, message: str, *args, **fields) -> None:
 def _number(name: str) -> int:
     """``n`` of ``seg_<n>.chk``."""
     return int(SEGMENT_NAME.fullmatch(name).group(1))
+
+
+def _old_format(path: Path) -> StorageError:
+    """The refusal of a directory an earlier version wrote, naming the
+    file that shows it."""
+    if path.suffix == ".bin":
+        return StorageError(
+            f"{path} is in the seed's cell_<sha1>.bin format, which is no "
+            "longer read"
+        )
+    return StorageError(
+        f"{path} belongs to the per-cell directory format (one "
+        "cell_<digest>.g<k>.chk file per cell, a version-1 manifest), which "
+        "is no longer read; commit 0cda25a is the last that converts such "
+        "a directory to segments, on open"
+    )
+
+
+def _declared_version(blob: bytes):
+    """The ``version`` a manifest's bytes declare, if they are a JSON
+    object at all."""
+    try:
+        document = json.loads(blob)
+    except (ValueError, RecursionError):  # UnicodeDecodeError included
+        return None
+    return document.get("version") if isinstance(document, dict) else None
 
 
 @dataclass
@@ -279,6 +299,7 @@ class DiskStorage:
         """Write ``records`` as chunks of the open segment and index
         them under ``cell_id``, after or instead of the chunks it has."""
         encode_cell_id(cell_id)  # an id the manifest cannot carry fails here
+        records = stored_cell(records)  # and so do records no cell holds
         name, handle = self._open_segment()
         segment = self._segments[name]
         payload, chunks = build_chunks(
@@ -493,20 +514,14 @@ class DiskStorage:
     # -- restart / recovery ---------------------------------------------
 
     def _open_directory(self) -> None:
-        """Restore the catalog, sweep debris, convert a per-cell
-        directory (the module docstring has the order and the reasons).
-        Until the catalog is accepted nothing in the directory is
-        modified."""
+        """Restore the catalog and sweep debris (the module docstring
+        has the order and the reasons). Until the catalog is accepted
+        nothing in the directory is modified."""
         names = sorted(path.name for path in self._dir.iterdir())
         for name in names:
-            if name.startswith("cell_") and name.endswith(".bin"):
-                raise StorageError(
-                    f"{self._dir / name} is in the seed's cell_<sha1>.bin "
-                    "format, which is no longer read"
-                )
-        data_files = [
-            name for name in names if name.startswith(("seg_", "cell_"))
-        ]
+            if name.startswith("cell_"):
+                raise _old_format(self._dir / name)
+        data_files = [name for name in names if name.startswith("seg_")]
         self._next_segment = 1 + max(
             map(_number, filter(SEGMENT_NAME.fullmatch, data_files)),
             default=-1,
@@ -519,19 +534,15 @@ class DiskStorage:
             if name not in self._segments:
                 self._remove(name, "orphan_removed", "unreferenced data file")
                 dirty = True
-        if not all(map(SEGMENT_NAME.fullmatch, self._segments)):
-            # per-cell files: the commit's cleaning pass converts them
-            self._uncommitted = True
-        if dirty or self._uncommitted:
+        if dirty:
             self._commit()
 
     def _load_catalog(self, data_files: list[str]) -> bool:
         """Adopt the committed catalog; True when ``manifest.json`` was
         not where it came from (and so must be written)."""
         try:
-            self._adopt(
-                *parse_manifest((self._dir / MANIFEST_NAME).read_bytes())
-            )
+            blob = (self._dir / MANIFEST_NAME).read_bytes()
+            self._adopt(*parse_manifest(blob))
             return False
         except FileNotFoundError:
             if not data_files:
@@ -541,6 +552,8 @@ class DiskStorage:
                 return True
             problem: Exception = StorageError("the manifest is missing")
         except StorageError as exc:
+            if _declared_version(blob) == 1:
+                raise _old_format(self._dir / MANIFEST_NAME) from exc
             problem = exc
         _event(
             logging.WARNING, "manifest_fallback",
@@ -555,14 +568,10 @@ class DiskStorage:
                 return True
             except StorageError:
                 continue  # an unsealed orphan, or a trailer gone stale
-        per_cell = list(filter(PER_CELL_NAME.fullmatch, data_files))
-        if not per_cell:
-            raise StorageError(
-                f"{self._dir} has no usable manifest and no segment "
-                f"with a valid trailer: {problem}"
-            ) from problem
-        self._adopt(*self._scan_per_cell(per_cell))
-        return True
+        raise StorageError(
+            f"{self._dir} has no usable manifest and no segment "
+            f"with a valid trailer: {problem}"
+        ) from problem
 
     def _adopt(self, named: dict[str, int], cells: list[CellEntry]) -> None:
         """Make a parsed catalog the catalog, once every file it names
@@ -586,40 +595,7 @@ class DiskStorage:
                 segments[chunk.segment].live += chunk.size
         self._segments = segments
         self._catalog = {entry.cell_id: entry for entry in cells}
-        self._newest = max(
-            filter(SEGMENT_NAME.fullmatch, segments), key=_number, default=None
-        )
-
-    def _scan_per_cell(
-        self, names: list[str]
-    ) -> tuple[dict[str, int], list[CellEntry]]:
-        """The catalog of a per-cell directory from its files alone:
-        each carries its cell id in a header and its chunk index in the
-        chunk headers (a tail torn by a crashed in-place append is not
-        indexed). When several generations of one cell survived, the
-        highest wins; the others are swept as orphans."""
-        best: dict[Hashable, tuple[int, str, int, CellEntry]] = {}
-        for name in names:
-            blob = (self._dir / name).read_bytes()
-            id_json, header_len = read_file_header(blob)
-            try:
-                cell_id = decode_cell_id(json.loads(id_json.decode("utf-8")))
-            except (UnicodeDecodeError, ValueError, RecursionError) as exc:
-                raise StorageError(
-                    f"per-cell file {name} carries an unreadable cell "
-                    f"id: {exc}"
-                ) from exc
-            chunks, end = scan_chunks(blob, header_len, name)
-            generation = int(PER_CELL_NAME.fullmatch(name).group(1))
-            if cell_id not in best or generation > best[cell_id][0]:
-                count = sum(chunk.n_records for chunk in chunks)
-                best[cell_id] = (
-                    generation, name, end, CellEntry(cell_id, count, chunks)
-                )
-        return (
-            {name: end for _generation, name, end, _entry in best.values()},
-            [entry for _generation, _name, _end, entry in best.values()],
-        )
+        self._newest = max(segments, key=_number, default=None)
 
     def _remove(self, name: str, event: str, what: str) -> None:
         path = self._dir / name
@@ -664,12 +640,9 @@ class DiskStorage:
         with self._lock:
             self.manifest_writes += 1
             removed = {name: self._segments.pop(name) for name in dead}
-        converted = []
         for name, segment in removed.items():
             (self._dir / name).unlink(missing_ok=True)
-            if not SEGMENT_NAME.fullmatch(name):
-                converted.append(segment.data)
-            elif name in relocated:
+            if name in relocated:
                 _event(
                     logging.INFO, "segment_cleaned",
                     "cleaned %s: the %d live of its %d bytes relocated",
@@ -682,13 +655,6 @@ class DiskStorage:
                     "removed %s: no live chunk in its %d bytes",
                     name, segment.size, file=name, bytes=segment.size,
                 )
-        if converted:
-            _event(
-                logging.INFO, "directory_upgraded",
-                "converted %d per-cell files (%d bytes) of %s to segments",
-                len(converted), sum(converted), self._dir,
-                files=len(converted), bytes=sum(converted),
-            )
         if self._uncommitted:
             cells, moved = len(self._touched), sum(relocated.values())
             _event(
@@ -719,16 +685,14 @@ class DiskStorage:
 
     def _clean(self, target: str, handle) -> dict[str, int]:
         """Copy the live chunks of every mostly-dead committed segment
-        (and of every per-cell file, whatever its fill) to the end of
-        the open segment ``target``, byte for byte; returns the bytes
-        moved out of each. The sources die with this batch's commit."""
+        to the end of the open segment ``target``, byte for byte; returns
+        the bytes moved out of each. The sources die with this batch's
+        commit."""
         with self._lock:
             moves: dict[str, list] = {
                 name: []
                 for name, segment in self._segments.items()
-                if name != target
-                and segment.live
-                and (segment.mostly_dead or not SEGMENT_NAME.fullmatch(name))
+                if name != target and segment.live and segment.mostly_dead
             }
             if not moves:
                 return {}

@@ -26,11 +26,8 @@ match the segment name pattern (no separator, no ``..``) before anyone
 ``stat``s it, every number is a non-negative integer below 2**63, a
 cell's count equals the records its chunks hold, no cell id and no
 (segment, offset) appears twice, and every chunk ends inside its
-segment's committed length. Anything else is a :class:`StorageError`.
-Version 1 — one ``cell_<digest>.g<generation>.chk`` file per cell —
-parses to the same shape (each per-cell file a "segment" of its own),
-which is what lets :class:`~repro.storage.disk.DiskStorage` convert such
-a directory by relocating its chunks in one batch.
+segment's committed length. Anything else is a :class:`StorageError` —
+version 1, the catalog of the per-cell directory format, included.
 
 Cell ids are JSON-encoded structurally: scalars (int, float, str,
 bool, None) map to their JSON forms, tuples to ``{"t": [...]}`` —
@@ -56,7 +53,6 @@ from repro.storage.chunks import ChunkEntry
 __all__ = [
     "MANIFEST_NAME",
     "MANIFEST_VERSION",
-    "PER_CELL_NAME",
     "SEGMENT_NAME",
     "CellEntry",
     "atomic_write_bytes",
@@ -74,7 +70,6 @@ MANIFEST_VERSION = 2
 
 #: the only file names a manifest may carry (matched with ``fullmatch``)
 SEGMENT_NAME = re.compile(r"seg_(\d{8,18})\.chk")
-PER_CELL_NAME = re.compile(r"cell_[0-9a-f]{24}\.g(\d{1,18})\.chk")
 
 _TRAILER = struct.Struct("<II4s")  # catalog length, crc32, tail magic
 _TRAILER_MAGIC = b"RXSG"
@@ -177,24 +172,19 @@ def _natural(value) -> int:
     return value
 
 
-def _file_name(name, pattern: re.Pattern) -> str:
-    if not isinstance(name, str) or pattern.fullmatch(name) is None:
+def _read(document: dict) -> tuple[dict[str, int], list[CellEntry]]:
+    if document["version"] != MANIFEST_VERSION:
         raise StorageError(
-            f"manifest names {name!r}, which is not a data file of a "
-            "storage directory"
+            f"unknown manifest version {document['version']!r}"
         )
-    return name
-
-
-def _chunk(values, segment: str) -> ChunkEntry:
-    offset, comp_size, raw_size, n_records = map(_natural, values)
-    return ChunkEntry(offset, comp_size, raw_size, n_records, segment)
-
-
-def _read_v2(document: dict) -> tuple[dict[str, int], list[CellEntry]]:
     segments: dict[str, int] = {}
     for name, size in document["segments"]:
-        if _file_name(name, SEGMENT_NAME) in segments:
+        if not isinstance(name, str) or SEGMENT_NAME.fullmatch(name) is None:
+            raise StorageError(
+                f"manifest names {name!r}, which is not a data file of a "
+                "storage directory"
+            )
+        if name in segments:
             raise StorageError(f"manifest lists segment {name} twice")
         segments[name] = _natural(size)
     names = list(segments)
@@ -206,23 +196,10 @@ def _read_v2(document: dict) -> tuple[dict[str, int], list[CellEntry]]:
                 raise StorageError(
                     f"manifest chunk in unlisted segment {index}"
                 )
-            chunks.append(_chunk(values, names[index]))
-        cells.append(
-            CellEntry(decode_cell_id(data["id"]), data["count"], chunks)
-        )
-    return segments, cells
-
-
-def _read_v1(document: dict) -> tuple[dict[str, int], list[CellEntry]]:
-    """A per-cell directory's manifest: each cell's file is a segment."""
-    segments: dict[str, int] = {}
-    cells = []
-    for data in document["cells"]:
-        name = _file_name(data["file"], PER_CELL_NAME)
-        if name in segments:
-            raise StorageError(f"manifest gives {name} to two cells")
-        segments[name] = _natural(data["size"])
-        chunks = [_chunk(values, name) for values in data["chunks"]]
+            offset, comp_size, raw_size, n_records = map(_natural, values)
+            chunks.append(ChunkEntry(
+                offset, comp_size, raw_size, n_records, names[index]
+            ))
         cells.append(
             CellEntry(decode_cell_id(data["id"]), data["count"], chunks)
         )
@@ -237,14 +214,7 @@ def parse_manifest(blob: bytes) -> tuple[dict[str, int], list[CellEntry]]:
     segment against the file system), nothing is written.
     """
     try:
-        document = json.loads(blob.decode("utf-8"))
-        version = document["version"]
-        if version == MANIFEST_VERSION:
-            segments, cells = _read_v2(document)
-        elif version == 1:
-            segments, cells = _read_v1(document)
-        else:
-            raise StorageError(f"unknown manifest version {version!r}")
+        segments, cells = _read(json.loads(blob.decode("utf-8")))
     except (
         UnicodeDecodeError, KeyError, TypeError, ValueError, RecursionError
     ) as exc:  # JSONDecodeError is a ValueError

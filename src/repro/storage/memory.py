@@ -6,7 +6,7 @@ import threading
 from contextlib import contextmanager
 from typing import Hashable, Iterator, Mapping
 
-from repro.core.records import IndexedRecord, RecordBatch
+from repro.core.records import IndexedRecord, RecordBatch, stored_cell
 from repro.exceptions import StorageError
 
 __all__ = ["MemoryStorage"]
@@ -19,6 +19,9 @@ class MemoryStorage:
     cell is held as columns (:class:`~repro.core.records.RecordBatch`) —
     what a write hands over, or makes of a record list once, and what a
     read hands back; rows are built by whoever asks the batch for them.
+    What a cell may hold is what the disk backend may
+    (:func:`~repro.core.records.stored_cell`): rows of one
+    representation, each with its permutation row.
     Byte accounting reflects the records' wire sizes so memory and disk
     backends report comparable numbers; each cell's total is kept as
     the cell is written, so a read charges it without walking the
@@ -49,7 +52,7 @@ class MemoryStorage:
     def save(self, cell_id: Hashable, records) -> None:
         """Store (replace) the records of a cell — a batch, or a list
         turned into one."""
-        self._write(cell_id, RecordBatch.of_cell(records), replace=True)
+        self._write(cell_id, stored_cell(records), replace=True)
 
     def save_many(self, cells: Mapping[Hashable, RecordBatch]) -> None:
         """Store (replace) several cells in one call.
@@ -75,7 +78,7 @@ class MemoryStorage:
         cheaper than per-record :meth:`append` calls.
         """
         if len(records):
-            self._write(cell_id, RecordBatch.of_cell(records), replace=False)
+            self._write(cell_id, stored_cell(records), replace=False)
 
     def _write(
         self, cell_id: Hashable, batch: RecordBatch, *, replace: bool
@@ -87,7 +90,7 @@ class MemoryStorage:
                 self._cells[cell_id] = batch
                 self._cell_bytes[cell_id] = size
             else:
-                self._cells[cell_id] = held.extended(batch)
+                self._cells[cell_id] = RecordBatch.joined([held, batch])
                 self._cell_bytes[cell_id] += size
             self.bytes_written += size
             self.writes += 1

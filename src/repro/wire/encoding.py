@@ -310,6 +310,10 @@ class Reader:
         """Bytes left to read."""
         return len(self._data) - self._pos
 
+    def rest(self) -> bytes:
+        """The bytes left to read, read — a body passed on as it is."""
+        return self._take(self.remaining())
+
     def expect_end(self) -> None:
         """Raise if trailing bytes remain."""
         if self.remaining() != 0:

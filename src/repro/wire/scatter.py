@@ -398,10 +398,13 @@ def write_cell_dump(cells: list[tuple[tuple[int, ...], list]]) -> Writer:
 def read_cell_dump(
     reader: Reader,
 ) -> dict[tuple[int, ...], list[tuple[int, bytes]]]:
-    """Decode a cell dump into ``{prefix: [(oid, payload), ...]}``."""
+    """Decode a cell dump into ``{prefix: [(oid, payload), ...]}``; a
+    prefix listed twice is a :class:`ProtocolError`."""
     cells: dict[tuple[int, ...], list[tuple[int, bytes]]] = {}
     for _ in range(reader.u32()):
         prefix = tuple(int(p) for p in reader.i32_array())
+        if prefix in cells:
+            raise ProtocolError(f"cell dump lists prefix {prefix} twice")
         cells[prefix] = [
             (reader.u64(), reader.blob()) for _ in range(reader.u32())
         ]

@@ -16,9 +16,8 @@ behind. Two ways to die:
 The directory is then reopened by a fresh ``DiskStorage`` +
 ``rebuild_from_storage()``, which must find exactly the state before or
 after the operation that died — never one in between — and leave no
-debris. Two workloads: an index's life (open, bulks, a bulk that
-splits, a delete, a small bulk — cleaning passes included), and the
-conversion of a per-cell directory on open.
+debris. The workload is an index's life: open, bulks, a bulk that
+splits, a delete, a small bulk — cleaning passes included.
 """
 
 import logging
@@ -34,9 +33,7 @@ from repro.storage import disk as disk_module
 from repro.storage import manifest as manifest_module
 from repro.storage.disk import DiskStorage
 from repro.storage.manifest import MANIFEST_NAME, SEGMENT_NAME, parse_manifest
-from repro.storage.memory import MemoryStorage
 
-from tests.conftest import write_per_cell_directory
 
 N_PIVOTS = 5
 BUCKET_CAPACITY = 12
@@ -182,19 +179,6 @@ def _nothing(_directory):
     pass
 
 
-def _per_cell_directory(directory):
-    """What the parent of PR 23 would have left of a 60-record index."""
-    index = MIndex(N_PIVOTS, BUCKET_CAPACITY, MemoryStorage())
-    index.bulk_insert([_record(i) for i in range(60)])
-    write_per_cell_directory(
-        directory,
-        {
-            cell: index.storage.load(cell).to_records()
-            for cell in index.storage.cells()
-        },
-    )
-
-
 #: name -> (what is on disk beforehand, the operations — each is
 #: acknowledged when its call returns —, records after each)
 _WORKLOADS = {
@@ -203,11 +187,6 @@ _WORKLOADS = {
         (_open, _bulk(0, 30), _bulk(30, 60), _bulk(60, 200), _delete,
          _bulk(200, 205)),
         [0, 0, 30, 60, 200, 199, 204],
-    ),
-    "upgrade": (
-        _per_cell_directory,
-        (_open, _bulk(60, 90)),
-        [60, 60, 90],
     ),
 }
 
@@ -320,16 +299,6 @@ def test_every_power_loss_point_reopens_to_an_operation_boundary(
     _enumerate_crash_points(
         tmp_path, monkeypatch, caplog, "index", power_loss=True
     )
-
-
-@pytest.mark.parametrize("power_loss", [False, True])
-def test_upgrade_on_open_survives_every_crash_point(
-    tmp_path, monkeypatch, caplog, power_loss
-):
-    _calls, _leaves, events = _enumerate_crash_points(
-        tmp_path, monkeypatch, caplog, "upgrade", power_loss
-    )
-    assert "directory_upgraded" in events
 
 
 def test_reopen_logs_exactly_what_it_removed_and_cut(

@@ -1,8 +1,7 @@
 """Restart durability: a DiskStorage directory must round-trip through
 a full process restart — catalog, record bytes, and search results all
-bit-identical — including directories written in the per-cell format
-(with or without their manifest), which are converted on open, and
-directories whose manifest was corrupted or lost."""
+bit-identical — including directories whose manifest was corrupted or
+lost; a directory in an earlier format is refused, untouched."""
 
 import json
 import logging
@@ -20,9 +19,9 @@ from repro.net.channel import InProcessChannel
 from repro.net.rpc import RpcClient
 from repro.storage.chunks import frame_record
 from repro.storage.disk import DiskStorage
-from repro.storage.manifest import MANIFEST_NAME, SEGMENT_NAME
+from repro.storage.manifest import MANIFEST_NAME
 
-from tests.conftest import brute_force_knn, write_per_cell_directory
+from tests.conftest import brute_force_knn
 
 N_PIVOTS = 8
 BUCKET_CAPACITY = 40
@@ -152,57 +151,6 @@ class TestManifestRestart:
 
 
 class TestFallbackRecovery:
-    @pytest.mark.parametrize("manifest", [True, False])
-    def test_per_cell_directory_converts(
-        self, small_data, queries, tmp_path, caplog, manifest
-    ):
-        """A directory the parent of PR 23 wrote — with its version-1
-        manifest, or without one through the files' own headers —
-        reopens to the same records, holds only segments afterwards,
-        converts once, and answers a k-NN identically."""
-        cloud, storage = _build_disk_cloud(small_data, tmp_path / "cells")
-        before = _snapshot(storage)
-        old_dir = tmp_path / "per-cell"
-        write_per_cell_directory(
-            old_dir,
-            {cell: storage.load(cell).to_records() for cell in storage.cells()},
-            manifest=manifest,
-        )
-        old_files = [p for p in old_dir.iterdir() if p.name != MANIFEST_NAME]
-        assert len(old_files) == len(before)
-        old_bytes = sum(p.stat().st_size for p in old_files)
-
-        caplog.set_level(logging.INFO, logger="repro.storage")
-        reopened = DiskStorage(old_dir)
-        assert _snapshot(reopened) == before
-        # moved, not repacked: still a chunk per group
-        assert reopened.chunks == sum(
-            min(len(records), 2) for records in before.values()
-        )
-        names = {p.name for p in old_dir.iterdir()} - {MANIFEST_NAME}
-        assert names and all(map(SEGMENT_NAME.fullmatch, names))
-        upgrades = [
-            r for r in caplog.records if r.event == "directory_upgraded"
-        ]
-        assert [(r.files, r.bytes) for r in upgrades] == [
-            (len(before), old_bytes)
-        ]
-        assert all(r.levelno == logging.INFO for r in upgrades)
-        assert ("manifest_fallback" in {r.event for r in caplog.records}) == (
-            not manifest
-        )
-
-        caplog.clear()
-        again = DiskStorage(old_dir)  # a segment directory now: nothing to do
-        assert caplog.records == []
-        assert {p.name for p in old_dir.iterdir()} - {MANIFEST_NAME} == names
-        assert _snapshot(again) == before
-
-        server, client = _restarted_client(cloud, old_dir)
-        for q in queries[:2]:
-            hits = client.knn_precise(q, 10)
-            assert [h.oid for h in hits] == brute_force_knn(small_data, q, 10)
-
     def test_corrupted_manifest_falls_back_to_scavenge(
         self, small_data, queries, tmp_path
     ):
@@ -254,5 +202,42 @@ class TestFallbackRecovery:
         (directory / "stray.tmp").write_bytes(b"half a manifest")
         before = {p.name: p.read_bytes() for p in directory.iterdir()}
         with pytest.raises(StorageError, match=name):
+            DiskStorage(directory)
+        assert {p.name: p.read_bytes() for p in directory.iterdir()} == before
+
+    def test_a_per_cell_file_refuses_the_directory(self, small_data, tmp_path):
+        """The per-cell format's ``cell_<digest>.g<k>.chk`` files are no
+        longer read either: one beside segments — which an open once
+        converted, and would otherwise sweep as an orphan — refuses the
+        directory by name and format, and leaves it byte for byte."""
+        from repro.exceptions import StorageError
+
+        directory = tmp_path / "cells"
+        _build_disk_cloud(small_data, directory)
+        name = "cell_" + "0123456789abcdef01234567" + ".g0.chk"
+        (directory / name).write_bytes(b"RXCF\x02" + bytes(40))
+        (directory / "stray.tmp").write_bytes(b"half a manifest")
+        before = {p.name: p.read_bytes() for p in directory.iterdir()}
+        with pytest.raises(StorageError, match=name) as refused:
+            DiskStorage(directory)
+        assert "per-cell directory format" in str(refused.value)
+        assert "0cda25a" in str(refused.value)  # where to convert it
+        assert {p.name: p.read_bytes() for p in directory.iterdir()} == before
+
+    def test_a_version_1_manifest_refuses_the_directory(
+        self, small_data, tmp_path
+    ):
+        """A version-1 manifest — the per-cell format's catalog — refuses
+        the directory, even where a segment trailer could stand in for
+        an unusable manifest, and nothing in it changes."""
+        from repro.exceptions import StorageError
+
+        directory = tmp_path / "cells"
+        _build_disk_cloud(small_data, directory)
+        (directory / MANIFEST_NAME).write_text(
+            json.dumps({"version": 1, "cells": []})
+        )
+        before = {p.name: p.read_bytes() for p in directory.iterdir()}
+        with pytest.raises(StorageError, match="per-cell directory format"):
             DiskStorage(directory)
         assert {p.name: p.read_bytes() for p in directory.iterdir()} == before

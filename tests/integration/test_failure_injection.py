@@ -21,8 +21,6 @@ from repro.storage.disk import DiskStorage
 from repro.storage.manifest import MANIFEST_NAME, parse_manifest
 from repro.wire.encoding import Reader, Writer
 
-from tests.conftest import write_per_cell_directory
-
 
 class TestDiskCorruption:
     def _storage_with_cell(self, tmp_path):
@@ -195,29 +193,28 @@ class TestHostileManifest:
         assert self._bytes_under(tmp_path) == before
 
     def test_per_cell_manifest_cannot_reach_outside(self, tmp_path):
-        """The reproduction on the parent of PR 23: an entry
-        ``"file": "../victim.txt", "size": 10`` made the open truncate a
-        1 000-byte file outside the directory to 10 bytes."""
-        directory = tmp_path / "cells"
-        write_per_cell_directory(directory, {("a",): self._records(5)})
-        (tmp_path / "victim.txt").write_bytes(b"v" * 1000)
-        document = json.loads((directory / MANIFEST_NAME).read_text())
-        document["cells"].append(
-            dict(document["cells"][0], id="x", file="../victim.txt", size=10)
-        )
-        (directory / MANIFEST_NAME).write_text(json.dumps(document))
-        # the files' own headers are the catalog then
-        storage = DiskStorage(directory)
-        assert [r.oid for r in storage.load(("a",))] == [0, 1, 2, 3, 4]
-        assert sorted(storage.cells()) == [("a",)]
-        assert (tmp_path / "victim.txt").read_bytes() == b"v" * 1000
-        # and with nothing to fall back to, nothing happens at all
+        """The reproduction on the parent of the segment format: a
+        version-1 entry ``"file": "../victim.txt", "size": 10`` made the
+        open truncate a 1 000-byte file outside the directory to 10
+        bytes. A version-1 manifest is refused now, beside segments or
+        alone, and neither the directory nor the victim changes."""
+        directory = self._directory(tmp_path)
+        forged = {
+            "version": 1,
+            "cells": [{
+                "id": "x", "file": "../victim.txt", "format": 2,
+                "count": 0, "size": 10, "generation": 0, "chunks": [],
+            }],
+        }
+        (directory / MANIFEST_NAME).write_text(json.dumps(forged))
         bare = tmp_path / "bare"
         bare.mkdir()
-        (bare / MANIFEST_NAME).write_text(json.dumps(document))
-        with pytest.raises(StorageError, match="victim"):
-            DiskStorage(bare)
-        assert [p.name for p in bare.iterdir()] == [MANIFEST_NAME]
+        (bare / MANIFEST_NAME).write_text(json.dumps(forged))
+        before = self._bytes_under(tmp_path)
+        for refused in (directory, bare):
+            with pytest.raises(StorageError, match="per-cell directory"):
+                DiskStorage(refused)
+        assert self._bytes_under(tmp_path) == before
         assert (tmp_path / "victim.txt").read_bytes() == b"v" * 1000
 
 

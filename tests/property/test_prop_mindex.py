@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.deploy import LocalShardCluster
-from repro.core.records import IndexedRecord
+from repro.core.records import IndexedRecord, RecordBatch
 from repro.metric.distances import L1Distance
 from repro.metric.permutations import pivot_permutation
 from repro.mindex.index import MIndex
@@ -146,10 +146,9 @@ def test_every_knn_form_returns_the_per_record_oracle_candidates(
     )
     router = cluster.router(resilient=False)
     try:
-        body = Writer().u32(len(stored))
-        for record in stored:
-            record.write_to(body)
-        router.call("insert", body)
+        router.call(
+            "insert_bulk", RecordBatch.of_cell(stored).write_to(Writer())
+        )
         # a shard whose root never split visits its records in another
         # order than the cells they would sit in on one server
         assume(all(server.index.depth for server in cluster.servers))

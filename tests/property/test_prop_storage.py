@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.records import IndexedRecord, RecordBatch
-from repro.exceptions import ReproError, StorageError
+from repro.exceptions import ProtocolError, ReproError, StorageError
 from repro.net.channel import InProcessChannel
 from repro.net.clock import SimulatedClock
 from repro.storage import chunks as chunks_module
@@ -55,6 +55,15 @@ record_specs = st.tuples(
 )
 
 
+def _records(specs, n_pivots: int) -> list[IndexedRecord]:
+    """Records a cell may hold: one representation — permutation and
+    distances over ``n_pivots`` pivots — and payloads of any sizes."""
+    return [
+        _record((oid, n_pivots, payload, seed))
+        for oid, _n_pivots, payload, seed in specs
+    ]
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     cells=st.dictionaries(
@@ -68,7 +77,8 @@ def test_memory_and_disk_agree(cells, tmp_path_factory):
     memory = MemoryStorage()
     disk = DiskStorage(tmp_path_factory.mktemp("prop-cells"))
     for cell_id, specs in cells.items():
-        records = [_record(spec) for spec in specs]
+        # each cell its own pivot count: one representation a cell
+        records = _records(specs, 1 + cell_id[0])
         memory.save(cell_id, records)
         disk.save(cell_id, records)
     assert sorted(memory.cells()) == sorted(disk.cells())
@@ -108,9 +118,10 @@ storage_ops = st.one_of(
         max_size=8,
     ),
     chunk_raw_bytes=st.sampled_from([48, 64 * 1024]),
+    n_pivots=st.integers(min_value=1, max_value=12),
 )
 def test_segments_hold_what_memory_holds_in_bounded_space(
-    batches, chunk_raw_bytes, tmp_path_factory
+    batches, chunk_raw_bytes, n_pivots, tmp_path_factory
 ):
     """Any sequence of saves, appends, deletes and reopens, grouped
     into batches of any size, leaves the directory equal to
@@ -127,7 +138,7 @@ def test_segments_hold_what_memory_holds_in_bounded_space(
                 if kind == "save_many":
                     arguments = [
                         {
-                            cell: [_record(spec) for spec in specs]
+                            cell: _records(specs, n_pivots)
                             for cell, specs in arguments[0].items()
                         }
                     ]
@@ -137,7 +148,7 @@ def test_segments_hold_what_memory_holds_in_bounded_space(
                             disk.delete(arguments[0])
                         continue
                 else:
-                    arguments[1] = [_record(spec) for spec in arguments[1]]
+                    arguments[1] = _records(arguments[1], n_pivots)
                 for storage in (memory, disk):
                     getattr(storage, kind)(*arguments)
         if reopen:
@@ -224,11 +235,13 @@ def test_columnar_cell_equals_the_frame_decoder(
     tmp_path_factory,
 ):
     """A cell read back as columns lists exactly the records the
-    per-record decoder finds in its bytes — for every representation,
+    per-record decoder finds in its bytes — with or without distances,
     frames of one shape (the fixed-stride table) or not (decoded frame
     by frame), in one chunk or many — on disk, after a reopen, and in
     memory; and only frames that are not one shape are decoded one by
-    one."""
+    one. Records no cell holds — without a permutation, or of several
+    pivot counts — are refused by both backends, and by the decoder
+    when their frames are all a cell's bytes hold."""
     records = _cell_records(flags, specs, same_pivots, same_payload_size)
     raw = b"".join(frame_record(record) for record in records)
     oracle = list(parse_frames(raw))
@@ -238,6 +251,17 @@ def test_columnar_cell_equals_the_frame_decoder(
     directory = tmp_path_factory.mktemp("columnar")
     disk = DiskStorage(directory, chunk_raw_bytes=chunk_raw_bytes)
     memory = MemoryStorage()
+    mixed = len({record.n_pivots for record in records}) > 1
+    if records and (mixed or not flags & 1):
+        refusal = ProtocolError if mixed else StorageError
+        for storage in (disk, memory):
+            with pytest.raises(refusal):
+                storage.save(("c",), records)
+            assert list(storage.cells()) == []
+        with pytest.raises(refusal):
+            decode_cell([raw], len(records))
+        assert [path.name for path in directory.iterdir()] == [MANIFEST_NAME]
+        return
     for storage in (disk, memory):
         storage.save(("c",), head)
         storage.append_many(("c",), tail)
@@ -343,7 +367,6 @@ def test_strided_and_per_record_writers_agree(
     expected = _greedy_chunks(frames, chunk_raw_bytes)
 
     batch = RecordBatch.of_cell(rows)
-    assert batch.rows is None  # columns alone: what an index stores
     for source in (batch, rows, batch.select(np.arange(n_records))):
         payload, entries = build_chunks(
             source, base_offset=base_offset,

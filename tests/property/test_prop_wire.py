@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.cluster.router import merge_knn_candidates, merge_range_candidates
+from repro.cluster.shard_map import ShardMap
 from repro.core.records import IndexedRecord
 from repro.exceptions import ProtocolError, QueryError
 from repro.wire.encoding import BlobColumn, Reader, Writer
@@ -17,12 +18,16 @@ from repro.wire.scatter import (
     CandidateTable,
     read_candidate_lists,
     read_candidate_table,
+    read_cell_dump,
     read_knn_scatter_response,
     read_range_scatter_response,
+    read_shard_map,
     write_candidate_lists,
     write_candidates,
+    write_cell_dump,
     write_knn_scatter_response,
     write_range_scatter_response,
+    write_shard_map,
 )
 from repro.wire.search import KNN, RANGE, RANGE_TRANSFORMED
 
@@ -513,3 +518,87 @@ def test_named_forgeries_are_refused_by_name():
                 ),
                 single=single,
             )
+
+
+# ---------------------------------------------------------------------------
+# the diagnostics codecs: the cell dump and the shard map
+
+
+def _diagnostics(rng):
+    """A cell dump and a shard map as their writers make them, each
+    with its reader as consumer."""
+    cells = [
+        (
+            (first, *rng.integers(0, 6, int(rng.integers(0, 3))).tolist()),
+            [
+                _Stored(int(rng.integers(0, 2**63)), rng.bytes(int(size)))
+                for size in rng.integers(0, 30, int(rng.integers(0, 4)))
+            ],
+        )
+        for first in range(int(rng.integers(0, 5)))
+    ]
+    n_shards = int(rng.integers(1, 4))
+    assignment = rng.integers(0, n_shards, int(rng.integers(1, 12)))
+    return [
+        (
+            write_cell_dump(cells).getvalue(),
+            lambda message: read_cell_dump(Reader(message)),
+        ),
+        (
+            write_shard_map(n_shards, assignment).getvalue(),
+            ShardMap.from_bytes,
+        ),
+        (
+            write_shard_map(n_shards, assignment).getvalue(),
+            lambda message: read_shard_map(Reader(message)),
+        ),
+    ]
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), garbage=st.binary(max_size=64))
+def test_damaged_diagnostics_fail_typed_and_bounded(seed, garbage):
+    """Any bytes, every truncation, every bit flip and each hostile
+    value in each aligned 32-bit field of a cell dump or a shard map:
+    the reader yields a ``ReproError`` or a result, in memory bounded
+    by the message."""
+    for message, decode in _diagnostics(np.random.default_rng(seed)):
+        decode(message)  # the undamaged message decodes
+        _decode_within_bounds(garbage, decode)
+        for cut in range(len(message)):
+            _decode_within_bounds(message[:cut], decode)
+        for bit in range(8 * len(message)):
+            flipped = bytearray(message)
+            flipped[bit // 8] ^= 1 << (bit % 8)
+            _decode_within_bounds(bytes(flipped), decode)
+        for position in range(0, len(message) - 3, 4):
+            for value in HOSTILE_U32:
+                forged = bytearray(message)
+                struct.pack_into("<I", forged, position, value)
+                _decode_within_bounds(bytes(forged), decode)
+
+
+def test_diagnostics_round_trip_and_refuse_by_name():
+    """What the writers make reads back as it was; a prefix listed
+    twice — which the reader kept the last list of — and a map that
+    names no shard, covers no pivot or assigns a shard it does not
+    have are each refused."""
+    cells = [((0, 2), [_Stored(5, b"ab"), _Stored(9, b"")]), ((1,), [])]
+    assert read_cell_dump(Reader(write_cell_dump(cells).getvalue())) == {
+        (0, 2): [(5, b"ab"), (9, b"")],
+        (1,): [],
+    }
+    twice = write_cell_dump(cells + [((0, 2), [_Stored(7, b"c")])])
+    with pytest.raises(ProtocolError, match=r"prefix \(0, 2\) twice"):
+        read_cell_dump(Reader(twice.getvalue()))
+    shard_map = ShardMap(2, np.array([0, 1, 1], dtype=np.int32))
+    assert ShardMap.from_bytes(shard_map.to_bytes()) == shard_map
+    for n_shards, assignment, reason in (
+        (0, [0], "at least one shard"),
+        (2, [], "at least one pivot"),
+        (2, [0, 2], "out of range"),
+        (2, [-1, 0], "out of range"),
+    ):
+        message = write_shard_map(n_shards, assignment).getvalue()
+        with pytest.raises(ProtocolError, match=reason):
+            read_shard_map(Reader(message))

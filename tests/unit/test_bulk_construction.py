@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from repro.core.client import EncryptedClient, Strategy
-from repro.core.records import IndexedRecord, vector_to_payload
+from repro.core.records import IndexedRecord, RecordBatch, vector_to_payload
 from repro.core.server import SimilarityCloudServer
 from repro.crypto.keys import SecretKey
 from repro.metric.distances import L1Distance
@@ -78,8 +78,9 @@ def _deployment(pivots, strategy, storage):
 
 
 def _legacy_insert_many(client, oids, vectors):
-    """The seed's construction protocol: row-wise distances, per-record
-    wire encodings, the per-record ``insert`` RPC."""
+    """The seed's construction protocol, record by record: row-wise
+    distances, one encryption and one request per record — an
+    ``insert_bulk`` of that one record."""
     pivots = client.secret_key.pivots
     total = 0
     for oid, vector in zip(oids, vectors):
@@ -95,10 +96,9 @@ def _legacy_insert_many(client, oids, vectors):
             )
         else:
             record = IndexedRecord(int(oid), None, distances, payload)
-        writer = Writer()
-        writer.u32(1)
-        record.write_to(writer)
-        total = client.rpc.call("insert", writer).u64()
+        total = client.rpc.call(
+            "insert_bulk", RecordBatch.of_cell([record]).write_to(Writer())
+        ).u64()
     return total
 
 

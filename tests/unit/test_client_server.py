@@ -218,7 +218,7 @@ class TestServerValidation:
             client.rpc.call("approx_knn", writer)
 
     @pytest.mark.parametrize("strategy", [Strategy.APPROXIMATE, Strategy.PRECISE])
-    @pytest.mark.parametrize("method", ["insert_bulk", "insert", "delete"])
+    @pytest.mark.parametrize("method", ["insert_bulk", "delete"])
     def test_a_row_that_is_no_permutation_is_refused_before_anything_changes(
         self, strategy, method, small_data, queries
     ):
@@ -261,15 +261,11 @@ class TestServerValidation:
                     [7000, 7001, 7002], permutations, distances, [b"t"] * 3
                 ).write_to(Writer())
             else:
-                # the per-record requests: one bad record
-                record = IndexedRecord(
+                # the per-record request: one bad record
+                body = IndexedRecord(
                     7001, permutations[1], None if distances is None
                     else distances[1], b"t",
-                )
-                body = Writer()
-                if method == "insert":
-                    body.u32(1)
-                record.write_to(body)
+                ).write_to(Writer())
             with pytest.raises(ReproError, match="permutation"):
                 client.rpc.call(method, body)
             after = state()
@@ -277,6 +273,56 @@ class TestServerValidation:
             assert [(h.oid, h.distance) for h in after[3]] == [
                 (h.oid, h.distance) for h in before[3]
             ]
+
+    @pytest.mark.parametrize(
+        "strategy", [Strategy.APPROXIMATE, Strategy.PRECISE]
+    )
+    def test_a_bulk_of_the_other_representation_is_refused(
+        self, strategy, small_data, queries, tmp_path
+    ):
+        """The records of a stored cell share one representation, so a
+        server holding records without pivot distances refuses a bulk
+        with them, and the reverse, before anything changes: a cell
+        mixing both could not be read back as columns."""
+        cloud = SimilarityCloud.build(
+            small_data[:300], distance=L1Distance(), n_pivots=8,
+            bucket_capacity=40, strategy=strategy, seed=7,
+            storage=DiskStorage(tmp_path / "cells"),
+        )
+        cloud.owner.outsource(range(300), small_data[:300])
+        client = cloud.new_client()
+        before = client.knn_search(queries[0], 5, cand_size=60)
+        stored = cloud.server.storage
+        cell = next(iter(stored.cells()))
+        records = stored.load(cell).select(np.arange(2))
+        flipped = RecordBatch(
+            records.oids + 9000,
+            records.permutations,
+            None if records.distances is not None else np.ones((2, 8)),
+            records.payloads,
+        )
+        with pytest.raises(ReproError, match="pivot distances"):
+            client.rpc.call("insert_bulk", flipped.write_to(Writer()))
+        assert len(cloud.server.index) == 300
+        after = client.knn_search(queries[0], 5, cand_size=60)
+        assert [(h.oid, h.distance) for h in after] == [
+            (h.oid, h.distance) for h in before
+        ]
+
+    def test_records_are_inserted_as_a_batch_only(self, approx_cloud):
+        """The row-list ``insert`` RPC is gone: one record is a batch of
+        one (``insert_bulk``), and the old request is an unknown method
+        that changes nothing."""
+        server = approx_cloud.server
+        client = approx_cloud.new_client()
+        record = server.storage.load(next(iter(server.storage.cells())))[0]
+        body = Writer().u32(1)
+        record.write_to(body)
+        with pytest.raises(ProtocolError, match="insert"):
+            client.rpc.call("insert", body)
+        assert len(server.index) == 600
+        one = RecordBatch.of_cell([record]).write_to(Writer())
+        assert client.rpc.call("insert_bulk", one).u64() == 601
 
     def test_stats_handler(self, approx_cloud):
         client = approx_cloud.new_client()

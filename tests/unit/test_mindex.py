@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.core.records import IndexedRecord, vector_to_payload
-from repro.exceptions import IndexError_, QueryError
+from repro.exceptions import IndexError_, QueryError, StorageError
 from repro.metric.distances import L1Distance
 from repro.metric.permutations import (
     inverse_permutation,
@@ -472,27 +472,34 @@ class TestRebuildFromStorage:
         assert self._snapshot(restarted) == self._snapshot(index)
 
     def test_distance_only_records_get_permutations_per_cell(self, rng):
-        """Cells holding records without a stored permutation recover it
-        from one vectorized pivot_permutations call per cell."""
+        """A record stored without its permutation row is refused by the
+        storage, and the cell keeps what it held; distance-only records
+        get their permutations where they enter an index — once per
+        bulk, vectorized — and are stored with them."""
         index, _data, _pivots, _d = _build_index(rng, bucket_capacity=15)
         storage = index.storage
+        stripped_index = MIndex(
+            _N_PIVOTS, 15, MemoryStorage(), max_level=index.tree.max_level
+        )
         for cell in list(storage.cells()):
+            held = [record.to_bytes() for record in storage.load(cell)]
             stripped = [
                 IndexedRecord(r.oid, None, r.distances, r.payload)
                 for r in storage.load(cell)
             ]
-            storage.save(cell, stripped)
+            with pytest.raises(StorageError, match="permutation row"):
+                storage.save(cell, stripped)
+            assert [r.to_bytes() for r in storage.load(cell)] == held
+            stripped_index.bulk_insert(stripped)
+        assert self._snapshot(stripped_index) == self._snapshot(index)
+        for cell in stripped_index.storage.cells():
+            loaded = stripped_index.storage.load(cell)
+            np.testing.assert_array_equal(
+                loaded.permutations,
+                [pivot_permutation(record.distances) for record in loaded],
+            )
         restarted = MIndex(
             _N_PIVOTS, 15, storage, max_level=index.tree.max_level
         )
         assert restarted.rebuild_from_storage() == len(index)
         assert self._snapshot(restarted) == self._snapshot(index)
-        # storage hands back what was stored (no record object is held
-        # for a restart to patch); the cell's columns derive them
-        for cell in storage.cells():
-            loaded = storage.load(cell)
-            assert all(record.permutation is None for record in loaded)
-            np.testing.assert_array_equal(
-                loaded.ensure_permutations(),
-                [pivot_permutation(record.distances) for record in loaded],
-            )

@@ -7,10 +7,11 @@ from repro.core.records import (
     IndexedRecord,
     RecordBatch,
     rows_to_vectors,
+    stored_cell,
     vector_to_payload,
 )
 from repro.metric.permutations import pivot_permutation
-from repro.exceptions import ProtocolError
+from repro.exceptions import ProtocolError, StorageError
 from repro.wire.encoding import BlobColumn, Reader, Writer
 
 
@@ -216,6 +217,49 @@ class TestRecordBatch:
         ]
         with pytest.raises(ProtocolError):
             RecordBatch.from_records(mixed)
+
+    @pytest.mark.parametrize(
+        "mixed",
+        [
+            [(_perm(), None), (None, np.ones(5))],
+            [(_perm(), np.ones(5)), (_perm(), None)],  # distances on some
+            [(_perm(5), None), (_perm(6), None)],  # two pivot counts
+        ],
+    )
+    def test_a_cell_of_mixed_representations_is_refused(self, mixed):
+        """``of_cell`` makes columns of any one representation and
+        refuses a list that has several; so does joining batches."""
+        records = [
+            IndexedRecord(oid, permutation, distances, bytes(oid))
+            for oid, (permutation, distances) in enumerate(mixed)
+        ]
+        with pytest.raises(ProtocolError, match="homogeneous"):
+            RecordBatch.of_cell(records)
+        with pytest.raises(ProtocolError, match="homogeneous"):
+            RecordBatch.joined([RecordBatch.of_cell([r]) for r in records])
+
+    def test_the_empty_cell_has_one_representation(self):
+        empty = RecordBatch.of_cell([])
+        assert len(empty) == 0 and empty.to_records() == []
+        assert empty.permutations.shape == (0, 0) and empty.distances is None
+        batch = self._batch()
+        assert RecordBatch.joined([empty, batch, empty]) is batch
+        assert RecordBatch.joined([empty]).to_records() == []
+        assert len(stored_cell([])) == 0
+        with pytest.raises(ProtocolError, match="must not be empty"):
+            RecordBatch.from_records([])
+
+    def test_joined_lays_batches_end_to_end(self):
+        batch = self._batch()
+        halves = [batch.select(np.arange(2)), batch.select(np.arange(2, 6))]
+        joined = RecordBatch.joined(halves)
+        assert [r.to_bytes() for r in joined] == [r.to_bytes() for r in batch]
+        assert joined.payloads == batch.payloads  # payloads of several sizes
+
+    def test_a_stored_cell_carries_permutation_rows(self):
+        assert stored_cell(self._batch(with_dists=False)).distances is None
+        with pytest.raises(StorageError, match="permutation row"):
+            stored_cell(self._batch(with_perms=False))
 
     def test_needs_a_representation(self):
         with pytest.raises(ProtocolError):

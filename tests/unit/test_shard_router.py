@@ -29,6 +29,7 @@ from repro.metric.permutations import pivot_permutations
 from repro.net.channel import InProcessChannel
 from repro.net.resilience import RetryPolicy
 from repro.net.rpc import RpcClient
+from repro.storage.disk import DiskStorage
 from repro.wire.encoding import BlobColumn, Reader, Writer
 from repro.wire.scatter import (
     CandidateTable,
@@ -519,7 +520,7 @@ def test_duplicate_oids_across_shards_are_suppressed(corpus, single_server):
             "export_cells", Writer().i32_array(donors)
         )
         copied = exported.u32()
-        router.shard_clients[1].call("insert", exported._data)
+        router.shard_clients[1].call("insert_bulk", exported._data)
         assert copied > 0
         assert sum(len(s.index) for s in cluster.servers) == 500 + copied
         _o, query_perms, query_distances, _p = _make_records(12, rng)
@@ -608,6 +609,71 @@ def test_rebalance_moves_pivots_with_zero_loss(corpus):
         for cell in cluster.servers[0].storage.cells():
             for record in cluster.servers[0].storage.load(cell):
                 assert int(record.ensure_permutation()[0]) != donor
+    finally:
+        router.close()
+        cluster.close()
+
+
+def test_rebalance_lands_each_source_in_one_target_commit(corpus, tmp_path):
+    """A rebalance forwards each source shard's export to the target as
+    one ``insert_bulk``: the target's disk storage commits once per
+    source shard, however many records move (a per-record replay
+    committed once a record), and every answer stays the same."""
+    cluster = LocalShardCluster(
+        N_PIVOTS, BUCKET, n_shards=3, latency=0.0, bandwidth=None,
+        storage_factory=lambda shard: DiskStorage(tmp_path / f"shard{shard}"),
+    )
+    router = cluster.router(resilient=False)
+    try:
+        router.call("insert_bulk", _insert_bulk_body(*corpus))
+        rng = np.random.default_rng(17)
+        _o, query_perms, _d, _p = _make_records(8, rng)
+        query = _knn_body(query_perms, cand_size=50, max_cells=5)
+        before = candidate_lists(router.call("knn_batch", query))
+        target = cluster.servers[2].storage
+        commits = target.manifest_writes
+        donors = [
+            *router.shard_map.pivots_of(0)[:2],
+            router.shard_map.pivots_of(1)[0],
+        ]
+        moved = router.rebalance(donors, target=2)
+        assert moved > 10
+        assert target.manifest_writes == commits + 2  # two source shards
+        assert [router.shard_map.shard_of(p) for p in donors] == [2, 2, 2]
+        assert sum(len(server.index) for server in cluster.servers) == 500
+        assert candidate_lists(router.call("knn_batch", query)) == before
+    finally:
+        router.close()
+        cluster.close()
+
+
+def test_rebalance_of_a_range_without_records_moves_only_the_map(corpus):
+    """A pivot range that holds no record has nothing to copy — an
+    empty batch is no ``insert_bulk`` body — so the target is not
+    called, and the range still changes shards."""
+    oids, permutations, distances, payloads = corpus
+    empty_pivot = 0
+    keep = np.flatnonzero(permutations[:, 0] != empty_pivot)
+    cluster = LocalShardCluster(
+        N_PIVOTS, BUCKET, n_shards=2, latency=0.0, bandwidth=None
+    )
+    router = cluster.router(resilient=False)
+    try:
+        router.call(
+            "insert_bulk",
+            _insert_bulk_body(
+                oids[keep], permutations[keep], distances[keep],
+                [payloads[row] for row in keep],
+            ),
+        )
+        assert router.shard_map.shard_of(empty_pivot) == 0
+        target = cluster.servers[1]
+        calls = target.dispatcher.calls
+        assert router.rebalance([empty_pivot], target=1) == 0
+        assert router.shard_map.shard_of(empty_pivot) == 1
+        assert target.dispatcher.calls == calls
+        held = sum(len(server.index) for server in cluster.servers)
+        assert held == len(keep)
     finally:
         router.close()
         cluster.close()

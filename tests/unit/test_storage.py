@@ -16,9 +16,9 @@ from repro.exceptions import StorageError
 from repro.mindex.index import MIndex
 from repro.storage import chunks as chunks_module
 from repro.storage.chunks import (
+    CHUNK_HEADER_SIZE,
     BlockCache,
     build_chunks,
-    scan_chunks,
 )
 from repro.storage.disk import DiskStorage
 from repro.storage.memory import MemoryStorage
@@ -377,19 +377,20 @@ class TestChunkFormat:
         )
         assert len(entries) > 1  # tiny budget forces many chunks
         assert sum(e.n_records for e in entries) == len(records)
-        rescanned, end = scan_chunks(payload, 0)
-        assert rescanned == entries
-        assert end == len(payload)
-
-    def test_scan_ignores_torn_tail(self):
-        payload, entries = build_chunks(
-            [_record(i) for i in range(10)], base_offset=0,
-            chunk_raw_bytes=64,
-        )
-        torn = payload + b"\x99\x00\x00\x00\x01"  # half a chunk header
-        rescanned, end = scan_chunks(torn, 0)
-        assert rescanned == entries
-        assert end == len(payload)
+        # the entries tile the bytes, each header saying what its entry
+        # says, and each chunk inflates to whole frames
+        offset = 0
+        for entry in entries:
+            assert entry.offset == offset
+            header = payload[offset : offset + CHUNK_HEADER_SIZE]
+            assert np.frombuffer(header, "<u4").tolist() == [
+                entry.comp_size, entry.raw_size, entry.n_records,
+            ]
+            comp = payload[offset + CHUNK_HEADER_SIZE : entry.end]
+            frames = chunks_module.parse_frames(zlib.decompress(comp))
+            assert len(list(frames)) == entry.n_records
+            offset = entry.end
+        assert offset == len(payload)
 
     def test_multi_chunk_cell_roundtrips(self, tmp_path):
         storage = DiskStorage(tmp_path / "cells", chunk_raw_bytes=64)
