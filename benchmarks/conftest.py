@@ -1,42 +1,20 @@
-"""Shared fixtures for the table-reproduction benchmarks.
+"""Shared fixtures of the figure and ablation benchmarks.
 
-Scaling note (documented in DESIGN.md/EXPERIMENTS.md): the CoPhIR
-stand-in defaults to 10,000 records (the paper used 1M on a 2012
-server farm); candidate-set sizes are scaled by the same factor, so
-every |S_C| / |X| fraction of the paper is preserved. Override with
-the ``REPRO_COPHIR_N`` / ``REPRO_QUERIES`` environment variables for
-larger runs.
+The paper's tables are not here: ``benchmarks/paper.py`` writes them.
 """
 
 from __future__ import annotations
 
-import os
 from pathlib import Path
 
 import pytest
 
-from repro.datasets.registry import make_cophir, make_human, make_yeast
+from repro.datasets.registry import make_yeast
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
-#: number of queries per sweep point (paper: 100; CoPhIR runs use fewer
-#: by default to keep the pure-python AES volume manageable)
-N_QUERIES_SMALL = int(os.environ.get("REPRO_QUERIES", "100"))
-N_QUERIES_COPHIR = int(os.environ.get("REPRO_QUERIES_COPHIR", "30"))
-
-#: CoPhIR stand-in cardinality (paper: 1,000,000)
-COPHIR_N = int(os.environ.get("REPRO_COPHIR_N", "10000"))
-
-#: paper candidate-set sweeps
-YEAST_CAND_SIZES = [150, 300, 600, 1500]
-#: paper CoPhIR sweep {500,1k,5k,10k,20k,50k} of 1M, as fractions of our
-#: collection: {0.05%, 0.1%, 0.5%, 1%, 2%, 5%}
-COPHIR_FRACTIONS = [0.0005, 0.001, 0.005, 0.01, 0.02, 0.05]
-#: clamped below at k=30 — the paper's smallest point (500 of 1M) is
-#: comfortably above k, but the scaled-down collection may not be
-COPHIR_CAND_SIZES = sorted(
-    {max(30, int(round(f * COPHIR_N))) for f in COPHIR_FRACTIONS}
-)
+#: queries per sweep point (paper: 100)
+N_QUERIES_SMALL = 100
 
 
 def save_result(name: str, text: str) -> None:
@@ -49,16 +27,4 @@ def save_result(name: str, text: str) -> None:
 
 @pytest.fixture(scope="session")
 def yeast():
-    return make_yeast(n_queries=max(N_QUERIES_SMALL, 100))
-
-
-@pytest.fixture(scope="session")
-def human():
-    return make_human(n_queries=max(N_QUERIES_SMALL, 100))
-
-
-@pytest.fixture(scope="session")
-def cophir():
-    return make_cophir(
-        n_records=COPHIR_N, n_queries=max(N_QUERIES_COPHIR, 30)
-    )
+    return make_yeast(n_queries=N_QUERIES_SMALL)

@@ -20,13 +20,7 @@ import numpy as np
 
 from repro.core.costs import CLIENT, DISTANCE, CostRecorder, CostReport
 from repro.core.client import SearchHit
-from repro.core.records import (
-    CellRecords,
-    IndexedRecord,
-    RecordBatch,
-    rows_to_vectors,
-    vector_to_payload,
-)
+from repro.core.records import CellRecords, RecordBatch, rows_to_vectors
 from repro.exceptions import QueryError
 from repro.metric.distances import Distance
 from repro.metric.permutations import pivot_permutation, pivot_permutations
@@ -44,12 +38,12 @@ __all__ = ["PlainServer", "PlainClient", "build_plain"]
 class PlainServer:
     """Server of the non-encrypted variant: pivots, metric and all.
 
-    RPC methods: ``insert_plain`` (per-record raw vectors; the server
-    computes pivot distances itself), ``insert_plain_bulk`` (one oid
-    column + one vector matrix per bulk; distances, permutations and
-    group-wise index routing all run vectorized — the plain twin of the
-    encrypted ``insert_bulk``, so the construction comparison isolates
-    the encryption layer rather than loop overhead), ``knn_plain``
+    RPC methods: ``insert_plain_bulk`` (one oid column + one raw vector
+    matrix per bulk; the server computes the pivot distances itself, and
+    distances, permutations and group-wise index routing all run
+    vectorized — the plain twin of the encrypted ``insert_bulk``, so the
+    construction comparison isolates the encryption layer rather than
+    loop overhead), ``knn_plain``
     (full search + refinement server-side, returns the answer set),
     ``range_plain`` and ``stats``. Handlers serialize on a mutex — the
     plain server computes distances and charges its own cost recorder,
@@ -77,7 +71,6 @@ class PlainServer:
         self.costs = CostRecorder()
         self._mutex = threading.Lock()
         self.dispatcher = RpcDispatcher(clock=clock)
-        self.dispatcher.register("insert_plain", self._handle_insert_plain)
         self.dispatcher.register(
             "insert_plain_bulk", self._handle_insert_plain_bulk
         )
@@ -107,30 +100,6 @@ class PlainServer:
         self.storage.reset_accounting()
 
     # -- handlers ------------------------------------------------------------
-
-    def _handle_insert_plain(self, body: Reader) -> Writer:
-        count = body.u32()
-        dim = self.pivots.shape[1]
-        with self._mutex:
-            for _ in range(count):
-                oid = body.u64()
-                vector = body.f64_array()
-                if vector.shape[0] != dim:
-                    raise QueryError(
-                        f"vector of dim {vector.shape[0]} does not match "
-                        f"index dim {dim}"
-                    )
-                with self.costs.time(DISTANCE):
-                    distances = self.space.d_batch(vector, self.pivots)
-                record = IndexedRecord(
-                    oid,
-                    pivot_permutation(distances),
-                    distances,
-                    vector_to_payload(vector),
-                )
-                self.index.insert(record)
-            body.expect_end()
-            return Writer().u64(len(self.index))
 
     def _handle_insert_plain_bulk(self, body: Reader) -> Writer:
         oids = body.u64_array()

@@ -111,8 +111,8 @@ class LocalShardCluster:
         """A :class:`ShardRouter` over every shard of this cluster.
 
         Keyword arguments pass through to :class:`ShardRouter`
-        (``resilient``, ``policy``, ``breaker_factory``,
-        ``allow_partial``, ``key_seed``, ``sleep``).
+        (``resilient``, ``policy``, ``allow_partial``, ``key_seed``,
+        ``sleep``).
         """
         return ShardRouter(
             self.shard_map,

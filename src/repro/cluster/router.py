@@ -369,9 +369,6 @@ class ShardRouter:
         (deterministic accounting for simulation tests).
     policy:
         Retry policy shared by the per-shard resilient clients.
-    breaker_factory:
-        Builds one :class:`CircuitBreaker` per shard; defaults to the
-        stock breaker. Breakers are never shared across shards.
     allow_partial:
         Degrade searches on shard loss (skip + count) instead of
         raising :class:`ShardUnavailableError`. Mutations are always
@@ -390,7 +387,6 @@ class ShardRouter:
         *,
         resilient: bool = True,
         policy: RetryPolicy | None = None,
-        breaker_factory: Callable[[], CircuitBreaker] | None = None,
         allow_partial: bool = False,
         key_seed: int | None = None,
         sleep: Callable[[float], None] = time.sleep,
@@ -410,11 +406,7 @@ class ShardRouter:
                 ResilientRpcClient(
                     factory,
                     policy=policy,
-                    breaker=(
-                        breaker_factory()
-                        if breaker_factory is not None
-                        else CircuitBreaker()
-                    ),
+                    breaker=CircuitBreaker(),
                     sleep=sleep,
                     key_seed=(
                         None

@@ -28,11 +28,7 @@ from repro.metric.distances import Distance
 from repro.metric.space import MetricSpace
 from repro.net.aio import AsyncTcpServer
 from repro.net.channel import Channel, InProcessChannel
-from repro.net.resilience import (
-    CircuitBreaker,
-    ResilientRpcClient,
-    RetryPolicy,
-)
+from repro.net.resilience import ResilientRpcClient, RetryPolicy
 from repro.net.rpc import RpcClient
 
 __all__ = ["SimilarityCloud"]
@@ -216,7 +212,6 @@ LocalShardCluster` instead of one server: the cell tree partitions by
         cache_size: int = 0,
         deadline: float | None = None,
         policy: RetryPolicy | None = None,
-        breaker: CircuitBreaker | None = None,
         key_seed: int | None = None,
     ) -> EncryptedClient:
         """Create a client whose RPC layer retries across reconnects.
@@ -231,12 +226,6 @@ LocalShardCluster` instead of one server: the cell tree partitions by
         key = secret_key if secret_key is not None else self.owner.authorize()
         space = MetricSpace(self._distance, self._dimension)
         if self.cluster is not None:
-            if breaker is not None:
-                raise ChannelError(
-                    "a sharded cloud gives every shard its own circuit "
-                    "breaker; pass breaker_factory to cluster.router() "
-                    "instead of a single shared breaker"
-                )
             rpc = self.cluster.router(
                 resilient=True, policy=policy, key_seed=key_seed
             )
@@ -244,7 +233,6 @@ LocalShardCluster` instead of one server: the cell tree partitions by
             rpc = ResilientRpcClient(
                 self._new_channel,
                 policy=policy,
-                breaker=breaker,
                 key_seed=key_seed,
             )
         return EncryptedClient(

@@ -30,7 +30,7 @@ def exact_range(
     distance: Distance, data: np.ndarray, query: np.ndarray, radius: float
 ) -> list[int]:
     """Ground-truth range-query object ids by brute force."""
-    if radius < 0:
+    if not radius >= 0:
         raise EvaluationError(f"radius must be >= 0, got {radius}")
     data = np.asarray(data, dtype=np.float64)
     distances = distance.batch(query, data)

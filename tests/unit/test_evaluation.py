@@ -57,6 +57,13 @@ class TestMetrics:
         with pytest.raises(EvaluationError):
             exact_knn(L1Distance(), rng.normal(size=(5, 2)), np.zeros(2), 0)
 
+    @pytest.mark.parametrize("radius", [-1.0, float("nan")])
+    def test_invalid_radius_rejected(self, rng, radius):
+        with pytest.raises(EvaluationError):
+            exact_range(
+                L1Distance(), rng.normal(size=(5, 2)), np.zeros(2), radius
+            )
+
 
 @pytest.fixture
 def tiny_dataset(rng):
