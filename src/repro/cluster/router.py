@@ -105,6 +105,14 @@ _MAX_COUNTERS = frozenset(
 )
 
 
+#: pads a group prefix: below every i32 a prefix element can be
+_PREFIX_PAD = np.iinfo(np.int32).min - 1
+
+#: cells of the padded prefix matrix allowed per group and prefix
+#: element of a scatter answer
+_PADDED_CELLS = 16
+
+
 def _joined(arrays: list) -> np.ndarray:
     """One column out of one per shard (none, when no shard answered)."""
     return np.concatenate([np.empty(0, dtype=np.int64), *arrays])
@@ -162,13 +170,16 @@ def _stream(
 
     ``order`` sorts the groups into visit order, query-major; ``query``
     is already in that order, ``sizes`` and ``rows`` are as emitted.
-    Returns ``(group, at, row, first, canonical)``. Per candidate of
-    the stream: the position of its group in ``order``; where it sits
-    in the emitted per-candidate columns; its table row; and whether no
-    earlier candidate *of the same query* carries its oid (repeats
-    exist only mid-rebalance, while source and target both hold a pivot
-    range). Per table row: the first row holding the same oid, so that
-    the copies of a record are one candidate across queries too.
+    Returns ``(group, at, row, first, canonical, oid_rank)``. Per
+    candidate of the stream: the position of its group in ``order``;
+    where it sits in the emitted per-candidate columns; its table row;
+    and whether no earlier candidate *of the same query* carries its
+    oid (repeats exist only mid-rebalance, while source and target both
+    hold a pivot range). Per table row: the first row holding the same
+    oid, so that the copies of a record are one candidate across
+    queries too; and the rank of its oid among the table's distinct
+    oids — the oid order, from the one sort of the oid column, for the
+    kNN merge's final key.
     """
     emitted = (np.cumsum(sizes) - sizes)[order]
     sizes = sizes[order]
@@ -177,18 +188,76 @@ def _stream(
         emitted - (np.cumsum(sizes) - sizes), sizes
     )
     row = rows[at]
-    _, canonical, inverse, copies = np.unique(
+    _, canonical, oid_rank, copies = np.unique(
         oids, return_index=True, return_inverse=True, return_counts=True
     )
-    canonical = canonical[inverse]
+    canonical = canonical[oid_rank]
     # only rows whose oid occurs more than once can be repeats: order
     # those by (query, oid) and keep the first of each in the stream
-    suspects = np.flatnonzero((copies > 1)[inverse][row])
+    suspects = np.flatnonzero((copies > 1)[oid_rank][row])
     first = np.ones(len(row), dtype=bool)
     first[suspects] = False
     key = query[group[suspects]] * len(oids) + canonical[row[suspects]]
     first[suspects[np.unique(key, return_index=True)[1]]] = True
-    return group, at, row, first, canonical
+    return group, at, row, first, canonical, oid_rank
+
+
+def _padded_prefixes(sizes: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The groups' prefixes as the rows of one int64 matrix, each
+    padded to the longest with a value below every i32, so that the
+    matrix's rows sort as the tuples do: a prefix before its extensions
+    (``()`` before ``(-1,)``), then element by element.
+
+    The matrix is refused when it would hold more than
+    :data:`_PADDED_CELLS` cells per group and prefix element, at most 32
+    times the bytes they took on the wire. An M-Index answer reaches
+    that only when its deepest visited leaf is more than 16 times
+    deeper than its mean visited leaf plus one: 32 levels over a mean of
+    1, four times the default ``max_level``.
+    """
+    width = int(sizes.max()) if len(sizes) else 0
+    if len(sizes) * width > _PADDED_CELLS * (len(sizes) + len(values)):
+        raise ProtocolError(
+            f"scatter response pads {len(sizes)} group prefixes to "
+            f"{width} elements"
+        )
+    padded = np.full((len(sizes), width), _PREFIX_PAD, dtype=np.int64)
+    group = np.repeat(np.arange(len(sizes)), sizes)
+    position = np.arange(len(values)) - (np.cumsum(sizes) - sizes)[group]
+    padded[group, position] = values
+    return padded
+
+
+def _final_order(
+    run: np.ndarray, scores: np.ndarray, oid_rank: np.ndarray, n_oids: int
+) -> np.ndarray:
+    """``np.lexsort((oid_rank, scores, run))`` for candidates that carry
+    each oid at most once a run, from two integer argsorts.
+
+    ``oid_rank`` lies in ``[0, n_oids)``. The scores are dense-ranked
+    the way the lexsort compares them — ``np.unique`` puts -0.0 with
+    +0.0 and every NaN together, last — into ``[0, S)``. A sort by
+    ``score_rank * n_oids + oid_rank`` orders the candidates by
+    ``(score, oid)`` into positions ``p``, and a sort by ``run * n + p``
+    (``n`` candidates, runs in ``[0, R)``) puts the runs in front. No
+    two candidates share a key, so neither sort needs to be stable.
+    Both keys lie below ``S * n_oids`` and ``R * n``, at most the
+    square of the rows an answer carries — under 2**56 for the 2**28 a
+    1 GiB response holds; keys that could reach 2**63 are a
+    :class:`ProtocolError`, never a wrapped sort.
+    """
+    distinct, score_rank = np.unique(scores, return_inverse=True)
+    n_runs = int(run.max()) + 1 if len(run) else 0
+    if max(len(distinct) * n_oids, n_runs * len(run)) > 2**63:
+        raise ProtocolError(
+            f"{len(run)} candidates in {n_runs} runs, with "
+            f"{len(distinct)} scores over {n_oids} oids, cannot be ranked "
+            "in 64 bits"
+        )
+    by_score = np.argsort(score_rank * n_oids + oid_rank)
+    return by_score[
+        np.argsort(run[by_score] * len(run) + np.arange(len(run)))
+    ]
 
 
 def merge_knn_candidates(
@@ -215,29 +284,20 @@ def merge_knn_candidates(
     conditions only ever switch off, so the consumed groups are a
     prefix, as in the loop). The candidates of consumed groups, less
     repeated oids, then get the single-server final sort ``(promise,
-    score, oid)`` and trim.
+    score, oid)`` — from two integer argsorts, exactly as the lexsort
+    over those keys would order them (:func:`_final_order`) — and trim.
     """
     tables, oids, query, shard, sizes, rows, keys = _stacked(
         shard_payloads, n_queries, 4
     )
     promises, prefix_sizes, prefixes, scores = keys
-    # prefixes compare as tuples; rank the distinct ones (a few per
-    # leaf, nothing per record)
-    bounds = np.cumsum(prefix_sizes).tolist()
-    flat = prefixes.tolist()
-    prefix = [tuple(flat[a:b]) for a, b in zip([0] + bounds, bounds)]
-    rank_of = {key: rank for rank, key in enumerate(sorted(set(prefix)))}
-    order = np.lexsort(
-        (
-            shard,
-            np.array([rank_of[key] for key in prefix], dtype=np.int64),
-            promises,
-            query,
-        )
-    )
+    # prefixes compare as tuples: as the rows of a padded matrix, one
+    # lexsort key a column (a few per leaf, nothing per record)
+    prefix = _padded_prefixes(prefix_sizes, prefixes)
+    order = np.lexsort((shard, *prefix.T[::-1], promises, query))
     # groups are in visit order from here on, query by query
     query, promises = query[order], promises[order]
-    group, at, row, first, canonical = _stream(
+    group, at, row, first, canonical, oid_rank = _stream(
         oids, query, sizes, rows, order
     )
     sizes = sizes[order]
@@ -256,7 +316,7 @@ def merge_knn_candidates(
         (query[1:] != query[:-1]) | (promises[1:] != promises[:-1])
     )
     run = np.concatenate(([0], run))[group]
-    final = np.lexsort((oids[row], scores[at], run))
+    final = _final_order(run, scores[at], oid_rank[row], len(oids))
     query = query[group[final]]
     found = np.bincount(query, minlength=n_queries)
     rank = np.arange(len(final)) - (np.cumsum(found) - found)[query]
@@ -282,7 +342,7 @@ def merge_range_candidates(
     )
     order = np.lexsort((shard, top_pivots, query))
     query = query[order]
-    group, _at, row, first, canonical = _stream(
+    group, _at, row, first, canonical, _rank = _stream(
         oids, query, sizes, rows, order
     )
     return tables, per_query(

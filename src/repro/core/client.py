@@ -614,7 +614,8 @@ class EncryptedClient:
         and one region of payload bytes — with one list of table rows
         per query in rank order (a ``single`` response is the table
         alone: one list, every row). The token matrix of the union of
-        all refined heads is gathered out of the region and decrypted in
+        all refined heads — the region itself when that union is the
+        whole table in order, else gathered out of it — is decrypted in
         a single pass (tokens of different sizes are a
         :class:`~repro.exceptions.ProtocolError`); each query then
         selects its hits from its own candidate rows.
@@ -636,9 +637,16 @@ class EncryptedClient:
             row_of = np.empty(len(oids), dtype=np.intp)
             row_of[needed] = np.arange(len(needed))
             if len(needed):
+                # servers and routers write the table in first-use order,
+                # so without a refine_limit the tokens are decrypted where
+                # they lie: decrypt_many verifies and opens its own copy
+                payloads = (
+                    table.payloads
+                    if np.array_equal(needed, np.arange(len(oids)))
+                    else BlobColumn.gathered([table.payloads], needed)
+                )
                 vectors = self._decrypt_candidates(
-                    oids[needed],
-                    BlobColumn.gathered([table.payloads], needed).as_matrix(),
+                    oids[needed], payloads.as_matrix()
                 )
             results: list[list[SearchHit]] = []
             for query, indices, head in zip(queries, index_lists, heads):

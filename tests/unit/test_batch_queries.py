@@ -21,6 +21,7 @@ import pytest
 
 from repro.baselines.plain import build_plain
 from repro.baselines.trivial import build_trivial
+from repro.core import client as client_module
 from repro.core.client import Strategy
 from repro.core.cloud import SimilarityCloud
 from repro.core.costs import CACHE_HITS, CACHE_MISSES, DECRYPTION
@@ -29,7 +30,8 @@ from repro.crypto.keys import SecretKey
 from repro.exceptions import QueryError
 from repro.metric.distances import L1Distance
 from repro.metric.space import MetricSpace
-from repro.wire.encoding import Reader, Writer
+from repro.wire.encoding import BlobColumn, Reader, Writer
+from repro.wire.scatter import CandidateTable, read_candidate_lists
 
 
 def _same_hits(single_lists, batched_lists):
@@ -221,6 +223,59 @@ class TestBaselineBatchEquivalence:
         radius = 18.0
         singles = [client.range_search(q, radius) for q in queries]
         _same_hits(singles, client.range_batch(queries, radius))
+
+
+# ---------------------------------------------------------------------------
+# tokens decrypted where they lie
+# ---------------------------------------------------------------------------
+
+
+def _reversed_tables(reader, *, single=False):
+    """A response's table in reverse order, its row lists renumbered:
+    the same candidates, no longer in first-use order."""
+    table, rows_per_query = read_candidate_lists(reader, single=single)
+    back = np.arange(len(table.oids))[::-1]
+    return CandidateTable(
+        table.oids[back], BlobColumn.gathered([table.payloads], back)
+    ), [back[rows] for rows in rows_per_query]
+
+
+@pytest.mark.parametrize("shards", [1, 2])
+def test_whole_table_is_decrypted_without_a_gather(
+    small_data, queries, shards, monkeypatch
+):
+    """Servers and routers write a response's table in first-use order,
+    so without a ``refine_limit`` the client decrypts the tokens where
+    they lie; a cut head, or a table in another order, is gathered —
+    to the same hits."""
+    cloud = SimilarityCloud.build(
+        small_data,
+        distance=L1Distance(),
+        n_pivots=8,
+        bucket_capacity=40,
+        strategy=Strategy.APPROXIMATE,
+        seed=7,
+        shards=shards,
+    )
+    cloud.owner.outsource(range(len(small_data)), small_data)
+    client = cloud.new_client()
+    gathered = BlobColumn.gathered.__func__
+    calls = []
+
+    def counting(cls, columns, rows=None):
+        calls.append(rows)
+        return gathered(cls, columns, rows)
+
+    monkeypatch.setattr(BlobColumn, "gathered", classmethod(counting))
+    singles = [client.knn_search(q, 5, cand_size=60) for q in queries]
+    batched = client.knn_batch(queries, 5, cand_size=60)
+    assert calls == []
+    client.knn_batch(queries, 5, cand_size=60, refine_limit=40)
+    assert len(calls) == 1
+    monkeypatch.setattr(client_module, "read_candidate_lists", _reversed_tables)
+    _same_hits(singles, [client.knn_search(q, 5, cand_size=60) for q in queries])
+    _same_hits(batched, client.knn_batch(queries, 5, cand_size=60))
+    assert len(calls) == 1 + 2 * (len(queries) + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from repro.cluster import (
     merge_range_candidates,
     merge_stats,
 )
+from repro.cluster.router import _final_order, _padded_prefixes
 from repro.core.records import IndexedRecord, RecordBatch
 from repro.core.server import SimilarityCloudServer
 from repro.exceptions import (
@@ -113,13 +114,22 @@ def test_merge_stats_sums_and_maxes():
     assert merged["avg_occupied_bucket"] == 5.0  # 40 records / 8 cells
 
 
+#: the promises and scores a made-up shard answer draws from: ties,
+#: both zeros, both infinities, negative and non-integral values
+_KEYS = np.array([-np.inf, -2.5, -1.0, -0.0, 0.0, 0.5, 1.0, 1.75, np.inf])
+
+#: the prefix elements it draws from, both ends of i32 among them
+_PIVOTS = np.array([-(2**31), -1, 0, 1, 2, 2**31 - 1])
+
+
 def _synthetic_shard(rng, n_queries, *, knn):
     """One shard's made-up scatter answer, through the real codec.
 
-    Oids come from a small pool, promises and scores from a handful of
-    values and prefixes from a few short tuples, so that repeated oids
-    (within a shard and across shards), equal promises, equal scores
-    and equal ``(promise, prefix)`` keys on two shards all occur.
+    Oids come from a small pool, promises and scores from
+    :data:`_KEYS` and prefixes from short tuples of :data:`_PIVOTS`, so
+    that repeated oids (within a shard and across shards), equal
+    promises, equal scores, -0.0 beside +0.0 and equal ``(promise,
+    prefix)`` keys on two shards all occur.
     """
     leaves = []
     # the writers' source: one table a visited leaf, as the index
@@ -128,7 +138,7 @@ def _synthetic_shard(rng, n_queries, *, knn):
     n_records = 0
     for _ in range(int(rng.integers(0, 6))):
         prefix = tuple(
-            int(p) for p in rng.integers(0, 3, size=rng.integers(0, 4))
+            int(p) for p in rng.choice(_PIVOTS, size=rng.integers(0, 4))
         )
         oids = rng.integers(0, 40, size=rng.integers(1, 7))
         leaves.append(
@@ -149,10 +159,10 @@ def _synthetic_shard(rng, n_queries, *, knn):
         if knn:
             groups = [
                 (
-                    float(rng.integers(0, 3)) / 2.0,
+                    float(rng.choice(_KEYS)),
                     prefix,
                     rows,
-                    rng.integers(0, 3, size=len(rows)).astype(np.float64),
+                    rng.choice(_KEYS, size=len(rows)),
                 )
                 for prefix, rows in visited
             ]
@@ -277,6 +287,63 @@ def test_merges_equal_the_sequential_loop(seed):
     merged = merge_range_candidates(ranges, n_queries)
     assert _merged_lists(merged) == _reference_range_merge(ranges, n_queries)
     _assert_one_row_per_oid(merged)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_final_order_is_the_lexsort(seed):
+    """The merge's integer keys order candidates as ``np.lexsort((oid,
+    score, run))`` does, NaN (last, all equal), both zeros (equal) and
+    both infinities included, for candidates in any order that carry
+    an oid at most once a run."""
+    rng = np.random.default_rng(seed)
+    n_oids = int(rng.integers(1, 50))
+    sizes = rng.integers(0, n_oids + 1, size=rng.integers(0, 8))
+    run = np.repeat(np.arange(len(sizes)), sizes)
+    oid_rank = np.concatenate(
+        [np.empty(0, dtype=np.int64)]
+        + [rng.choice(n_oids, size=size, replace=False) for size in sizes]
+    )
+    pool = np.concatenate([_KEYS, [np.nan], rng.normal(size=3)])
+    scores = rng.choice(pool, size=len(run))
+    shuffled = rng.permutation(len(run))
+    run, oid_rank, scores = run[shuffled], oid_rank[shuffled], scores[shuffled]
+    assert np.array_equal(
+        _final_order(run, scores, oid_rank, n_oids),
+        np.lexsort((oid_rank, scores, run)),
+    )
+
+
+def test_final_order_refuses_keys_past_64_bits():
+    """Exact up to keys of 2**63 - 1, refused one past: the score key is
+    below ``scores * n_oids``, the run key below ``runs * candidates``."""
+    scores = np.array([1.0, -0.0])
+    oid_rank = np.array([0, 2**62 - 1])
+    run = np.zeros(2, dtype=np.int64)
+    assert _final_order(run, scores, oid_rank, 2**62).tolist() == [1, 0]
+    with pytest.raises(ProtocolError, match="cannot be ranked in 64 bits"):
+        _final_order(run, scores, oid_rank, 2**62 + 1)
+    run = np.array([2**62 - 1, 0])
+    assert _final_order(run, scores, np.zeros(2, dtype=np.int64), 1).tolist() == [1, 0]
+    with pytest.raises(ProtocolError, match="cannot be ranked in 64 bits"):
+        _final_order(run + 1, scores, np.zeros(2, dtype=np.int64), 1)
+
+
+def test_padded_prefixes_sort_as_tuples_and_are_bounded():
+    """A prefix sorts before its extensions, ``()`` before the smallest
+    i32; the padded matrix holds at most 16 cells per group and prefix
+    element."""
+    prefixes = [(), (-(2**31),), (-1,), (-1, -(2**31)), (0, 5), (0,), ()]
+    sizes = np.array([len(prefix) for prefix in prefixes])
+    values = np.array([p for prefix in prefixes for p in prefix], dtype=np.int32)
+    padded = _padded_prefixes(sizes, values)
+    order = np.lexsort(padded.T[::-1])
+    assert [prefixes[i] for i in order] == sorted(prefixes)
+    assert _padded_prefixes(sizes[:0], values[:0]).shape == (0, 0)
+    # 32 groups, one of them 32 long: 1 024 cells for 64 sent
+    bound = np.array([32] + [0] * 31)
+    assert _padded_prefixes(bound, np.zeros(32, dtype=np.int32)).shape == (32, 32)
+    with pytest.raises(ProtocolError, match="pads 32 group prefixes to 33"):
+        _padded_prefixes(bound + np.eye(32, dtype=int)[0], np.zeros(33, dtype=np.int32))
 
 
 def _assert_one_row_per_oid(merged):
